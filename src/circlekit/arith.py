@@ -66,9 +66,14 @@ class DivisorTable:
 
 
 def divisor_sieve(limit: int) -> DivisorTable:
-    """Exact d(n) for all n <= limit by harmonic multiple-marking.
+    """Exact d(n) for all n <= limit by a sqrt(N) pair sieve.
 
-    Total work is sum_{i<=N} N/i = O(N log N) table increments.
+    d(n) counts the ordered pairs (i, j) with i*j = n.  Each pair has a
+    smaller factor i <= floor(sqrt(N)), so for each such i the square
+    i*i gets 1 and every larger multiple i*j (j > i) gets 2, one strided
+    numpy add per i.  That is floor(sqrt(N)) Python iterations and
+    sum_{i<=sqrt N} (N/i - i + 1) ~ N(ln(N)/2 + gamma - 1/2) strided
+    int32 increments.
     """
     if limit < 1:
         raise SizeError(f"sieve limit must be >= 1, got {limit}")
@@ -76,8 +81,9 @@ def divisor_sieve(limit: int) -> DivisorTable:
         raise SizeError(f"sieve limit {limit} exceeds memory cap {MAX_SIEVE}")
     check_budget(limit, "divisor_sieve")
     d = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(1, limit + 1):
-        d[i::i] += 1
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i] += 1
+        d[i * (i + 1) :: i] += 2
     return DivisorTable(limit=limit, values=d)
 
 
@@ -230,30 +236,44 @@ def _fft_convolve_checked(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndar
     return np.rint(conv).astype(np.int64)
 
 
+def _unit_powers(w: int, count: int, p: int) -> np.ndarray:
+    """[w^0, w^1, ..., w^(count-1)] mod p by doubling the known prefix.
+
+    Operands stay below p < 2^31, so every product fits int64 exactly.
+    """
+    ws = np.ones(1, dtype=np.int64)
+    while len(ws) < count:
+        ws = np.concatenate((ws, ws * pow(w, len(ws), p) % p))
+    return ws[:count]
+
+
+def _bit_reversal(n: int) -> np.ndarray:
+    """Index permutation i -> bit-reverse(i) over log2(n) bits."""
+    bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.int64)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev
+
+
 def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
-    """Iterative radix-2 number-theoretic transform mod p (in place)."""
-    a = a.copy()
+    """Iterative radix-2 number-theoretic transform mod p; returns a new array.
+
+    The input is permuted into bit-reversed order by one gather, then
+    log2(n) butterfly stages run as whole-array numpy operations.  Each
+    stage's twiddles come from _unit_powers, so the Python-level work is
+    O(log^2 n) numpy calls and no per-element loop.
+    """
     n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
+    a = a[_bit_reversal(n)]
     length = 2
     while length <= n:
         w = pow(g, (p - 1) // length, p)
         if invert:
             w = pow(w, p - 2, p)
         half = length // 2
-        ws = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            ws[i] = acc
-            acc = acc * w % p
+        ws = _unit_powers(w, half, p)
         blocks = a.reshape(-1, length)
         left = blocks[:, :half].copy()
         right = blocks[:, half:] * ws % p

@@ -3,12 +3,15 @@
 A "work unit" is one inner-loop visit (a tuple enumerated, a table cell
 written, a pair hashed).  The cap comes from the CIRCLEKIT_BUDGET
 environment variable; operations that would exceed it refuse up front
-with the required amount instead of grinding away.
+with the required amount instead of grinding away.  An unset or empty
+variable means DEFAULT_BUDGET; anything that is not a finite number is a
+DomainError.
 """
 
+import math
 import os
 
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 
 DEFAULT_BUDGET = 2_000_000_000
 
@@ -18,10 +21,12 @@ def work_budget() -> int:
     if not raw:
         return DEFAULT_BUDGET
     try:
-        value = int(float(raw))
+        value = float(raw)
     except ValueError:
-        return DEFAULT_BUDGET
-    return max(1, value)
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"CIRCLEKIT_BUDGET must be a finite number, got {raw!r}")
+    return max(1, int(value))
 
 
 def check_budget(required: int, label: str = "") -> None:

@@ -35,6 +35,8 @@ _EXPANSION_RANGE = 4.0
 
 # Largest pair-sum array the moment counter will sort (8 bytes each).
 MAX_PAIR_SORT = 250_000_000
+# Pair sums m^k + n^k are formed in int64 and must not wrap.
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
 
     By orthogonality this equals the 2^j-th moment of the power
     generating sum.  j=1 counts the diagonal; j=2 sorts all pair sums
-    and sums squared run lengths; higher j convolves the power
-    histogram, feasible only for small Y^k.
+    and sums squared run lengths, refusing 2*Y^k beyond int64; higher j
+    convolves the power histogram, feasible only for small Y^k.
     """
     if Y < 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
@@ -315,6 +317,10 @@ def hua_count(Y: int, k: int, j: int) -> int:
         if Y * Y > MAX_PAIR_SORT:
             raise SizeError(
                 f"pair-sum sort needs {Y * Y} entries, cap is {MAX_PAIR_SORT}"
+            )
+        if 2 * Y**k > INT64_MAX:
+            raise SizeError(
+                f"pair sums reach 2*{Y}^{k} = {2 * Y**k}, beyond int64 {INT64_MAX}"
             )
         powers = np.arange(1, Y + 1, dtype=np.int64) ** k
         sums = (powers[:, None] + powers[None, :]).ravel()

@@ -9,6 +9,9 @@ from circlekit.arith import (
     RepresentationHistogram,
     _fft_convolve_checked,
     _nearest_int_distance,
+    _NTT_PRIMES,
+    _NTT_ROOT,
+    _ntt,
     _ntt_convolve,
     build_histograms,
     divisor_count_naive,
@@ -67,6 +70,39 @@ def test_sieve_matches_trial_division(table_1e6):
     rng = np.random.default_rng(0)
     for n in rng.integers(1, 10**6 + 1, size=1000):
         assert table_1e6[int(n)] == divisor_count_naive(int(n))
+
+
+def harmonic_divisor_counts(limit):
+    # every i marks each of its multiples once: d(n) = #{i : i | n}
+    d = np.zeros(limit + 1, dtype=np.int32)
+    for i in range(1, limit + 1):
+        d[i::i] += 1
+    return d
+
+
+def test_sieve_matches_harmonic_marking():
+    reference = harmonic_divisor_counts(2 * 10**4)
+    sizes = list(range(1, 130)) + [
+        1023, 1024, 1025, 9999, 10000, 10001, 141**2 - 1, 141**2, 2 * 10**4,
+    ]
+    for n in sizes:
+        values = divisor_sieve(n).values
+        assert values.dtype == np.int32
+        assert np.array_equal(values, reference[: n + 1]), n
+
+
+@pytest.mark.parametrize("n", [10**6, 4 * 10**6])
+def test_sieve_prefix_sum_matches_hyperbola(n):
+    s = math.isqrt(n)
+    expected = 2 * sum(n // i for i in range(1, s + 1)) - s * s
+    assert int(divisor_sieve(n).values.sum(dtype=np.int64)) == expected
+
+
+def test_sieve_top_of_verify_range():
+    top = 4 * 10**6
+    table = divisor_sieve(top)
+    for n in range(top - 300, top + 1):
+        assert table[n] == divisor_count_naive(n), n
 
 
 def test_divisor_multiplicative_on_coprime_pairs(table_1e6):
@@ -156,6 +192,27 @@ def test_ntt_matches_reference_convolution():
     a = np.array([998244352, 167772160, 12345])
     b = np.array([3, 1, 4, 1, 5])
     assert np.array_equal(_ntt_convolve(a, b, 1), np.convolve(a, b))
+
+
+@pytest.mark.parametrize("p", _NTT_PRIMES)
+def test_ntt_round_trip_and_naive_dft(p):
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, size=2**16, dtype=np.int64)
+    forward = _ntt(a, p, _NTT_ROOT, False)
+    assert np.array_equal(_ntt(forward, p, _NTT_ROOT, True), a)
+    # natural-order output: X[m] = sum_j a[j] w^(jm) with w of order n
+    n = 16
+    small = [int(v) for v in a[:n]]
+    w = pow(_NTT_ROOT, (p - 1) // n, p)
+    naive = [sum(v * pow(w, j * m, p) for j, v in enumerate(small)) % p for m in range(n)]
+    assert _ntt(a[:n], p, _NTT_ROOT, False).tolist() == naive
+
+
+def test_ntt_matches_fft_at_length_2_20():
+    inst = ProblemInstance(x=2 * 10**5, k=3)
+    table = divisor_sieve(inst.max_value)
+    fft_val = exact_S_convolution(inst, table, transform="fft")
+    assert exact_S_convolution(inst, table, transform="ntt") == fft_val
 
 
 def test_ntt_capacity_guard():

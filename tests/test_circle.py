@@ -212,6 +212,15 @@ def test_hua_matches_brute_force():
         assert hua_count(Y, k, j) == brute_hua(Y, k, j)
 
 
+def test_hua_pair_sums_stay_in_int64():
+    # 2 * 1290^6 fits int64 and no two sixth-power pair sums coincide here,
+    # so only the ordered diagonal and swapped pairs count
+    assert hua_count(1290, 6, 2) == 2 * 1290**2 - 1290
+    # 2 * 5000^6 would wrap int64
+    with pytest.raises(SizeError):
+        hua_count(5000, 6, 2)
+
+
 def test_hua_fourth_moment_log_growth():
     # k=2, j=2 is the classical fourth moment ~ Y^2 log Y
     ratios = [hua_count(Y, 2, 2) / (Y * Y * math.log(Y)) for Y in (100, 1000)]

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from circlekit.budget import DEFAULT_BUDGET
 from circlekit.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -172,6 +177,34 @@ def test_budget_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "sieve", "--n", "10000")
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_malformed_budget_is_usage_error():
+    env = dict(os.environ, CIRCLEKIT_BUDGET="abc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "circlekit.cli", "sieve", "--n", "10"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert "CIRCLEKIT_BUDGET" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e3x"])
+def test_malformed_budget_values_rejected(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", raw)
+    code, _, err = run(capsys, "sieve", "--n", "10")
+    assert code == EXIT_USAGE
+    assert "CIRCLEKIT_BUDGET" in err
+
+
+def test_empty_budget_means_default(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "")
+    code, out, _ = run(capsys, "sieve", "--n", "10")
+    assert code == EXIT_OK
+    assert json.loads(out)["meta"]["budget"] == DEFAULT_BUDGET
 
 
 def test_main_term_estimate_shape():
