@@ -13,7 +13,7 @@ from .arith import (
 )
 from .circle import ArcParameters, classify_arc, dirichlet_approx, hua_count
 from .exponents import DeltaResult, derive_delta, reference_delta
-from .integrals import j_value, j_volume_oracle
+from .integrals import j_value, j_values, j_volume_oracle
 from .series import sigma_truncated
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "exact_S_direct",
     "hua_count",
     "j_value",
+    "j_values",
     "j_volume_oracle",
     "reference_delta",
     "sigma_truncated",

@@ -49,7 +49,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .exponents import derive_delta, reference_delta
-from .integrals import j_density, j_value, j_volume_oracle
+from .integrals import j_density, j_values, j_volume_oracle
 from .series import sigma_truncated
 
 EXIT_OK = 0
@@ -188,6 +188,13 @@ def _parse_k_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _single_k(args: argparse.Namespace) -> int:
+    ks = args.k or [3]
+    if len(ks) != 1:
+        raise DomainError(f"{args.command} takes a single k")
+    return ks[0]
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -286,17 +293,13 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ks = args.k or [3]
-    if len(ks) != 1:
-        raise DomainError("verify takes a single k")
-    k = ks[0]
-    xs = sorted(args.x or [100, 1000, 10000])
+    k = _single_k(args)
+    xs = sorted(set(args.x or [100, 1000, 10000]))
     method = args.method
     records = []
     mismatch = False
     partial = sigma_truncated(args.q_max, k)
-    jv1 = j_value(k, 1, args.B)
-    jv2 = j_value(k, 2, args.B)
+    jv1, jv2 = j_values(k, args.B)
     integrals = [
         {"k": k, "which": jv.which, "B": jv.B, "value": _sig12(jv.value),
          "quadrature_error": _sig12(jv.quadrature_error),
@@ -359,8 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    ks = args.k or [3]
-    k = ks[0]
+    k = _single_k(args)
     partial = sigma_truncated(args.q_max, k, method=args.method)
     running1 = running2 = 0.0
     rows = []
@@ -383,13 +385,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_integral(args: argparse.Namespace) -> int:
-    ks = args.k or [3]
-    k = ks[0]
-    whiches = [args.which] if args.which else [1, 2]
+    k = _single_k(args)
+    whiches = (args.which,) if args.which else (1, 2)
     entries = []
     scan_rows = []
-    for which in whiches:
-        value = j_value(k, which, args.B)
+    for which, value in zip(whiches, j_values(k, args.B, whiches)):
         entry = {
             "k": k, "which": which, "B": value.B, "value": _sig12(value.value),
             "quadrature_error": _sig12(value.quadrature_error),
@@ -432,8 +432,7 @@ def cmd_integral(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnostics(args: argparse.Namespace) -> int:
-    ks = args.k or [3]
-    k = ks[0]
+    k = _single_k(args)
     if args.probe == "hua":
         count = hua_count(args.y, k, args.j)
         block = {"probe": "hua", "k": k, "j": args.j, "Y": args.y, "count": count}

@@ -14,10 +14,27 @@ each other to 1e-9:
 
   * panel Gauss-Legendre quadrature, subdivided fine enough for at
     least ten nodes per oscillation (the reference, any beta);
-  * for the frequency sweep inside j_value, a vectorized path: exact
-    closed forms where they exist, and contour-rotated boundary terms
-    whose smooth remainder is an asymptotic series in 1/beta (error
-    below 1e-20 for |beta| > 10).
+  * for the frequency sweep, a vectorized path: exact closed forms
+    where they exist, and contour-rotated boundary terms whose smooth
+    remainder is an asymptotic series in 1/lam, lam = 2 pi beta.
+
+j_values sweeps beta once for both singular integrals: the panel nodes
+and the factors the two densities share, (square phase)^3 times the
+k-th power phase, are computed once per node, and each integral then
+multiplies in only its own last factor.  The two unit phases also share
+e^(i lam).
+
+An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
+1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
+its real and one for its imaginary part.  Its terms are cut per octave
+of x: an octave keeps the terms before the first one smaller than
+2^-60 of the leading term at the octave's largest x, which is at most
+the x of beta = 10 (8 terms near beta = 280, at most 21 of the 40
+allowed).  The remainder after m terms is bounded by the magnitude of
+term m for both series (the Taylor remainder of (1 + i s)^c, c < 0, and
+of log(3 + i s) under the Laplace integral), so a cut tail is within
+2^-60 of its leading term, below 1.6e-20 absolute for beta > 10 and
+well under one rounding of the result.
 """
 
 from __future__ import annotations
@@ -29,12 +46,17 @@ from math import gamma as gamma_fn
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .budget import check_budget
 from .constants import EULER_GAMMA, TWO_PI
 from .errors import AccuracyError, DomainError
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
 _ASYM_TERMS = 40
+# An asymptotic tail keeps its terms down to this fraction of its first.
+_TAIL_CUT = 2.0**-60
+# Nodes per block of the density sweep.
+_BLOCK = 1 << 15
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -154,34 +176,76 @@ def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
     return phases @ weights
 
 
-def _unit_batch_large(betas: np.ndarray, k: int) -> np.ndarray:
+def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndarray:
+    """sum_m i^m coeffs[m] x^m over 0 < x <= x_max, with real coeffs.
+
+    The even terms are the real part and the odd terms the imaginary
+    part, each a real Horner polynomial in x^2.  Nodes are grouped by
+    octave of x; an octave keeps the terms before the first one that
+    falls below _TAIL_CUT of the leading term at the octave's largest x
+    (at most x_max), so each node's value depends on that node alone.
+    """
+    signs = np.where(np.arange(coeffs.size) % 4 < 2, 1.0, -1.0)
+    signed = coeffs * signs
+    magnitudes = np.abs(coeffs)
+    out = np.empty(x.shape, dtype=complex)
+    octave = np.frexp(x)[1]
+    for exponent in range(int(octave.min()), int(octave.max()) + 1):
+        sel = octave == exponent
+        top = min(math.ldexp(1.0, exponent), x_max)
+        small = magnitudes * top ** np.arange(coeffs.size) < _TAIL_CUT * magnitudes[0]
+        count = int(np.argmax(small)) if small.any() else coeffs.size
+        xs = x[sel]
+        u = xs * xs
+        out.real[sel] = _horner(signed[0:count:2], u)
+        out.imag[sel] = xs * _horner(signed[1:count:2], u)
+    return out
+
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] u^j."""
+    acc = np.zeros(u.shape)
+    for c in coeffs[::-1]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def _unit_batch_large(lam: np.ndarray, rotation: np.ndarray, k: int) -> np.ndarray:
     # Rotate int_0^1 t^c e(beta t) dt (c = 1/k - 1) onto the rays from 0
-    # and 1: a Gamma-function boundary term plus e^(i lam) times a smooth
-    # remainder expanded asymptotically in 1/lam, lam = 2 pi beta.
+    # and 1: a Gamma-function boundary term plus rotation = e^(i lam)
+    # times a smooth remainder expanded asymptotically in 1/lam, with
+    # coefficients i^m c(c-1)...(c-m+1).
     c = 1.0 / k - 1.0
-    lam = TWO_PI * betas
     lead = 1j * np.exp(1j * np.pi * c / 2.0) * gamma_fn(c + 1.0) * lam ** (-(c + 1.0))
+    coeffs = np.cumprod(np.concatenate([[1.0], c - np.arange(_ASYM_TERMS - 1)]))
     inv = 1.0 / lam
-    tail = np.zeros(betas.shape, dtype=complex)
-    coeff = 1.0 + 0j
-    power = inv.astype(complex)
-    for m in range(_ASYM_TERMS):
-        tail += coeff * power
-        coeff = coeff * 1j * (c - m)
-        power = power * inv
-    return (lead - 1j * np.exp(1j * lam) * tail) / k
+    tail = inv * _asymptotic_tail(coeffs, inv, 1.0 / (TWO_PI * _ASYM_BETA))
+    return (lead - 1j * rotation * tail) / k
+
+
+def _unit_phase_batches(betas: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
+    """unit_phase_batch for each k in ks, sharing e^(i lam) across them."""
+    betas = np.asarray(betas, dtype=float)
+    small = betas <= _ASYM_BETA
+    large = ~small
+    if large.any():
+        lam = TWO_PI * betas[large]
+        rotation = np.exp(1j * lam)
+    outs = []
+    for k in ks:
+        out = np.empty(betas.shape, dtype=complex)
+        if small.any():
+            out[small] = _unit_batch_small(betas[small], k)
+        if large.any():
+            out[large] = _unit_batch_large(lam, rotation, k)
+        outs.append(out)
+    return outs
 
 
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized int_0^1 e(beta u^k) du over an array of beta >= 0."""
-    betas = np.asarray(betas, dtype=float)
-    out = np.empty(betas.shape, dtype=complex)
-    small = betas <= _ASYM_BETA
-    if small.any():
-        out[small] = _unit_batch_small(betas[small], k)
-    if (~small).any():
-        out[~small] = _unit_batch_large(betas[~small], k)
-    return out
+    return _unit_phase_batches(betas, (k,))[0]
 
 
 def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
@@ -217,17 +281,13 @@ def _log_batch_small(betas: np.ndarray) -> np.ndarray:
 def _log_batch_large(betas: np.ndarray) -> np.ndarray:
     # Same contour rotation for int_0^3 e(-beta u) log u du: the ray from
     # 0 integrates exactly (Frullani-type log moment), the ray from 3
-    # leaves e^(-3 i lam) times an asymptotic remainder.
+    # leaves e^(-3 i lam) times an asymptotic remainder in 1/(3 lam)
+    # with coefficients log 3, then -i^m (m-1)!.
     lam = TWO_PI * betas
     lead = 1j * (EULER_GAMMA + np.log(lam)) / lam - np.pi / (2.0 * lam)
-    inv = 1.0 / (3.0 * lam)
-    total = np.full(betas.shape, math.log(3.0), dtype=complex)
-    factor = 1.0 + 0j
-    power = inv.astype(complex)
-    for m in range(1, _ASYM_TERMS):
-        factor = factor * 1j if m == 1 else factor * 1j * (m - 1)
-        total -= factor * power
-        power = power * inv
+    factorials = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _ASYM_TERMS - 1)]))
+    coeffs = np.concatenate([[math.log(3.0)], -factorials])
+    total = _asymptotic_tail(coeffs, 1.0 / (3.0 * lam), 1.0 / (3.0 * TWO_PI * _ASYM_BETA))
     return lead + 1j * np.exp(-3j * lam) * total / lam
 
 
@@ -258,14 +318,30 @@ def j_density(beta: float, k: int, which: int) -> complex:
     return square**3 * power * last
 
 
+def _density_batches(
+    betas: np.ndarray, k: int, whiches: tuple[int, ...]
+) -> list[np.ndarray]:
+    # The core (square phase)^3 * (k-th power phase) is shared by every
+    # which; each multiplies in only its own last factor.  Blocks of
+    # _BLOCK nodes keep the temporaries small and in cache.
+    betas = np.asarray(betas, dtype=float)
+    flat = betas.ravel()
+    outs = [np.empty(flat.shape, dtype=complex) for _ in whiches]
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        square, power = _unit_phase_batches(block, (2, k))
+        core = square**3 * power
+        for which, out in zip(whiches, outs):
+            last = log_phase_batch(block) if which == 2 else linear_phase_batch(block)
+            np.multiply(core, last, out=out[start : start + _BLOCK])
+    return [out.reshape(betas.shape) for out in outs]
+
+
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
     """Density values on a beta >= 0 grid via the vectorized evaluators."""
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-    square = unit_phase_batch(betas, 2)
-    power = unit_phase_batch(betas, k)
-    last = log_phase_batch(betas) if which == 2 else linear_phase_batch(betas)
-    return square**3 * power * last
+    return _density_batches(betas, k, (which,))[0]
 
 
 @dataclass(frozen=True)
@@ -281,6 +357,17 @@ class SingularIntegralValue:
     envelope_constant: float
 
 
+_PIVOT = TWO_PI / 3.0  # where the panel width 1/10 starts to shrink
+_WIDTH = TWO_PI / 30.0  # panel width times beta beyond the pivot
+
+
+def _fine_panels(B: float) -> int:
+    """Number of panels _beta_edges(B) returns."""
+    if B <= _PIVOT:
+        return math.ceil(B / 0.1)
+    return math.ceil(_PIVOT / 0.1) + math.ceil((B * B - _PIVOT * _PIVOT) / (2.0 * _WIDTH))
+
+
 def _beta_edges(B: float) -> np.ndarray:
     """Panel edges on [0, B] with width <= 1/(10 max(1, 3 beta / 2 pi)).
 
@@ -288,59 +375,78 @@ def _beta_edges(B: float) -> np.ndarray:
     the closed-form schedule t_n = sqrt(t0^2 + 2 c n) whose steps stay
     just inside the allowed width c/t.
     """
-    pivot = TWO_PI / 3.0
-    if B <= pivot:
-        n = math.ceil(B / 0.1)
-        return np.linspace(0.0, B, n + 1)
-    head = np.append(np.arange(0.0, pivot, 0.1), pivot)
-    t0 = pivot
-    c = TWO_PI / 30.0
-    count = math.ceil((B * B - t0 * t0) / (2.0 * c))
-    tail = np.sqrt(t0 * t0 + 2.0 * c * np.arange(1, count + 1))
+    if B <= _PIVOT:
+        return np.linspace(0.0, B, _fine_panels(B) + 1)
+    head = np.append(np.arange(0.0, _PIVOT, 0.1), _PIVOT)
+    count = _fine_panels(B) - (head.size - 1)
+    tail = np.sqrt(_PIVOT * _PIVOT + 2.0 * _WIDTH * np.arange(1, count + 1))
     tail[-1] = B
     return np.concatenate([head, tail])
 
 
-def j_value(k: int, which: int, B: float = 400.0) -> SingularIntegralValue:
-    """2 Re int_0^B of the density, with error estimate and tail bound.
+def j_values(
+    k: int, B: float = 400.0, whiches: tuple[int, ...] = (1, 2)
+) -> list[SingularIntegralValue]:
+    """2 Re int_0^B of the density for each which, from one sweep.
 
-    The quadrature error is the difference against a half-resolution
-    panel set; the tail bound integrates the fitted decay envelope
+    The fine and the half-resolution panel nodes are built once and the
+    phase factors common to every which are evaluated once per node.
+    The quadrature error is the difference between the two panel sets;
+    the tail bound integrates the fitted decay envelope
     (1+beta)^(-5/2-1/k), times log(2+beta) for the log-weighted case,
     from B to infinity on both sides.
     """
-    if B < 1.0:
-        raise DomainError(f"B must be >= 1, got {B}")
+    if not math.isfinite(B) or B < 1.0:
+        raise DomainError(f"B must be a finite number >= 1, got {B}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    edges = _beta_edges(float(B))
+    for which in whiches:
+        if which not in (1, 2):
+            raise DomainError(f"which must be 1 or 2, got {which}")
+    B = float(B)
+    # 4 Gauss nodes per fine panel and per half-resolution panel
+    fine_panels = _fine_panels(B)
+    check_budget(4 * (fine_panels + (fine_panels + 1) // 2), "singular-integral sweep")
+    edges = _beta_edges(B)
     nodes, weights = _panel_nodes(edges, 4)
-    values = j_density_batch(nodes, k, which)
-    fine = 2.0 * float(np.sum(values * weights).real)
+    fine_values = _density_batches(nodes, k, whiches)
 
     coarse_edges = edges[::2]
     if coarse_edges[-1] != edges[-1]:
         coarse_edges = np.append(coarse_edges, edges[-1])
     c_nodes, c_weights = _panel_nodes(coarse_edges, 4)
-    coarse = 2.0 * float(np.sum(j_density_batch(c_nodes, k, which) * c_weights).real)
+    coarse_values = _density_batches(c_nodes, k, whiches)
 
     p = 1.5 + 1.0 / k
-    envelope = np.abs(values) * (1.0 + nodes) ** (p + 1.0)
-    if which == 2:
-        envelope = envelope / np.log(2.0 + nodes)
-    c_env = float(envelope.max())
-    tail = 2.0 * c_env * (1.0 + B) ** (-p) / p
-    if which == 2:
-        tail *= math.log(2.0 + B) + 1.0 / p
-    return SingularIntegralValue(
-        k=k,
-        which=which,
-        B=float(B),
-        value=fine,
-        quadrature_error=abs(fine - coarse),
-        tail_bound=tail,
-        envelope_constant=c_env,
-    )
+    growth = (1.0 + nodes) ** (p + 1.0)
+    results = []
+    for which, values, c_values in zip(whiches, fine_values, coarse_values):
+        fine = 2.0 * float(np.sum(values * weights).real)
+        coarse = 2.0 * float(np.sum(c_values * c_weights).real)
+        envelope = np.abs(values) * growth
+        if which == 2:
+            envelope = envelope / np.log(2.0 + nodes)
+        c_env = float(envelope.max())
+        tail = 2.0 * c_env * (1.0 + B) ** (-p) / p
+        if which == 2:
+            tail *= math.log(2.0 + B) + 1.0 / p
+        results.append(
+            SingularIntegralValue(
+                k=k,
+                which=which,
+                B=B,
+                value=fine,
+                quadrature_error=abs(fine - coarse),
+                tail_bound=tail,
+                envelope_constant=c_env,
+            )
+        )
+    return results
+
+
+def j_value(k: int, which: int, B: float = 400.0) -> SingularIntegralValue:
+    """The truncated singular integral for one which; see j_values."""
+    return j_values(k, B, (which,))[0]
 
 
 _S3_CACHE: dict[int, np.ndarray] = {}

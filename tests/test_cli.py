@@ -10,6 +10,7 @@ import pytest
 
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.cli import (
+    EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
     MainTermEstimate,
@@ -108,6 +109,55 @@ def test_verify_rejects_k_range(capsys):
     code, _, err = run(capsys, "verify", "--k", "3..5", "--x", "10")
     assert code == EXIT_USAGE
     assert "single k" in err
+
+
+def test_verify_ignores_duplicate_x(capsys):
+    base = ["verify", "--k", "3", "--q-max", "20", "--B", "20"]
+    code, out, _ = run(capsys, *base, "--x", "100,100,1000")
+    assert code == EXIT_OK
+    repeated = json.loads(out)
+    code, out, _ = run(capsys, *base, "--x", "100,1000")
+    assert code == EXIT_OK
+    single = json.loads(out)
+    assert repeated["records"] == single["records"]
+    assert repeated["diagnostics"] == single["diagnostics"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integral", "--k", "3", "--B", "nan"],
+        ["integral", "--k", "3", "--B", "inf"],
+        ["verify", "--k", "3", "--x", "10", "--B", "nan"],
+    ],
+)
+def test_non_finite_B_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "finite" in err
+
+
+def test_integral_sweep_budget_refused_up_front(capsys, monkeypatch):
+    # B = 1e6 would need about 1.4e13 sweep nodes; refused before allocating
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000000")
+    code, _, err = run(capsys, "integral", "--k", "3", "--B", "1e6")
+    assert code == EXIT_BUDGET
+    assert "singular-integral sweep" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--k", "3..5"],
+        ["integral", "--k", "3..5", "--B", "5"],
+        ["diagnostics", "hua", "--k", "3..5"],
+    ],
+)
+def test_single_k_commands_reject_k_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert f"{argv[0]} takes a single k" in err
+    assert out == ""
 
 
 def test_integral_with_oracle(capsys):

@@ -1,14 +1,19 @@
 import math
+from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import fresnel
 
-from circlekit.errors import AccuracyError, DomainError
+from circlekit.errors import AccuracyError, BudgetError, DomainError
 from circlekit.integrals import (
     j_density,
     j_density_batch,
     j_value,
+    j_values,
     j_volume_oracle,
     linear_phase_batch,
     linear_phase_integral,
@@ -97,6 +102,67 @@ def test_batch_paths_match_reference():
         assert abs(f - linear_phase_integral(float(b))) < 1e-12
 
 
+def _unit_phase_mp(beta: float, k: int) -> complex:
+    # int_0^1 e(beta u^k) du = (1/k) z^(-1/k) gamma(1/k, z), z = -2 pi i beta
+    with mpmath.workdps(30):
+        z = mpmath.mpc(0, -2 * mpmath.pi * beta)
+        a = mpmath.mpf(1) / k
+        return complex(z ** (-a) * mpmath.gammainc(a, 0, z) / k)
+
+
+def _log_phase_mp(beta: float) -> complex:
+    # int_0^3 e^(-w u) log u du = ((1 - e^(-3w)) log 3 - E1(3w) - log(3w) - gamma) / w,
+    # w = 2 pi i beta (integration by parts against e^(-w u) - 1)
+    with mpmath.workdps(30):
+        w = mpmath.mpc(0, 2 * mpmath.pi * beta)
+        log3 = mpmath.log(3)
+        value = (1 - mpmath.exp(-3 * w)) * log3 - mpmath.e1(3 * w)
+        return complex((value - mpmath.log(3 * w) - mpmath.euler) / w)
+
+
+def _oracle_betas() -> np.ndarray:
+    # the asymptotic crossover, beta = 400 and 1e4, and both sides of every
+    # octave boundary of 1/lam (unit phases) and 1/(3 lam) (log phase) that
+    # the term cut uses up to beta = 1e4
+    bounds = [2.0**j / (2 * math.pi) for j in range(6, 17)]
+    bounds += [2.0**j / (6 * math.pi) for j in range(8, 19)]
+    sides = [b * f for b in bounds for f in (1 - 1e-9, 1.0, 1 + 1e-9)]
+    return np.array(sorted([10.01, 400.0, 1e4] + [b for b in sides if 10.0 < b <= 1e4]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_unit_phase_batch_mpmath_oracle(k):
+    betas = _oracle_betas()
+    fast = unit_phase_batch(betas, k)
+    for b, f in zip(betas, fast):
+        assert abs(f - _unit_phase_mp(float(b), k)) < 1e-14, b
+
+
+def test_log_phase_batch_mpmath_oracle():
+    betas = _oracle_betas()
+    fast = log_phase_batch(betas)
+    for b, f in zip(betas, fast):
+        assert abs(f - _log_phase_mp(float(b))) < 1e-14, b
+    # the closed form itself against 30-digit quadrature
+    with mpmath.workdps(30):
+        quad = mpmath.quad(
+            lambda u: mpmath.exp(-2j * mpmath.pi * 10.01 * u) * mpmath.log(u),
+            mpmath.linspace(0, 3, 32),
+        )
+    assert abs(complex(quad) - _log_phase_mp(10.01)) < 1e-20
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.0, 2000.0), k=st.sampled_from([2, 3, 5, 8]))
+def test_batch_and_scalar_routes_agree(beta, k):
+    assert abs(unit_phase_batch(np.array([beta]), k)[0]
+               - unit_power_phase_integral(beta, k)) < 1e-9
+    assert abs(log_phase_batch(np.array([beta]))[0] - log_weighted_integral(beta)) < 1e-9
+    for which in (1, 2):
+        assert abs(j_density_batch(np.array([beta]), k, which)[0]
+                   - j_density(beta, k, which)) < 1e-9
+
+
 def test_density_at_zero():
     for k in (3, 4, 5):
         assert j_density(0.0, k, 1) == pytest.approx(3.0, abs=1e-9)
@@ -124,6 +190,32 @@ def test_j_value_basic_contracts():
     assert jv.tail_bound < 1e-2
     with pytest.raises(DomainError):
         j_value(3, 1, 0.5)
+    with pytest.raises(DomainError):
+        j_values(3, 10.0, (1, 3))
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_j_values_shared_sweep_matches_j_value(k):
+    both = j_values(k, 400.0)
+    assert [v.which for v in both] == [1, 2]
+    for which, shared in zip((1, 2), both):
+        assert asdict(shared) == asdict(j_value(k, which, 400.0))
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+def test_j_values_rejects_non_finite_B(B):
+    with pytest.raises(DomainError, match="finite"):
+        j_values(3, B)
+    with pytest.raises(DomainError, match="finite"):
+        j_value(3, 1, B)
+
+
+def test_j_values_checks_budget_before_allocating(monkeypatch):
+    # B = 1e6 would need about 1.4e13 nodes
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000000")
+    with pytest.raises(BudgetError) as info:
+        j_values(3, 1e6)
+    assert info.value.required > 10**13
 
 
 def test_j_value_doubling_stability():
