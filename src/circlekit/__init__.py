@@ -14,13 +14,14 @@ from .arith import (
 from .circle import ArcParameters, classify_arc, dirichlet_approx, hua_count
 from .exponents import DeltaResult, derive_delta, reference_delta
 from .integrals import j_value, j_values, j_volume_oracle
-from .series import sigma_truncated
+from .series import MainTerm, sigma_truncated
 
 __all__ = [
     "__version__",
     "ArcParameters",
     "DeltaResult",
     "DivisorTable",
+    "MainTerm",
     "ProblemInstance",
     "classify_arc",
     "derive_delta",

@@ -114,6 +114,12 @@ def sum_d_squared(limit: int, table: DivisorTable | None = None) -> int:
     return int(np.dot(v, v))
 
 
+def moment_ratio(limit: int, total: int) -> float:
+    """total / (limit log^3 limit): the fitted constant of the second
+    moment's envelope, or total itself when limit = 1."""
+    return total / (limit * math.log(limit) ** 3) if limit > 1 else float(total)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Size parameter x and mixed-power exponent k (k >= 3)."""

@@ -15,6 +15,9 @@ from .errors import BudgetError, DomainError
 
 DEFAULT_BUDGET = 2_000_000_000
 
+# Largest array of 8-byte values any routine sorts in memory.
+MAX_SORT = 250_000_000
+
 
 def work_budget() -> int:
     raw = os.environ.get("CIRCLEKIT_BUDGET", "")

@@ -19,22 +19,20 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import DivisorTable, integer_kth_root
-from .budget import check_budget
-from .constants import EULER_GAMMA
+from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import complete_power_sum, weyl_sum
 from .integrals import (
-    linear_phase_integral,
+    linear_phase_batch,
     log_weighted_integral,
     unit_power_phase_integral,
 )
+from .series import log_weight
 
 # The generating function over divisors runs to 4x, so the expansion
 # residual weights integrate the scaled variable over [0, 4].
 _EXPANSION_RANGE = 4.0
 
-# Largest pair-sum array the moment counter will sort (8 bytes each).
-MAX_PAIR_SORT = 250_000_000
 # Pair sums m^k + n^k are formed in int64 and must not wrap.
 INT64_MAX = 2**63 - 1
 
@@ -63,6 +61,11 @@ def convergents(value: Fraction):
         yield p, q
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 1.0):
+        raise DomainError(f"tau must be a finite number >= 1, got {tau}")
+
+
 def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     """Best rational a/q with q <= tau and |alpha - a/q| <= 1/(q tau).
 
@@ -70,8 +73,7 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     the next convergent's denominator exceeds tau, the classical
     two-denominator bound gives |alpha - a/q| <= 1/(q q') < 1/(q tau).
     """
-    if tau < 1.0:
-        raise DomainError(f"tau must be >= 1, got {tau}")
+    _check_tau(tau)
     exact = Fraction(float(alpha))
     tau_frac = Fraction(float(tau))
     best = (int(math.floor(exact)), 1)
@@ -82,6 +84,35 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     a, q = best
     lam = float(exact - Fraction(a, q))
     return RationalApproximation(a=a, q=q, lam=lam)
+
+
+def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[dict], int]:
+    """dirichlet_approx's contract checked exactly at seeded uniform alpha in [0, 1).
+
+    Rows hold alpha, a, q, lambda, observed = |lambda|, bound = 1/(q tau)
+    and ratio = 1 if q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1
+    hold in Fraction arithmetic, else 0; returned with the failure count.
+    """
+    _check_tau(tau)
+    rng = np.random.default_rng(seed)
+    tau_frac = Fraction(float(tau))
+    rows = []
+    failures = 0
+    for _ in range(samples):
+        alpha = float(rng.random())
+        approx = dirichlet_approx(alpha, tau)
+        holds = (
+            approx.q <= tau
+            and abs(Fraction(alpha) - Fraction(approx.a, approx.q)) * approx.q * tau_frac <= 1
+            and math.gcd(approx.a, approx.q) == 1
+        )
+        failures += not holds
+        rows.append(
+            {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
+             "observed": abs(approx.lam), "bound": 1.0 / (approx.q * tau),
+             "ratio": int(holds)}
+        )
+    return rows, failures
 
 
 @dataclass(frozen=True)
@@ -111,6 +142,8 @@ class ArcParameters:
     @classmethod
     def default(cls, x: int, k: int) -> "ArcParameters":
         """Q = floor(x^(2/(k+2))), tau = x/Q."""
+        if x < 1:
+            raise DomainError(f"x must be >= 1, got {x}")
         q_bound = integer_kth_root(x * x, k + 2)
         return cls(x=x, k=k, Q=q_bound, tau=x / q_bound)
 
@@ -180,6 +213,8 @@ def vk_envelope_scan(
     window |beta| <= x^(1/k-1)/(2kq) where the sharper remainder form
     applies.
     """
+    if x < 1 or k < 1:
+        raise DomainError(f"need x >= 1 and k >= 1, got x={x}, k={k}")
     rows = []
     top = 0.0
     for q in range(1, q_max + 1):
@@ -255,12 +290,12 @@ def divisor_expansion_residual(
     d = table.values[1 : n_max + 1].astype(np.float64)
     observed = complex((d * np.exp(-2j * np.pi * phases)).sum())
     arg = x * beta
-    lin = linear_phase_integral(arg, upper=_EXPANSION_RANGE)
+    lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
     lg = log_weighted_integral(arg, upper=_EXPANSION_RANGE)
     model = (
         (x * math.log(x) / q) * lin
         + (x / q) * lg
-        + ((-2.0 * math.log(q) + 2.0 * EULER_GAMMA) / q) * x * lin
+        + (log_weight(q) / q) * x * lin
     )
     return ExpansionResidual(
         residual=abs(observed - model),
@@ -314,10 +349,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
         return Y
     if j == 2:
         check_budget(Y * Y, "hua_count")
-        if Y * Y > MAX_PAIR_SORT:
-            raise SizeError(
-                f"pair-sum sort needs {Y * Y} entries, cap is {MAX_PAIR_SORT}"
-            )
+        if Y * Y > MAX_SORT:
+            raise SizeError(f"pair-sum sort needs {Y * Y} entries, cap is {MAX_SORT}")
         if 2 * Y**k > INT64_MAX:
             raise SizeError(
                 f"pair sums reach 2*{Y}^{k} = {2 * Y**k}, beyond int64 {INT64_MAX}"

@@ -21,10 +21,7 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .arith import (
@@ -32,11 +29,12 @@ from .arith import (
     divisor_sieve,
     exact_S_convolution,
     exact_S_direct,
+    moment_ratio,
     sum_d_squared,
 )
 from .budget import work_budget
 from .circle import (
-    dirichlet_approx,
+    dirichlet_contract_scan,
     expansion_envelope_scan,
     hua_count,
     minor_arc_bound_profile,
@@ -49,8 +47,8 @@ from .errors import (
     VerificationMismatch,
 )
 from .exponents import derive_delta, reference_delta
-from .integrals import j_density, j_values, j_volume_oracle
-from .series import sigma_truncated
+from .integrals import density_profile, j_values, j_volume_oracle
+from .series import MainTerm, sigma_truncated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -129,53 +127,18 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class MainTermEstimate:
-    """Main-term constants assembled from truncated series and integrals."""
-
-    k: int
-    x: int
-    sigma1: float
-    sigma2: float
-    j1: float
-    j2: float
-    Q_series: int
-    B: float
-
-    @property
-    def C1(self) -> float:
-        return self.sigma1 * self.j1
-
-    @property
-    def C2(self) -> float:
-        return self.sigma1 * self.j2 + self.sigma2 * self.j1
-
-    @property
-    def main(self) -> float:
-        scale = float(self.x) ** (1.5 + 1.0 / self.k)
-        return self.C1 * scale * math.log(self.x) + self.C2 * scale
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    """Exact value against the assembled main term at one size x."""
-
-    k: int
-    x: int
-    exact: int
-    main: float
-
-    @property
-    def residual(self) -> float:
-        return self.exact - self.main
-
-    @property
-    def normalized(self) -> float:
-        return self.residual / float(self.x) ** (1.5 + 1.0 / self.k)
-
-
 def _sig12(value: float) -> float:
     return float(f"{value:.12g}")
+
+
+def _cell(value):
+    return _sig12(value) if isinstance(value, float) else value
+
+
+def _integral_entry(jv) -> dict:
+    return {"k": jv.k, "which": jv.which, "B": jv.B, "value": _sig12(jv.value),
+            "quadrature_error": _sig12(jv.quadrature_error),
+            "tail_bound": _sig12(jv.tail_bound)}
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -295,44 +258,31 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     k = _single_k(args)
     xs = sorted(set(args.x or [100, 1000, 10000]))
-    method = args.method
     records = []
-    mismatch = False
     partial = sigma_truncated(args.q_max, k)
     jv1, jv2 = j_values(k, args.B)
-    integrals = [
-        {"k": k, "which": jv.which, "B": jv.B, "value": _sig12(jv.value),
-         "quadrature_error": _sig12(jv.quadrature_error),
-         "tail_bound": _sig12(jv.tail_bound)}
-        for jv in (jv1, jv2)
-    ]
+    main_term = MainTerm(k, partial.sigma1, partial.sigma2, jv1.value, jv2.value)
     table = divisor_sieve(ProblemInstance(x=max(xs), k=k).max_value)
     for x in xs:
         inst = ProblemInstance(x=x, k=k)
         values = {}
-        if method in ("direct", "both"):
+        if args.method in ("direct", "both"):
             values["direct"] = exact_S_direct(inst, table)
-        if method in ("conv", "both"):
+        if args.method in ("conv", "both"):
             values["convolution"] = exact_S_convolution(inst, table)
-        if method == "both" and values["direct"] != values["convolution"]:
-            mismatch = True
-            print(
-                f"MISMATCH at x={x}, k={k}: direct={values['direct']} "
-                f"convolution={values['convolution']}",
-                file=sys.stderr,
+        if args.method == "both" and values["direct"] != values["convolution"]:
+            raise VerificationMismatch(
+                f"k={k}, x={x}: direct={values['direct']} "
+                f"convolution={values['convolution']}"
             )
         exact = values.get("direct", values.get("convolution"))
-        estimate = MainTermEstimate(
-            k=k, x=x, sigma1=partial.sigma1, sigma2=partial.sigma2,
-            j1=jv1.value, j2=jv2.value, Q_series=args.q_max, B=args.B,
-        )
-        record = VerificationRecord(k=k, x=x, exact=exact, main=estimate.main)
+        main = main_term.value(x)
         records.append(
-            {"k": k, "x": x, "exact": exact, "main": _sig12(record.main),
-             "residual": _sig12(record.residual),
-             "normalized": _sig12(record.normalized),
+            {"k": k, "x": x, "exact": exact, "main": _sig12(main),
+             "residual": _sig12(exact - main),
+             "normalized": _sig12((exact - main) / main_term.scale(x)),
              "methods": {name: int(v) for name, v in values.items()},
-             "C1": _sig12(estimate.C1), "C2": _sig12(estimate.C2)}
+             "C1": _sig12(main_term.C1), "C2": _sig12(main_term.C2)}
         )
     normalized = [abs(r["normalized"]) for r in records]
     decreasing = all(b < a for a, b in zip(normalized, normalized[1:]))
@@ -345,7 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "delta_table": _delta_rows([k]),
         "series": {"k": k, "Q": partial.Q, "sigma1": _sig12(partial.sigma1),
                    "sigma2": _sig12(partial.sigma2)},
-        "integrals": integrals,
+        "integrals": [_integral_entry(jv1), _integral_entry(jv2)],
         "records": records,
         "diagnostics": diagnostics,
     }
@@ -358,18 +308,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
         csv_header=["k", "x", "exact", "main", "residual", "normalized"],
     )
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     k = _single_k(args)
     partial = sigma_truncated(args.q_max, k, method=args.method)
-    running1 = running2 = 0.0
-    rows = []
-    for q, value in partial.terms:
-        running1 += value
-        running2 += (-2.0 * math.log(q) + 2.0 * partial.gamma) * value
-        rows.append([q, _sig12(value), _sig12(running1), _sig12(running2)])
+    rows = [
+        [q, _sig12(value), _sig12(sigma1), _sig12(sigma2)]
+        for (q, value), sigma1, sigma2 in zip(partial.terms, partial.running1, partial.running2)
+    ]
     report = {
         "meta": _meta("series", args),
         "series": {
@@ -388,116 +336,78 @@ def cmd_integral(args: argparse.Namespace) -> int:
     k = _single_k(args)
     whiches = (args.which,) if args.which else (1, 2)
     entries = []
-    scan_rows = []
-    for which, value in zip(whiches, j_values(k, args.B, whiches)):
-        entry = {
-            "k": k, "which": which, "B": value.B, "value": _sig12(value.value),
-            "quadrature_error": _sig12(value.quadrature_error),
-            "tail_bound": _sig12(value.tail_bound),
-            "envelope_constant": _sig12(value.envelope_constant),
-        }
+    for value in j_values(k, args.B, whiches):
+        entry = _integral_entry(value)
+        entry["envelope_constant"] = _sig12(value.envelope_constant)
         if args.grid:
-            oracle = j_volume_oracle(k, which, args.grid)
+            oracle = j_volume_oracle(k, value.which, args.grid)
             entry["oracle"] = _sig12(oracle)
             entry["oracle_gap"] = _sig12(abs(value.value - oracle))
         entries.append(entry)
-    if args.scan:
-        exponent = 2.5 + 1.0 / k
-        for i in range(args.scan):
-            beta = args.B * i / max(1, args.scan - 1)
-            density = j_density(beta, k, whiches[0])
-            envelope = abs(density) * (1.0 + beta) ** exponent
-            if whiches[0] == 2:
-                envelope /= math.log(2.0 + beta)
-            scan_rows.append(
-                [_sig12(beta), _sig12(density.real), _sig12(density.imag), _sig12(envelope)]
-            )
+    scan_rows = [
+        [_sig12(beta), _sig12(density.real), _sig12(density.imag), _sig12(ratio)]
+        for beta, density, ratio in density_profile(k, whiches[0], args.B, args.scan or 0)
+    ]
     report = {"meta": _meta("integral", args), "integrals": entries}
     if scan_rows:
-        report["diagnostics"] = {
-            "probe": "density-scan",
-            "columns": ["beta", "re_density", "im_density", "envelope_ratio"],
-            "rows": scan_rows,
-        }
-        _emit(report, args, csv_rows=scan_rows,
-              csv_header=["beta", "re_density", "im_density", "envelope_ratio"])
+        columns = ["beta", "re_density", "im_density", "envelope_ratio"]
+        report["diagnostics"] = {"probe": "density-scan", "columns": columns,
+                                 "rows": scan_rows}
+        _emit(report, args, csv_rows=scan_rows, csv_header=columns)
     else:
-        _emit(
-            report, args,
-            csv_rows=[[e["k"], e["which"], e["B"], e["value"],
-                       e["quadrature_error"], e["tail_bound"]] for e in entries],
-            csv_header=["k", "which", "B", "value", "quadrature_error", "tail_bound"],
-        )
+        columns = ["k", "which", "B", "value", "quadrature_error", "tail_bound"]
+        _emit(report, args, csv_rows=[[e[c] for c in columns] for e in entries],
+              csv_header=columns)
     return EXIT_OK
+
+
+# CSV columns of each diagnostics probe, named by the keys of its rows
+_PROBE_COLUMNS = {
+    "hua": ("Y", "k", "j", "count"),
+    "vk": ("a", "q", "beta", "observed", "bound", "ratio"),
+    "expansion": ("a", "q", "beta", "observed", "bound", "ratio"),
+    "minor": ("alpha", "a", "q", "lambda", "observed", "bound", "ratio"),
+    "dirichlet": ("alpha", "a", "q", "lambda", "observed", "bound", "ratio"),
+}
 
 
 def cmd_diagnostics(args: argparse.Namespace) -> int:
     k = _single_k(args)
     if args.probe == "hua":
-        count = hua_count(args.y, k, args.j)
-        block = {"probe": "hua", "k": k, "j": args.j, "Y": args.y, "count": count}
-        rows = [[args.y, k, args.j, count]]
-        header = ["Y", "k", "j", "count"]
-    elif args.probe == "vk":
-        scan = vk_envelope_scan(args.x, k, args.q_max)
-        block = {"probe": "vk", "params": scan.params, "constant": _sig12(scan.constant)}
-        rows = [[r["a"], r["q"], _sig12(r["beta"]), _sig12(r["observed"]),
-                 _sig12(r["bound"]), _sig12(r["ratio"])] for r in scan.rows]
-        header = ["a", "q", "beta", "observed", "bound", "ratio"]
-    elif args.probe == "expansion":
-        table = divisor_sieve(4 * args.x)
-        scan = expansion_envelope_scan(args.x, k, table)
-        block = {"probe": "expansion", "params": scan.params,
-                 "constant": _sig12(scan.constant)}
-        rows = [[r["a"], r["q"], _sig12(r["beta"]), _sig12(r["observed"]),
-                 _sig12(r["bound"]), _sig12(r["ratio"])] for r in scan.rows]
-        header = ["a", "q", "beta", "observed", "bound", "ratio"]
-    elif args.probe == "minor":
-        scan = minor_arc_bound_profile(args.x, k, samples=args.samples, seed=args.seed)
-        block = {"probe": "minor", "params": scan.params,
-                 "constant": _sig12(scan.constant)}
-        rows = [[_sig12(r["alpha"]), r["a"], r["q"], _sig12(r["lambda"]),
-                 _sig12(r["observed"]), _sig12(r["bound"]), _sig12(r["ratio"])]
-                for r in scan.rows]
-        header = ["alpha", "a", "q", "lambda", "observed", "bound", "ratio"]
+        rows = [{"Y": args.y, "k": k, "j": args.j, "count": hua_count(args.y, k, args.j)}]
+        block = {"probe": "hua", **rows[0]}
     elif args.probe == "dirichlet":
-        import numpy as np
-
-        rng = np.random.default_rng(args.seed)
-        rows = []
-        failures = 0
-        for _ in range(args.samples):
-            alpha = float(rng.random())
-            approx = dirichlet_approx(alpha, args.tau)
-            holds = (
-                approx.q <= args.tau
-                and abs(Fraction(alpha) - Fraction(approx.a, approx.q))
-                * approx.q * Fraction(float(args.tau)) <= 1
-                and math.gcd(approx.a, approx.q) == 1
-            )
-            failures += 0 if holds else 1
-            rows.append([_sig12(alpha), approx.a, approx.q, _sig12(approx.lam),
-                         _sig12(abs(approx.lam)), _sig12(1.0 / (approx.q * args.tau)),
-                         int(holds)])
+        rows, failures = dirichlet_contract_scan(args.samples, args.tau, args.seed)
         block = {"probe": "dirichlet", "samples": args.samples, "tau": args.tau,
                  "failures": failures}
-        header = ["alpha", "a", "q", "lambda", "observed", "bound", "ratio"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown probe {args.probe!r}")
+    else:
+        if args.probe == "vk":
+            scan = vk_envelope_scan(args.x, k, args.q_max)
+        elif args.probe == "expansion":
+            scan = expansion_envelope_scan(args.x, k, divisor_sieve(4 * args.x))
+        else:
+            scan = minor_arc_bound_profile(args.x, k, samples=args.samples, seed=args.seed)
+        rows = scan.rows
+        block = {"probe": args.probe, "params": scan.params,
+                 "constant": _sig12(scan.constant)}
+    columns = _PROBE_COLUMNS[args.probe]
     report = {"meta": _meta("diagnostics", args), "diagnostics": block}
-    _emit(report, args, csv_rows=rows, csv_header=header)
+    _emit(
+        report, args,
+        csv_rows=[[_cell(row[column]) for column in columns] for row in rows],
+        csv_header=columns,
+    )
     return EXIT_OK
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     table = divisor_sieve(args.n)
     total_sq = sum_d_squared(args.n, table)
-    ratio = total_sq / (args.n * math.log(args.n) ** 3) if args.n > 1 else float(total_sq)
     block = {
         "N": args.n,
         "sum_d": int(table.values.sum(dtype=int)),
         "sum_d_squared": int(total_sq),
-        "moment_ratio": _sig12(ratio),
+        "moment_ratio": _sig12(moment_ratio(args.n, total_sq)),
     }
     report = {"meta": _meta("sieve", args), "sieve": block}
     _emit(report, args, csv_rows=[[block["N"], block["sum_d"],
@@ -578,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (VerificationMismatch,) as exc:
+    except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except NumericalIntegrityError as exc:

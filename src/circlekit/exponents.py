@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import DomainError
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class ExponentTerm:

@@ -46,9 +46,9 @@ from math import gamma as gamma_fn
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .budget import check_budget
+from .budget import MAX_SORT, check_budget
 from .constants import EULER_GAMMA, TWO_PI
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, SizeError
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
@@ -84,6 +84,18 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
+def _refine(rule, panels: int, tol: float, failure: str) -> complex:
+    """rule(panels), doubling panels until two successive values agree within tol."""
+    previous = None
+    for _ in range(7):
+        value = rule(panels)
+        if previous is not None and abs(value - previous) < 0.5 * tol:
+            return value
+        previous = value
+        panels *= 2
+    raise AccuracyError(failure, achieved=abs(value - previous))
+
+
 def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex:
     """int_0^1 e(beta u^k) du by adaptive panel quadrature.
 
@@ -94,40 +106,17 @@ def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     beta = float(beta)
-    panels = max(4, math.ceil(10.0 * max(1.0, k * abs(beta) / TWO_PI)))
-    previous = None
-    for _ in range(7):
+
+    def rule(panels: int) -> complex:
         nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, panels + 1), 8)
-        value = complex(np.sum(weights * np.exp(2j * np.pi * beta * nodes**k)))
-        if previous is not None and abs(value - previous) < 0.5 * tol:
-            return value
-        previous = value
-        panels *= 2
-    raise AccuracyError(
-        f"unit phase integral did not converge at beta={beta}, k={k}",
-        achieved=abs(value - previous),
-    )
+        return complex(np.sum(weights * np.exp(2j * np.pi * beta * nodes**k)))
+
+    panels = max(4, math.ceil(10.0 * max(1.0, k * abs(beta) / TWO_PI)))
+    failure = f"unit phase integral did not converge at beta={beta}, k={k}"
+    return _refine(rule, panels, tol, failure)
 
 
-def linear_phase_integral(beta: float, upper: float = 3.0) -> complex:
-    """int_0^upper e(-beta u) du in closed form.
-
-    (1 - e(-upper*beta)) / (2 pi i beta) away from zero; a power series
-    keeps the seam |beta| < 1e-6 smooth to full precision.
-    """
-    beta = float(beta)
-    z = -2j * np.pi * upper * beta
-    if abs(beta) < 1e-6:
-        term = 1.0 + 0j
-        total = 1.0 + 0j
-        for m in range(1, 9):
-            term = term * z / (m + 1)
-            total += term
-        return upper * complex(total)
-    return complex((1.0 - np.exp(z)) / (2j * np.pi * beta))
-
-
-def _log_panel_edges(beta: float, upper: float, oscillation_panels: int) -> np.ndarray:
+def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
     graded = LOG_SPLIT * 2.0 ** np.arange(0, 40)
     graded = graded[graded < min(1.0, upper)]
     uniform = np.linspace(LOG_SPLIT, upper, oscillation_panels + 1)
@@ -143,24 +132,21 @@ def log_weighted_integral(beta: float, upper: float = 3.0, tol: float = 1e-8) ->
     sized for the oscillation.
     """
     beta = float(beta)
-    delta = LOG_SPLIT
-    head = (delta * math.log(delta) - delta) - 2j * np.pi * beta * (
-        delta**2 / 2.0 * math.log(delta) - delta**2 / 4.0
-    )
+
+    def rule(panels: int) -> complex:
+        nodes, weights = _panel_nodes(_log_panel_edges(upper, panels), 8)
+        return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
+
     panels = max(8, math.ceil(10.0 * max(1.0, upper * abs(beta) / TWO_PI)))
-    previous = None
-    for _ in range(7):
-        nodes, weights = _panel_nodes(_log_panel_edges(beta, upper, panels), 8)
-        value = complex(
-            np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes))
-        )
-        if previous is not None and abs(value - previous) < 0.5 * tol:
-            return complex(head) + value
-        previous = value
-        panels *= 2
-    raise AccuracyError(
-        f"log-weighted integral did not converge at beta={beta}",
-        achieved=abs(value - previous),
+    failure = f"log-weighted integral did not converge at beta={beta}"
+    return complex(_log_head(beta)) + _refine(rule, panels, tol, failure)
+
+
+def _log_head(beta):
+    """int_0^LOG_SPLIT e(-beta u) log u du through the first order in beta."""
+    delta = LOG_SPLIT
+    return (delta * math.log(delta) - delta) - 2j * np.pi * beta * (
+        delta**2 / 2.0 * math.log(delta) - delta**2 / 4.0
     )
 
 
@@ -249,7 +235,12 @@ def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
 
 
 def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
-    """Vectorized closed form of int_0^upper e(-beta u) du."""
+    """int_0^upper e(-beta u) du in closed form, elementwise over betas.
+
+    (1 - e(-upper*beta)) / (2 pi i beta) away from zero; a power series
+    keeps the seam |beta| < 1e-6 smooth to full precision.  A scalar
+    beta gives a 0-d array.
+    """
     betas = np.asarray(betas, dtype=float)
     out = np.empty(betas.shape, dtype=complex)
     tiny = np.abs(betas) < 1e-6
@@ -267,15 +258,11 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
 
 
 def _log_batch_small(betas: np.ndarray) -> np.ndarray:
-    delta = LOG_SPLIT
     panels = max(32, math.ceil(10.0 * max(1.0, 3.0 * _ASYM_BETA / TWO_PI)))
-    nodes, weights = _panel_nodes(_log_panel_edges(_ASYM_BETA, 3.0, panels), 8)
+    nodes, weights = _panel_nodes(_log_panel_edges(3.0, panels), 8)
     weighted = np.log(nodes) * weights
     phases = np.exp(-2j * np.pi * np.multiply.outer(betas, nodes))
-    head = (delta * math.log(delta) - delta) - 2j * np.pi * betas * (
-        delta**2 / 2.0 * math.log(delta) - delta**2 / 4.0
-    )
-    return phases @ weighted + head
+    return phases @ weighted + _log_head(betas)
 
 
 def _log_batch_large(betas: np.ndarray) -> np.ndarray:
@@ -314,8 +301,27 @@ def j_density(beta: float, k: int, which: int) -> complex:
         raise DomainError(f"which must be 1 or 2, got {which}")
     square = unit_power_phase_integral(beta, 2)
     power = unit_power_phase_integral(beta, k)
-    last = log_weighted_integral(beta) if which == 2 else linear_phase_integral(beta)
+    last = log_weighted_integral(beta) if which == 2 else complex(linear_phase_batch(beta))
     return square**3 * power * last
+
+
+def decay_envelope(density, betas, k: int, which: int):
+    """|density| (1+beta)^(5/2+1/k), divided by log(2+beta) when which = 2:
+    the density over its decay envelope, bounded in beta."""
+    ratio = np.abs(density) * (1.0 + betas) ** (2.5 + 1.0 / k)
+    if which == 2:
+        ratio = ratio / np.log(2.0 + betas)
+    return ratio
+
+
+def density_profile(
+    k: int, which: int, B: float, points: int
+) -> list[tuple[float, complex, float]]:
+    """(beta, j_density, decay_envelope) at `points` even steps over [0, B]."""
+    betas = [B * i / max(1, points - 1) for i in range(points)]
+    densities = [j_density(beta, k, which) for beta in betas]
+    ratios = decay_envelope(np.array(densities), np.array(betas), k, which)
+    return list(zip(betas, densities, ratios.tolist()))
 
 
 def _density_batches(
@@ -392,9 +398,9 @@ def j_values(
     The fine and the half-resolution panel nodes are built once and the
     phase factors common to every which are evaluated once per node.
     The quadrature error is the difference between the two panel sets;
-    the tail bound integrates the fitted decay envelope
-    (1+beta)^(-5/2-1/k), times log(2+beta) for the log-weighted case,
-    from B to infinity on both sides.
+    the tail bound integrates the largest decay_envelope on the fine
+    nodes times (1+beta)^(-5/2-1/k), and log(2+beta) for which = 2, from
+    B to infinity on both sides.
     """
     if not math.isfinite(B) or B < 1.0:
         raise DomainError(f"B must be a finite number >= 1, got {B}")
@@ -418,15 +424,11 @@ def j_values(
     coarse_values = _density_batches(c_nodes, k, whiches)
 
     p = 1.5 + 1.0 / k
-    growth = (1.0 + nodes) ** (p + 1.0)
     results = []
     for which, values, c_values in zip(whiches, fine_values, coarse_values):
         fine = 2.0 * float(np.sum(values * weights).real)
         coarse = 2.0 * float(np.sum(c_values * c_weights).real)
-        envelope = np.abs(values) * growth
-        if which == 2:
-            envelope = envelope / np.log(2.0 + nodes)
-        c_env = float(envelope.max())
+        c_env = float(decay_envelope(values, nodes, k, which).max())
         tail = 2.0 * c_env * (1.0 + B) ** (-p) / p
         if which == 2:
             tail *= math.log(2.0 + B) + 1.0 / p
@@ -475,6 +477,9 @@ def volume_midpoint(k: int, which: int, grid: int) -> float:
         raise DomainError(f"grid must be >= 64 per axis, got {grid}")
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
+    check_budget(grid**3, "volume oracle")
+    if grid**3 > MAX_SORT:
+        raise SizeError(f"volume oracle sorts {grid**3} square sums, cap is {MAX_SORT}")
     s3 = _sorted_square_sums(grid)
     powers = ((np.arange(grid) + 0.5) / grid) ** k
     if which == 1:
@@ -490,7 +495,8 @@ def volume_midpoint(k: int, which: int, grid: int) -> float:
 
 
 def j_volume_oracle(k: int, which: int, grid: int = 128) -> float:
-    """Richardson extrapolation of the midpoint volume across (g, 2g)."""
-    coarse = volume_midpoint(k, which, grid)
+    """Richardson extrapolation of the midpoint volume across (g, 2g);
+    the 2g grid goes first, so a size refusal comes before any work."""
     fine = volume_midpoint(k, which, 2 * grid)
+    coarse = volume_midpoint(k, which, grid)
     return 2.0 * fine - coarse

@@ -10,13 +10,15 @@ sigma1 = sum A_k(q) and sigma2 = sum (-2 log q + 2 gamma) A_k(q).
 
 A_k is computed two ways: a direct sum over residues (the slow
 reference) and a prime-power factorization extended multiplicatively
-(the fast path used for large truncation bounds).
+(the fast path used for large truncation bounds).  With the singular
+integrals J1, J2 they assemble the main term (MainTerm).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,16 +77,29 @@ def _factor_prime_powers(q: int) -> list[int]:
     return parts
 
 
+def log_weight(q: int) -> float:
+    """sigma2's weight -2 log q + 2 gamma at modulus q."""
+    return -2.0 * math.log(q) + 2.0 * EULER_GAMMA
+
+
 @dataclass(frozen=True)
 class SingularSeriesPartial:
-    """Truncated singular series with its full term list."""
+    """Truncated singular series: its terms and the running sums of
+    sigma1 and sigma2 over q = 1..Q, whose last entries they are."""
 
     k: int
     Q: int
     terms: list[tuple[int, float]]
-    sigma1: float
-    sigma2: float
-    gamma: float = EULER_GAMMA
+    running1: list[float]
+    running2: list[float]
+
+    @property
+    def sigma1(self) -> float:
+        return self.running1[-1]
+
+    @property
+    def sigma2(self) -> float:
+        return self.running2[-1]
 
 
 def sigma_truncated(Q: int, k: int, method: str = "fast") -> SingularSeriesPartial:
@@ -112,11 +127,38 @@ def sigma_truncated(Q: int, k: int, method: str = "fast") -> SingularSeriesParti
                 cache[q] = prod
         values = [cache[q] for q in range(1, Q + 1)]
     terms = list(zip(range(1, Q + 1), values))
-    sigma1 = float(sum(values))
-    sigma2 = float(
-        sum((-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in terms)
+    return SingularSeriesPartial(
+        k=k, Q=Q, terms=terms,
+        running1=list(accumulate(values)),
+        running2=list(accumulate(log_weight(q) * a for q, a in terms)),
     )
-    return SingularSeriesPartial(k=k, Q=Q, terms=terms, sigma1=sigma1, sigma2=sigma2)
+
+
+@dataclass(frozen=True)
+class MainTerm:
+    """C1 x^(3/2+1/k) log x + C2 x^(3/2+1/k), C1 = sigma1 J1 and
+    C2 = sigma1 J2 + sigma2 J1, from truncated series and integrals."""
+
+    k: int
+    sigma1: float
+    sigma2: float
+    j1: float
+    j2: float
+
+    @property
+    def C1(self) -> float:
+        return self.sigma1 * self.j1
+
+    @property
+    def C2(self) -> float:
+        return self.sigma1 * self.j2 + self.sigma2 * self.j1
+
+    def scale(self, x: int) -> float:
+        return float(x) ** (1.5 + 1.0 / self.k)
+
+    def value(self, x: int) -> float:
+        scale = self.scale(x)
+        return self.C1 * scale * math.log(x) + self.C2 * scale
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlekit.arith import (
     DivisorTable,
@@ -164,6 +166,16 @@ def test_dual_oracle_small(k):
     for x in (10, 100, 1000):
         inst = ProblemInstance(x=x, k=k)
         assert exact_S_direct(inst, table) == exact_S_convolution(inst, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(1, 3000), k=st.integers(3, 8))
+def test_direct_equals_every_transform(x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    direct = exact_S_direct(inst, table)
+    for transform in ("auto", "fft", "ntt"):
+        assert exact_S_convolution(inst, table, transform=transform) == direct
 
 
 def test_convolution_transforms_agree():

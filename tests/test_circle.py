@@ -11,6 +11,7 @@ from circlekit.circle import (
     classify_arc,
     convergents,
     dirichlet_approx,
+    dirichlet_contract_scan,
     divisor_expansion_residual,
     expansion_envelope_scan,
     hua_count,
@@ -41,6 +42,28 @@ def test_dirichlet_examples():
 def test_dirichlet_domain():
     with pytest.raises(DomainError):
         dirichlet_approx(0.5, 0.5)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_dirichlet_rejects_non_finite_tau(tau):
+    with pytest.raises(DomainError, match="finite"):
+        dirichlet_approx(0.5, tau)
+    with pytest.raises(DomainError, match="finite"):
+        dirichlet_contract_scan(0, tau, seed=0)
+
+
+@pytest.mark.parametrize("tau", [37.5, 1000.0])
+def test_dirichlet_contract_scan(tau):
+    rows, failures = dirichlet_contract_scan(300, tau, seed=5)
+    assert failures == 0
+    alphas = np.random.default_rng(5).random(300)
+    assert [row["alpha"] for row in rows] == alphas.tolist()
+    for row in rows:
+        approx = dirichlet_approx(row["alpha"], tau)
+        assert (row["a"], row["q"], row["lambda"]) == (approx.a, approx.q, approx.lam)
+        assert row["observed"] == abs(approx.lam)
+        assert row["bound"] == 1.0 / (approx.q * tau)
+        assert row["ratio"] == 1
 
 
 def test_dirichlet_contract_sweep():

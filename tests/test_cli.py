@@ -8,14 +8,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import circlekit.cli
+from circlekit.arith import ProblemInstance, exact_S_direct
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.cli import (
     EXIT_BUDGET,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    MainTermEstimate,
     REPORT_SCHEMA,
-    VerificationRecord,
     main,
 )
 
@@ -257,12 +258,44 @@ def test_empty_budget_means_default(capsys, monkeypatch):
     assert json.loads(out)["meta"]["budget"] == DEFAULT_BUDGET
 
 
-def test_main_term_estimate_shape():
-    estimate = MainTermEstimate(
-        k=3, x=100, sigma1=0.9, sigma2=1.2, j1=1.0, j2=0.07, Q_series=200, B=400.0
+def test_verify_mismatch_exits_3_without_report(capsys, monkeypatch, tmp_path):
+    honest = circlekit.cli.exact_S_convolution
+    monkeypatch.setattr(
+        circlekit.cli, "exact_S_convolution", lambda *a, **kw: honest(*a, **kw) + 1
     )
-    assert estimate.C1 == pytest.approx(0.9)
-    assert estimate.C2 == pytest.approx(0.9 * 0.07 + 1.2 * 1.0)
-    record = VerificationRecord(k=3, x=100, exact=23642, main=estimate.main)
-    assert record.residual == pytest.approx(23642 - estimate.main)
-    assert record.normalized == pytest.approx(record.residual / 100 ** (11 / 6))
+    out_file = tmp_path / "report.json"
+    base = ["verify", "--k", "3", "--x", "10", "--q-max", "5", "--B", "10", "--method", "both"]
+    code, out, err = run(capsys, *base)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("verification mismatch:")
+    assert "k=3, x=10" in err
+    direct = exact_S_direct(ProblemInstance(x=10, k=3))
+    assert f"direct={direct}" in err and f"convolution={direct + 1}" in err
+    code, out, _ = run(capsys, *base, "--out", str(out_file))
+    assert code == EXIT_MISMATCH
+    assert out == "" and not out_file.exists()
+
+
+# Inputs at the edge of each command's domain: (argv, exit code, stderr prefix).
+EDGE_CASES = [
+    (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "2"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "dirichlet", "--tau", "inf", "--samples", "2"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "0"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", "3", "--x", "0"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", "0", "--x", "100"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "minor", "--k", "3", "--x", "0"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "3", "--B", "5", "--grid", "10000000"], EXIT_BUDGET, "budget error:"),
+    # 800^3 square sums: within the default budget, over the sort cap
+    (["integral", "--k", "3", "--B", "5", "--grid", "400"], EXIT_USAGE, "usage error:"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix", EDGE_CASES, ids=[" ".join(case[0]) for case in EDGE_CASES]
+)
+def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)

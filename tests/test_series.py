@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from circlekit.constants import EULER_GAMMA
 from circlekit.errors import DomainError, NumericalIntegrityError
 from circlekit.series import (
+    MainTerm,
     _real_part,
     local_density,
     local_density_direct,
@@ -66,7 +68,6 @@ def test_sigma_q1_and_q2():
     p1 = sigma_truncated(1, 3)
     assert p1.sigma1 == 1.0
     assert p1.sigma2 == pytest.approx(2 * EULER_GAMMA, abs=1e-12)
-    assert p1.gamma == EULER_GAMMA
     p2 = sigma_truncated(2, 3)
     assert p2.sigma1 == pytest.approx(p1.sigma1, abs=1e-12)
     assert p2.sigma2 == pytest.approx(p1.sigma2, abs=1e-12)
@@ -80,6 +81,26 @@ def test_sigma_fast_equals_direct():
         assert fast.sigma2 == pytest.approx(direct.sigma2, abs=1e-10)
         for (qa, va), (qb, vb) in zip(fast.terms, direct.terms):
             assert qa == qb and va == pytest.approx(vb, abs=1e-10)
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_running_sums_accumulate_the_terms(method):
+    partial = sigma_truncated(60, 4, method=method)
+    values = [a for _, a in partial.terms]
+    weighted = [(-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in partial.terms]
+    assert partial.running1 == list(accumulate(values))
+    assert partial.running2 == list(accumulate(weighted))
+    assert partial.sigma1 == partial.running1[-1]
+    assert partial.sigma2 == partial.running2[-1]
+
+
+def test_main_term_shape():
+    term = MainTerm(k=3, sigma1=0.9, sigma2=1.2, j1=1.0, j2=0.07)
+    assert term.C1 == pytest.approx(0.9)
+    assert term.C2 == pytest.approx(0.9 * 0.07 + 1.2 * 1.0)
+    assert term.scale(100) == pytest.approx(100 ** (11 / 6))
+    expected = term.C1 * 100 ** (11 / 6) * math.log(100) + term.C2 * 100 ** (11 / 6)
+    assert term.value(100) == pytest.approx(expected)
 
 
 def test_sigma_convergence_stability():
