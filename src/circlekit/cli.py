@@ -339,17 +339,17 @@ def cmd_integral(args: argparse.Namespace) -> int:
     for value in j_values(k, args.B, whiches):
         entry = _integral_entry(value)
         entry["envelope_constant"] = _sig12(value.envelope_constant)
-        if args.grid:
+        if args.grid is not None:
             oracle = j_volume_oracle(k, value.which, args.grid)
             entry["oracle"] = _sig12(oracle)
             entry["oracle_gap"] = _sig12(abs(value.value - oracle))
         entries.append(entry)
-    scan_rows = [
-        [_sig12(beta), _sig12(density.real), _sig12(density.imag), _sig12(ratio)]
-        for beta, density, ratio in density_profile(k, whiches[0], args.B, args.scan or 0)
-    ]
     report = {"meta": _meta("integral", args), "integrals": entries}
-    if scan_rows:
+    if args.scan is not None:
+        scan_rows = [
+            [_sig12(beta), _sig12(density.real), _sig12(density.imag), _sig12(ratio)]
+            for beta, density, ratio in density_profile(k, whiches[0], args.B, args.scan)
+        ]
         columns = ["beta", "re_density", "im_density", "envelope_ratio"]
         report["diagnostics"] = {"probe": "density-scan", "columns": columns,
                                  "rows": scan_rows}

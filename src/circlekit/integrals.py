@@ -7,7 +7,7 @@ The density at frequency beta is the product
 with F either int_0^3 e(-beta u) du (plain) or the log-weighted variant.
 Its integral over all beta is the singular-integral constant; by Fourier
 inversion that equals a 4-dimensional volume (plain) or a log-weighted
-volume, which supplies an independent oracle.
+one, an independent oracle counted from an exact square-sum histogram.
 
 Each phase factor has two evaluation routes that are tested against
 each other to 1e-9:
@@ -41,14 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import gamma as gamma_fn
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .budget import MAX_SORT, check_budget
+from .budget import check_budget
 from .constants import EULER_GAMMA, TWO_PI
-from .errors import AccuracyError, DomainError, SizeError
+from .errors import AccuracyError, DomainError
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
@@ -61,13 +62,8 @@ _BLOCK = 1 << 15
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+# Gauss-Legendre nodes and weights by order.
+_gl = cache(leggauss)
 
 
 def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,6 +314,8 @@ def density_profile(
     k: int, which: int, B: float, points: int
 ) -> list[tuple[float, complex, float]]:
     """(beta, j_density, decay_envelope) at `points` even steps over [0, B]."""
+    if points < 1:
+        raise DomainError(f"density profile needs points >= 1, got {points}")
     betas = [B * i / max(1, points - 1) for i in range(points)]
     densities = [j_density(beta, k, which) for beta in betas]
     ratios = decay_envelope(np.array(densities), np.array(betas), k, which)
@@ -368,10 +366,11 @@ _WIDTH = TWO_PI / 30.0  # panel width times beta beyond the pivot
 
 
 def _fine_panels(B: float) -> int:
-    """Number of panels _beta_edges(B) returns."""
+    """Panels _beta_edges(B) returns; saturated, past any budget, where B*B overflows."""
     if B <= _PIVOT:
         return math.ceil(B / 0.1)
-    return math.ceil(_PIVOT / 0.1) + math.ceil((B * B - _PIVOT * _PIVOT) / (2.0 * _WIDTH))
+    tail = min((B * B - _PIVOT * _PIVOT) / (2.0 * _WIDTH), np.finfo(float).max)
+    return math.ceil(_PIVOT / 0.1) + math.ceil(tail)
 
 
 def _beta_edges(B: float) -> np.ndarray:
@@ -451,52 +450,50 @@ def j_value(k: int, which: int, B: float = 400.0) -> SingularIntegralValue:
     return j_values(k, B, (which,))[0]
 
 
-_S3_CACHE: dict[int, np.ndarray] = {}
+def _square_sum_histogram(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct N = (2i+1)^2 + (2j+1)^2 + (2l+1)^2 over 0 <= i, j, l < grid,
+    ascending, and the number of triples (i, j, l) giving each.
 
-
-def _sorted_square_sums(grid: int) -> np.ndarray:
-    if grid not in _S3_CACHE:
-        centers = (np.arange(grid) + 0.5) / grid
-        sq = centers * centers
-        s3 = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
-        s3.sort()
-        # keep at most the two most recent grids to bound memory
-        while len(_S3_CACHE) >= 2:
-            _S3_CACHE.pop(next(iter(_S3_CACHE)))
-        _S3_CACHE[grid] = s3
-    return _S3_CACHE[grid]
+    An odd square is 8t + 1, so N = 8(t1 + t2 + t3) + 3: the pair sums
+    t1 + t2 are counted once, and each third t shifts that count in.
+    """
+    t = (2 * np.arange(grid, dtype=np.int64) + 1) ** 2 // 8
+    pairs = np.bincount((t[:, None] + t[None, :]).ravel())
+    triples = np.zeros(pairs.size + t[-1], dtype=np.int64)
+    for shift in t:
+        triples[shift : shift + pairs.size] += pairs
+    sums = np.flatnonzero(triples)
+    return 8 * sums + 3, triples[sums]
 
 
 def volume_midpoint(k: int, which: int, grid: int) -> float:
     """Midpoint-rule integral over the unit 4-cube at one resolution.
 
     which=1: volume of {u : u1^2+u2^2+u3^2+u4^k <= 3}; which=2: the
-    integral of log(u1^2+u2^2+u3^2+u4^k) over the same region.
+    integral of log(u1^2+u2^2+u3^2+u4^k) over the same region.  Each u4
+    node searches its cut 3 - u4^k >= 2 among the distinct N/(4 grid^2),
+    the least of which is below 1: which=1 reads the cumulative count
+    there, which=2 sums count * log over the N below it.
     """
     if grid < 64:
         raise DomainError(f"grid must be >= 64 per axis, got {grid}")
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     check_budget(grid**3, "volume oracle")
-    if grid**3 > MAX_SORT:
-        raise SizeError(f"volume oracle sorts {grid**3} square sums, cap is {MAX_SORT}")
-    s3 = _sorted_square_sums(grid)
+    N, counts = _square_sum_histogram(grid)
+    s3 = N / (4.0 * grid * grid)
     powers = ((np.arange(grid) + 0.5) / grid) ** k
+    cuts = np.searchsorted(s3, 3.0 - powers, side="right")
     if which == 1:
-        total = sum(
-            int(np.searchsorted(s3, 3.0 - p, side="right")) for p in powers
-        )
-        return total / grid**4
-    total = 0.0
-    for p in powers:
-        m = int(np.searchsorted(s3, 3.0 - p, side="right"))
-        total += float(np.log(s3[:m] + p).sum())
-    return total / grid**4
+        return int(np.cumsum(counts)[cuts - 1].sum()) / grid**4
+    return sum(float(counts[:m] @ np.log(s3[:m] + p)) for m, p in zip(cuts, powers)) / grid**4
 
 
 def j_volume_oracle(k: int, which: int, grid: int = 128) -> float:
     """Richardson extrapolation of the midpoint volume across (g, 2g);
-    the 2g grid goes first, so a size refusal comes before any work."""
+    the 2g grid goes first, so a budget refusal comes before any work."""
+    if grid < 64:
+        raise DomainError(f"grid must be >= 64 per axis, got {grid}")
     fine = volume_midpoint(k, which, 2 * grid)
     coarse = volume_midpoint(k, which, grid)
     return 2.0 * fine - coarse

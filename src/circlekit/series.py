@@ -22,6 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .budget import check_budget
 from .constants import EULER_GAMMA
 from .errors import DomainError, NumericalIntegrityError
 from .expsums import complete_power_sum, power_sum_spectrum
@@ -112,6 +113,8 @@ def sigma_truncated(Q: int, k: int, method: str = "fast") -> SingularSeriesParti
         raise DomainError(f"Q must be >= 1, got {Q}")
     if method not in ("fast", "direct"):
         raise DomainError(f"unknown method {method!r}")
+    # both methods visit at most the residues of every modulus q <= Q
+    check_budget(Q * (Q + 1) // 2, "singular series")
     if method == "direct":
         values = [local_density(q, k) for q in range(1, Q + 1)]
     else:

@@ -146,6 +146,19 @@ def test_integral_sweep_budget_refused_up_front(capsys, monkeypatch):
     assert "singular-integral sweep" in err
 
 
+def test_series_budget_refused_up_front(capsys, monkeypatch):
+    # Q = 10^6 would visit about 5e11 residues; refused before any local density
+    def no_density(q, k):
+        raise AssertionError("local density computed before the budget check")
+
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000000")
+    monkeypatch.setattr("circlekit.series.local_density", no_density)
+    code, out, err = run(capsys, "series", "--k", "3", "--q-max", "1000000")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "singular series" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,8 +299,13 @@ EDGE_CASES = [
     (["diagnostics", "vk", "--k", "0", "--x", "100"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "minor", "--k", "3", "--x", "0"], EXIT_USAGE, "usage error:"),
     (["integral", "--k", "3", "--B", "5", "--grid", "10000000"], EXIT_BUDGET, "budget error:"),
-    # 800^3 square sums: within the default budget, over the sort cap
-    (["integral", "--k", "3", "--B", "5", "--grid", "400"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "3", "--B", "5", "--grid", "0"], EXIT_USAGE, "usage error:"),
+    # the 2g = 64 grid would be valid; the g = 32 one is not
+    (["integral", "--k", "3", "--B", "5", "--grid", "32"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "3", "--B", "5", "--scan", "0"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "3", "--B", "5", "--scan", "-3"], EXIT_USAGE, "usage error:"),
+    # B*B overflows a float
+    (["integral", "--k", "3", "--B", "1e300"], EXIT_BUDGET, "budget error:"),
 ]
 
 

@@ -10,6 +10,8 @@ from scipy.special import fresnel
 
 from circlekit.errors import AccuracyError, BudgetError, DomainError
 from circlekit.integrals import (
+    _square_sum_histogram,
+    density_profile,
     j_density,
     j_density_batch,
     j_value,
@@ -258,3 +260,45 @@ def test_cross_oracle_reduced():
     value = j_value(3, 1, 200.0).value
     oracle = j_volume_oracle(3, 1, grid=64)
     assert abs(value - oracle) < 1e-3
+
+
+def test_square_sum_histogram_matches_brute_force():
+    for grid in range(1, 17):
+        odd = (2 * np.arange(grid) + 1) ** 2
+        brute = np.bincount(
+            (odd[:, None, None] + odd[None, :, None] + odd[None, None, :]).ravel()
+        )
+        sums, counts = _square_sum_histogram(grid)
+        assert sums.tolist() == np.flatnonzero(brute).tolist()
+        assert counts.tolist() == brute[sums].tolist()
+
+
+def _sorted_float_midpoint(k, which, grid):
+    # the midpoint rule over the sorted float square sums, as the reference
+    centers = (np.arange(grid) + 0.5) / grid
+    sq = centers * centers
+    s3 = np.sort((sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel())
+    total = 0.0
+    for p in centers**k:
+        m = int(np.searchsorted(s3, 3.0 - p, side="right"))
+        total += m if which == 1 else float(np.log(s3[:m] + p).sum())
+    return total / grid**4
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_volume_midpoint_matches_sorted_float_rule(k):
+    assert volume_midpoint(k, 1, 64) == _sorted_float_midpoint(k, 1, 64)
+    assert abs(volume_midpoint(k, 2, 64) - _sorted_float_midpoint(k, 2, 64)) <= 1e-15
+
+
+def test_oracle_and_profile_reject_small_sizes(monkeypatch):
+    # the 2g = 64 grid is valid, so the check must come before it runs
+    def no_histogram(grid):
+        raise AssertionError(f"grid {grid} evaluated before the grid check")
+
+    monkeypatch.setattr("circlekit.integrals._square_sum_histogram", no_histogram)
+    with pytest.raises(DomainError, match="grid"):
+        j_volume_oracle(3, 1, 32)
+    for points in (0, -3):
+        with pytest.raises(DomainError, match="points"):
+            density_profile(3, 1, 5.0, points)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circlekit.constants import EULER_GAMMA
-from circlekit.errors import DomainError, NumericalIntegrityError
+from circlekit.errors import BudgetError, DomainError, NumericalIntegrityError
 from circlekit.series import (
     MainTerm,
     _real_part,
@@ -145,3 +145,13 @@ def test_tail_check_domain():
         series_tail_check(sigma_truncated(10, 3), sigma_truncated(10, 3))
     with pytest.raises(DomainError):
         series_tail_check(sigma_truncated(10, 3), sigma_truncated(20, 4))
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_sigma_truncated_budget_is_q_triangle(monkeypatch, method):
+    # Q (Q + 1) / 2 units: Q = 4 needs exactly 10, Q = 5 needs 15
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "10")
+    assert sigma_truncated(4, 3, method).Q == 4
+    with pytest.raises(BudgetError) as info:
+        sigma_truncated(5, 3, method)
+    assert info.value.required == 15
