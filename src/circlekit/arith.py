@@ -266,13 +266,14 @@ def _bit_reversal(n: int) -> np.ndarray:
 def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     """Iterative radix-2 number-theoretic transform mod p; returns a new array.
 
-    The input is permuted into bit-reversed order by one gather, then
-    log2(n) butterfly stages run as whole-array numpy operations.  Each
+    The input is permuted into bit-reversed order by one gather and
+    reduced mod p, then log2(n) butterfly stages run as whole-array
+    numpy operations; only the twiddle product needs a % p.  Each
     stage's twiddles come from _unit_powers, so the Python-level work is
     O(log^2 n) numpy calls and no per-element loop.
     """
     n = len(a)
-    a = a[_bit_reversal(n)]
+    a = a[_bit_reversal(n)] % p
     length = 2
     while length <= n:
         w = pow(g, (p - 1) // length, p)
@@ -281,10 +282,16 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
         half = length // 2
         ws = _unit_powers(w, half, p)
         blocks = a.reshape(-1, length)
-        left = blocks[:, :half].copy()
+        left = blocks[:, :half]
         right = blocks[:, half:] * ws % p
-        blocks[:, :half] = (left + right) % p
-        blocks[:, half:] = (left - right) % p
+        # left and right lie in [0, p), so one conditional step of p
+        # reduces their sum and difference
+        total = left + right
+        total -= p * (total >= p)
+        diff = left - right
+        diff += p * (diff < 0)
+        blocks[:, :half] = total
+        blocks[:, half:] = diff
         length *= 2
     if invert:
         n_inv = pow(n, p - 2, p)

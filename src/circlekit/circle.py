@@ -6,15 +6,16 @@ approximations (the power-sum factor against its Gamma-type model, the
 divisor generating function against its main-term expansion), and the
 exact moment counts behind the even-moment bounds.
 
-All rational comparisons run in exact Fraction arithmetic; floats only
-appear in returned remainders and envelope ratios.
+Every rational comparison is exact: a float is the dyadic rational
+num/2^e that float.as_integer_ratio() returns, so convergents and the
+arc and contract tests run on Python integers by cross-multiplication.
+Floats only appear in returned remainders and envelope ratios.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,16 +47,21 @@ class RationalApproximation:
     lam: float
 
 
-def convergents(value: Fraction):
-    """Continued-fraction convergents of an exact rational, in order."""
+def convergents(value):
+    """Continued-fraction convergents (p, q) of an exact rational, in order.
+
+    value is anything with as_integer_ratio(): a float (exactly num/2^e),
+    an int or a Fraction.  Euclid runs on its integer numerator and
+    denominator.
+    """
+    num, den = value.as_integer_ratio()
     p_prev, q_prev = 1, 0
-    p, q = int(math.floor(value)), 1
+    digit, rest = divmod(num, den)
+    p, q = digit, 1
     yield p, q
-    rest = value - int(math.floor(value))
-    while rest != 0:
-        value = 1 / rest
-        digit = int(math.floor(value))
-        rest = value - digit
+    while rest:
+        num, den = den, rest
+        digit, rest = divmod(num, den)
         p, p_prev = digit * p + p_prev, p
         q, q_prev = digit * q + q_prev, q
         yield p, q
@@ -66,6 +72,11 @@ def _check_tau(tau: float) -> None:
         raise DomainError(f"tau must be a finite number >= 1, got {tau}")
 
 
+def _within(num: int, den: int, p: int, q: int, tn: int, td: int) -> bool:
+    """|num/den - p/q| <= 1/(q tau) for tau = tn/td, all denominators > 0."""
+    return abs(num * q - p * den) * tn <= den * td
+
+
 def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     """Best rational a/q with q <= tau and |alpha - a/q| <= 1/(q tau).
 
@@ -74,38 +85,46 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     two-denominator bound gives |alpha - a/q| <= 1/(q q') < 1/(q tau).
     """
     _check_tau(tau)
-    exact = Fraction(float(alpha))
-    tau_frac = Fraction(float(tau))
-    best = (int(math.floor(exact)), 1)
-    for p, q in convergents(exact):
-        if q > tau_frac:
+    alpha = float(alpha)
+    tau = float(tau)
+    num, den = alpha.as_integer_ratio()
+    a, q = num // den, 1
+    for p, d in convergents(alpha):
+        # int against float compares exactly
+        if d > tau:
             break
-        best = (p, q)
-    a, q = best
-    lam = float(exact - Fraction(a, q))
+        a, q = p, d
+    # int / int true division is correctly rounded
+    lam = (num * q - a * den) / (den * q)
     return RationalApproximation(a=a, q=q, lam=lam)
+
+
+def dirichlet_contract_holds(alpha: float, approx: RationalApproximation, tau: float) -> bool:
+    """q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1, in exact integers (q >= 1)."""
+    num, den = float(alpha).as_integer_ratio()
+    tn, td = float(tau).as_integer_ratio()
+    return (
+        approx.q <= tau
+        and _within(num, den, approx.a, approx.q, tn, td)
+        and math.gcd(approx.a, approx.q) == 1
+    )
 
 
 def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[dict], int]:
     """dirichlet_approx's contract checked exactly at seeded uniform alpha in [0, 1).
 
     Rows hold alpha, a, q, lambda, observed = |lambda|, bound = 1/(q tau)
-    and ratio = 1 if q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1
-    hold in Fraction arithmetic, else 0; returned with the failure count.
+    and ratio = 1 if dirichlet_contract_holds, else 0; returned with the
+    failure count.
     """
     _check_tau(tau)
     rng = np.random.default_rng(seed)
-    tau_frac = Fraction(float(tau))
     rows = []
     failures = 0
     for _ in range(samples):
         alpha = float(rng.random())
         approx = dirichlet_approx(alpha, tau)
-        holds = (
-            approx.q <= tau
-            and abs(Fraction(alpha) - Fraction(approx.a, approx.q)) * approx.q * tau_frac <= 1
-            and math.gcd(approx.a, approx.q) == 1
-        )
+        holds = dirichlet_contract_holds(alpha, approx, tau)
         failures += not holds
         rows.append(
             {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
@@ -164,15 +183,16 @@ def classify_arc(alpha: float, params: ArcParameters) -> ArcVerdict:
     tau > 2Q >= 2q, so it must be a continued-fraction convergent;
     scanning convergents with q <= Q is therefore exhaustive.
     """
-    exact = Fraction(float(alpha))
-    tau_frac = Fraction(float(params.tau))
-    lo, hi = 1 / tau_frac, 1 + 1 / tau_frac
-    if not lo <= exact <= hi:
+    exact = float(alpha)
+    num, den = exact.as_integer_ratio()
+    tn, td = float(params.tau).as_integer_ratio()
+    # 1/tau <= alpha <= 1 + 1/tau, cross-multiplied
+    if not den * td <= num * tn <= den * (tn + td):
         raise DomainError(f"alpha={alpha} outside [1/tau, 1 + 1/tau]")
     for p, q in convergents(exact):
         if q > params.Q:
             break
-        if 1 <= p <= q and abs(exact - Fraction(p, q)) * (q * tau_frac) <= 1:
+        if 1 <= p <= q and _within(num, den, p, q, tn, td):
             return ArcVerdict(major=True, a=p, q=q)
     return ArcVerdict(major=False)
 
@@ -336,9 +356,11 @@ def hua_count(Y: int, k: int, j: int) -> int:
     """Exact count of m_1^k+...+m_t^k = n_1^k+...+n_t^k, t = 2^(j-1), all in [1, Y].
 
     By orthogonality this equals the 2^j-th moment of the power
-    generating sum.  j=1 counts the diagonal; j=2 sorts all pair sums
-    and sums squared run lengths, refusing 2*Y^k beyond int64; higher j
-    convolves the power histogram, feasible only for small Y^k.
+    generating sum.  j=1 counts the diagonal.  j=2 sorts the Y(Y-1)/2
+    pair sums m^k + n^k with m < n, refusing 2*Y^k beyond int64: if r_s
+    such pairs sum to s and d_s = 1 when s = 2m^k, the ordered count is
+    c_s = 2 r_s + d_s, so sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.
+    Higher j convolves the power histogram, feasible only for small Y^k.
     """
     if Y < 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
@@ -349,19 +371,35 @@ def hua_count(Y: int, k: int, j: int) -> int:
         return Y
     if j == 2:
         check_budget(Y * Y, "hua_count")
-        if Y * Y > MAX_SORT:
-            raise SizeError(f"pair-sum sort needs {Y * Y} entries, cap is {MAX_SORT}")
+        pairs = Y * (Y - 1) // 2
+        if pairs > MAX_SORT:
+            raise SizeError(f"pair-sum sort needs {pairs} entries, cap is {MAX_SORT}")
         if 2 * Y**k > INT64_MAX:
             raise SizeError(
                 f"pair sums reach 2*{Y}^{k} = {2 * Y**k}, beyond int64 {INT64_MAX}"
             )
         powers = np.arange(1, Y + 1, dtype=np.int64) ** k
-        sums = (powers[:, None] + powers[None, :]).ravel()
+        sums = np.empty(pairs, dtype=np.int64)
+        start = 0
+        for m in range(Y - 1):
+            stop = start + Y - 1 - m
+            np.add(powers[m + 1 :], powers[m], out=sums[start:stop])
+            start = stop
         sums.sort()
-        boundaries = np.flatnonzero(np.diff(sums)) + 1
-        starts = np.concatenate(([0], boundaries, [sums.size]))
-        runs = np.diff(starts)
-        return int((runs.astype(object) ** 2).sum())
+        # A run of r equal sums gives r - 1 consecutive hits and adds
+        # r^2 - r to sum r_s^2.  sum r_s^2 <= (sum r_s)^2 = pairs^2 <=
+        # MAX_SORT^2 < 2^63, so no int64 total below wraps.
+        hits = np.flatnonzero(sums[1:] == sums[:-1])
+        squares = pairs
+        if hits.size:
+            edges = np.flatnonzero(np.diff(hits) != 1) + 1
+            streaks = np.diff(np.concatenate(([0], edges, [hits.size])))
+            squares += int((streaks * (streaks + 1)).sum())
+        doubles = 2 * powers
+        on_diagonal = int(
+            (np.searchsorted(sums, doubles, "right") - np.searchsorted(sums, doubles)).sum()
+        )
+        return 4 * squares + 4 * on_diagonal + Y
     t = 2 ** (j - 1)
     length = t * (Y**k) + 1
     check_budget(length * (t - 1), "hua_count")

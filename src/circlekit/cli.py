@@ -335,6 +335,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_integral(args: argparse.Namespace) -> int:
     k = _single_k(args)
     whiches = (args.which,) if args.which else (1, 2)
+    # the scan is budgeted up front, so it runs before the sweep
+    profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
     entries = []
     for value in j_values(k, args.B, whiches):
         entry = _integral_entry(value)
@@ -345,10 +347,10 @@ def cmd_integral(args: argparse.Namespace) -> int:
             entry["oracle_gap"] = _sig12(abs(value.value - oracle))
         entries.append(entry)
     report = {"meta": _meta("integral", args), "integrals": entries}
-    if args.scan is not None:
+    if profile is not None:
         scan_rows = [
             [_sig12(beta), _sig12(density.real), _sig12(density.imag), _sig12(ratio)]
-            for beta, density, ratio in density_profile(k, whiches[0], args.B, args.scan)
+            for beta, density, ratio in profile
         ]
         columns = ["beta", "re_density", "im_density", "envelope_ratio"]
         report["diagnostics"] = {"probe": "density-scan", "columns": columns,

@@ -4,8 +4,10 @@ complete_power_sum evaluates sum_{r=1..q} e(a r^k / q) with the power
 reduced mod q, so every term's phase is an exact rational.  weyl_sum
 evaluates sum_{n <= x^(1/l)} e(alpha n^l) with the phase alpha*n^l
 reduced mod 1 in exact integer arithmetic (a float's value is a dyadic
-rational), keeping per-term phase error at the ulp level regardless of
-how large n^l gets.
+rational num/2^e), keeping per-term phase error at the ulp level
+regardless of how large n^l gets.  For e <= 64, which every
+|alpha| >= 2^-12 satisfies, the reduction runs in wrapping uint64
+arithmetic; smaller alpha falls back to Python integers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from .arith import DivisorTable, integer_kth_root
 from .errors import DomainError
+
+_WORD = 2**64
 
 
 def complete_power_sum(q: int, a: int, k: int) -> complex:
@@ -46,18 +50,32 @@ def power_sum_spectrum(q: int, k: int) -> np.ndarray:
 
 
 def weyl_sum(alpha: float, x: int, ell: int) -> complex:
-    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell) with exact phase reduction."""
+    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell) with exact phase reduction.
+
+    alpha = num/2^e exactly.  The phase (num n^ell mod 2^e)/2^e is the
+    same float from uint64 arithmetic (e <= 64) as from Python integers.
+    """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     m = integer_kth_root(x, ell)
     num, den = float(alpha).as_integer_ratio()
-    phases = np.fromiter(
-        (((num * n**ell) % den) / den for n in range(1, m + 1)),
-        dtype=np.float64,
-        count=m,
-    )
+    if den > _WORD:
+        phases = np.fromiter(
+            (((num * n**ell) % den) / den for n in range(1, m + 1)),
+            dtype=np.float64,
+            count=m,
+        )
+    else:
+        # den = 2^e divides 2^64, so wrapping uint64 products keep every
+        # residue mod den; dividing by a power of two is exact.
+        n = np.arange(1, m + 1, dtype=np.uint64)
+        powers = n.copy()
+        for _ in range(ell - 1):
+            powers *= n
+        residues = powers * np.uint64(num % _WORD) & np.uint64(den - 1)
+        phases = residues.astype(np.float64) / float(den)
     return complex(np.exp(2j * np.pi * phases).sum())
 
 

@@ -310,12 +310,22 @@ def decay_envelope(density, betas, k: int, which: int):
     return ratio
 
 
+def _check_B(B: float) -> None:
+    if not math.isfinite(B) or B < 1.0:
+        raise DomainError(f"B must be a finite number >= 1, got {B}")
+
+
 def density_profile(
     k: int, which: int, B: float, points: int
 ) -> list[tuple[float, complex, float]]:
     """(beta, j_density, decay_envelope) at `points` even steps over [0, B]."""
     if points < 1:
         raise DomainError(f"density profile needs points >= 1, got {points}")
+    _check_B(B)
+    # units: three reference quadratures per point, each counted at the
+    # 8-node panels the k-th power phase starts with at beta = B
+    panels = max(4, math.ceil(min(10.0 * max(1.0, k * B / TWO_PI), np.finfo(float).max)))
+    check_budget(points * 3 * 8 * panels, "density profile")
     betas = [B * i / max(1, points - 1) for i in range(points)]
     densities = [j_density(beta, k, which) for beta in betas]
     ratios = decay_envelope(np.array(densities), np.array(betas), k, which)
@@ -401,8 +411,7 @@ def j_values(
     nodes times (1+beta)^(-5/2-1/k), and log(2+beta) for which = 2, from
     B to infinity on both sides.
     """
-    if not math.isfinite(B) or B < 1.0:
-        raise DomainError(f"B must be a finite number >= 1, got {B}")
+    _check_B(B)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     for which in whiches:

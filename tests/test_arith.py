@@ -9,12 +9,14 @@ from circlekit.arith import (
     DivisorTable,
     ProblemInstance,
     RepresentationHistogram,
+    _bit_reversal,
     _fft_convolve_checked,
     _nearest_int_distance,
     _NTT_PRIMES,
     _NTT_ROOT,
     _ntt,
     _ntt_convolve,
+    _unit_powers,
     build_histograms,
     divisor_count_naive,
     divisor_sieve,
@@ -218,6 +220,47 @@ def test_ntt_round_trip_and_naive_dft(p):
     w = pow(_NTT_ROOT, (p - 1) // n, p)
     naive = [sum(v * pow(w, j * m, p) for j, v in enumerate(small)) % p for m in range(n)]
     assert _ntt(a[:n], p, _NTT_ROOT, False).tolist() == naive
+
+
+def modulo_ntt(a, p, g, invert):
+    # the butterfly with a full % p after every add and subtract
+    n = len(a)
+    a = a[_bit_reversal(n)]
+    length = 2
+    while length <= n:
+        w = pow(g, (p - 1) // length, p)
+        if invert:
+            w = pow(w, p - 2, p)
+        half = length // 2
+        ws = _unit_powers(w, half, p)
+        blocks = a.reshape(-1, length)
+        left = blocks[:, :half].copy()
+        right = blocks[:, half:] * ws % p
+        blocks[:, :half] = (left + right) % p
+        blocks[:, half:] = (left - right) % p
+        length *= 2
+    if invert:
+        a = a * pow(n, p - 2, p) % p
+    return a
+
+
+@pytest.mark.parametrize("p", _NTT_PRIMES)
+@pytest.mark.parametrize("invert", [False, True])
+def test_ntt_butterflies_match_modulo_form(p, invert):
+    n = 2**16
+    edges = np.zeros((2, n), dtype=np.int64)
+    # the last stage forms E[0] + O[0] and E[0] - O[0] from the even and
+    # odd halves: these inputs put that sum on p and that difference on 0
+    edges[0, :2] = [1, p - 1]
+    edges[1, :2] = [5, 5]
+    rng = np.random.default_rng(p + invert)
+    randoms = rng.integers(0, p, size=n, dtype=np.int64)
+    # inputs outside [0, p) must come out reduced as well
+    wide = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
+    for a in (randoms, wide, *edges):
+        assert np.array_equal(
+            _ntt(a, p, _NTT_ROOT, invert), modulo_ntt(a, p, _NTT_ROOT, invert)
+        )
 
 
 def test_ntt_matches_fft_at_length_2_20():

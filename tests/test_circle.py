@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlekit.arith import divisor_sieve
 from circlekit.circle import (
     ArcParameters,
+    ArcVerdict,
     DiagnosticBound,
+    RationalApproximation,
     classify_arc,
     convergents,
     dirichlet_approx,
+    dirichlet_contract_holds,
     dirichlet_contract_scan,
     divisor_expansion_residual,
     expansion_envelope_scan,
@@ -25,10 +30,7 @@ from circlekit.errors import BudgetError, DomainError, SizeError
 
 def exact_contract_holds(alpha: float, tau: float) -> bool:
     approx = dirichlet_approx(alpha, tau)
-    if approx.q > tau or math.gcd(approx.a, approx.q) != 1:
-        return False
-    gap = abs(Fraction(alpha) - Fraction(approx.a, approx.q))
-    return gap * approx.q * Fraction(float(tau)) <= 1
+    return fraction_contract(alpha, approx.a, approx.q, tau)
 
 
 def test_dirichlet_examples():
@@ -123,6 +125,127 @@ def brute_classify(alpha: float, params: ArcParameters):
             if math.gcd(a, q) == 1 and abs(exact - Fraction(a, q)) * q * tau_frac <= 1:
                 return (a, q)
     return None
+
+
+# Reference arc code in Fraction arithmetic: the rational comparisons
+# the library makes on cross-multiplied integers, written out directly.
+
+
+def fraction_convergents(value: Fraction):
+    p_prev, q_prev = 1, 0
+    p, q = int(math.floor(value)), 1
+    yield p, q
+    rest = value - int(math.floor(value))
+    while rest != 0:
+        value = 1 / rest
+        digit = int(math.floor(value))
+        rest = value - digit
+        p, p_prev = digit * p + p_prev, p
+        q, q_prev = digit * q + q_prev, q
+        yield p, q
+
+
+def fraction_dirichlet(alpha: float, tau: float) -> RationalApproximation:
+    exact = Fraction(float(alpha))
+    tau_frac = Fraction(float(tau))
+    best = (int(math.floor(exact)), 1)
+    for p, q in fraction_convergents(exact):
+        if q > tau_frac:
+            break
+        best = (p, q)
+    a, q = best
+    return RationalApproximation(a=a, q=q, lam=float(exact - Fraction(a, q)))
+
+
+def fraction_classify(alpha: float, params: ArcParameters) -> ArcVerdict | None:
+    """The verdict, or None where alpha lies outside [1/tau, 1 + 1/tau]."""
+    exact = Fraction(float(alpha))
+    tau_frac = Fraction(float(params.tau))
+    if not 1 / tau_frac <= exact <= 1 + 1 / tau_frac:
+        return None
+    for p, q in fraction_convergents(exact):
+        if q > params.Q:
+            break
+        if 1 <= p <= q and abs(exact - Fraction(p, q)) * (q * tau_frac) <= 1:
+            return ArcVerdict(major=True, a=p, q=q)
+    return ArcVerdict(major=False)
+
+
+def fraction_contract(alpha: float, a: int, q: int, tau: float) -> bool:
+    tau_frac = Fraction(float(tau))
+    return (
+        q <= tau_frac
+        and abs(Fraction(alpha) - Fraction(a, q)) * q * tau_frac <= 1
+        and math.gcd(a, q) == 1
+    )
+
+
+def same_float(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+TAUS = [1.0, 37.5, 1000.0] + [ArcParameters.default(x, 3).tau for x in (10**4, 10**6)]
+# tau = 256 is dyadic, so alpha can sit exactly on the major-arc boundary
+ARC_PARAMS = [ArcParameters.default(x, 3) for x in (10**4, 10**6)] + [
+    ArcParameters(x=10**4, k=3, Q=39, tau=256.0)
+]
+DYADICS = st.builds(lambda n, e: n / 2**e, st.integers(-(2**20), 2**20), st.integers(0, 24))
+
+
+@st.composite
+def window_alphas(draw):
+    params = draw(st.sampled_from(ARC_PARAMS))
+    lo = 1.0 / params.tau
+    alpha = draw(st.floats(lo, 1.0 + lo) | DYADICS.filter(lambda v: -1.0 <= v <= 2.0))
+    return alpha, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2.0) | st.floats(-1e6, 1e6) | DYADICS | st.floats(-1e-300, 1e-300)
+    | st.sampled_from([5e-324, -5e-324, 2.0**-1022, 2.0**-1074 * 3, 0.5, 0.0]),
+    tau=st.sampled_from(TAUS),
+)
+@example(alpha=2.0**-64, tau=1000.0)
+def test_dirichlet_matches_fraction_reference(alpha, tau):
+    got = dirichlet_approx(alpha, tau)
+    want = fraction_dirichlet(alpha, tau)
+    assert got == want
+    assert same_float(got.lam, want.lam)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_alphas())
+@example(case=(0.25 + 1 / 1024, ARC_PARAMS[2]))  # |alpha - 1/4| = 1/(4 tau)
+@example(case=(1 / 256, ARC_PARAMS[2]))  # the window's lower edge
+@example(case=(1 + 1 / 256, ARC_PARAMS[2]))  # and its upper edge
+def test_classify_matches_fraction_reference(case):
+    alpha, params = case
+    want = fraction_classify(alpha, params)
+    if want is None:
+        with pytest.raises(DomainError):
+            classify_arc(alpha, params)
+    else:
+        assert classify_arc(alpha, params) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    alpha=st.floats(-4.0, 4.0) | DYADICS,
+    tau=st.sampled_from(TAUS),
+    a=st.integers(-50, 50),
+    q=st.integers(1, 2000),
+    own=st.booleans(),
+)
+@example(alpha=2.0, tau=1.0, a=1, q=1, own=False)  # |alpha - a/q| q tau = 1
+@example(alpha=0.25 + 1 / 1024, tau=256.0, a=1, q=4, own=False)  # = 1 again
+def test_contract_matches_fraction_reference(alpha, tau, a, q, own):
+    # own: check alpha's own approximation, which always passes
+    approx = dirichlet_approx(alpha, tau) if own else RationalApproximation(a, q, 0.0)
+    want = fraction_contract(alpha, approx.a, approx.q, tau)
+    assert dirichlet_contract_holds(alpha, approx, tau) == want
+    if own:
+        assert want
 
 
 def test_classify_matches_brute_force():
@@ -242,6 +365,25 @@ def test_hua_pair_sums_stay_in_int64():
     # 2 * 5000^6 would wrap int64
     with pytest.raises(SizeError):
         hua_count(5000, 6, 2)
+
+
+def full_sort_hua(Y, k):
+    # every ordered pair sum sorted, squared run lengths summed; the runs
+    # are at most Y^2, so their squares and their sum stay in int64
+    powers = np.arange(1, Y + 1, dtype=np.int64) ** k
+    sums = (powers[:, None] + powers[None, :]).ravel()
+    sums.sort()
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sums)) + 1, [sums.size]))
+    runs = np.diff(starts)
+    return int((runs**2).sum())
+
+
+@pytest.mark.parametrize(
+    "Y, k", [(300, 3), (2000, 4), (1000, 1), (500, 2), (1290, 6), (5000, 3)]
+)
+def test_hua_matches_full_sort(Y, k):
+    # k = 1 and k = 2 have many off-diagonal pairs summing to 2m^k
+    assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
 
 
 def test_hua_fourth_moment_log_growth():

@@ -304,6 +304,8 @@ EDGE_CASES = [
     (["integral", "--k", "3", "--B", "5", "--grid", "32"], EXIT_USAGE, "usage error:"),
     (["integral", "--k", "3", "--B", "5", "--scan", "0"], EXIT_USAGE, "usage error:"),
     (["integral", "--k", "3", "--B", "5", "--scan", "-3"], EXIT_USAGE, "usage error:"),
+    # budgeted before the scan or the sweep starts
+    (["integral", "--k", "3", "--B", "400", "--scan", "10000000"], EXIT_BUDGET, "budget error:"),
     # B*B overflows a float
     (["integral", "--k", "3", "--B", "1e300"], EXIT_BUDGET, "budget error:"),
 ]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circlekit.arith import divisor_sieve
+from circlekit.arith import divisor_sieve, integer_kth_root
 from circlekit.errors import DomainError
 from circlekit.expsums import (
     complete_power_sum,
@@ -106,6 +106,40 @@ def test_weyl_periodicity():
         a = weyl_sum(alpha, 10**4, 2)
         b = weyl_sum(alpha + 1.0, 10**4, 2)
         assert abs(a - b) < 1e-9
+
+
+def bigint_weyl(alpha, x, ell):
+    # each phase reduced exactly on Python integers: alpha = num/den
+    m = integer_kth_root(x, ell)
+    num, den = float(alpha).as_integer_ratio()
+    phases = np.fromiter(
+        (((num * n**ell) % den) / den for n in range(1, m + 1)), dtype=np.float64, count=m
+    )
+    return complex(np.exp(2j * np.pi * phases).sum())
+
+
+# 0.1 and pi - 3 have e > 50; (2^52 + 1)/2^64 has e = 64 exactly and
+# 2^-64 as well; (2^52 + 1)/2^65 < 2^-12 takes the Python-integer path
+WEYL_ALPHAS = [
+    0.0, 0.5, 0.1, math.pi - 3, -0.3, 1.75, 12345.678,
+    (2**52 + 1) / 2**64, 2.0**-64, -(2**52 + 1) / 2**64,
+    (2**52 + 1) / 2**65, 2.0**-70, 5e-324,
+]
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_weyl_matches_bigint_phases(ell):
+    x = 3000**ell
+    for alpha in WEYL_ALPHAS:
+        assert weyl_sum(alpha, x, ell) == bigint_weyl(alpha, x, ell), alpha
+
+
+@pytest.mark.parametrize("ell, x", [(4, 10**20), (5, 10**25), (8, 10**40)])
+def test_weyl_matches_bigint_when_powers_wrap(ell, x):
+    # n^ell passes 2^64 well inside these ranges (n = 10^5)
+    assert integer_kth_root(x, ell) ** ell >= 2**64
+    for alpha in (math.pi - 3, (2**52 + 1) / 2**64, -0.3):
+        assert weyl_sum(alpha, x, ell) == bigint_weyl(alpha, x, ell), alpha
 
 
 def test_weyl_complete_period_identity():
