@@ -72,6 +72,11 @@ def _check_tau(tau: float) -> None:
         raise DomainError(f"tau must be a finite number >= 1, got {tau}")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise DomainError(f"samples must be >= 0, got {samples}")
+
+
 def _within(num: int, den: int, p: int, q: int, tn: int, td: int) -> bool:
     """|num/den - p/q| <= 1/(q tau) for tau = tn/td, all denominators > 0."""
     return abs(num * q - p * den) * tn <= den * td
@@ -117,6 +122,7 @@ def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[d
     and ratio = 1 if dirichlet_contract_holds, else 0; returned with the
     failure count.
     """
+    _check_samples(samples)
     _check_tau(tau)
     rng = np.random.default_rng(seed)
     rows = []
@@ -360,7 +366,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
     pair sums m^k + n^k with m < n, refusing 2*Y^k beyond int64: if r_s
     such pairs sum to s and d_s = 1 when s = 2m^k, the ordered count is
     c_s = 2 r_s + d_s, so sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.
-    Higher j convolves the power histogram, feasible only for small Y^k.
+    Higher j convolves the power histogram t - 1 times in Python ints,
+    charged one unit per coefficient product.
     """
     if Y < 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
@@ -401,8 +408,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
         )
         return 4 * squares + 4 * on_diagonal + Y
     t = 2 ** (j - 1)
-    length = t * (Y**k) + 1
-    check_budget(length * (t - 1), "hua_count")
+    # step i = 1..t-1 convolves i*Y^k + 1 coefficients with Y^k + 1 of them
+    check_budget((Y**k + 1) * (Y**k * t * (t - 1) // 2 + t - 1), "hua_count")
     counts = np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k, minlength=Y**k + 1)
     acc = counts.astype(object)
     for _ in range(t - 1):
@@ -425,6 +432,7 @@ def minor_arc_bound_profile(
     k >= 8 the smooth-number bound
     x^(1/k) (1/q + x^(-1/k) + q/x)^(1/(2k(k-1))).
     """
+    _check_samples(samples)
     if params is None:
         params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)

@@ -192,7 +192,11 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as handle:
+        try:
+            handle = open(out_path, "w")
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -180,6 +180,47 @@ def test_direct_equals_every_transform(x, k):
         assert exact_S_convolution(inst, table, transform=transform) == direct
 
 
+def ordered_direct(inst, table):
+    # every ordered (n1, n2, n3, n4): the (n2, n3) plane swept as one block
+    # per (n4, n1-chunk)
+    r, p_lim = inst.square_limit, inst.power_limit
+    d = table.values
+    sq = np.arange(1, r + 1, dtype=np.int64) ** 2
+    plane = sq[:, None] + sq[None, :]
+    chunk = max(1, 4_000_000 // (r * r))
+    total = 0
+    for n4 in range(1, p_lim + 1):
+        shift = sq + n4**inst.k
+        for lo in range(0, r, chunk):
+            block = plane[None, :, :] + shift[lo : lo + chunk, None, None]
+            total += int(d.take(block).sum(dtype=np.int64))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.integers(1, 5000), k=st.integers(3, 8))
+def test_direct_matches_ordered_tuples(x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    assert exact_S_direct(inst, table) == ordered_direct(inst, table)
+
+
+# x on both sides of a new square (m^2) or a new k-th power (n^k)
+SQUARE_AND_POWER_EDGES = [
+    (x, k) for m in (1, 2, 3, 31, 70) for x in (m * m - 1, m * m) for k in (3, 8) if x >= 1
+] + [
+    (x, k) for n, k in ((2, 3), (3, 3), (16, 3), (2, 4), (8, 4), (3, 5), (5, 5), (2, 8), (3, 7))
+    for x in (n**k - 1, n**k)
+]
+
+
+@pytest.mark.parametrize("x, k", SQUARE_AND_POWER_EDGES)
+def test_direct_matches_ordered_tuples_at_edges(x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    assert exact_S_direct(inst, table) == ordered_direct(inst, table)
+
+
 def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)

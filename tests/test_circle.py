@@ -406,6 +406,25 @@ def test_hua_budget_and_domain(monkeypatch):
         hua_count(1000, 3, 2)
 
 
+def test_hua_budget_counts_convolution_products(monkeypatch):
+    # Y = 3, k = 3, j = 3: sum over i = 1..3 of (27 i + 1) * 28 = 4620
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "4620")
+    assert hua_count(3, 3, 3) == brute_hua(3, 3, 3)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "4619")
+    with pytest.raises(BudgetError) as info:
+        hua_count(3, 3, 3)
+    assert info.value.required == 4620
+
+
+def test_sample_counts_must_not_be_negative():
+    with pytest.raises(DomainError):
+        minor_arc_bound_profile(10**4, 3, samples=-1)
+    with pytest.raises(DomainError):
+        dirichlet_contract_scan(-1, 100.0, 0)
+    assert minor_arc_bound_profile(10**4, 3, samples=0).rows == []
+    assert dirichlet_contract_scan(0, 100.0, 0) == ([], 0)
+
+
 def test_minor_profile_k3():
     profile = minor_arc_bound_profile(10**4, 3, samples=1000, seed=0)
     assert len(profile.rows) == 1000

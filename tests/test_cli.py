@@ -308,6 +308,12 @@ EDGE_CASES = [
     (["integral", "--k", "3", "--B", "400", "--scan", "10000000"], EXIT_BUDGET, "budget error:"),
     # B*B overflows a float
     (["integral", "--k", "3", "--B", "1e300"], EXIT_BUDGET, "budget error:"),
+    # about 6e12 coefficient products in the j = 3 convolutions
+    (["diagnostics", "hua", "--k", "3", "--j", "3", "--y", "100"], EXIT_BUDGET, "budget error:"),
+    (["verify", "--k", "3", "--x", "100", "--method", "direct",
+      "--out", "/nonexistent/dir/f.json"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "minor", "--samples", "-4"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "dirichlet", "--samples", "-1"], EXIT_USAGE, "usage error:"),
 ]
 
 
@@ -319,3 +325,12 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+
+
+def test_delta_out_to_directory_is_usage_error(capsys, tmp_path):
+    # the table is printed before the report is written, so only the exit
+    # code and stderr are checked
+    code, _, err = run(capsys, "delta", "--k", "3", "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert str(tmp_path) in err
