@@ -37,6 +37,9 @@ _EXPANSION_RANGE = 4.0
 # Pair sums m^k + n^k are formed in int64 and must not wrap.
 INT64_MAX = 2**63 - 1
 
+# The minor-arc profile gives up after this many draws per sample.
+_DRAWS_PER_SAMPLE = 50
+
 
 @dataclass(frozen=True)
 class RationalApproximation:
@@ -75,6 +78,15 @@ def _check_tau(tau: float) -> None:
 def _check_samples(samples: int) -> None:
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
+
+
+def _euclid_steps(bound: float) -> int:
+    """At most the convergents computed until a denominator passes bound.
+
+    Denominators grow at least like Fibonacci numbers, q_n >= phi^(n-1),
+    and log_phi 2 < 2.
+    """
+    return 2 * int(bound).bit_length() + 3
 
 
 def _within(num: int, den: int, p: int, q: int, tn: int, td: int) -> bool:
@@ -124,6 +136,8 @@ def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[d
     """
     _check_samples(samples)
     _check_tau(tau)
+    # each alpha is a multiple of 2^-53, so Euclid also ends by that denominator
+    check_budget(samples * _euclid_steps(min(tau, 2.0**53)), "dirichlet scan")
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -239,8 +253,12 @@ def vk_envelope_scan(
     window |beta| <= x^(1/k-1)/(2kq) where the sharper remainder form
     applies.
     """
-    if x < 1 or k < 1:
-        raise DomainError(f"need x >= 1 and k >= 1, got x={x}, k={k}")
+    if x < 1 or k < 1 or q_max < 1:
+        raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
+    # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
+    # each a Weyl sum of m terms plus a complete sum of q terms
+    m = integer_kth_root(x, k)
+    check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
     rows = []
     top = 0.0
     for q in range(1, q_max + 1):
@@ -369,8 +387,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
     Higher j convolves the power histogram t - 1 times in Python ints,
     charged one unit per coefficient product.
     """
-    if Y < 1:
-        raise DomainError(f"Y must be >= 1, got {Y}")
+    if Y < 1 or k < 1:
+        raise DomainError(f"need Y >= 1 and k >= 1, got Y={Y}, k={k}")
     if j < 1:
         raise DomainError(f"j must be >= 1, got {j}")
     if j == 1:
@@ -437,10 +455,14 @@ def minor_arc_bound_profile(
         params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)
     m = integer_kth_root(x, k)
+    # every draw's classify_arc stops once a denominator passes Q; a kept
+    # sample adds dirichlet_approx, which stops past tau, and m Weyl terms
+    steps = _DRAWS_PER_SAMPLE * _euclid_steps(params.Q) + _euclid_steps(params.tau)
+    check_budget(samples * (steps + m), "minor-arc profile")
     rows = []
     top = 0.0
     draws = 0
-    while len(rows) < samples and draws < 50 * samples:
+    while len(rows) < samples and draws < _DRAWS_PER_SAMPLE * samples:
         draws += 1
         alpha = float(1.0 / params.tau + rng.random())
         verdict = classify_arc(alpha, params)

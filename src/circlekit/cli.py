@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 from . import __version__
 from .arith import (
@@ -178,6 +179,15 @@ def _meta(command: str, args: argparse.Namespace) -> dict:
     }
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be a new or existing file, before any work."""
+    target = Path(path)
+    if target.is_dir():
+        raise DomainError(f"cannot write --out {path}: is a directory")
+    if not target.parent.is_dir():
+        raise DomainError(f"cannot write --out {path}: no directory {target.parent}")
+
+
 def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None):
     """Write the report as JSON, or as CSV when requested and tabular."""
     fmt = getattr(args, "format", "json") or "json"
@@ -261,6 +271,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     k = _single_k(args)
+    if args.x == []:
+        raise DomainError("--x lists no values")
     xs = sorted(set(args.x or [100, 1000, 10000]))
     records = []
     partial = sigma_truncated(args.q_max, k)
@@ -317,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     k = _single_k(args)
-    partial = sigma_truncated(args.q_max, k, method=args.method)
+    partial = sigma_truncated(args.q_max, k)
     rows = [
         [q, _sig12(value), _sig12(sigma1), _sig12(sigma2)]
         for (q, value), sigma1, sigma2 in zip(partial.terms, partial.running1, partial.running2)
@@ -454,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="truncated singular series")
     common(p)
     p.add_argument("--q-max", dest="q_max", type=int, default=200)
-    p.add_argument("--method", choices=("fast", "direct"), default="fast")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("integral", help="truncated singular integral")
@@ -490,6 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ _WORD = 2**64
 
 def complete_power_sum(q: int, a: int, k: int) -> complex:
     """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q), gcd(a, q) = 1."""
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if q < 1 or k < 1:
+        raise DomainError(f"need q >= 1 and k >= 1, got q={q}, k={k}")
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
     residues = np.fromiter(
@@ -40,8 +40,8 @@ def power_sum_spectrum(q: int, k: int) -> np.ndarray:
     The histogram of r^k mod q is Fourier-transformed; entry a of the
     conjugated DFT is exactly sum_r e(a r^k / q).
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if q < 1 or k < 1:
+        raise DomainError(f"need q >= 1 and k >= 1, got q={q}, k={k}")
     counts = np.bincount(
         np.fromiter((pow(r, k, q) for r in range(1, q + 1)), dtype=np.int64, count=q),
         minlength=q,

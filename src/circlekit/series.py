@@ -9,8 +9,8 @@ q^(-3/2-1/k) up to a constant.  The two truncated sums kept here are
 sigma1 = sum A_k(q) and sigma2 = sum (-2 log q + 2 gamma) A_k(q).
 
 A_k is computed two ways: a direct sum over residues (the slow
-reference) and a prime-power factorization extended multiplicatively
-(the fast path used for large truncation bounds).  With the singular
+reference) and the residue spectrum, which the truncated sums evaluate
+at prime powers only and extend multiplicatively.  With the singular
 integrals J1, J2 they assemble the main term (MainTerm).
 """
 
@@ -61,23 +61,6 @@ def local_density_direct(q: int, k: int) -> float:
     return _real_part(total / q**5, q)
 
 
-def _factor_prime_powers(q: int) -> list[int]:
-    parts = []
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            pe = 1
-            while n % p == 0:
-                pe *= p
-                n //= p
-            parts.append(pe)
-        p += 1
-    if n > 1:
-        parts.append(n)
-    return parts
-
-
 def log_weight(q: int) -> float:
     """sigma2's weight -2 log q + 2 gamma at modulus q."""
     return -2.0 * math.log(q) + 2.0 * EULER_GAMMA
@@ -103,32 +86,33 @@ class SingularSeriesPartial:
         return self.running2[-1]
 
 
-def sigma_truncated(Q: int, k: int, method: str = "fast") -> SingularSeriesPartial:
+def sigma_truncated(Q: int, k: int) -> SingularSeriesPartial:
     """Partial sums of the singular series over q <= Q.
 
-    method "fast" computes A_k at prime powers only and extends
-    multiplicatively; "direct" evaluates every modulus from scratch.
+    A_k comes from the residue spectrum at prime powers; any other q is
+    A(q / p^e) A(p^e) with p^e the part of q's largest prime, so the
+    prime-power factors multiply in ascending prime order.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    if method not in ("fast", "direct"):
-        raise DomainError(f"unknown method {method!r}")
-    # both methods visit at most the residues of every modulus q <= Q
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    # at most the residues of every modulus q <= Q are visited
     check_budget(Q * (Q + 1) // 2, "singular series")
-    if method == "direct":
-        values = [local_density(q, k) for q in range(1, Q + 1)]
-    else:
-        cache = {1: 1.0}
-        for q in range(2, Q + 1):
-            parts = _factor_prime_powers(q)
-            if len(parts) == 1:
-                cache[q] = local_density(q, k)
-            else:
-                prod = 1.0
-                for pe in parts:
-                    prod *= cache[pe]
-                cache[q] = prod
-        values = [cache[q] for q in range(1, Q + 1)]
+    # part[q] = p^e dividing q exactly, p its largest prime: p is still 0
+    # when reached, and each power's multiples are overwritten in turn
+    part = np.zeros(Q + 1, dtype=np.int64)
+    for p in range(2, Q + 1):
+        if part[p]:
+            continue
+        pe = p
+        while pe <= Q:
+            part[pe::pe] = pe
+            pe *= p
+    density = [0.0, 1.0]
+    for q, pe in enumerate(part.tolist()[2:], 2):
+        density.append(local_density(q, k) if pe == q else density[q // pe] * density[pe])
+    values = density[1:]
     terms = list(zip(range(1, Q + 1), values))
     return SingularSeriesPartial(
         k=k, Q=Q, terms=terms,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlekit.arith import divisor_sieve
+from circlekit.budget import DEFAULT_BUDGET
 from circlekit.circle import (
     ArcParameters,
     ArcVerdict,
@@ -397,6 +398,9 @@ def test_hua_budget_and_domain(monkeypatch):
         hua_count(0, 3, 2)
     with pytest.raises(DomainError):
         hua_count(5, 3, 0)
+    for k in (0, -1):
+        with pytest.raises(DomainError, match="k >= 1"):
+            hua_count(5, k, 2)
     # a budget raise alone must not unlock allocations beyond the sort cap
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "10000000000000")
     with pytest.raises(SizeError):
@@ -414,6 +418,54 @@ def test_hua_budget_counts_convolution_products(monkeypatch):
     with pytest.raises(BudgetError) as info:
         hua_count(3, 3, 3)
     assert info.value.required == 4620
+
+
+@pytest.mark.parametrize(
+    "scan, required",
+    [
+        # 3 samples, each at most 2 * 7 + 3 Euclid steps to pass tau = 100
+        (lambda: dirichlet_contract_scan(3, 100.0, 0), 51),
+        # x = 10^4, k = 3: Q = 39, tau = 10^4/39, m = 21; per sample
+        # 50 draws * (2*6 + 3) + (2*9 + 3) + 21 = 792
+        (lambda: minor_arc_bound_profile(10**4, 3, samples=2), 1584),
+        # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3)
+        (lambda: vk_envelope_scan(100, 3, q_max=3), 168),
+    ],
+    ids=["dirichlet", "minor", "vk"],
+)
+def test_probe_budget_charge(monkeypatch, scan, required):
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", str(required))
+    scan()
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", str(required - 1))
+    with pytest.raises(BudgetError) as info:
+        scan()
+    assert info.value.required == required
+
+
+def test_probe_charges_at_benchmark_sizes_stay_small(monkeypatch):
+    # the arcs benchmark sizes must cost under 1% of the default budget;
+    # the charge is read from check_budget without running the scan
+    class Charged(Exception):
+        pass
+
+    def capture(required, label=""):
+        raise Charged(required)
+
+    monkeypatch.setattr("circlekit.circle.check_budget", capture)
+    scans = [
+        lambda: dirichlet_contract_scan(20_000, 1000.0, 0),
+        lambda: minor_arc_bound_profile(10**6, 3, samples=10_000),
+    ] + [lambda k=k: vk_envelope_scan(10**4, k, q_max=50) for k in (3, 4, 5)]
+    for scan in scans:
+        with pytest.raises(Charged) as info:
+            scan()
+        assert info.value.args[0] < DEFAULT_BUDGET // 100
+
+
+def test_vk_scan_domain():
+    for q_max in (0, -1):
+        with pytest.raises(DomainError, match="q_max"):
+            vk_envelope_scan(100, 3, q_max=q_max)
 
 
 def test_sample_counts_must_not_be_negative():

@@ -314,6 +314,18 @@ EDGE_CASES = [
       "--out", "/nonexistent/dir/f.json"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "minor", "--samples", "-4"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "dirichlet", "--samples", "-1"], EXIT_USAGE, "usage error:"),
+    # the probes are charged before their loops: 2.3e10, 1.1e10 and 2e15 units
+    (["diagnostics", "dirichlet", "--samples", "1000000000"], EXIT_BUDGET, "budget error:"),
+    (["diagnostics", "minor", "--k", "3", "--x", "1000000", "--samples", "10000000"],
+     EXIT_BUDGET, "budget error:"),
+    (["diagnostics", "vk", "--k", "3", "--x", "10000", "--q-max", "100000"],
+     EXIT_BUDGET, "budget error:"),
+    (["diagnostics", "vk", "--k", "3", "--x", "100", "--q-max", "0"], EXIT_USAGE, "usage error:"),
+    (["series", "--k", "-1", "--q-max", "10"], EXIT_USAGE, "usage error:"),
+    (["series", "--k", "0", "--q-max", "10"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", "-1", "--y", "5"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", "0", "--y", "5"], EXIT_USAGE, "usage error:"),
+    (["verify", "--k", "3", "--x", ",,"], EXIT_USAGE, "usage error:"),
 ]
 
 
@@ -328,9 +340,23 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
 
 
 def test_delta_out_to_directory_is_usage_error(capsys, tmp_path):
-    # the table is printed before the report is written, so only the exit
-    # code and stderr are checked
-    code, _, err = run(capsys, "delta", "--k", "3", "--out", str(tmp_path))
+    # refused before the table is printed
+    code, out, err = run(capsys, "delta", "--k", "3", "--out", str(tmp_path))
     assert code == EXIT_USAGE
+    assert out == ""
     assert err.startswith("usage error:")
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, where):
+    def no_series(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(circlekit.cli, "sigma_truncated", no_series)
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "f.json"
+    code, out, err = run(capsys, "verify", "--k", "3", "--x", "100", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: cannot write --out")
+    assert not (tmp_path / "missing").exists()

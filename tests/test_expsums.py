@@ -32,6 +32,11 @@ def test_complete_sum_domain():
         complete_power_sum(6, 2, 3)
     with pytest.raises(DomainError):
         complete_power_sum(0, 1, 3)
+    for k in (0, -1):
+        with pytest.raises(DomainError, match="k >= 1"):
+            complete_power_sum(5, 1, k)
+        with pytest.raises(DomainError, match="k >= 1"):
+            power_sum_spectrum(5, k)
 
 
 def test_conjugate_symmetry():

@@ -73,19 +73,61 @@ def test_sigma_q1_and_q2():
     assert p2.sigma2 == pytest.approx(p1.sigma2, abs=1e-12)
 
 
+def _factorized_terms(Q, k):
+    """A_k(q) for q <= Q by trial-division factorization, multiplying the
+    prime-power densities in ascending prime order: the reference rule."""
+    cache = {1: 1.0}
+    for q in range(2, Q + 1):
+        parts, n, p = [], q, 2
+        while p * p <= n:
+            if n % p == 0:
+                pe = 1
+                while n % p == 0:
+                    pe *= p
+                    n //= p
+                parts.append(pe)
+            p += 1
+        if n > 1:
+            parts.append(n)
+        if len(parts) == 1:
+            cache[q] = local_density(q, k)
+        else:
+            prod = 1.0
+            for pe in parts:
+                prod *= cache[pe]
+            cache[q] = prod
+    return [(q, cache[q]) for q in range(1, Q + 1)]
+
+
+@pytest.mark.parametrize("Q", [1, 2, 210, 1000, 2310])
+def test_sigma_terms_equal_the_factorized_rule(Q):
+    for k in range(3, 9):
+        assert sigma_truncated(Q, k).terms == _factorized_terms(Q, k), k
+
+
+def test_sigma_prime_power_terms_are_local_densities():
+    prime_powers = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
+    for k in (3, 4, 8):
+        values = dict(sigma_truncated(128, k).terms)
+        for q in prime_powers:
+            assert values[q] == local_density(q, k), (q, k)
+
+
 def test_sigma_fast_equals_direct():
+    # the prime-power table against the spectrum evaluated at every q
     for k in (3, 6):
-        fast = sigma_truncated(50, k, method="fast")
-        direct = sigma_truncated(50, k, method="direct")
-        assert fast.sigma1 == pytest.approx(direct.sigma1, abs=1e-10)
-        assert fast.sigma2 == pytest.approx(direct.sigma2, abs=1e-10)
-        for (qa, va), (qb, vb) in zip(fast.terms, direct.terms):
-            assert qa == qb and va == pytest.approx(vb, abs=1e-10)
+        partial = sigma_truncated(50, k)
+        direct = [local_density(q, k) for q in range(1, 51)]
+        assert [q for q, _ in partial.terms] == list(range(1, 51))
+        for (_, value), expected in zip(partial.terms, direct):
+            assert value == pytest.approx(expected, abs=1e-10)
+        weighted = [(-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in enumerate(direct, 1)]
+        assert partial.sigma1 == pytest.approx(sum(direct), abs=1e-10)
+        assert partial.sigma2 == pytest.approx(sum(weighted), abs=1e-10)
 
 
-@pytest.mark.parametrize("method", ["fast", "direct"])
-def test_running_sums_accumulate_the_terms(method):
-    partial = sigma_truncated(60, 4, method=method)
+def test_running_sums_accumulate_the_terms():
+    partial = sigma_truncated(60, 4)
     values = [a for _, a in partial.terms]
     weighted = [(-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in partial.terms]
     assert partial.running1 == list(accumulate(values))
@@ -120,8 +162,10 @@ def test_sigma_positive_leading_constant():
 def test_sigma_domain():
     with pytest.raises(DomainError):
         sigma_truncated(0, 3)
-    with pytest.raises(DomainError):
-        sigma_truncated(10, 3, method="bogus")
+    # k is checked before the budget, which Q = 10^6 would exceed
+    for k in (0, -1):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            sigma_truncated(10**6, k)
 
 
 def test_tail_check_trivial_doubling():
@@ -147,11 +191,10 @@ def test_tail_check_domain():
         series_tail_check(sigma_truncated(10, 3), sigma_truncated(20, 4))
 
 
-@pytest.mark.parametrize("method", ["fast", "direct"])
-def test_sigma_truncated_budget_is_q_triangle(monkeypatch, method):
+def test_sigma_truncated_budget_is_q_triangle(monkeypatch):
     # Q (Q + 1) / 2 units: Q = 4 needs exactly 10, Q = 5 needs 15
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "10")
-    assert sigma_truncated(4, 3, method).Q == 4
+    assert sigma_truncated(4, 3).Q == 4
     with pytest.raises(BudgetError) as info:
-        sigma_truncated(5, 3, method)
+        sigma_truncated(5, 3)
     assert info.value.required == 15
