@@ -4,7 +4,9 @@ Rational approximation by continued-fraction convergents, the
 major/minor arc split it induces, residuals of the two major-arc
 approximations (the power-sum factor against its Gamma-type model, the
 divisor generating function against its main-term expansion), and the
-exact moment counts behind the even-moment bounds.
+exact moment counts behind the even-moment bounds.  A residual scan
+returns its parameters and one row per sample (observed, bound, ratio);
+its fitted constant is the largest row ratio.
 
 Every rational comparison is exact: a float is the dyadic rational
 num/2^e that float.as_integer_ratio() returns, so convergents and the
@@ -15,14 +17,14 @@ Floats only appear in returned remainders and envelope ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorTable, integer_kth_root
+from .arith import DivisorTable, divisor_sieve, integer_kth_root
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
-from .expsums import complete_power_sum, weyl_sum
+from .expsums import complete_power_sum, divisor_exp_sum, weyl_sum
 from .integrals import (
     linear_phase_batch,
     log_weighted_integral,
@@ -33,6 +35,9 @@ from .series import log_weight
 # The generating function over divisors runs to 4x, so the expansion
 # residual weights integrate the scaled variable over [0, 4].
 _EXPANSION_RANGE = 4.0
+
+# Denominators the expansion probe samples below Q, besides Q itself.
+_EXPANSION_QS = (1, 2, 3, 5, 7, 11)
 
 # Pair sums m^k + n^k are formed in int64 and must not wrap.
 INT64_MAX = 2**63 - 1
@@ -236,12 +241,15 @@ def vk_residual(a: int, q: int, beta: float, x: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticBound:
-    """A fitted envelope constant plus the per-sample rows behind it."""
+    """The per-sample rows behind a fitted envelope constant."""
 
-    label: str
     params: dict
-    constant: float
-    rows: list = field(default_factory=list)
+    rows: list
+
+    @property
+    def constant(self) -> float:
+        """The largest row ratio, or 0.0 without rows."""
+        return max((row["ratio"] for row in self.rows), default=0.0)
 
 
 def vk_envelope_scan(
@@ -260,7 +268,6 @@ def vk_envelope_scan(
     m = integer_kth_root(x, k)
     check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
     rows = []
-    top = 0.0
     for q in range(1, q_max + 1):
         width = x ** (1.0 / k - 1.0) / (2.0 * k * q)
         for a in range(1, q + 1):
@@ -269,35 +276,11 @@ def vk_envelope_scan(
             for beta in (0.0, 0.5 * width, width, -width):
                 residual = vk_residual(a, q, beta, x, k)
                 envelope = q ** (0.5 + slack) * (1.0 + x * abs(beta)) ** 0.5
-                ratio = residual / envelope
                 rows.append(
                     {"a": a, "q": q, "beta": beta, "observed": residual,
-                     "bound": envelope, "ratio": ratio}
+                     "bound": envelope, "ratio": residual / envelope}
                 )
-                top = max(top, ratio)
-    return DiagnosticBound(
-        label="vk-residual",
-        params={"x": x, "k": k, "q_max": q_max, "slack": slack},
-        constant=top,
-        rows=rows,
-    )
-
-
-@dataclass(frozen=True)
-class ExpansionResidual:
-    """Observed expansion error against its x^slack (q^{1/2} x/tau + q^{2/3} x^{1/3}) scale."""
-
-    residual: float
-    delta: float
-
-    @property
-    def ratio(self) -> float:
-        return self.residual / self.delta
-
-
-def expansion_delta(q: int, x: int, tau: float, slack: float = 0.05) -> float:
-    """The comparison scale for the divisor-expansion residual."""
-    return x**slack * (math.sqrt(q) * x / tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
+    return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": slack}, rows=rows)
 
 
 def divisor_expansion_residual(
@@ -308,13 +291,14 @@ def divisor_expansion_residual(
     table: DivisorTable,
     params: ArcParameters,
     slack: float = 0.05,
-) -> ExpansionResidual:
-    """Error of the three-term main model of f(-a/q - beta).
+) -> dict:
+    """Error of the three-term main model of f(-a/q - beta), as a scan row.
 
     The model is (x log x / q) L(x beta) + (x/q) L_log(x beta)
     + ((-2 log q + 2 gamma)/q) x L(x beta), with L and L_log the linear
     and log-weighted phase integrals taken over the scaled range [0, 4]
-    actually spanned by the 4x summation limit of f.
+    actually spanned by the 4x summation limit of f.  The row's bound is
+    x^slack (q^(1/2) x/tau + q^(2/3) x^(1/3)).
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got ({a}, {q})")
@@ -326,13 +310,8 @@ def divisor_expansion_residual(
         raise DomainError("need Q*tau <= x for the expansion hypothesis")
     if abs(beta) > 1.0 / (q * params.tau):
         raise DomainError(f"|beta|={abs(beta)} exceeds 1/(q tau)")
-    n_max = 4 * x
-    if table.limit < n_max:
-        raise DomainError(f"divisor table covers {table.limit} < 4x = {n_max}")
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    phases = ((n * a) % q) / q + n.astype(np.float64) * beta
-    d = table.values[1 : n_max + 1].astype(np.float64)
-    observed = complex((d * np.exp(-2j * np.pi * phases)).sum())
+    # d is real, so f(-alpha) is the conjugate of f(alpha)
+    observed = divisor_exp_sum(a, q, beta, x, table).conjugate()
     arg = x * beta
     lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
     lg = log_weighted_integral(arg, upper=_EXPANSION_RANGE)
@@ -341,37 +320,33 @@ def divisor_expansion_residual(
         + (x / q) * lg
         + (log_weight(q) / q) * x * lin
     )
-    return ExpansionResidual(
-        residual=abs(observed - model),
-        delta=expansion_delta(q, x, params.tau, slack),
-    )
+    residual = abs(observed - model)
+    bound = x**slack * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
+    return {"a": a, "q": q, "beta": beta, "observed": residual, "bound": bound,
+            "ratio": residual / bound}
 
 
 def expansion_envelope_scan(
-    x: int,
-    k: int,
-    table: DivisorTable,
-    slack: float = 0.05,
-    q_samples: tuple[int, ...] = (1, 2, 3, 5, 7, 11),
+    x: int, k: int, table: DivisorTable | None = None, slack: float = 0.05
 ) -> DiagnosticBound:
-    """Max expansion-residual ratio over sampled (a, q, beta)."""
+    """Expansion residuals at a = 1 for q in _EXPANSION_QS up to Q and q = Q,
+    each at beta = 0, 1/(2 q tau) and 1/(q tau).
+
+    Each row sums 4x divisor terms, charged before the divisor table is
+    built when none is passed.
+    """
     params = ArcParameters.default(x, k)
-    rows = []
-    top = 0.0
-    qs = sorted({q for q in q_samples if q <= params.Q} | {params.Q})
-    for q in qs:
-        a = 1 if q == 1 else next(v for v in range(1, q) if math.gcd(v, q) == 1)
-        for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau)):
-            res = divisor_expansion_residual(a, q, beta, x, table, params, slack)
-            rows.append(
-                {"a": a, "q": q, "beta": beta, "observed": res.residual,
-                 "bound": res.delta, "ratio": res.ratio}
-            )
-            top = max(top, res.ratio)
+    qs = sorted({q for q in _EXPANSION_QS if q <= params.Q} | {params.Q})
+    check_budget(3 * len(qs) * 4 * x, "expansion scan")
+    if table is None:
+        table = divisor_sieve(4 * x)
+    rows = [
+        divisor_expansion_residual(1, q, beta, x, table, params, slack)
+        for q in qs
+        for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))
+    ]
     return DiagnosticBound(
-        label="divisor-expansion",
         params={"x": x, "k": k, "slack": slack, "Q": params.Q, "tau": params.tau},
-        constant=top,
         rows=rows,
     )
 
@@ -436,11 +411,7 @@ def hua_count(Y: int, k: int, j: int) -> int:
 
 
 def minor_arc_bound_profile(
-    x: int,
-    k: int,
-    params: ArcParameters | None = None,
-    samples: int = 1000,
-    seed: int = 0,
+    x: int, k: int, samples: int = 1000, seed: int = 0
 ) -> DiagnosticBound:
     """Fitted constant of the minor-arc power-sum bound over random frequencies.
 
@@ -451,8 +422,7 @@ def minor_arc_bound_profile(
     x^(1/k) (1/q + x^(-1/k) + q/x)^(1/(2k(k-1))).
     """
     _check_samples(samples)
-    if params is None:
-        params = ArcParameters.default(x, k)
+    params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)
     m = integer_kth_root(x, k)
     # every draw's classify_arc stops once a denominator passes Q; a kept
@@ -460,7 +430,6 @@ def minor_arc_bound_profile(
     steps = _DRAWS_PER_SAMPLE * _euclid_steps(params.Q) + _euclid_steps(params.tau)
     check_budget(samples * (steps + m), "minor-arc profile")
     rows = []
-    top = 0.0
     draws = 0
     while len(rows) < samples and draws < _DRAWS_PER_SAMPLE * samples:
         draws += 1
@@ -476,16 +445,12 @@ def minor_arc_bound_profile(
         else:
             base = 1.0 / approx.q + x ** (-1.0 / k) + approx.q / x
             bound = x ** (1.0 / k) * base ** (1.0 / (2 * k * (k - 1)))
-        ratio = observed / bound
         rows.append(
             {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
-             "observed": observed, "bound": bound, "ratio": ratio}
+             "observed": observed, "bound": bound, "ratio": observed / bound}
         )
-        top = max(top, ratio)
     return DiagnosticBound(
-        label="minor-arc-power-sum",
         params={"x": x, "k": k, "Q": params.Q, "tau": params.tau,
                 "samples": len(rows), "seed": seed},
-        constant=top,
         rows=rows,
     )

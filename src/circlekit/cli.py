@@ -274,13 +274,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.x == []:
         raise DomainError("--x lists no values")
     xs = sorted(set(args.x or [100, 1000, 10000]))
-    records = []
+    # every size is checked, and the table built, before the constants
+    instances = [ProblemInstance(x=x, k=k) for x in xs]
+    table = divisor_sieve(instances[-1].max_value)
     partial = sigma_truncated(args.q_max, k)
     jv1, jv2 = j_values(k, args.B)
     main_term = MainTerm(k, partial.sigma1, partial.sigma2, jv1.value, jv2.value)
-    table = divisor_sieve(ProblemInstance(x=max(xs), k=k).max_value)
-    for x in xs:
-        inst = ProblemInstance(x=x, k=k)
+    records = []
+    for inst in instances:
+        x = inst.x
         values = {}
         if args.method in ("direct", "both"):
             values["direct"] = exact_S_direct(inst, table)
@@ -402,7 +404,7 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
         if args.probe == "vk":
             scan = vk_envelope_scan(args.x, k, args.q_max)
         elif args.probe == "expansion":
-            scan = expansion_envelope_scan(args.x, k, divisor_sieve(4 * args.x))
+            scan = expansion_envelope_scan(args.x, k)
         else:
             scan = minor_arc_bound_profile(args.x, k, samples=args.samples, seed=args.seed)
         rows = scan.rows
@@ -441,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--k", type=_parse_k_range, default=None,
                        help="power k, single value or range like 3..12")
         p.add_argument("--out", type=str, default=None, help="write report to file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("delta", help="re-derive the error-saving exponent table")
     common(p)
@@ -487,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", dest="q_max", type=int, default=50)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tau", type=float, default=1000.0)
+    p.add_argument("--seed", type=int, default=0, help="sample seed for minor and dirichlet")
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("sieve", help="divisor table summary statistics")
-    common(p, seed=False)
+    common(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_sieve)
 

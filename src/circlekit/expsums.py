@@ -8,6 +8,8 @@ rational num/2^e), keeping per-term phase error at the ulp level
 regardless of how large n^l gets.  For e <= 64, which every
 |alpha| >= 2^-12 satisfies, the reduction runs in wrapping uint64
 arithmetic; smaller alpha falls back to Python integers.
+divisor_exp_sum evaluates sum_{n <= 4x} d(n) e(n (a/q + beta)) with n a
+reduced mod q in integers, in blocks of a bounded number of terms.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .arith import DivisorTable, integer_kth_root
 from .errors import DomainError
 
 _WORD = 2**64
+
+# Terms per block of the divisor exponential sum.
+_TERMS = 1 << 16
 
 
 def complete_power_sum(q: int, a: int, k: int) -> complex:
@@ -79,16 +84,18 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
     return complex(np.exp(2j * np.pi * phases).sum())
 
 
-def divisor_exp_sum(alpha: float, x: int, table: DivisorTable) -> complex:
-    """f(alpha) = sum_{n <= 4x} d(n) e(alpha n)."""
+def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: DivisorTable) -> complex:
+    """f(a/q + beta) = sum_{n <= 4x} d(n) e(n (a/q + beta)), _TERMS terms at a time."""
     n_max = 4 * x
     if table.limit < n_max:
         raise DomainError(f"divisor table covers {table.limit} < 4x = {n_max}")
-    frac = math.fmod(float(alpha), 1.0)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    phases = np.mod(n * frac, 1.0)
-    d = table.values[1 : n_max + 1].astype(np.float64)
-    return complex((d * np.exp(2j * np.pi * phases)).sum())
+    total = 0j
+    for start in range(1, n_max + 1, _TERMS):
+        n = np.arange(start, min(start + _TERMS, n_max + 1), dtype=np.int64)
+        phases = ((n * a) % q) / q + n.astype(np.float64) * beta
+        d = table.values[start : start + n.size].astype(np.float64)
+        total += complex((d * np.exp(2j * np.pi * phases)).sum())
+    return total
 
 
 def sk_bound_profile(q_max: int, k: int) -> list[tuple[int, float]]:

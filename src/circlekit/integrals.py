@@ -58,6 +58,8 @@ _ASYM_TERMS = 40
 _TAIL_CUT = 2.0**-60
 # Nodes per block of the density sweep.
 _BLOCK = 1 << 15
+# Phase entries per chunk of the small-beta unit-phase quadrature.
+_PHASE_CHUNK = 1 << 22
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -151,11 +153,22 @@ def _log_head(beta):
 # ---------------------------------------------------------------------------
 
 
+def _small_panels(k: int) -> int:
+    """Panels of the beta <= _ASYM_BETA quadrature of int_0^1 e(beta u^k) du."""
+    return max(16, math.ceil(10.0 * max(1.0, k * _ASYM_BETA / TWO_PI)))
+
+
 def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    panels = max(16, math.ceil(10.0 * max(1.0, k * _ASYM_BETA / TWO_PI)))
-    nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, panels + 1), 8)
-    phases = np.exp(2j * np.pi * np.multiply.outer(betas, nodes**k))
-    return phases @ weights
+    # panels grow with k, so rows of the betas x nodes phase table are
+    # taken at most _PHASE_CHUNK entries at a time
+    nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, _small_panels(k) + 1), 8)
+    powers = nodes**k
+    step = max(1, _PHASE_CHUNK // powers.size)
+    out = np.empty(betas.shape, dtype=complex)
+    for start in range(0, betas.size, step):
+        phases = np.exp(2j * np.pi * np.multiply.outer(betas[start : start + step], powers))
+        out[start : start + step] = phases @ weights
+    return out
 
 
 def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndarray:
@@ -420,15 +433,19 @@ def j_values(
     B = float(B)
     # 4 Gauss nodes per fine panel and per half-resolution panel
     fine_panels = _fine_panels(B)
-    check_budget(4 * (fine_panels + (fine_panels + 1) // 2), "singular-integral sweep")
+    units = 4 * (fine_panels + (fine_panels + 1) // 2)
+    check_budget(units, "singular-integral sweep")
     edges = _beta_edges(B)
     nodes, weights = _panel_nodes(edges, 4)
-    fine_values = _density_batches(nodes, k, whiches)
-
     coarse_edges = edges[::2]
     if coarse_edges[-1] != edges[-1]:
         coarse_edges = np.append(coarse_edges, edges[-1])
     c_nodes, c_weights = _panel_nodes(coarse_edges, 4)
+    # plus, for each node at beta <= _ASYM_BETA, the 8 nodes per panel of
+    # the k-th power phase's small-beta quadrature
+    small = int(np.count_nonzero(nodes <= _ASYM_BETA) + np.count_nonzero(c_nodes <= _ASYM_BETA))
+    check_budget(units + small * 8 * _small_panels(k), "singular-integral sweep")
+    fine_values = _density_batches(nodes, k, whiches)
     coarse_values = _density_batches(c_nodes, k, whiches)
 
     p = 1.5 + 1.0 / k

@@ -27,6 +27,8 @@ from circlekit.circle import (
     vk_residual,
 )
 from circlekit.errors import BudgetError, DomainError, SizeError
+from circlekit.integrals import linear_phase_batch, log_weighted_integral
+from circlekit.series import log_weight
 
 
 def exact_contract_holds(alpha: float, tau: float) -> bool:
@@ -319,9 +321,56 @@ def test_expansion_residual_q1():
     table = divisor_sieve(4 * x)
     params = ArcParameters.default(x, 3)
     res = divisor_expansion_residual(1, 1, 0.0, x, table, params)
-    assert res.ratio <= 10.0
+    assert res["ratio"] <= 10.0
     res = divisor_expansion_residual(2, 5, 1.0 / (2 * 5 * params.tau), x, table, params)
-    assert res.ratio <= 10.0
+    assert res["ratio"] <= 10.0
+
+
+def test_expansion_residual_is_the_scan_row():
+    x = 10**3
+    params = ArcParameters.default(x, 3)
+    table = divisor_sieve(4 * x)
+    scan = expansion_envelope_scan(x, 3, slack=0.02)
+    for row in scan.rows:
+        assert row == divisor_expansion_residual(
+            row["a"], row["q"], row["beta"], x, table, params, slack=0.02
+        )
+
+
+def test_expansion_residual_models_f_at_minus_alpha():
+    # the documented model, against f(-a/q - beta) summed with Fraction phases
+    x = 10**3
+    params = ArcParameters.default(x, 3)
+    table = divisor_sieve(4 * x)
+    for a, q in ((1, 1), (2, 5), (3, 7)):
+        beta = 0.5 / (q * params.tau)
+        alpha = -Fraction(a, q) - Fraction(beta)
+        phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
+        f = complex((table.values[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
+        lin = complex(linear_phase_batch(x * beta, upper=4.0))
+        lg = log_weighted_integral(x * beta, upper=4.0)
+        model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
+        row = divisor_expansion_residual(a, q, beta, x, table, params)
+        assert row["observed"] == pytest.approx(abs(f - model), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: vk_envelope_scan(10**3, 3, q_max=5),
+        lambda: expansion_envelope_scan(10**3, 3),
+        lambda: minor_arc_bound_profile(10**4, 3, samples=50, seed=2),
+    ],
+    ids=["vk", "expansion", "minor"],
+)
+def test_constant_is_the_largest_row_ratio(scan):
+    bound = scan()
+    assert bound.rows
+    assert bound.constant == max(row["ratio"] for row in bound.rows)
+
+
+def test_constant_without_rows_is_zero():
+    assert minor_arc_bound_profile(10**4, 3, samples=0).constant == 0.0
 
 
 def test_expansion_scan_slack_sensitivity():
@@ -430,8 +479,11 @@ def test_hua_budget_counts_convolution_products(monkeypatch):
         (lambda: minor_arc_bound_profile(10**4, 3, samples=2), 1584),
         # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3)
         (lambda: vk_envelope_scan(100, 3, q_max=3), 168),
+        # x = 1000, k = 3: Q = 15, q in {1, 2, 3, 5, 7, 11, 15}, three
+        # beta each, 4x terms per row: 21 * 4000
+        (lambda: expansion_envelope_scan(1000, 3), 84_000),
     ],
-    ids=["dirichlet", "minor", "vk"],
+    ids=["dirichlet", "minor", "vk", "expansion"],
 )
 def test_probe_budget_charge(monkeypatch, scan, required):
     monkeypatch.setenv("CIRCLEKIT_BUDGET", str(required))
@@ -460,6 +512,11 @@ def test_probe_charges_at_benchmark_sizes_stay_small(monkeypatch):
         with pytest.raises(Charged) as info:
             scan()
         assert info.value.args[0] < DEFAULT_BUDGET // 100
+    # x = 10^4, k = 3: Q = 39, seven q, 21 rows of 4x terms; charged
+    # before the divisor table is built
+    with pytest.raises(Charged) as info:
+        expansion_envelope_scan(10**4, 3)
+    assert info.value.args[0] == 840_000
 
 
 def test_vk_scan_domain():

@@ -326,6 +326,10 @@ EDGE_CASES = [
     (["diagnostics", "hua", "--k", "-1", "--y", "5"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "hua", "--k", "0", "--y", "5"], EXIT_USAGE, "usage error:"),
     (["verify", "--k", "3", "--x", ",,"], EXIT_USAGE, "usage error:"),
+    # 21 rows of 1.6e8 divisor terms, charged before the sieve
+    (["diagnostics", "expansion", "--k", "3", "--x", "40000000"], EXIT_BUDGET, "budget error:"),
+    # about 1500 small-beta nodes against 8 * 318310 quadrature nodes each
+    (["integral", "--k", "20000", "--B", "20"], EXIT_BUDGET, "budget error:"),
 ]
 
 
@@ -337,6 +341,35 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", ["delta", "verify", "series", "integral"])
+def test_seed_is_not_a_flag_outside_diagnostics(capsys, command):
+    # none of these commands draws a random number
+    with pytest.raises(SystemExit) as info:
+        main([command, "--k", "3", "--seed", "1"])
+    assert info.value.code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_diagnostics_takes_a_seed(capsys):
+    code, out, _ = run(capsys, "diagnostics", "dirichlet", "--samples", "5", "--seed", "4")
+    assert code == EXIT_OK
+    meta = json.loads(out)["meta"]
+    assert meta["seed"] == 4 and meta["flags"]["seed"] == 4
+
+
+@pytest.mark.parametrize("xs", ["100000000", "0,100"])
+def test_verify_refuses_sizes_before_the_constants(capsys, monkeypatch, xs):
+    def no_constants(*args, **kwargs):
+        raise AssertionError("constants computed before the sizes were checked")
+
+    monkeypatch.setattr(circlekit.cli, "sigma_truncated", no_constants)
+    monkeypatch.setattr(circlekit.cli, "j_values", no_constants)
+    code, out, err = run(capsys, "verify", "--k", "3", "--x", xs, "--method", "conv")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_delta_out_to_directory_is_usage_error(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,21 +158,46 @@ def test_weyl_complete_period_identity():
 
 def test_divisor_exp_sum_hand_values():
     table = divisor_sieve(16)
-    assert divisor_exp_sum(0.0, 1, table) == pytest.approx(8.0)  # 1+2+2+3
-    assert divisor_exp_sum(0.5, 1, table) == pytest.approx(2.0)  # -1+2-2+3
+    assert divisor_exp_sum(0, 1, 0.0, 1, table) == pytest.approx(8.0)  # 1+2+2+3
+    assert divisor_exp_sum(1, 2, 0.0, 1, table) == pytest.approx(2.0)  # -1+2-2+3
 
 
-def test_divisor_exp_sum_conjugate():
-    table = divisor_sieve(4 * 500)
-    for alpha in (0.1, 0.377, 0.9):
-        lhs = divisor_exp_sum(-alpha, 500, table)
-        rhs = divisor_exp_sum(alpha, 500, table).conjugate()
-        assert abs(lhs - rhs) < 1e-8
+def fraction_divisor_exp_sum(a, q, beta, x, table):
+    # every phase n (a/q + beta) reduced mod 1 exactly, alpha = num/den as a Fraction
+    alpha = Fraction(a, q) + Fraction(beta)
+    num, den = alpha.numerator, alpha.denominator
+    phases = np.array([(n * num) % den / den for n in range(1, 4 * x + 1)])
+    terms = table.values[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+# 4x = 160000 terms span three blocks of 2^16
+F_CASES = [(0, 1, 0.0), (1, 3, 2.5e-6), (2, 5, -1e-6), (5, 7, -3.3e-7), (3, 11, 1.9e-6)]
+
+
+@pytest.fixture(scope="module")
+def table_160k():
+    return divisor_sieve(4 * 40_000)
+
+
+@pytest.mark.parametrize("a, q, beta", F_CASES)
+def test_divisor_exp_sum_matches_exact_phases(table_160k, a, q, beta):
+    got = divisor_exp_sum(a, q, beta, 40_000, table_160k)
+    want = fraction_divisor_exp_sum(a, q, beta, 40_000, table_160k)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_divisor_exp_sum_conjugate(table_160k):
+    # d is real, so f(-alpha) is the conjugate of f(alpha)
+    for a, q, beta in F_CASES[1:] + [(377, 1000, 0.0), (9, 10, 4e-6)]:
+        lhs = divisor_exp_sum(q - a, q, -beta, 40_000, table_160k)
+        rhs = divisor_exp_sum(a, q, beta, 40_000, table_160k).conjugate()
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_divisor_exp_sum_requires_table():
     with pytest.raises(DomainError):
-        divisor_exp_sum(0.0, 100, divisor_sieve(10))
+        divisor_exp_sum(0, 1, 0.0, 100, divisor_sieve(10))
 
 
 def test_crt_factorization_examples():

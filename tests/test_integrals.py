@@ -228,6 +228,25 @@ def test_j_values_checks_budget_before_allocating(monkeypatch):
     assert info.value.required > 10**13
 
 
+def test_j_values_charges_the_small_beta_quadrature(monkeypatch):
+    # B = 5: 71 fine and 36 coarse panels, 428 nodes, all at beta <= 10;
+    # each meets 8 * 48 nodes of the k = 3 small-beta quadrature
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "164780")
+    j_values(3, 5.0)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "164779")
+    with pytest.raises(BudgetError) as info:
+        j_values(3, 5.0)
+    assert info.value.required == 164780
+
+
+def test_unit_phase_batch_in_chunks_matches_reference():
+    # k = 100: 12736 quadrature nodes, so 2^22 phase entries hold 329 betas
+    betas = np.linspace(0.0, 10.0, 700)
+    batch = unit_phase_batch(betas, 100)
+    for i in (0, 328, 329, 657, 658, 699):
+        assert abs(batch[i] - unit_power_phase_integral(betas[i], 100)) < 1e-9
+
+
 def test_j_value_doubling_stability():
     for which in (1, 2):
         half = j_value(3, which, 200.0)
