@@ -1,7 +1,10 @@
 """Complete and incomplete exponential sums.
 
 complete_power_sum evaluates sum_{r=1..q} e(a r^k / q) with the power
-reduced mod q, so every term's phase is an exact rational.  weyl_sum
+reduced mod q, so every term's phase is an exact rational;
+power_sum_spectrum gives S_k(q, a) for every a from one FFT.  Both form
+r^k mod q for all r by square-and-multiply on int64 arrays, exact for
+q <= 2^31 and refused beyond it.  weyl_sum
 evaluates sum_{n <= x^(1/l)} e(alpha n^l) with the phase alpha*n^l
 reduced mod 1 in exact integer arithmetic (a float's value is a dyadic
 rational num/2^e), keeping per-term phase error at the ulp level
@@ -27,15 +30,43 @@ _WORD = 2**64
 _TERMS = 1 << 16
 
 
+def _check_modulus(q: int, k: int) -> None:
+    if q < 1 or k < 1 or q > 2**31:
+        raise DomainError(f"need 1 <= q <= 2^31 and k >= 1, got q={q}, k={k}")
+
+
+def _power_residues(q: int, k: int) -> np.ndarray:
+    """r^k mod q for r = 1..q by left-to-right square-and-multiply.
+
+    The accumulator starts at r for k's leading bit.  Both factors of
+    every product are below q <= 2^31, so it stays below 2^62 in int64.
+    """
+    base = np.arange(1, q + 1, dtype=np.int64) % q
+    power = base
+    for bit in bin(k)[3:]:
+        power = power * power % q
+        if bit == "1":
+            power = power * base % q
+    return power
+
+
+def coprime_mask(q: int) -> np.ndarray:
+    """gcd(a, q) == 1 for a = 0..q-1: the multiples of every divisor
+    f > 1 of q struck out, f and q/f found by trial division to sqrt(q)."""
+    mask = np.ones(q, dtype=bool)
+    mask[0] = q == 1
+    for f in range(2, math.isqrt(q) + 1):
+        if q % f == 0:
+            mask[::f] = mask[:: q // f] = False
+    return mask
+
+
 def complete_power_sum(q: int, a: int, k: int) -> complex:
     """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q), gcd(a, q) = 1."""
-    if q < 1 or k < 1:
-        raise DomainError(f"need q >= 1 and k >= 1, got q={q}, k={k}")
+    _check_modulus(q, k)
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    residues = np.fromiter(
-        (a * pow(r, k, q) % q for r in range(1, q + 1)), dtype=np.int64, count=q
-    )
+    residues = (a % q) * _power_residues(q, k) % q
     return complex(np.exp(2j * np.pi * (residues / q)).sum())
 
 
@@ -45,12 +76,8 @@ def power_sum_spectrum(q: int, k: int) -> np.ndarray:
     The histogram of r^k mod q is Fourier-transformed; entry a of the
     conjugated DFT is exactly sum_r e(a r^k / q).
     """
-    if q < 1 or k < 1:
-        raise DomainError(f"need q >= 1 and k >= 1, got q={q}, k={k}")
-    counts = np.bincount(
-        np.fromiter((pow(r, k, q) for r in range(1, q + 1)), dtype=np.int64, count=q),
-        minlength=q,
-    ).astype(np.float64)
+    _check_modulus(q, k)
+    counts = np.bincount(_power_residues(q, k), minlength=q).astype(np.float64)
     return np.conj(np.fft.fft(counts))
 
 
@@ -109,8 +136,7 @@ def sk_bound_profile(q_max: int, k: int) -> list[tuple[int, float]]:
     profile = []
     for q in range(1, q_max + 1):
         spectrum = power_sum_spectrum(q, k)
-        coprime = np.gcd(np.arange(q), q) == 1
-        top = float(np.abs(spectrum[coprime]).max())
+        top = float(np.abs(spectrum[coprime_mask(q)]).max())
         profile.append((q, top / q ** ((k - 1) / k)))
     return profile
 

@@ -10,7 +10,10 @@ sigma1 = sum A_k(q) and sigma2 = sum (-2 log q + 2 gamma) A_k(q).
 
 A_k is computed two ways: a direct sum over residues (the slow
 reference) and the residue spectrum, which the truncated sums evaluate
-at prime powers only and extend multiplicatively.  With the singular
+at prime powers only and extend multiplicatively.  The spectrum path
+takes S_2 and S_k from expsums.power_sum_spectrum, whose residue powers
+are whole-array int64 arithmetic (so it refuses q > 2^31), and keeps
+the a coprime to q with expsums.coprime_mask.  With the singular
 integrals J1, J2 they assemble the main term (MainTerm).
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 from .budget import check_budget
 from .constants import EULER_GAMMA
 from .errors import DomainError, NumericalIntegrityError
-from .expsums import complete_power_sum, power_sum_spectrum
+from .expsums import complete_power_sum, coprime_mask, power_sum_spectrum
 
 IMAG_TOL = 1e-9
 
@@ -45,7 +48,7 @@ def local_density(q: int, k: int) -> float:
         raise DomainError(f"q must be >= 1, got {q}")
     s2 = power_sum_spectrum(q, 2)
     sk = power_sum_spectrum(q, k)
-    mask = np.gcd(np.arange(q), q) == 1
+    mask = coprime_mask(q)
     total = complex((s2[mask] ** 3 * sk[mask]).sum()) / q**5
     return _real_part(total, q)
 
@@ -146,34 +149,3 @@ class MainTerm:
     def value(self, x: int) -> float:
         scale = self.scale(x)
         return self.C1 * scale * math.log(x) + self.C2 * scale
-
-
-@dataclass(frozen=True)
-class TailDecay:
-    """Fitted constants for the truncation-tail envelope Q^(-1/2-1/k)."""
-
-    Q: int
-    k: int
-    c_sigma1: float
-    c_sigma2: float
-
-
-def series_tail_check(
-    partial_q: SingularSeriesPartial, partial_2q: SingularSeriesPartial
-) -> TailDecay:
-    """Fitted tail constants from a truncation doubling Q -> 2Q.
-
-    sigma2's weight carries an extra log, so its envelope is allowed a
-    log(2 + Q) factor.
-    """
-    if partial_q.k != partial_2q.k:
-        raise DomainError("partials must share k")
-    if partial_2q.Q != 2 * partial_q.Q:
-        raise DomainError(
-            f"expected bounds (Q, 2Q), got ({partial_q.Q}, {partial_2q.Q})"
-        )
-    q = partial_q.Q
-    envelope = q ** (-0.5 - 1.0 / partial_q.k)
-    c1 = abs(partial_2q.sigma1 - partial_q.sigma1) / envelope
-    c2 = abs(partial_2q.sigma2 - partial_q.sigma2) / (envelope * math.log(2.0 + q))
-    return TailDecay(Q=q, k=partial_q.k, c_sigma1=c1, c_sigma2=c2)

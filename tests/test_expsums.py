@@ -3,16 +3,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlekit.arith import divisor_sieve, integer_kth_root
 from circlekit.errors import DomainError
 from circlekit.expsums import (
+    _check_modulus,
+    _power_residues,
     complete_power_sum,
+    coprime_mask,
     crt_factorization_check,
     divisor_exp_sum,
     power_sum_spectrum,
     sk_bound_profile,
     weyl_sum,
+)
+from power_residue_reference import (
+    complete_power_sum_reference,
+    power_residues_reference,
+    power_sum_spectrum_reference,
 )
 
 
@@ -69,6 +79,53 @@ def test_spectrum_matches_scalar_sum():
         for a in range(1, q):
             if math.gcd(a, q) == 1:
                 assert abs(spectrum[a] - complete_power_sum(q, a, k)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 5000), k=st.integers(1, 10**6))
+@example(q=1, k=1)
+@example(q=1, k=2**19)
+@example(q=2, k=2)
+@example(q=4096, k=2**12)
+@example(q=4096, k=2**12 - 1)
+@example(q=4999, k=1)
+@example(q=4999, k=2**19)
+@example(q=4999, k=2**19 - 1)
+@example(q=5000, k=2**13 - 1)
+def test_power_residues_match_python_pow(q, k):
+    residues = _power_residues(q, k)
+    assert residues.dtype == np.int64
+    assert residues.tolist() == power_residues_reference(q, k)
+
+
+SPECTRUM_MODULI = [*range(1, 301), 2401, 3125, 4096, 4999]
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 13])
+def test_spectrum_equals_the_generator_route(k):
+    for q in SPECTRUM_MODULI:
+        assert np.array_equal(power_sum_spectrum(q, k), power_sum_spectrum_reference(q, k)), q
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 13])
+def test_complete_sum_equals_the_generator_route(k):
+    for q in SPECTRUM_MODULI:
+        for a in (1, q - 1, -1, q * 10**20 + 1):
+            assert complete_power_sum(q, a, k) == complete_power_sum_reference(q, a, k), (q, a)
+
+
+def test_coprime_mask_equals_the_gcd_mask():
+    for q in range(1, 3001):
+        assert np.array_equal(coprime_mask(q), np.gcd(np.arange(q), q) == 1), q
+
+
+@pytest.mark.usefixtures("no_array_allocation")
+def test_moduli_past_int64_range_are_refused():
+    _check_modulus(2**31, 3)
+    with pytest.raises(DomainError, match="q <= 2\\^31"):
+        power_sum_spectrum(2**31 + 1, 3)
+    with pytest.raises(DomainError, match="q <= 2\\^31"):
+        complete_power_sum(2**31 + 1, 1, 3)
 
 
 def test_triviality_bound():

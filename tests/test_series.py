@@ -11,9 +11,9 @@ from circlekit.series import (
     _real_part,
     local_density,
     local_density_direct,
-    series_tail_check,
     sigma_truncated,
 )
+from power_residue_reference import power_sum_spectrum_reference
 
 
 def test_density_trivial_and_vanishing_moduli():
@@ -73,7 +73,7 @@ def test_sigma_q1_and_q2():
     assert p2.sigma2 == pytest.approx(p1.sigma2, abs=1e-12)
 
 
-def _factorized_terms(Q, k):
+def _factorized_terms(Q, k, density=local_density):
     """A_k(q) for q <= Q by trial-division factorization, multiplying the
     prime-power densities in ascending prime order: the reference rule."""
     cache = {1: 1.0}
@@ -90,7 +90,7 @@ def _factorized_terms(Q, k):
         if n > 1:
             parts.append(n)
         if len(parts) == 1:
-            cache[q] = local_density(q, k)
+            cache[q] = density(q, k)
         else:
             prod = 1.0
             for pe in parts:
@@ -103,6 +103,25 @@ def _factorized_terms(Q, k):
 def test_sigma_terms_equal_the_factorized_rule(Q):
     for k in range(3, 9):
         assert sigma_truncated(Q, k).terms == _factorized_terms(Q, k), k
+
+
+def _reference_density(q, k):
+    """A_k(q) from the generator-route spectra and the gcd mask."""
+    s2 = power_sum_spectrum_reference(q, 2)
+    sk = power_sum_spectrum_reference(q, k)
+    mask = np.gcd(np.arange(q), q) == 1
+    return _real_part(complex((s2[mask] ** 3 * sk[mask]).sum()) / q**5, q)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_sigma_terms_equal_the_reference_spectra(k):
+    assert sigma_truncated(600, k).terms == _factorized_terms(600, k, _reference_density)
+
+
+@pytest.mark.usefixtures("no_array_allocation")
+def test_density_refuses_moduli_past_int64_range():
+    with pytest.raises(DomainError, match="q <= 2\\^31"):
+        local_density(2**31 + 1, 3)
 
 
 def test_sigma_prime_power_terms_are_local_densities():
@@ -168,27 +187,31 @@ def test_sigma_domain():
             sigma_truncated(10**6, k)
 
 
+def _tail_constants(Q, k):
+    """Fitted constants of the doubling Q -> 2Q against the tail envelope
+    Q^(-1/2-1/k); sigma2's weight carries an extra log, so its envelope
+    gets a log(2 + Q) factor."""
+    partial_q, partial_2q = sigma_truncated(Q, k), sigma_truncated(2 * Q, k)
+    envelope = Q ** (-0.5 - 1.0 / k)
+    c1 = abs(partial_2q.sigma1 - partial_q.sigma1) / envelope
+    c2 = abs(partial_2q.sigma2 - partial_q.sigma2) / (envelope * math.log(2.0 + Q))
+    return c1, c2
+
+
 def test_tail_check_trivial_doubling():
-    td = series_tail_check(sigma_truncated(1, 3), sigma_truncated(2, 3))
-    assert td.c_sigma1 == pytest.approx(0.0, abs=1e-12)
-    assert td.c_sigma2 == pytest.approx(0.0, abs=1e-12)
+    c1, c2 = _tail_constants(1, 3)
+    assert c1 == pytest.approx(0.0, abs=1e-12)
+    assert c2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tail_check_bounded_constants():
     constants = []
     for Q in (25, 50, 100):
-        td = series_tail_check(sigma_truncated(Q, 3), sigma_truncated(2 * Q, 3))
-        assert td.c_sigma1 <= 10.0
-        assert td.c_sigma2 <= 10.0
-        constants.append(td.c_sigma1)
+        c1, c2 = _tail_constants(Q, 3)
+        assert c1 <= 10.0
+        assert c2 <= 10.0
+        constants.append(c1)
     assert max(constants) <= 10.0  # non-diverging across doublings
-
-
-def test_tail_check_domain():
-    with pytest.raises(DomainError):
-        series_tail_check(sigma_truncated(10, 3), sigma_truncated(10, 3))
-    with pytest.raises(DomainError):
-        series_tail_check(sigma_truncated(10, 3), sigma_truncated(20, 4))
 
 
 def test_sigma_truncated_budget_is_q_triangle(monkeypatch):
