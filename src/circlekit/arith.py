@@ -8,8 +8,10 @@ sqrt(x) and n4 up to x^(1/k):
 
 One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings); the other convolves the two
-representation histograms (n1^2+n2^2 against n3^2+n4^k) and pairs the
-result with the divisor table.  The two must agree to the last digit.
+representation histograms (n1^2+n2^2 against n3^2+n4^k), by a guarded
+float FFT or an NTT modulo the fewest primes that cover its coefficients,
+and pairs the result with the divisor table.  The two must agree to the
+last digit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .errors import DomainError, PrecisionError, SizeError
 MAX_SIEVE = 200_000_000
 
 # NTT-friendly primes (both with primitive root 3) supporting transform
-# lengths up to 2^23 and 2^25.
+# lengths up to 2^23 and 2^25.  A convolution takes the fewest, in order,
+# that support its length and whose product exceeds its coefficient bound.
 _NTT_PRIMES = (998244353, 167772161)
 _NTT_ROOT = 3
 
@@ -88,19 +91,6 @@ def divisor_sieve(limit: int) -> DivisorTable:
     return DivisorTable(limit=limit, values=d)
 
 
-def divisor_count_naive(n: int) -> int:
-    """d(n) by trial division; the sieve's independent oracle."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    count = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            count += 1 if i * i == n else 2
-        i += 1
-    return count
-
-
 def sum_d_squared(limit: int, table: DivisorTable | None = None) -> int:
     """Exact sum of d(n)^2 for n <= limit.
 
@@ -150,18 +140,6 @@ class ProblemInstance:
     @property
     def tuple_count(self) -> int:
         return self.square_limit**3 * self.power_limit
-
-
-@dataclass(frozen=True)
-class RepresentationHistogram:
-    """counts[s] = number of representations of s by the designated form."""
-
-    bound: int
-    counts: np.ndarray
-
-    @property
-    def mass(self) -> int:
-        return int(self.counts.sum())
 
 
 def _require_table(inst: ProblemInstance, table: DivisorTable | None) -> DivisorTable:
@@ -214,22 +192,16 @@ def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> 
     return total
 
 
-def build_histograms(
-    inst: ProblemInstance,
-) -> tuple[RepresentationHistogram, RepresentationHistogram]:
-    """Exact representation counts for n1^2+n2^2 and n3^2+n4^k."""
+def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Exact representation counts for n1^2+n2^2 and n3^2+n4^k: entry s of
+    each array counts the representations of s by that form."""
     r, p_lim = inst.square_limit, inst.power_limit
     check_budget(r * r + r * p_lim, "build_histograms")
     sq = np.arange(1, r + 1, dtype=np.int64) ** 2
     pw = np.arange(1, p_lim + 1, dtype=np.int64) ** inst.k
     pair = (sq[:, None] + sq[None, :]).ravel()
     mixed = (sq[:, None] + pw[None, :]).ravel()
-    r12 = np.bincount(pair)
-    r34 = np.bincount(mixed)
-    return (
-        RepresentationHistogram(bound=len(r12) - 1, counts=r12),
-        RepresentationHistogram(bound=len(r34) - 1, counts=r34),
-    )
+    return np.bincount(pair), np.bincount(mixed)
 
 
 def _transform_length(min_len: int) -> int:
@@ -274,12 +246,14 @@ def _unit_powers(w: int, count: int, p: int) -> np.ndarray:
 
 
 def _bit_reversal(n: int) -> np.ndarray:
-    """Index permutation i -> bit-reverse(i) over log2(n) bits."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
+    """Index permutation i -> bit-reverse(i) over log2(n) bits, in O(n) work:
+    the reversal over one more bit is 2*rev followed by 2*rev + 1."""
     rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    half = 1
+    while half < n:
+        rev[:half] *= 2
+        np.add(rev[:half], 1, out=rev[half : 2 * half])
+        half *= 2
     return rev
 
 
@@ -290,10 +264,12 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     reduced mod p, then log2(n) butterfly stages run as whole-array
     numpy operations; only the twiddle product needs a % p.  Each
     stage's twiddles come from _unit_powers, so the Python-level work is
-    O(log^2 n) numpy calls and no per-element loop.
+    O(log^2 n) numpy calls and no per-element loop.  Each % p runs in
+    place on an array this function owns, to keep the peak memory low.
     """
     n = len(a)
-    a = a[_bit_reversal(n)] % p
+    a = a[_bit_reversal(n)]
+    a %= p
     length = 2
     while length <= n:
         w = pow(g, (p - 1) // length, p)
@@ -303,7 +279,8 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
         ws = _unit_powers(w, half, p)
         blocks = a.reshape(-1, length)
         left = blocks[:, :half]
-        right = blocks[:, half:] * ws % p
+        right = blocks[:, half:] * ws
+        right %= p
         # left and right lie in [0, p), so one conditional step of p
         # reduces their sum and difference
         total = left + right
@@ -314,39 +291,57 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
         blocks[:, half:] = diff
         length *= 2
     if invert:
-        n_inv = pow(n, p - 2, p)
-        a = a * n_inv % p
+        a *= pow(n, p - 2, p)
+        a %= p
     return a
 
 
+def _ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
+    """The NTT primes a length-n convolution with coefficients <= bound uses.
+
+    The fewest of _NTT_PRIMES, taken in order among those supporting
+    length n, whose product exceeds bound, so the CRT lift is exact.
+    """
+    moduli, cap = [], 1
+    for p in _NTT_PRIMES:
+        if (p - 1) % n == 0:
+            moduli.append(p)
+            cap *= p
+            if cap > bound:
+                return tuple(moduli)
+    raise SizeError(
+        f"convolution coefficients may reach {bound}, beyond the modular "
+        f"reconstruction capacity {cap} of the NTT primes supporting "
+        f"transform length {n}"
+    )
+
+
 def _ntt_convolve(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndarray:
-    """Exact integer convolution via two coprime moduli and CRT lift."""
+    """Exact integer convolution modulo the fewest NTT primes that cover it.
+
+    Every output coefficient is at most min(max a * sum b, max b * sum a);
+    _ntt_moduli picks the primes whose product exceeds that bound, and the
+    residues are lifted by incremental CRT (the identity for one prime).
+    """
+    bound = 0
     if len(a) and len(b):
-        # every output coefficient must fit below p1*p2 for the lift
-        cap = _NTT_PRIMES[0] * _NTT_PRIMES[1]
-        bound = min(
-            int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum())
-        )
-        if bound >= cap:
-            raise SizeError(
-                f"convolution coefficients may reach {bound}, beyond the "
-                f"modular reconstruction capacity {cap}"
-            )
+        bound = min(int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum()))
     n = _transform_length(max(min_len, len(a) + len(b) - 1))
     out_len = len(a) + len(b) - 1
-    residues = []
-    for p in _NTT_PRIMES:
-        if (p - 1) % n != 0:
-            raise SizeError(f"transform length {n} unsupported by modulus {p}")
+    lifted, modulus = None, 1
+    for p in _ntt_moduli(bound, n):
         fa = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), p, _NTT_ROOT, False)
         fb = _ntt(np.pad(b.astype(np.int64), (0, n - len(b))), p, _NTT_ROOT, False)
-        residues.append(_ntt(fa * fb % p, p, _NTT_ROOT, True)[:out_len])
-    p1, p2 = _NTT_PRIMES
-    r1, r2 = residues
-    # CRT: x = r1 + p1 * ((r2 - r1) * p1^{-1} mod p2); values < p1*p2 ~ 1.7e17.
-    inv_p1 = pow(p1, p2 - 2, p2)
-    t = (r2 - r1) % p2 * inv_p1 % p2
-    return r1 + p1 * t
+        residue = _ntt(fa * fb % p, p, _NTT_ROOT, True)[:out_len]
+        if lifted is None:
+            lifted = residue
+        else:
+            # x = lifted + modulus * ((r - lifted) * modulus^{-1} mod p);
+            # values < p1*p2 ~ 1.7e17 fit int64
+            t = (residue - lifted) % p * pow(modulus, -1, p) % p
+            lifted = lifted + modulus * t
+        modulus *= p
+    return lifted
 
 
 def exact_S_convolution(
@@ -363,14 +358,14 @@ def exact_S_convolution(
     r12, r34 = build_histograms(inst)
     min_len = 4 * inst.x + 2
     if transform == "fft":
-        conv = _fft_convolve_checked(r12.counts, r34.counts, min_len)
+        conv = _fft_convolve_checked(r12, r34, min_len)
     elif transform == "ntt":
-        conv = _ntt_convolve(r12.counts, r34.counts, min_len)
+        conv = _ntt_convolve(r12, r34, min_len)
     elif transform == "auto":
         try:
-            conv = _fft_convolve_checked(r12.counts, r34.counts, min_len)
+            conv = _fft_convolve_checked(r12, r34, min_len)
         except PrecisionError:
-            conv = _ntt_convolve(r12.counts, r34.counts, min_len)
+            conv = _ntt_convolve(r12, r34, min_len)
     else:
         raise DomainError(f"unknown transform {transform!r}")
     top = min(len(conv) - 1, table.limit)

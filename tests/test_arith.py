@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlekit import arith
 from circlekit.arith import (
     DivisorTable,
     ProblemInstance,
-    RepresentationHistogram,
     _bit_reversal,
     _fft_convolve_checked,
     _nearest_int_distance,
@@ -16,16 +16,16 @@ from circlekit.arith import (
     _NTT_ROOT,
     _ntt,
     _ntt_convolve,
+    _ntt_moduli,
     _unit_powers,
     build_histograms,
-    divisor_count_naive,
     divisor_sieve,
     exact_S_convolution,
     exact_S_direct,
     integer_kth_root,
     sum_d_squared,
 )
-from circlekit.errors import BudgetError, DomainError, SizeError
+from circlekit.errors import BudgetError, DomainError, PrecisionError, SizeError
 
 PRIMES_UNDER_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -68,6 +68,17 @@ def test_sieve_rejects_bad_sizes():
         divisor_sieve(0)
     with pytest.raises(DomainError):
         divisor_sieve(10)[11]
+
+
+def divisor_count_naive(n):
+    # d(n) by trial division: the sieve's independent oracle
+    count = 0
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            count += 1 if i * i == n else 2
+        i += 1
+    return count
 
 
 def test_sieve_matches_trial_division(table_1e6):
@@ -154,12 +165,11 @@ def test_exact_sum_hand_values():
 
 def test_histograms_x4():
     r12, r34 = build_histograms(ProblemInstance(x=4, k=3))
-    assert r12.counts[2] == 1  # (1,1)
-    assert r12.counts[5] == 2  # (1,2), (2,1)
-    assert r12.mass == 4  # floor(sqrt 4)^2
-    assert r34.mass == 2  # floor(sqrt 4) * floor(4^(1/3))
-    assert isinstance(r12, RepresentationHistogram)
-    assert (r12.counts >= 0).all() and (r34.counts >= 0).all()
+    assert r12[2] == 1  # (1,1)
+    assert r12[5] == 2  # (1,2), (2,1)
+    assert r12.sum() == 4  # floor(sqrt 4)^2
+    assert r34.sum() == 2  # floor(sqrt 4) * floor(4^(1/3))
+    assert (r12 >= 0).all() and (r34 >= 0).all()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
@@ -263,6 +273,21 @@ def test_ntt_round_trip_and_naive_dft(p):
     assert _ntt(a[:n], p, _NTT_ROOT, False).tolist() == naive
 
 
+def per_bit_reversal(n):
+    # one whole-array pass per bit: bit b of i moves to bit (bits - 1 - b)
+    bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.int64)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev
+
+
+def test_bit_reversal_matches_per_bit_loop():
+    for e in range(17):
+        assert np.array_equal(_bit_reversal(2**e), per_bit_reversal(2**e)), e
+
+
 def modulo_ntt(a, p, g, invert):
     # the butterfly with a full % p after every add and subtract
     n = len(a)
@@ -315,6 +340,82 @@ def test_ntt_capacity_guard():
     huge = np.array([10**9] * 4)
     with pytest.raises(SizeError):
         _ntt_convolve(huge, huge, 1)
+
+
+P1, P2 = _NTT_PRIMES
+
+
+@pytest.mark.parametrize("n", [1, 2**10, 2**18, 2**23])
+def test_ntt_moduli_up_to_2_23(n):
+    assert _ntt_moduli(0, n) == (P1,)
+    assert _ntt_moduli(P1 - 1, n) == (P1,)
+    assert _ntt_moduli(P1, n) == (P1, P2)
+    assert _ntt_moduli(P1 * P2 - 1, n) == (P1, P2)
+    with pytest.raises(SizeError):
+        _ntt_moduli(P1 * P2, n)
+
+
+@pytest.mark.parametrize("n", [2**24, 2**25])
+def test_ntt_moduli_past_2_23_take_p2_alone(n):
+    assert _ntt_moduli(0, n) == (P2,)
+    assert _ntt_moduli(P2 - 1, n) == (P2,)
+    with pytest.raises(SizeError):
+        _ntt_moduli(P2, n)
+
+
+def test_ntt_moduli_refuse_unsupported_length():
+    with pytest.raises(SizeError):
+        _ntt_moduli(0, 2**26)
+
+
+def test_ntt_bound_equal_to_p1_takes_both_primes():
+    # the single coefficient is exactly p1, which p1 alone reduces to 0
+    assert _ntt_convolve(np.array([1]), np.array([P1]), 1).tolist() == [P1]
+    assert _ntt_convolve(np.array([1]), np.array([P1 - 1]), 1).tolist() == [P1 - 1]
+
+
+def scaled_values():
+    # magnitudes from 1 to 10^9, so the coefficient bound falls below p1,
+    # between p1 and p1*p2, and beyond p1*p2
+    return st.integers(0, 9).flatmap(
+        lambda e: st.lists(st.integers(0, 10**e), min_size=1, max_size=64)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=scaled_values(), b=scaled_values())
+@example(a=[1], b=[P1 - 1])
+@example(a=[1], b=[P1])
+@example(a=[3, 1, 4], b=[10**9] * 64)
+@example(a=[10**9] * 64, b=[10**9] * 64)
+def test_ntt_convolve_equals_integer_convolution(a, b):
+    bound = min(max(a) * sum(b), max(b) * sum(a))
+    arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    if bound >= P1 * P2:
+        with pytest.raises(SizeError):
+            _ntt_convolve(arr_a, arr_b, 1)
+        return
+    expected = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
+    assert _ntt_convolve(arr_a, arr_b, 1).tolist() == expected.tolist()
+
+
+def test_auto_falls_back_to_ntt(monkeypatch):
+    def refuse(a, b, min_len):
+        raise PrecisionError("forced")
+
+    calls = []
+
+    def counted(a, b, min_len):
+        calls.append(min_len)
+        return _ntt_convolve(a, b, min_len)
+
+    monkeypatch.setattr(arith, "_fft_convolve_checked", refuse)
+    monkeypatch.setattr(arith, "_ntt_convolve", counted)
+    for x, k in ((1, 3), (3000, 3), (5000, 8)):
+        inst = ProblemInstance(x=x, k=k)
+        table = divisor_sieve(inst.max_value)
+        assert exact_S_convolution(inst, table) == exact_S_direct(inst, table)
+    assert calls == [6, 12002, 20002]
 
 
 def test_float_transform_guard():
