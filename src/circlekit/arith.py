@@ -204,13 +204,6 @@ def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(pair), np.bincount(mixed)
 
 
-def _transform_length(min_len: int) -> int:
-    n = 1
-    while n < min_len:
-        n *= 2
-    return n
-
-
 def _nearest_int_distance(arr: np.ndarray) -> float:
     return float(np.abs(arr - np.rint(arr)).max()) if arr.size else 0.0
 
@@ -221,7 +214,7 @@ def _fft_convolve_checked(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndar
     Any coefficient at distance >= 0.25 from the nearest integer raises
     PrecisionError; callers then fall back to the exact modular path.
     """
-    n = _transform_length(max(min_len, len(a) + len(b) - 1))
+    n = 1 << (max(min_len, len(a) + len(b) - 1) - 1).bit_length()
     fa = np.fft.rfft(a.astype(np.float64), n)
     fb = np.fft.rfft(b.astype(np.float64), n)
     conv = np.fft.irfft(fa * fb, n)[: len(a) + len(b) - 1]
@@ -326,8 +319,8 @@ def _ntt_convolve(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndarray:
     bound = 0
     if len(a) and len(b):
         bound = min(int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum()))
-    n = _transform_length(max(min_len, len(a) + len(b) - 1))
     out_len = len(a) + len(b) - 1
+    n = 1 << (max(min_len, out_len) - 1).bit_length()
     lifted, modulus = None, 1
     for p in _ntt_moduli(bound, n):
         fa = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), p, _NTT_ROOT, False)

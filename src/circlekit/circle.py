@@ -39,6 +39,9 @@ _EXPANSION_RANGE = 4.0
 # Denominators the expansion probe samples below Q, besides Q itself.
 _EXPANSION_QS = (1, 2, 3, 5, 7, 11)
 
+# The epsilon of the x^epsilon and q^epsilon losses in the residual envelopes.
+_SLACK = 0.05
+
 # Pair sums m^k + n^k are formed in int64 and must not wrap.
 INT64_MAX = 2**63 - 1
 
@@ -252,10 +255,8 @@ class DiagnosticBound:
         return max((row["ratio"] for row in self.rows), default=0.0)
 
 
-def vk_envelope_scan(
-    x: int, k: int, q_max: int, slack: float = 0.05
-) -> DiagnosticBound:
-    """Fitted constant of the V_k residual envelope q^(1/2+slack) (1+x|beta|)^(1/2).
+def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
+    """Fitted constant of the V_k residual envelope q^(1/2+_SLACK) (1+x|beta|)^(1/2).
 
     Scans every reduced a/q with q <= q_max and offsets beta through the
     window |beta| <= x^(1/k-1)/(2kq) where the sharper remainder form
@@ -275,12 +276,12 @@ def vk_envelope_scan(
                 continue
             for beta in (0.0, 0.5 * width, width, -width):
                 residual = vk_residual(a, q, beta, x, k)
-                envelope = q ** (0.5 + slack) * (1.0 + x * abs(beta)) ** 0.5
+                envelope = q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5
                 rows.append(
                     {"a": a, "q": q, "beta": beta, "observed": residual,
                      "bound": envelope, "ratio": residual / envelope}
                 )
-    return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": slack}, rows=rows)
+    return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": _SLACK}, rows=rows)
 
 
 def divisor_expansion_residual(
@@ -290,7 +291,6 @@ def divisor_expansion_residual(
     x: int,
     table: DivisorTable,
     params: ArcParameters,
-    slack: float = 0.05,
 ) -> dict:
     """Error of the three-term main model of f(-a/q - beta), as a scan row.
 
@@ -298,7 +298,7 @@ def divisor_expansion_residual(
     + ((-2 log q + 2 gamma)/q) x L(x beta), with L and L_log the linear
     and log-weighted phase integrals taken over the scaled range [0, 4]
     actually spanned by the 4x summation limit of f.  The row's bound is
-    x^slack (q^(1/2) x/tau + q^(2/3) x^(1/3)).
+    x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got ({a}, {q})")
@@ -321,13 +321,13 @@ def divisor_expansion_residual(
         + (log_weight(q) / q) * x * lin
     )
     residual = abs(observed - model)
-    bound = x**slack * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
+    bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
     return {"a": a, "q": q, "beta": beta, "observed": residual, "bound": bound,
             "ratio": residual / bound}
 
 
 def expansion_envelope_scan(
-    x: int, k: int, table: DivisorTable | None = None, slack: float = 0.05
+    x: int, k: int, table: DivisorTable | None = None
 ) -> DiagnosticBound:
     """Expansion residuals at a = 1 for q in _EXPANSION_QS up to Q and q = Q,
     each at beta = 0, 1/(2 q tau) and 1/(q tau).
@@ -341,12 +341,12 @@ def expansion_envelope_scan(
     if table is None:
         table = divisor_sieve(4 * x)
     rows = [
-        divisor_expansion_residual(1, q, beta, x, table, params, slack)
+        divisor_expansion_residual(1, q, beta, x, table, params)
         for q in qs
         for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))
     ]
     return DiagnosticBound(
-        params={"x": x, "k": k, "slack": slack, "Q": params.Q, "tau": params.tau},
+        params={"x": x, "k": k, "slack": _SLACK, "Q": params.Q, "tau": params.tau},
         rows=rows,
     )
 

@@ -11,8 +11,8 @@ Reports are JSON (default) or CSV; floats are serialized at 12
 significant digits and every report embeds the command, flag set,
 seed, and library version, so fixed flags give byte-identical output.
 
-Exit codes: 0 ok, 2 usage, 3 verification mismatch, 4 budget exceeded,
-5 numerical-integrity failure.
+Exit codes: 0 ok, 2 usage, 3 verification mismatch, 4 budget exceeded
+or out of memory, 5 numerical-integrity failure.
 """
 
 from __future__ import annotations
@@ -507,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"budget error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
 The CLI maps these onto exit codes: usage/domain problems -> 2,
-verification mismatches -> 3, budget refusals -> 4, numerical
-integrity failures -> 5.  `verify --method both` raises
+verification mismatches -> 3, budget refusals and MemoryError -> 4,
+numerical integrity failures -> 5.  `verify --method both` raises
 VerificationMismatch, and writes no report, when its evaluators differ.
 """
 

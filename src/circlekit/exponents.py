@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -157,51 +155,3 @@ def reference_delta(k: int) -> Fraction:
     if k in table:
         return table[k]
     return Fraction(1, k + 2) + Fraction(1, 2 * k * k * (k - 1))
-
-
-@dataclass(frozen=True)
-class SrinivasanBound:
-    """Two-endpoint-plus-crossings bound next to the observed grid minimum."""
-
-    rhs: float
-    grid_min: float
-
-
-def srinivasan_bound(
-    A: list[float],
-    a: list[float],
-    B: list[float],
-    b: list[float],
-    H1: float,
-    H2: float,
-    grid: int = 512,
-) -> SrinivasanBound:
-    """Balancing bound for L(H) = sum A_i H^{a_i} + sum B_j H^{b_j}.
-
-    RHS = sum A_i H1^{a_i} + sum B_j H2^{b_j}
-        + sum_{i,j} (A_i^{b_j} B_j^{a_i})^(1/(a_i+b_j)),
-    evaluated next to the minimum of L over a log-spaced grid in
-    [H1, H2] as a numerical sanity check (grid-min <= RHS).
-    """
-    if len(A) != len(a) or len(B) != len(b):
-        raise DomainError("coefficient and exponent lists must pair up")
-    if not A or not B:
-        raise DomainError("need at least one term on each side")
-    if any(v <= 0 for v in A + a + B + b):
-        raise DomainError("coefficients and exponents must be positive")
-    if not 0 < H1 <= H2:
-        raise DomainError(f"need 0 < H1 <= H2, got ({H1}, {H2})")
-    rhs = sum(Ai * H1**ai for Ai, ai in zip(A, a))
-    rhs += sum(Bj * H2**bj for Bj, bj in zip(B, b))
-    rhs += sum(
-        (Ai**bj * Bj**ai) ** (1.0 / (ai + bj))
-        for Ai, ai in zip(A, a)
-        for Bj, bj in zip(B, b)
-    )
-    hs = np.geomspace(H1, H2, grid) if H1 < H2 else np.array([H1])
-    L = np.zeros_like(hs)
-    for Ai, ai in zip(A, a):
-        L += Ai * hs**ai
-    for Bj, bj in zip(B, b):
-        L += Bj * hs**bj
-    return SrinivasanBound(rhs=float(rhs), grid_min=float(L.min()))

@@ -123,35 +123,3 @@ def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: DivisorTable) ->
         d = table.values[start : start + n.size].astype(np.float64)
         total += complex((d * np.exp(2j * np.pi * phases)).sum())
     return total
-
-
-def sk_bound_profile(q_max: int, k: int) -> list[tuple[int, float]]:
-    """(q, max_a |S_k(q, a)| / q^((k-1)/k)) for q <= q_max.
-
-    The max ratio over the profile is the fitted constant of the
-    complete-sum bound.
-    """
-    if q_max < 1:
-        raise DomainError(f"q_max must be >= 1, got {q_max}")
-    profile = []
-    for q in range(1, q_max + 1):
-        spectrum = power_sum_spectrum(q, k)
-        top = float(np.abs(spectrum[coprime_mask(q)]).max())
-        profile.append((q, top / q ** ((k - 1) / k)))
-    return profile
-
-
-def crt_factorization_check(q1: int, q2: int, a: int, k: int) -> float:
-    """Residual of the multiplicative splitting of S_k at coprime moduli.
-
-    |S_k(q1 q2, a) - S_k(q1, a q2^{k-1}) S_k(q2, a q1^{k-1})|, which is
-    zero in exact arithmetic; the return value is pure rounding noise.
-    """
-    if math.gcd(q1, q2) != 1:
-        raise DomainError(f"moduli must be coprime, got ({q1}, {q2})")
-    if math.gcd(a, q1 * q2) != 1:
-        raise DomainError(f"gcd(a, q1 q2) must be 1, got a={a}")
-    whole = complete_power_sum(q1 * q2, a, k)
-    left = complete_power_sum(q1, a * pow(q2, k - 1, q1) % q1, k) if q1 > 1 else 1.0
-    right = complete_power_sum(q2, a * pow(q1, k - 1, q2) % q2, k) if q2 > 1 else 1.0
-    return abs(whole - left * right)

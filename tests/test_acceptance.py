@@ -27,7 +27,7 @@ from circlekit.circle import (
     hua_count,
     vk_envelope_scan,
 )
-from circlekit.expsums import crt_factorization_check, power_sum_spectrum
+from circlekit.expsums import complete_power_sum, power_sum_spectrum
 from circlekit.exponents import derive_delta
 from circlekit.integrals import j_density, j_value, j_volume_oracle, volume_midpoint
 from circlekit.series import local_density, sigma_truncated
@@ -101,7 +101,10 @@ def test_criterion_3_gauss_and_crt():
         if math.gcd(a, q1 * q2) != 1:
             continue
         k = int(rng.integers(2, 10))
-        assert crt_factorization_check(q1, q2, a, k) < 1e-8
+        whole = complete_power_sum(q1 * q2, a, k)
+        left = complete_power_sum(q1, a * pow(q2, k - 1, q1) % q1, k)
+        right = complete_power_sum(q2, a * pow(q1, k - 1, q2) % q2, k)
+        assert abs(whole - left * right) < 1e-8
         trials += 1
     _print_pass(3, "Gauss-sum identity", f"{checked} (q,a) pairs, {trials} CRT trials")
 
@@ -135,13 +138,13 @@ def test_criterion_5_series_tail_decay():
 def test_criterion_6_residual_envelopes():
     # power-sum model residuals
     for k in (3, 4, 5):
-        scan = vk_envelope_scan(10**4, k, q_max=50, slack=0.05)
+        scan = vk_envelope_scan(10**4, k, q_max=50)
         assert scan.constant <= 10.0, f"V_k envelope C={scan.constant:.2f} at k={k}"
     # divisor-expansion residual, fitted constant stable across a decade
     constants = {}
     for x in (10**3, 10**4):
         table = divisor_sieve(4 * x)
-        constants[x] = expansion_envelope_scan(x, 3, table, slack=0.05).constant
+        constants[x] = expansion_envelope_scan(x, 3, table).constant
     ratio = constants[10**4] / constants[10**3]
     assert 0.25 <= ratio <= 4.0, f"expansion constant drifted by {ratio:.2f}"
     # moment counts

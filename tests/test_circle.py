@@ -330,11 +330,9 @@ def test_expansion_residual_is_the_scan_row():
     x = 10**3
     params = ArcParameters.default(x, 3)
     table = divisor_sieve(4 * x)
-    scan = expansion_envelope_scan(x, 3, slack=0.02)
+    scan = expansion_envelope_scan(x, 3)
     for row in scan.rows:
-        assert row == divisor_expansion_residual(
-            row["a"], row["q"], row["beta"], x, table, params, slack=0.02
-        )
+        assert row == divisor_expansion_residual(row["a"], row["q"], row["beta"], x, table, params)
 
 
 def test_expansion_residual_models_f_at_minus_alpha():
@@ -371,15 +369,6 @@ def test_constant_is_the_largest_row_ratio(scan):
 
 def test_constant_without_rows_is_zero():
     assert minor_arc_bound_profile(10**4, 3, samples=0).constant == 0.0
-
-
-def test_expansion_scan_slack_sensitivity():
-    x = 10**3
-    table = divisor_sieve(4 * x)
-    tight = expansion_envelope_scan(x, 3, table, slack=0.02)
-    base = expansion_envelope_scan(x, 3, table, slack=0.05)
-    loose = expansion_envelope_scan(x, 3, table, slack=0.10)
-    assert loose.constant <= base.constant <= tight.constant
 
 
 def test_hua_diagonal():

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import circlekit.cli
+import circlekit.integrals
 from circlekit.arith import ProblemInstance, exact_S_direct
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.cli import (
@@ -241,6 +242,19 @@ def test_budget_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "sieve", "--n", "10000")
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_out_of_memory_exits_4_without_traceback(capsys, monkeypatch):
+    # stands in for an allocation the budget does not cover, such as the
+    # sweep nodes of `integral --k 3 --B 11000` under a 4 GiB address space
+    def exhausted(B):
+        raise MemoryError("Unable to allocate 8.6 GiB")
+
+    monkeypatch.setattr(circlekit.integrals, "_beta_edges", exhausted)
+    code, out, err = run(capsys, "integral", "--k", "3", "--B", "400")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "budget error: out of memory: Unable to allocate 8.6 GiB\n"
 
 
 def test_malformed_budget_is_usage_error():

@@ -11,7 +11,6 @@ from circlekit.exponents import (
     major_arc_terms,
     minor_arc_terms,
     reference_delta,
-    srinivasan_bound,
 )
 
 # Published saving exponents, written out independently of the library table.
@@ -106,40 +105,3 @@ def test_delta_binding_structure_large_k():
     for k in range(8, 13):
         result = derive_delta(k)
         assert result.binding_terms == ("minor:smooth-x",)
-
-
-def test_srinivasan_hand_example():
-    result = srinivasan_bound([1.0], [1.0], [1.0], [1.0], 1.0, 4.0)
-    assert result.rhs == pytest.approx(6.0)  # 1*1 + 1*4 + 1
-    assert result.grid_min == pytest.approx(2.0)
-    assert result.grid_min <= result.rhs
-
-
-def test_srinivasan_degenerate_interval():
-    result = srinivasan_bound([2.0], [1.5], [3.0], [0.5], 2.0, 2.0)
-    direct = 2.0 * 2.0**1.5 + 3.0 * 2.0**0.5
-    assert result.grid_min == pytest.approx(direct)
-    assert result.rhs >= result.grid_min
-
-
-def test_srinivasan_random_instances():
-    rng = random.Random(42)
-    for _ in range(1000):
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        A = [rng.uniform(0.1, 5) for _ in range(m)]
-        a = [rng.uniform(0.1, 3) for _ in range(m)]
-        B = [rng.uniform(0.1, 5) for _ in range(n)]
-        b = [rng.uniform(0.1, 3) for _ in range(n)]
-        h1 = rng.uniform(0.5, 10)
-        h2 = h1 * rng.uniform(1, 20)
-        result = srinivasan_bound(A, a, B, b, h1, h2, grid=64)
-        assert result.grid_min <= result.rhs * (1 + 1e-9)
-
-
-def test_srinivasan_domain():
-    with pytest.raises(DomainError):
-        srinivasan_bound([1.0], [1.0, 2.0], [1.0], [1.0], 1.0, 2.0)
-    with pytest.raises(DomainError):
-        srinivasan_bound([-1.0], [1.0], [1.0], [1.0], 1.0, 2.0)
-    with pytest.raises(DomainError):
-        srinivasan_bound([1.0], [1.0], [1.0], [1.0], 4.0, 2.0)

@@ -13,10 +13,8 @@ from circlekit.expsums import (
     _power_residues,
     complete_power_sum,
     coprime_mask,
-    crt_factorization_check,
     divisor_exp_sum,
     power_sum_spectrum,
-    sk_bound_profile,
     weyl_sum,
 )
 from power_residue_reference import (
@@ -139,21 +137,6 @@ def test_triviality_bound():
         assert abs(complete_power_sum(q, a, 3)) <= q + 1e-9
 
 
-def test_sk_profile_k2_is_exactly_gauss():
-    profile = dict(sk_bound_profile(99, 2))
-    for q in range(3, 100, 2):
-        assert profile[q] == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_sk_profile_fitted_constant_finite(k):
-    profile = sk_bound_profile(200, k)
-    assert profile[0] == (1, 1.0)  # trivial modulus
-    top = max(r for _, r in profile)
-    assert np.isfinite(top) and top > 0
-    print(f"sk profile k={k}: fitted constant {top:.4f}")
-
-
 def test_weyl_at_zero_counts_terms():
     assert weyl_sum(0.0, 10**6, 2) == pytest.approx(1000.0)
     assert weyl_sum(0.0, 17, 3) == pytest.approx(2.0)
@@ -257,30 +240,15 @@ def test_divisor_exp_sum_requires_table():
         divisor_exp_sum(0, 1, 0.0, 100, divisor_sieve(10))
 
 
+def _crt_residual(q1, q2, a, k):
+    """|S_k(q1 q2, a) - S_k(q1, a q2^(k-1)) S_k(q2, a q1^(k-1))| at coprime q1, q2."""
+    whole = complete_power_sum(q1 * q2, a, k)
+    left = complete_power_sum(q1, a * pow(q2, k - 1, q1) % q1, k)
+    right = complete_power_sum(q2, a * pow(q1, k - 1, q2) % q2, k)
+    return abs(whole - left * right)
+
+
 def test_crt_factorization_examples():
-    assert crt_factorization_check(1, 9, 2, 3) < 1e-12
-    assert crt_factorization_check(3, 4, 1, 2) < 1e-8
-    assert crt_factorization_check(5, 7, 3, 3) < 1e-8
-
-
-def test_crt_factorization_random():
-    rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 100:
-        q1 = int(rng.integers(2, 100))
-        q2 = int(rng.integers(2, 100))
-        if math.gcd(q1, q2) != 1 or q1 * q2 > 10**4:
-            continue
-        a = int(rng.integers(1, q1 * q2))
-        if math.gcd(a, q1 * q2) != 1:
-            continue
-        k = int(rng.integers(2, 9))
-        assert crt_factorization_check(q1, q2, a, k) < 1e-8
-        checked += 1
-
-
-def test_crt_factorization_domain():
-    with pytest.raises(DomainError):
-        crt_factorization_check(4, 6, 1, 3)
-    with pytest.raises(DomainError):
-        crt_factorization_check(3, 5, 5, 3)
+    assert _crt_residual(1, 9, 2, 3) < 1e-12
+    assert _crt_residual(3, 4, 1, 2) < 1e-8
+    assert _crt_residual(5, 7, 3, 3) < 1e-8
