@@ -9,9 +9,12 @@ sqrt(x) and n4 up to x^(1/k):
 One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings); the other convolves the two
 representation histograms (n1^2+n2^2 against n3^2+n4^k), by a guarded
-float FFT or an NTT modulo the fewest primes that cover its coefficients,
-and pairs the result with the divisor table.  The two must agree to the
-last digit.
+float FFT or an NTT modulo one prime, and pairs the result with the
+divisor table.  The two must agree to the last digit.
+
+Both transforms run at the power of two covering the max_value + 1
+output coefficients.  The NTT prime 5*2^25 + 1 admits up to 2^25 points,
+where the coefficients stay below it (at most 2.82e7, at k = 3).
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .errors import DomainError, PrecisionError, SizeError
 # Largest divisor table we are willing to allocate (entries).
 MAX_SIEVE = 200_000_000
 
-# NTT-friendly primes (both with primitive root 3) supporting transform
-# lengths up to 2^23 and 2^25.  A convolution takes the fewest, in order,
-# that support its length and whose product exceeds its coefficient bound.
-_NTT_PRIMES = (998244353, 167772161)
+# NTT prime 5*2^25 + 1 with primitive root 3: transform lengths up to 2^25.
+_NTT_PRIME = 167772161
 _NTT_ROOT = 3
+_NTT_MAX_LEN = 1 << 25
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -208,16 +210,17 @@ def _nearest_int_distance(arr: np.ndarray) -> float:
     return float(np.abs(arr - np.rint(arr)).max()) if arr.size else 0.0
 
 
-def _fft_convolve_checked(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndarray:
+def _fft_convolve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float convolution with a rounding-margin guard.
 
     Any coefficient at distance >= 0.25 from the nearest integer raises
     PrecisionError; callers then fall back to the exact modular path.
     """
-    n = 1 << (max(min_len, len(a) + len(b) - 1) - 1).bit_length()
+    out_len = len(a) + len(b) - 1
+    n = 1 << (out_len - 1).bit_length()
     fa = np.fft.rfft(a.astype(np.float64), n)
     fb = np.fft.rfft(b.astype(np.float64), n)
-    conv = np.fft.irfft(fa * fb, n)[: len(a) + len(b) - 1]
+    conv = np.fft.irfft(fa * fb, n)[:out_len]
     dist = _nearest_int_distance(conv)
     if dist >= 0.25:
         raise PrecisionError(
@@ -227,14 +230,14 @@ def _fft_convolve_checked(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndar
     return np.rint(conv).astype(np.int64)
 
 
-def _unit_powers(w: int, count: int, p: int) -> np.ndarray:
-    """[w^0, w^1, ..., w^(count-1)] mod p by doubling the known prefix.
+def _unit_powers(w: int, count: int) -> np.ndarray:
+    """[w^0, w^1, ..., w^(count-1)] mod _NTT_PRIME by doubling the known prefix.
 
-    Operands stay below p < 2^31, so every product fits int64 exactly.
+    Operands stay below the prime < 2^31, so every product fits int64 exactly.
     """
     ws = np.ones(1, dtype=np.int64)
     while len(ws) < count:
-        ws = np.concatenate((ws, ws * pow(w, len(ws), p) % p))
+        ws = np.concatenate((ws, ws * pow(w, len(ws), _NTT_PRIME) % _NTT_PRIME))
     return ws[:count]
 
 
@@ -250,8 +253,8 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
-def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
-    """Iterative radix-2 number-theoretic transform mod p; returns a new array.
+def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
+    """Radix-2 number-theoretic transform mod p = _NTT_PRIME; returns a new array.
 
     The input is permuted into bit-reversed order by one gather and
     reduced mod p, then log2(n) butterfly stages run as whole-array
@@ -260,16 +263,17 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     O(log^2 n) numpy calls and no per-element loop.  Each % p runs in
     place on an array this function owns, to keep the peak memory low.
     """
+    p = _NTT_PRIME
     n = len(a)
     a = a[_bit_reversal(n)]
     a %= p
     length = 2
     while length <= n:
-        w = pow(g, (p - 1) // length, p)
+        w = pow(_NTT_ROOT, (p - 1) // length, p)
         if invert:
             w = pow(w, p - 2, p)
         half = length // 2
-        ws = _unit_powers(w, half, p)
+        ws = _unit_powers(w, half)
         blocks = a.reshape(-1, length)
         left = blocks[:, :half]
         right = blocks[:, half:] * ws
@@ -289,52 +293,24 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     return a
 
 
-def _ntt_moduli(bound: int, n: int) -> tuple[int, ...]:
-    """The NTT primes a length-n convolution with coefficients <= bound uses.
+def _ntt_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer convolution modulo _NTT_PRIME.
 
-    The fewest of _NTT_PRIMES, taken in order among those supporting
-    length n, whose product exceeds bound, so the CRT lift is exact.
+    Every output coefficient is at most min(max a * sum b, max b * sum a),
+    so the residues are the coefficients when that bound is below the
+    prime.  A longer transform than the prime supports, or a larger
+    bound, raises SizeError before anything is padded or transformed.
     """
-    moduli, cap = [], 1
-    for p in _NTT_PRIMES:
-        if (p - 1) % n == 0:
-            moduli.append(p)
-            cap *= p
-            if cap > bound:
-                return tuple(moduli)
-    raise SizeError(
-        f"convolution coefficients may reach {bound}, beyond the modular "
-        f"reconstruction capacity {cap} of the NTT primes supporting "
-        f"transform length {n}"
-    )
-
-
-def _ntt_convolve(a: np.ndarray, b: np.ndarray, min_len: int) -> np.ndarray:
-    """Exact integer convolution modulo the fewest NTT primes that cover it.
-
-    Every output coefficient is at most min(max a * sum b, max b * sum a);
-    _ntt_moduli picks the primes whose product exceeds that bound, and the
-    residues are lifted by incremental CRT (the identity for one prime).
-    """
-    bound = 0
-    if len(a) and len(b):
-        bound = min(int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum()))
     out_len = len(a) + len(b) - 1
-    n = 1 << (max(min_len, out_len) - 1).bit_length()
-    lifted, modulus = None, 1
-    for p in _ntt_moduli(bound, n):
-        fa = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), p, _NTT_ROOT, False)
-        fb = _ntt(np.pad(b.astype(np.int64), (0, n - len(b))), p, _NTT_ROOT, False)
-        residue = _ntt(fa * fb % p, p, _NTT_ROOT, True)[:out_len]
-        if lifted is None:
-            lifted = residue
-        else:
-            # x = lifted + modulus * ((r - lifted) * modulus^{-1} mod p);
-            # values < p1*p2 ~ 1.7e17 fit int64
-            t = (residue - lifted) % p * pow(modulus, -1, p) % p
-            lifted = lifted + modulus * t
-        modulus *= p
-    return lifted
+    n = 1 << (out_len - 1).bit_length()
+    if n > _NTT_MAX_LEN:
+        raise SizeError(f"NTT length {n} for {out_len} coefficients exceeds {_NTT_MAX_LEN}")
+    bound = min(int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum()))
+    if bound >= _NTT_PRIME:
+        raise SizeError(f"NTT coefficients may reach {bound}, beyond the prime {_NTT_PRIME}")
+    fa = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), False)
+    fb = _ntt(np.pad(b.astype(np.int64), (0, n - len(b))), False)
+    return _ntt(fa * fb % _NTT_PRIME, True)[:out_len]
 
 
 def exact_S_convolution(
@@ -345,22 +321,19 @@ def exact_S_convolution(
     """Exact quadruple-sum value via histogram convolution.
 
     transform: "auto" tries the checked float FFT and falls back to the
-    exact modular transform; "fft" and "ntt" force one path.
+    exact modular transform; "ntt" forces the modular transform.  The
+    convolution has max_value + 1 coefficients, all covered by the table.
     """
     table = _require_table(inst, table)
     r12, r34 = build_histograms(inst)
-    min_len = 4 * inst.x + 2
-    if transform == "fft":
-        conv = _fft_convolve_checked(r12, r34, min_len)
-    elif transform == "ntt":
-        conv = _ntt_convolve(r12, r34, min_len)
+    if transform == "ntt":
+        conv = _ntt_convolve(r12, r34)
     elif transform == "auto":
         try:
-            conv = _fft_convolve_checked(r12, r34, min_len)
+            conv = _fft_convolve_checked(r12, r34)
         except PrecisionError:
-            conv = _ntt_convolve(r12, r34, min_len)
+            conv = _ntt_convolve(r12, r34)
     else:
         raise DomainError(f"unknown transform {transform!r}")
-    top = min(len(conv) - 1, table.limit)
-    d = table.values[: top + 1].astype(np.int64)
-    return int(np.dot(d, conv[: top + 1]))
+    d = table.values[: len(conv)].astype(np.int64)
+    return int(np.dot(d, conv))

@@ -225,23 +225,6 @@ def classify_arc(alpha: float, params: ArcParameters) -> ArcVerdict:
     return ArcVerdict(major=False)
 
 
-def vk_approx(a: int, q: int, beta: float, x: int, k: int) -> complex:
-    """Major-arc model of the power generating sum at alpha = a/q + beta:
-
-        x^(1/k) * S_k(q, a)/q * int_0^1 e(x beta u^k) du.
-    """
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"gcd(a, q) must be 1, got ({a}, {q})")
-    scale = float(x) ** (1.0 / k)
-    return scale * complete_power_sum(q, a, k) / q * unit_power_phase_integral(x * beta, k)
-
-
-def vk_residual(a: int, q: int, beta: float, x: int, k: int) -> float:
-    """|f_k(a/q + beta) - V_k|, the Gamma-model approximation error."""
-    observed = weyl_sum(a / q + beta, x, k)
-    return abs(observed - vk_approx(a, q, beta, x, k))
-
-
 @dataclass(frozen=True)
 class DiagnosticBound:
     """The per-sample rows behind a fitted envelope constant."""
@@ -260,22 +243,27 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
 
     Scans every reduced a/q with q <= q_max and offsets beta through the
     window |beta| <= x^(1/k-1)/(2kq) where the sharper remainder form
-    applies.
+    applies.  A row's residual is |f_k(a/q + beta) - V_k| for the model
+    V_k = x^(1/k) S_k(q, a)/q int_0^1 e(x beta u^k) du.
     """
     if x < 1 or k < 1 or q_max < 1:
         raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
     # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
-    # each a Weyl sum of m terms plus a complete sum of q terms
+    # each charged a Weyl sum of m terms and a complete sum of q terms
     m = integer_kth_root(x, k)
     check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
+    scale = float(x) ** (1.0 / k)
     rows = []
     for q in range(1, q_max + 1):
         width = x ** (1.0 / k - 1.0) / (2.0 * k * q)
+        betas = (0.0, 0.5 * width, width, -width)
+        phases = [unit_power_phase_integral(x * beta, k) for beta in betas]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            for beta in (0.0, 0.5 * width, width, -width):
-                residual = vk_residual(a, q, beta, x, k)
+            weight = scale * complete_power_sum(q, a, k) / q
+            for beta, phase in zip(betas, phases):
+                residual = abs(weyl_sum(a / q + beta, x, k) - weight * phase)
                 envelope = q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5
                 rows.append(
                     {"a": a, "q": q, "beta": beta, "observed": residual,

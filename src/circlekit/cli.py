@@ -33,7 +33,7 @@ from .arith import (
     moment_ratio,
     sum_d_squared,
 )
-from .budget import work_budget
+from .budget import check_budget, work_budget
 from .circle import (
     dirichlet_contract_scan,
     expansion_envelope_scan,
@@ -142,14 +142,15 @@ def _integral_entry(jv) -> dict:
             "tail_bound": _sig12(jv.tail_bound)}
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
         if stop < start:
             raise argparse.ArgumentTypeError(f"empty k range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+    else:
+        start = stop = int(text)
+    return range(start, stop + 1)
 
 
 def _single_k(args: argparse.Namespace) -> int:
@@ -166,7 +167,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _meta(command: str, args: argparse.Namespace) -> dict:
     # the output destination is not part of the computation's identity
     flags = {
-        key: value
+        key: list(value) if isinstance(value, range) else value
         for key, value in sorted(vars(args).items())
         if key not in ("func", "command", "out") and value is not None
     }
@@ -212,7 +213,7 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
         sys.stdout.write(text)
 
 
-def _delta_rows(ks: list[int]) -> list[dict]:
+def _delta_rows(ks: range | list[int]) -> list[dict]:
     rows = []
     for k in ks:
         result = derive_delta(k)
@@ -232,9 +233,11 @@ def _delta_rows(ks: list[int]) -> list[dict]:
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
-    ks = args.k or list(range(3, 13))
-    if min(ks) < 3:
-        raise DomainError(f"k must be >= 3, got {min(ks)}")
+    ks = args.k or range(3, 13)
+    if ks[0] < 3:
+        raise DomainError(f"k must be >= 3, got {ks[0]}")
+    # balance evaluates the 8 error terms at up to 29 candidate cutoffs per k
+    check_budget(len(ks) * 8 * 29, "delta table")
     rows = _delta_rows(ks)
     widths = (3, 8, 14, 14, 14, 9)
     header = ("k", "theta*", "worst_exp", "delta", "reference", "status")

@@ -26,15 +26,15 @@ e^(i lam).
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
-its real and one for its imaginary part.  Its terms are cut per octave
-of x: an octave keeps the terms before the first one smaller than
-2^-60 of the leading term at the octave's largest x, which is at most
-the x of beta = 10 (8 terms near beta = 280, at most 21 of the 40
-allowed).  The remainder after m terms is bounded by the magnitude of
-term m for both series (the Taylor remainder of (1 + i s)^c, c < 0, and
-of log(3 + i s) under the Laplace integral), so a cut tail is within
-2^-60 of its leading term, below 1.6e-20 absolute for beta > 10 and
-well under one rounding of the result.
+its real and one for its imaginary part.  It keeps the terms before the
+first one smaller than 2^-60 of the leading term at the x of beta = 10,
+the largest x it is evaluated at: 20 or 21 of the 40 allowed for the
+unit phases, 11 for the log-weighted one.  The remainder after m terms
+is bounded by the magnitude of term m for both series (the Taylor
+remainder of (1 + i s)^c, c < 0, and of log(3 + i s) under the Laplace
+integral), so a cut tail is within 2^-60 of its leading term, below
+1.6e-20 absolute for beta > 10 and well under one rounding of the
+result.
 """
 
 from __future__ import annotations
@@ -175,25 +175,18 @@ def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndar
     """sum_m i^m coeffs[m] x^m over 0 < x <= x_max, with real coeffs.
 
     The even terms are the real part and the odd terms the imaginary
-    part, each a real Horner polynomial in x^2.  Nodes are grouped by
-    octave of x; an octave keeps the terms before the first one that
-    falls below _TAIL_CUT of the leading term at the octave's largest x
-    (at most x_max), so each node's value depends on that node alone.
+    part, each a real Horner polynomial in x^2.  Every node keeps the
+    terms before the first one that falls below _TAIL_CUT of the leading
+    term at x_max, so a node's value does not depend on the batch.
     """
-    signs = np.where(np.arange(coeffs.size) % 4 < 2, 1.0, -1.0)
-    signed = coeffs * signs
     magnitudes = np.abs(coeffs)
+    small = magnitudes * x_max ** np.arange(coeffs.size) < _TAIL_CUT * magnitudes[0]
+    count = int(np.argmax(small)) if small.any() else coeffs.size
+    signed = coeffs[:count] * np.where(np.arange(count) % 4 < 2, 1.0, -1.0)
+    u = x * x
     out = np.empty(x.shape, dtype=complex)
-    octave = np.frexp(x)[1]
-    for exponent in range(int(octave.min()), int(octave.max()) + 1):
-        sel = octave == exponent
-        top = min(math.ldexp(1.0, exponent), x_max)
-        small = magnitudes * top ** np.arange(coeffs.size) < _TAIL_CUT * magnitudes[0]
-        count = int(np.argmax(small)) if small.any() else coeffs.size
-        xs = x[sel]
-        u = xs * xs
-        out.real[sel] = _horner(signed[0:count:2], u)
-        out.imag[sel] = xs * _horner(signed[1:count:2], u)
+    out.real = _horner(signed[0::2], u)
+    out.imag = x * _horner(signed[1::2], u)
     return out
 
 

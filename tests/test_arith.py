@@ -12,11 +12,10 @@ from circlekit.arith import (
     _bit_reversal,
     _fft_convolve_checked,
     _nearest_int_distance,
-    _NTT_PRIMES,
+    _NTT_PRIME,
     _NTT_ROOT,
     _ntt,
     _ntt_convolve,
-    _ntt_moduli,
     _unit_powers,
     build_histograms,
     divisor_sieve,
@@ -186,8 +185,10 @@ def test_direct_equals_every_transform(x, k):
     inst = ProblemInstance(x=x, k=k)
     table = divisor_sieve(inst.max_value)
     direct = exact_S_direct(inst, table)
-    for transform in ("auto", "fft", "ntt"):
+    for transform in ("auto", "ntt"):
         assert exact_S_convolution(inst, table, transform=transform) == direct
+    conv = _fft_convolve_checked(*build_histograms(inst))
+    assert int(np.dot(table.values[: len(conv)], conv)) == direct
 
 
 def ordered_direct(inst, table):
@@ -234,11 +235,27 @@ def test_direct_matches_ordered_tuples_at_edges(x, k):
 def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
-    fft_val = exact_S_convolution(inst, table, transform="fft")
+    r12, r34 = build_histograms(inst)
+    assert np.array_equal(_fft_convolve_checked(r12, r34), _ntt_convolve(r12, r34))
     ntt_val = exact_S_convolution(inst, table, transform="ntt")
-    assert fft_val == ntt_val
-    with pytest.raises(DomainError):
-        exact_S_convolution(inst, table, transform="bogus")
+    assert exact_S_convolution(inst, table, transform="auto") == ntt_val
+    for transform in ("fft", "bogus"):
+        with pytest.raises(DomainError):
+            exact_S_convolution(inst, table, transform=transform)
+
+
+# x = 2^m/4 and 2^m/4 + 1: the power of two covering 4x + 2 is 2^(m+1),
+# while the max_value + 1 output coefficients mostly fit in 2^m
+QUARTER_POWERS = [(2**m // 4 + e, k) for m in range(10, 17) for e in (0, 1) for k in (3, 4, 8)]
+
+
+def test_transform_length_at_quarter_powers():
+    table = divisor_sieve(max(ProblemInstance(x, k).max_value for x, k in QUARTER_POWERS))
+    for x, k in QUARTER_POWERS:
+        inst = ProblemInstance(x=x, k=k)
+        direct = exact_S_direct(inst, table)
+        assert exact_S_convolution(inst, table, transform="auto") == direct, (x, k)
+        assert exact_S_convolution(inst, table, transform="ntt") == direct, (x, k)
 
 
 def test_monotone_in_x():
@@ -250,27 +267,27 @@ def test_monotone_in_x():
 def test_ntt_matches_reference_convolution():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a = rng.integers(0, 10**6, size=int(rng.integers(2, 80)))
-        b = rng.integers(0, 10**6, size=int(rng.integers(2, 80)))
-        assert np.array_equal(_ntt_convolve(a, b, 1), np.convolve(a, b))
-    # values near the moduli stay exact while coefficients fit the lift
-    a = np.array([998244352, 167772160, 12345])
-    b = np.array([3, 1, 4, 1, 5])
-    assert np.array_equal(_ntt_convolve(a, b, 1), np.convolve(a, b))
+        a = rng.integers(0, 10**3, size=int(rng.integers(2, 80)))
+        b = rng.integers(0, 10**3, size=int(rng.integers(2, 80)))
+        assert np.array_equal(_ntt_convolve(a, b), np.convolve(a, b))
+    # coefficients just below the prime stay exact
+    a = np.array([_NTT_PRIME - 2, 1])
+    b = np.array([1, 1])
+    assert _ntt_convolve(a, b).tolist() == [_NTT_PRIME - 2, _NTT_PRIME - 1, 1]
 
 
-@pytest.mark.parametrize("p", _NTT_PRIMES)
+@pytest.mark.parametrize("p", [_NTT_PRIME])
 def test_ntt_round_trip_and_naive_dft(p):
     rng = np.random.default_rng(p)
     a = rng.integers(0, p, size=2**16, dtype=np.int64)
-    forward = _ntt(a, p, _NTT_ROOT, False)
-    assert np.array_equal(_ntt(forward, p, _NTT_ROOT, True), a)
+    forward = _ntt(a, False)
+    assert np.array_equal(_ntt(forward, True), a)
     # natural-order output: X[m] = sum_j a[j] w^(jm) with w of order n
     n = 16
     small = [int(v) for v in a[:n]]
     w = pow(_NTT_ROOT, (p - 1) // n, p)
     naive = [sum(v * pow(w, j * m, p) for j, v in enumerate(small)) % p for m in range(n)]
-    assert _ntt(a[:n], p, _NTT_ROOT, False).tolist() == naive
+    assert _ntt(a[:n], False).tolist() == naive
 
 
 def per_bit_reversal(n):
@@ -298,7 +315,7 @@ def modulo_ntt(a, p, g, invert):
         if invert:
             w = pow(w, p - 2, p)
         half = length // 2
-        ws = _unit_powers(w, half, p)
+        ws = _unit_powers(w, half)
         blocks = a.reshape(-1, length)
         left = blocks[:, :half].copy()
         right = blocks[:, half:] * ws % p
@@ -310,7 +327,7 @@ def modulo_ntt(a, p, g, invert):
     return a
 
 
-@pytest.mark.parametrize("p", _NTT_PRIMES)
+@pytest.mark.parametrize("p", [_NTT_PRIME])
 @pytest.mark.parametrize("invert", [False, True])
 def test_ntt_butterflies_match_modulo_form(p, invert):
     n = 2**16
@@ -324,59 +341,33 @@ def test_ntt_butterflies_match_modulo_form(p, invert):
     # inputs outside [0, p) must come out reduced as well
     wide = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
     for a in (randoms, wide, *edges):
-        assert np.array_equal(
-            _ntt(a, p, _NTT_ROOT, invert), modulo_ntt(a, p, _NTT_ROOT, invert)
-        )
+        assert np.array_equal(_ntt(a, invert), modulo_ntt(a, p, _NTT_ROOT, invert))
 
 
 def test_ntt_matches_fft_at_length_2_20():
     inst = ProblemInstance(x=2 * 10**5, k=3)
-    table = divisor_sieve(inst.max_value)
-    fft_val = exact_S_convolution(inst, table, transform="fft")
-    assert exact_S_convolution(inst, table, transform="ntt") == fft_val
+    r12, r34 = build_histograms(inst)
+    assert np.array_equal(_ntt_convolve(r12, r34), _fft_convolve_checked(r12, r34))
 
 
 def test_ntt_capacity_guard():
     huge = np.array([10**9] * 4)
     with pytest.raises(SizeError):
-        _ntt_convolve(huge, huge, 1)
+        _ntt_convolve(huge, huge)
 
 
-P1, P2 = _NTT_PRIMES
+# zero-copy inputs whose convolution needs 2^25 + 1 coefficients
+LONG = np.broadcast_to(np.int64(1), (2**24 + 1,))
 
 
-@pytest.mark.parametrize("n", [1, 2**10, 2**18, 2**23])
-def test_ntt_moduli_up_to_2_23(n):
-    assert _ntt_moduli(0, n) == (P1,)
-    assert _ntt_moduli(P1 - 1, n) == (P1,)
-    assert _ntt_moduli(P1, n) == (P1, P2)
-    assert _ntt_moduli(P1 * P2 - 1, n) == (P1, P2)
-    with pytest.raises(SizeError):
-        _ntt_moduli(P1 * P2, n)
-
-
-@pytest.mark.parametrize("n", [2**24, 2**25])
-def test_ntt_moduli_past_2_23_take_p2_alone(n):
-    assert _ntt_moduli(0, n) == (P2,)
-    assert _ntt_moduli(P2 - 1, n) == (P2,)
-    with pytest.raises(SizeError):
-        _ntt_moduli(P2, n)
-
-
-def test_ntt_moduli_refuse_unsupported_length():
-    with pytest.raises(SizeError):
-        _ntt_moduli(0, 2**26)
-
-
-def test_ntt_bound_equal_to_p1_takes_both_primes():
-    # the single coefficient is exactly p1, which p1 alone reduces to 0
-    assert _ntt_convolve(np.array([1]), np.array([P1]), 1).tolist() == [P1]
-    assert _ntt_convolve(np.array([1]), np.array([P1 - 1]), 1).tolist() == [P1 - 1]
+def test_ntt_refuses_length_past_2_25(no_array_allocation):
+    with pytest.raises(SizeError, match="NTT length 67108864"):
+        _ntt_convolve(LONG, LONG)
 
 
 def scaled_values():
-    # magnitudes from 1 to 10^9, so the coefficient bound falls below p1,
-    # between p1 and p1*p2, and beyond p1*p2
+    # magnitudes from 1 to 10^9, so the coefficient bound falls on both
+    # sides of the prime
     return st.integers(0, 9).flatmap(
         lambda e: st.lists(st.integers(0, 10**e), min_size=1, max_size=64)
     )
@@ -384,30 +375,30 @@ def scaled_values():
 
 @settings(max_examples=200, deadline=None)
 @given(a=scaled_values(), b=scaled_values())
-@example(a=[1], b=[P1 - 1])
-@example(a=[1], b=[P1])
+@example(a=[1], b=[_NTT_PRIME - 1])
+@example(a=[1], b=[_NTT_PRIME])
 @example(a=[3, 1, 4], b=[10**9] * 64)
 @example(a=[10**9] * 64, b=[10**9] * 64)
 def test_ntt_convolve_equals_integer_convolution(a, b):
     bound = min(max(a) * sum(b), max(b) * sum(a))
     arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    if bound >= P1 * P2:
+    if bound >= _NTT_PRIME:
         with pytest.raises(SizeError):
-            _ntt_convolve(arr_a, arr_b, 1)
+            _ntt_convolve(arr_a, arr_b)
         return
     expected = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
-    assert _ntt_convolve(arr_a, arr_b, 1).tolist() == expected.tolist()
+    assert _ntt_convolve(arr_a, arr_b).tolist() == expected.tolist()
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
-    def refuse(a, b, min_len):
+    def refuse(a, b):
         raise PrecisionError("forced")
 
     calls = []
 
-    def counted(a, b, min_len):
-        calls.append(min_len)
-        return _ntt_convolve(a, b, min_len)
+    def counted(a, b):
+        calls.append(len(a) + len(b) - 1)
+        return _ntt_convolve(a, b)
 
     monkeypatch.setattr(arith, "_fft_convolve_checked", refuse)
     monkeypatch.setattr(arith, "_ntt_convolve", counted)
@@ -415,14 +406,15 @@ def test_auto_falls_back_to_ntt(monkeypatch):
         inst = ProblemInstance(x=x, k=k)
         table = divisor_sieve(inst.max_value)
         assert exact_S_convolution(inst, table) == exact_S_direct(inst, table)
-    assert calls == [6, 12002, 20002]
+    # one call per size, each over the max_value + 1 output coefficients
+    assert calls == [5, 11493, 14957]
 
 
 def test_float_transform_guard():
     # distances within margin pass, anything >= 0.25 must trip the guard
     assert _nearest_int_distance(np.array([1.0, 2.1, -0.9])) == pytest.approx(0.1)
     a = np.array([1, 2, 3], dtype=np.int64)
-    assert np.array_equal(_fft_convolve_checked(a, a, 1), np.convolve(a, a))
+    assert np.array_equal(_fft_convolve_checked(a, a), np.convolve(a, a))
     assert _nearest_int_distance(np.array([0.75])) >= 0.25
 
 

@@ -22,12 +22,15 @@ from circlekit.circle import (
     expansion_envelope_scan,
     hua_count,
     minor_arc_bound_profile,
-    vk_approx,
     vk_envelope_scan,
-    vk_residual,
 )
 from circlekit.errors import BudgetError, DomainError, SizeError
-from circlekit.integrals import linear_phase_batch, log_weighted_integral
+from circlekit.expsums import complete_power_sum, weyl_sum
+from circlekit.integrals import (
+    linear_phase_batch,
+    log_weighted_integral,
+    unit_power_phase_integral,
+)
 from circlekit.series import log_weight
 
 
@@ -280,19 +283,25 @@ def test_major_arc_measure():
 
 
 def test_vk_at_beta_zero_q_one():
-    for k in (3, 5):
-        assert vk_approx(1, 1, 0.0, 10**4, k) == pytest.approx(
-            (10**4) ** (1.0 / k), abs=1e-9
-        )
-    with pytest.raises(DomainError):
-        vk_approx(2, 4, 0.0, 100, 3)
+    # at a/q = 1/1, beta = 0 the model is x^(1/k) and the sum is floor(x^(1/k))
+    for k, floor in ((3, 21), (5, 6)):
+        row = vk_envelope_scan(10**4, k, q_max=1).rows[0]
+        assert (row["a"], row["q"], row["beta"]) == (1, 1, 0.0)
+        assert row["observed"] == pytest.approx((10**4) ** (1.0 / k) - floor, abs=1e-9)
 
 
-def test_vk_residual_integer_frequency():
-    # at alpha = 1 the sum is exactly floor(x^(1/3)); the model gives x^(1/3),
-    # so the residual is just the floor defect
-    expected = (10**4) ** (1 / 3) - 21
-    assert vk_residual(1, 1, 0.0, 10**4, 3) == pytest.approx(expected, abs=1e-9)
+def test_vk_rows_rebuild_the_model():
+    # every row is |f_k(a/q + beta) - x^(1/k) S_k(q, a)/q I(x beta)|, rebuilt
+    # here from its three factors in the scan's float order
+    x, k = 10**4, 3
+    scan = vk_envelope_scan(x, k, q_max=6)
+    pairs = [(a, q) for q in range(1, 7) for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    assert [(row["a"], row["q"]) for row in scan.rows[::4]] == pairs
+    for row in scan.rows:
+        a, q, beta = row["a"], row["q"], row["beta"]
+        phase = unit_power_phase_integral(x * beta, k)
+        model = x ** (1.0 / k) * complete_power_sum(q, a, k) / q * phase
+        assert row["observed"] == abs(weyl_sum(a / q + beta, x, k) - model)
 
 
 def test_vk_residual_envelope_small_scan():

@@ -344,6 +344,8 @@ EDGE_CASES = [
     (["diagnostics", "expansion", "--k", "3", "--x", "40000000"], EXIT_BUDGET, "budget error:"),
     # about 1500 small-beta nodes against 8 * 318310 quadrature nodes each
     (["integral", "--k", "20000", "--B", "20"], EXIT_BUDGET, "budget error:"),
+    # 8 error terms at 29 candidate cutoffs for each of 10^8 k, before any row
+    (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
 ]
 
 

@@ -131,9 +131,9 @@ def _log_phase_mp(beta: float) -> complex:
 
 
 def _oracle_betas() -> np.ndarray:
-    # the asymptotic crossover, beta = 400 and 1e4, and both sides of every
-    # octave boundary of 1/lam (unit phases) and 1/(3 lam) (log phase) that
-    # the term cut uses up to beta = 1e4
+    # the asymptotic crossover, beta = 400 and 1e4, and each beta up to 1e4
+    # where 1/lam (unit phases) or 1/(3 lam) (log phase) is a power of two,
+    # with its neighbours at a relative 1e-9
     bounds = [2.0**j / (2 * math.pi) for j in range(6, 17)]
     bounds += [2.0**j / (6 * math.pi) for j in range(8, 19)]
     sides = [b * f for b in bounds for f in (1 - 1e-9, 1.0, 1 + 1e-9)]
