@@ -24,10 +24,18 @@ DIGESTS = {
         "5a1753f7bbf669ad0046db1b8ba5c97b1b08bf45422071083a7912e5bd4c2304",
     "verify --k 8 --x 4097,16385 --method both --q-max 50 --B 100 --format csv":
         "f8e1a52e38a56e04a6d25886ed00c5ed5b94b54a9cce50d208a2c12a9afd311e",
+    "verify --k 3 --method conv --x 9969,100304,1000000":
+        "c983f437711cf23767c5f51d746d49de789054ad7cc912e7f327aaa443a600b7",
     "series --k 3 --q-max 500":
         "543d3a7b13436c9f0b89ac2ffceb4fdf1e6c9be4850596ff81f0cda9a26fb096",
+    "series --k 6 --q-max 5000":
+        "392a8d203fc00f22b1bfae53585174142cc105d2fb600496b7d5bc3094523d22",
     "integral --k 3 --B 400 --grid 64":
         "64cb73e5fff6fc0af67d9c388493f029f4c8f5fedf61dff08ff39458f3359d3e",
+    "integral --k 8 --B 400 --grid 64":
+        "98a8a82f08c349ec2d14690ea928e9de8f780cb60618fcb5fa38f5857a77f8b6",
+    "integral --k 5 --which 2 --B 400":
+        "a8358015d7de6994ebdd9d6488fefa76161f11678f26a947fb2f7caea1663168",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "e795355798f739d16a0f4236e27a3658aa584b9f5287edf13d09999ac9db0a7f",
     "diagnostics hua --k 3 --j 2 --y 2000":
