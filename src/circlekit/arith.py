@@ -206,28 +206,31 @@ def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(pair), np.bincount(mixed)
 
 
-def _nearest_int_distance(arr: np.ndarray) -> float:
-    return float(np.abs(arr - np.rint(arr)).max()) if arr.size else 0.0
-
-
 def _fft_convolve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float convolution with a rounding-margin guard.
 
     Any coefficient at distance >= 0.25 from the nearest integer raises
     PrecisionError; callers then fall back to the exact modular path.
+    The second spectrum is multiplied into the first in place and the
+    distances overwrite the float output, so the peak is the two spectra
+    and a float copy of b, about 2.5 n doubles for half-length inputs.
     """
     out_len = len(a) + len(b) - 1
     n = 1 << (out_len - 1).bit_length()
-    fa = np.fft.rfft(a.astype(np.float64), n)
-    fb = np.fft.rfft(b.astype(np.float64), n)
-    conv = np.fft.irfft(fa * fb, n)[:out_len]
-    dist = _nearest_int_distance(conv)
+    spectrum = np.fft.rfft(a.astype(np.float64), n)
+    spectrum *= np.fft.rfft(b.astype(np.float64), n)
+    conv = np.fft.irfft(spectrum, n)[:out_len]
+    del spectrum
+    rounded = np.rint(conv)
+    conv -= rounded
+    dist = float(np.abs(conv, out=conv).max())
+    del conv
     if dist >= 0.25:
         raise PrecisionError(
             f"float transform rounding distance {dist:.3f} >= 0.25; "
             "exact modular transform required"
         )
-    return np.rint(conv).astype(np.int64)
+    return rounded.astype(np.int64)
 
 
 def _unit_powers(w: int, count: int) -> np.ndarray:

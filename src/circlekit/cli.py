@@ -446,11 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--out", type=str, default=None, help="write report to file")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
     def common(p):
         p.add_argument("--k", type=_parse_k_range, default=None,
                        help="power k, single value or range like 3..12")
-        p.add_argument("--out", type=str, default=None, help="write report to file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        output(p)
 
     p = sub.add_parser("delta", help="re-derive the error-saving exponent table")
     common(p)
@@ -494,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("sieve", help="divisor table summary statistics")
-    common(p)
+    output(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_sieve)
 

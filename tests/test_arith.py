@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from circlekit.arith import (
     ProblemInstance,
     _bit_reversal,
     _fft_convolve_checked,
-    _nearest_int_distance,
     _NTT_PRIME,
     _NTT_ROOT,
     _ntt,
@@ -410,12 +410,32 @@ def test_auto_falls_back_to_ntt(monkeypatch):
     assert calls == [5, 11493, 14957]
 
 
-def test_float_transform_guard():
+def test_float_transform_guard(monkeypatch):
     # distances within margin pass, anything >= 0.25 must trip the guard
-    assert _nearest_int_distance(np.array([1.0, 2.1, -0.9])) == pytest.approx(0.1)
     a = np.array([1, 2, 3], dtype=np.int64)
     assert np.array_equal(_fft_convolve_checked(a, a), np.convolve(a, a))
-    assert _nearest_int_distance(np.array([0.75])) >= 0.25
+    irfft = np.fft.irfft
+    for shift, trips in ((0.1, False), (-0.24, False), (0.3, True), (-0.75, True)):
+        monkeypatch.setattr(np.fft, "irfft", lambda s, n, shift=shift: irfft(s, n) + shift)
+        if trips:
+            with pytest.raises(PrecisionError):
+                _fft_convolve_checked(a, a)
+        else:
+            assert np.array_equal(_fft_convolve_checked(a, a), np.convolve(a, a))
+
+
+def test_float_transform_memory():
+    # x = 2.5e5: 2^20 points; an out-of-place guard peaked at 4.9 n doubles
+    a, b = build_histograms(ProblemInstance(x=250_000, k=3))
+    n = 1 << (len(a) + len(b) - 2).bit_length()
+    assert n == 1 << 20
+    tracemalloc.start()
+    try:
+        _fft_convolve_checked(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 8
 
 
 def test_budget_refusal(monkeypatch):

@@ -23,7 +23,10 @@ from circlekit.cli import (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses malformed flags before main's try
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -153,7 +156,7 @@ def test_series_budget_refused_up_front(capsys, monkeypatch):
         raise AssertionError("local density computed before the budget check")
 
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000000")
-    monkeypatch.setattr("circlekit.series.local_density", no_density)
+    monkeypatch.setattr("circlekit.series._spectrum_density", no_density)
     code, out, err = run(capsys, "series", "--k", "3", "--q-max", "1000000")
     assert code == EXIT_BUDGET
     assert out == ""
@@ -346,6 +349,8 @@ EDGE_CASES = [
     (["integral", "--k", "20000", "--B", "20"], EXIT_BUDGET, "budget error:"),
     # 8 error terms at 29 candidate cutoffs for each of 10^8 k, before any row
     (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
+    # sieve takes no k, so the range is never expanded into a list
+    (["sieve", "--n", "10", "--k", "3..100000000"], EXIT_USAGE, "usage:"),
 ]
 
 

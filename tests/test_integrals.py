@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import fresnel
 
+from circlekit import integrals
 from circlekit.errors import AccuracyError, BudgetError, DomainError
 from circlekit.integrals import (
     _square_sum_histogram,
@@ -237,6 +239,25 @@ def test_j_values_charges_the_small_beta_quadrature(monkeypatch):
     with pytest.raises(BudgetError) as info:
         j_values(3, 5.0)
     assert info.value.required == 164780
+
+
+@pytest.mark.parametrize("B", [1.0, 1.5, 2.2, 5.0, 9.9, 10.0, 10.05, 10.3, 12.0, 50.0, 400.0])
+def test_small_beta_count_from_edges_matches_every_node(B):
+    edges = integrals._beta_edges(B)
+    for grid in (edges, integrals._coarse_edges(edges)):
+        nodes = integrals._panel_nodes(grid, 4)[0]
+        assert integrals._small_nodes(grid) == np.count_nonzero(nodes <= 10.0)
+
+
+def test_j_values_memory():
+    # every node, weight and density value at once peaked at 145 MiB
+    tracemalloc.start()
+    try:
+        j_values(3, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_unit_phase_batch_in_chunks_matches_reference():

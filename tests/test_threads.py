@@ -1,0 +1,133 @@
+"""The threaded main-term constants: the same bits on any worker count.
+
+j_values and sigma_truncated spread independent blocks over
+threads.ordered_map.  Their results must not depend on how many
+workers run them, a failure in a helper's share must surface as the
+same exit code, and no helper may outlive the call.
+"""
+
+import sys
+import threading
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from circlekit import integrals, series, threads
+from circlekit.cli import EXIT_NUMERICAL, main
+from circlekit.errors import NumericalIntegrityError
+from circlekit.integrals import decay_envelope, j_density_batch, j_values
+from circlekit.series import sigma_truncated
+
+
+def _all_node_sweep(k, B, which):
+    """The sweep over whole node arrays: value, quadrature error and envelope."""
+    edges = integrals._beta_edges(B)
+    nodes, weights = integrals._panel_nodes(edges, 4)
+    c_nodes, c_weights = integrals._panel_nodes(integrals._coarse_edges(edges), 4)
+    values = j_density_batch(nodes, k, which)
+    fine = 2.0 * float(np.sum(values * weights).real)
+    coarse = 2.0 * float(np.sum(j_density_batch(c_nodes, k, which) * c_weights).real)
+    envelope = float(decay_envelope(values, nodes, k, which).max())
+    return fine, abs(fine - coarse), envelope
+
+
+def test_ordered_map_keeps_order_and_joins(monkeypatch):
+    baseline = threading.active_count()
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        assert threads.ordered_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+        assert threads.ordered_map(str, []) == []
+        assert threading.active_count() == baseline
+
+
+def test_ordered_map_raises_the_earliest_failure(monkeypatch):
+    # items 3 and 4 fail in different shares; a serial loop meets 3 first
+    def fn(x):
+        if x in (3, 4):
+            raise ValueError(x)
+        return x
+
+    baseline = threading.active_count()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        with pytest.raises(ValueError) as info:
+            threads.ordered_map(fn, range(8))
+        assert info.value.args == (3,)
+        assert threading.active_count() == baseline
+
+
+def test_ordered_map_under_fast_thread_switching(monkeypatch):
+    # four workers, likely more than the CPUs, switching threads every microsecond
+    def fn(x):
+        if x >= 100 and x % 7 == 0:
+            raise ValueError(x)
+        return x + 1
+
+    monkeypatch.setattr(threads, "WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert threads.ordered_map(lambda x: x + 1, range(500)) == list(range(1, 501))
+            with pytest.raises(ValueError) as info:
+                threads.ordered_map(fn, range(500))
+            assert info.value.args == (105,)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# B = 400 has 46 full blocks of fine panels and a partial last one
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("B", [1.5, 10.0, 50.0, 400.0])
+def test_j_values_bitwise_equal_on_any_worker_count(monkeypatch, k, B):
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        runs.append([asdict(value) for value in j_values(k, B)])
+    assert runs[0] == runs[1] == runs[2]
+    assert [run["which"] for run in runs[0]] == [1, 2]
+
+
+# blocks of 1024 nodes cut B = 50's 23,916 fine nodes into 23 full blocks and a partial one
+@pytest.mark.parametrize("k, B, block", [(3, 1.5, None), (3, 10.0, None), (3, 50.0, 1024),
+                                         (8, 50.0, 1024)])
+def test_j_values_equal_the_whole_node_sweep(monkeypatch, k, B, block):
+    if block:
+        monkeypatch.setattr(integrals, "_BLOCK", block)
+    for result in j_values(k, B):
+        value, gap, envelope = _all_node_sweep(k, B, result.which)
+        assert result.value == value
+        assert result.quadrature_error == gap
+        assert result.envelope_constant == envelope
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_sigma_terms_equal_on_any_worker_count(monkeypatch, k):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        result = sigma_truncated(2000, k)
+        runs.append((result.terms, result.running1, result.running2))
+    assert runs[0] == runs[1]
+
+
+def test_helper_failure_maps_to_numerical_exit(monkeypatch, capsys):
+    # prime powers 2, 3, 4, 5, ...: with two workers q = 5 is the helper's
+    spectrum = series._spectrum_density
+    failed_on = []
+
+    def failing(q, k):
+        if q == 5:
+            failed_on.append(threading.current_thread())
+            raise NumericalIntegrityError("forced at q=5")
+        return spectrum(q, k)
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(series, "_spectrum_density", failing)
+    baseline = threading.active_count()
+    assert main(["series", "--k", "3", "--q-max", "50"]) == EXIT_NUMERICAL
+    assert failed_on and failed_on[0] is not threading.main_thread()
+    assert threading.active_count() == baseline
+    err = capsys.readouterr().err
+    assert err.startswith("numerical integrity error:") and "q=5" in err
