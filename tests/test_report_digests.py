@@ -26,6 +26,8 @@ DIGESTS = {
         "f8e1a52e38a56e04a6d25886ed00c5ed5b94b54a9cce50d208a2c12a9afd311e",
     "verify --k 3 --method conv --x 9969,100304,1000000":
         "c983f437711cf23767c5f51d746d49de789054ad7cc912e7f327aaa443a600b7",
+    "verify --k 5 --method conv --x 99999,100000":
+        "1ca699a398c636642179396ad46d669343f8623e71fc4bb74a71a5d0d6e1fc9d",
     "series --k 3 --q-max 500":
         "543d3a7b13436c9f0b89ac2ffceb4fdf1e6c9be4850596ff81f0cda9a26fb096",
     "series --k 6 --q-max 5000":
@@ -36,6 +38,8 @@ DIGESTS = {
         "98a8a82f08c349ec2d14690ea928e9de8f780cb60618fcb5fa38f5857a77f8b6",
     "integral --k 5 --which 2 --B 400":
         "a8358015d7de6994ebdd9d6488fefa76161f11678f26a947fb2f7caea1663168",
+    "integral --k 4 --which 2 --B 50 --grid 128":
+        "b6b6318f17e0bd1994ee0bf66b18a6a106560599b7ee498a8dd5c7515a0f5b94",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "e795355798f739d16a0f4236e27a3658aa584b9f5287edf13d09999ac9db0a7f",
     "diagnostics hua --k 3 --j 2 --y 2000":
