@@ -2,19 +2,19 @@
 
 Divisor-count sieve, and two independent exact evaluators for the
 divisor sum over quadruples (n1, n2, n3, n4) with n1, n2, n3 up to
-sqrt(x) and n4 up to x^(1/k):
+r = sqrt(x) and n4 up to P = x^(1/k):
 
     S = sum d(n1^2 + n2^2 + n3^2 + n4^k)
 
 One evaluator enumerates the tuples (each unordered square triple once,
-weighted by its orderings); the other convolves the two
-representation histograms (n1^2+n2^2 against n3^2+n4^k), by a guarded
-float FFT or an NTT modulo one prime, and pairs the result with the
-divisor table.  The two must agree to the last digit.
+weighted by its orderings).  The other cubes the square indicator, by a
+guarded float FFT or an NTT modulo one prime, into the k-independent
+three-square counts r3, and pairs r3 with the divisor table shifted by
+each n4^k.  The two must agree to the last digit.
 
-Both transforms run at the power of two covering the max_value + 1
-output coefficients.  The NTT prime 5*2^25 + 1 admits up to 2^25 points,
-where the coefficients stay below it (at most 2.82e7, at k = 3).
+Both transforms run at the power of two covering the 3r^2 + 1
+coefficients of r3.  The NTT prime 5*2^25 + 1 admits up to 2^25 points,
+so x <= 11,189,024 (r <= 3344); r3 stays below r^2, far under the prime.
 """
 
 from __future__ import annotations
@@ -195,36 +195,32 @@ def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> 
 
 
 def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Exact representation counts for n1^2+n2^2 and n3^2+n4^k: entry s of
-    each array counts the representations of s by that form."""
+    """The square indicator, of length r^2 + 1 (entry s is 1 when s = n^2
+    with 1 <= n <= r), and the powers n4^k for 1 <= n4 <= P."""
     r, p_lim = inst.square_limit, inst.power_limit
-    check_budget(r * r + r * p_lim, "build_histograms")
-    sq = np.arange(1, r + 1, dtype=np.int64) ** 2
-    pw = np.arange(1, p_lim + 1, dtype=np.int64) ** inst.k
-    pair = (sq[:, None] + sq[None, :]).ravel()
-    mixed = (sq[:, None] + pw[None, :]).ravel()
-    return np.bincount(pair), np.bincount(mixed)
+    check_budget(r * r + 1 + p_lim, "build_histograms")
+    indicator = np.bincount(np.arange(1, r + 1, dtype=np.int64) ** 2)
+    return indicator, np.arange(1, p_lim + 1, dtype=np.int64) ** inst.k
 
 
-def _fft_convolve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float convolution with a rounding-margin guard.
+def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
+    """Float a*a*a with a rounding-margin guard.
 
     Any coefficient at distance >= 0.25 from the nearest integer raises
     PrecisionError; callers then fall back to the exact modular path.
-    The second spectrum is multiplied into the first in place and the
-    distances overwrite the float output, so the peak is the two spectra
-    and a float copy of b, about 2.5 n doubles for half-length inputs.
+    The spectrum is cubed through one temporary and the distances
+    overwrite the float output, so the peak is about 2 n doubles.
     """
-    out_len = len(a) + len(b) - 1
+    out_len = 3 * len(a) - 2
     n = 1 << (out_len - 1).bit_length()
     spectrum = np.fft.rfft(a.astype(np.float64), n)
-    spectrum *= np.fft.rfft(b.astype(np.float64), n)
-    conv = np.fft.irfft(spectrum, n)[:out_len]
+    spectrum *= spectrum * spectrum
+    cube = np.fft.irfft(spectrum, n)[:out_len]
     del spectrum
-    rounded = np.rint(conv)
-    conv -= rounded
-    dist = float(np.abs(conv, out=conv).max())
-    del conv
+    rounded = np.rint(cube)
+    cube -= rounded
+    dist = float(np.abs(cube, out=cube).max())
+    del cube
     if dist >= 0.25:
         raise PrecisionError(
             f"float transform rounding distance {dist:.3f} >= 0.25; "
@@ -296,24 +292,36 @@ def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
     return a
 
 
-def _ntt_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer convolution modulo _NTT_PRIME.
+def _ntt_cube(a: np.ndarray) -> np.ndarray:
+    """Exact a*a*a for a >= 0, modulo _NTT_PRIME.
 
-    Every output coefficient is at most min(max a * sum b, max b * sum a),
-    so the residues are the coefficients when that bound is below the
-    prime.  A longer transform than the prime supports, or a larger
-    bound, raises SizeError before anything is padded or transformed.
+    Every output coefficient is at most max(a) * sum(a)^2, so the
+    residues are the coefficients when that bound is below the prime.
+    A longer transform than the prime supports, or a larger bound,
+    raises SizeError before anything is padded or transformed.
     """
-    out_len = len(a) + len(b) - 1
+    out_len = 3 * len(a) - 2
     n = 1 << (out_len - 1).bit_length()
     if n > _NTT_MAX_LEN:
         raise SizeError(f"NTT length {n} for {out_len} coefficients exceeds {_NTT_MAX_LEN}")
-    bound = min(int(a.max()) * int(b.sum()), int(b.max()) * int(a.sum()))
+    bound = int(a.max()) * int(a.sum()) ** 2
     if bound >= _NTT_PRIME:
         raise SizeError(f"NTT coefficients may reach {bound}, beyond the prime {_NTT_PRIME}")
-    fa = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), False)
-    fb = _ntt(np.pad(b.astype(np.int64), (0, n - len(b))), False)
-    return _ntt(fa * fb % _NTT_PRIME, True)[:out_len]
+    f = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), False)
+    return _ntt(f * f % _NTT_PRIME * f % _NTT_PRIME, True)[:out_len]
+
+
+def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
+    """The exact a*a*a of a >= 0 in int64: "auto" tries the checked float
+    FFT and falls back to the modular transform, which "ntt" forces."""
+    if transform == "auto":
+        try:
+            return _fft_cube_checked(a)
+        except PrecisionError:
+            pass
+    elif transform != "ntt":
+        raise DomainError(f"unknown transform {transform!r}")
+    return _ntt_cube(a)
 
 
 def exact_S_convolution(
@@ -321,22 +329,16 @@ def exact_S_convolution(
     table: DivisorTable | None = None,
     transform: str = "auto",
 ) -> int:
-    """Exact quadruple-sum value via histogram convolution.
-
-    transform: "auto" tries the checked float FFT and falls back to the
-    exact modular transform; "ntt" forces the modular transform.  The
-    convolution has max_value + 1 coefficients, all covered by the table.
+    """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
+    d(m + n4^k), where r3 = cube(square indicator) counts the ordered
+    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  W is summed in int32 from
+    one table slice per n4, ending at most at max_value; it stays below
+    P * max d < 2^20 wherever the sieve cap admits the table.
     """
     table = _require_table(inst, table)
-    r12, r34 = build_histograms(inst)
-    if transform == "ntt":
-        conv = _ntt_convolve(r12, r34)
-    elif transform == "auto":
-        try:
-            conv = _fft_convolve_checked(r12, r34)
-        except PrecisionError:
-            conv = _ntt_convolve(r12, r34)
-    else:
-        raise DomainError(f"unknown transform {transform!r}")
-    d = table.values[: len(conv)].astype(np.int64)
-    return int(np.dot(d, conv))
+    indicator, powers = build_histograms(inst)
+    r3 = cube(indicator, transform)
+    window = np.zeros(len(r3), dtype=np.int32)
+    for s in powers:
+        window += table.values[s : s + len(r3)]
+    return int(np.dot(window.astype(np.int64), r3))

@@ -277,15 +277,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.x == []:
         raise DomainError("--x lists no values")
     xs = sorted(set(args.x or [100, 1000, 10000]))
-    # every size is checked, and the table built, before the constants
+    # every exact value, and so every size refusal, comes before the constants
     instances = [ProblemInstance(x=x, k=k) for x in xs]
     table = divisor_sieve(instances[-1].max_value)
-    partial = sigma_truncated(args.q_max, k)
-    jv1, jv2 = j_values(k, args.B)
-    main_term = MainTerm(k, partial.sigma1, partial.sigma2, jv1.value, jv2.value)
     records = []
     for inst in instances:
-        x = inst.x
         values = {}
         if args.method in ("direct", "both"):
             values["direct"] = exact_S_direct(inst, table)
@@ -293,18 +289,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             values["convolution"] = exact_S_convolution(inst, table)
         if args.method == "both" and values["direct"] != values["convolution"]:
             raise VerificationMismatch(
-                f"k={k}, x={x}: direct={values['direct']} "
+                f"k={k}, x={inst.x}: direct={values['direct']} "
                 f"convolution={values['convolution']}"
             )
         exact = values.get("direct", values.get("convolution"))
-        main = main_term.value(x)
-        records.append(
-            {"k": k, "x": x, "exact": exact, "main": _sig12(main),
-             "residual": _sig12(exact - main),
-             "normalized": _sig12((exact - main) / main_term.scale(x)),
-             "methods": {name: int(v) for name, v in values.items()},
-             "C1": _sig12(main_term.C1), "C2": _sig12(main_term.C2)}
-        )
+        records.append({"k": k, "x": inst.x, "exact": exact,
+                        "methods": {name: int(v) for name, v in values.items()}})
+    partial = sigma_truncated(args.q_max, k)
+    jv1, jv2 = j_values(k, args.B)
+    main_term = MainTerm(k, partial.sigma1, partial.sigma2, jv1.value, jv2.value)
+    for r in records:
+        main = main_term.value(r["x"])
+        r.update(main=_sig12(main), residual=_sig12(r["exact"] - main),
+                 normalized=_sig12((r["exact"] - main) / main_term.scale(r["x"])),
+                 C1=_sig12(main_term.C1), C2=_sig12(main_term.C2))
     normalized = [abs(r["normalized"]) for r in records]
     decreasing = all(b < a for a, b in zip(normalized, normalized[1:]))
     diagnostics = {

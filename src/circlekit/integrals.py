@@ -56,6 +56,7 @@ from math import gamma as gamma_fn
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .arith import cube
 from .budget import check_budget
 from .constants import EULER_GAMMA, TWO_PI
 from .errors import AccuracyError, DomainError
@@ -520,14 +521,11 @@ def _square_sum_histogram(grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct N = (2i+1)^2 + (2j+1)^2 + (2l+1)^2 over 0 <= i, j, l < grid,
     ascending, and the number of triples (i, j, l) giving each.
 
-    An odd square is 8t + 1, so N = 8(t1 + t2 + t3) + 3: the pair sums
-    t1 + t2 are counted once, and each third t shifts that count in.
+    An odd square is 8t + 1, so N = 8(t1 + t2 + t3) + 3: the triple
+    counts are the cube of the indicator of the t = ((2i+1)^2 - 1)/8.
     """
     t = (2 * np.arange(grid, dtype=np.int64) + 1) ** 2 // 8
-    pairs = np.bincount((t[:, None] + t[None, :]).ravel())
-    triples = np.zeros(pairs.size + t[-1], dtype=np.int64)
-    for shift in t:
-        triples[shift : shift + pairs.size] += pairs
+    triples = cube(np.bincount(t))
     sums = np.flatnonzero(triples)
     return 8 * sums + 3, triples[sums]
 

@@ -11,13 +11,14 @@ from circlekit.arith import (
     DivisorTable,
     ProblemInstance,
     _bit_reversal,
-    _fft_convolve_checked,
+    _fft_cube_checked,
     _NTT_PRIME,
     _NTT_ROOT,
     _ntt,
-    _ntt_convolve,
+    _ntt_cube,
     _unit_powers,
     build_histograms,
+    cube,
     divisor_sieve,
     exact_S_convolution,
     exact_S_direct,
@@ -163,12 +164,20 @@ def test_exact_sum_hand_values():
 
 
 def test_histograms_x4():
-    r12, r34 = build_histograms(ProblemInstance(x=4, k=3))
-    assert r12[2] == 1  # (1,1)
-    assert r12[5] == 2  # (1,2), (2,1)
-    assert r12.sum() == 4  # floor(sqrt 4)^2
-    assert r34.sum() == 2  # floor(sqrt 4) * floor(4^(1/3))
-    assert (r12 >= 0).all() and (r34 >= 0).all()
+    indicator, powers = build_histograms(ProblemInstance(x=4, k=3))
+    assert indicator.tolist() == [0, 1, 0, 0, 1]  # 1^2 and 2^2
+    assert powers.tolist() == [1]  # floor(4^(1/3)) = 1
+    r3 = cube(indicator)
+    assert r3[3] == 1 and r3[6] == 3 and r3[9] == 3 and r3[12] == 1
+    assert r3.sum() == 8  # floor(sqrt 4)^3 ordered triples
+
+
+def test_histograms_budget_refused_before_allocation(monkeypatch, no_array_allocation):
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "100")
+    inst = ProblemInstance(x=10**4, k=3)  # 10^4 + 1 + 21 cells
+    with pytest.raises(BudgetError) as info:
+        build_histograms(inst)
+    assert info.value.required == 10**4 + 1 + 21
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
@@ -187,8 +196,11 @@ def test_direct_equals_every_transform(x, k):
     direct = exact_S_direct(inst, table)
     for transform in ("auto", "ntt"):
         assert exact_S_convolution(inst, table, transform=transform) == direct
-    conv = _fft_convolve_checked(*build_histograms(inst))
-    assert int(np.dot(table.values[: len(conv)], conv)) == direct
+    # the float cube paired with one table slice per n4, in int64
+    indicator, powers = build_histograms(inst)
+    r3 = _fft_cube_checked(indicator)
+    d = table.values.astype(np.int64)
+    assert sum(int(np.dot(d[p : p + len(r3)], r3)) for p in powers) == direct
 
 
 def ordered_direct(inst, table):
@@ -235,8 +247,8 @@ def test_direct_matches_ordered_tuples_at_edges(x, k):
 def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
-    r12, r34 = build_histograms(inst)
-    assert np.array_equal(_fft_convolve_checked(r12, r34), _ntt_convolve(r12, r34))
+    indicator, _ = build_histograms(inst)
+    assert np.array_equal(_fft_cube_checked(indicator), _ntt_cube(indicator))
     ntt_val = exact_S_convolution(inst, table, transform="ntt")
     assert exact_S_convolution(inst, table, transform="auto") == ntt_val
     for transform in ("fft", "bogus"):
@@ -258,6 +270,27 @@ def test_transform_length_at_quarter_powers():
         assert exact_S_convolution(inst, table, transform="ntt") == direct, (x, k)
 
 
+# x on both sides of a new square or a new k-th power, up to 10^5
+LATTICE_EDGES = sorted(
+    {(x, k) for m in (1, 2, 3, 31, 316) for x in (m * m - 1, m * m) for k in range(3, 9) if x >= 1}
+    | {
+        (x, k)
+        for k in range(3, 9)
+        for n in (2, 3, math.floor(10 ** (5 / k) + 1e-9))
+        for x in (n**k - 1, n**k)
+    }
+)
+
+
+@pytest.mark.parametrize("x, k", LATTICE_EDGES)
+def test_convolution_matches_direct_at_lattice_edges(x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    direct = exact_S_direct(inst, table)
+    assert exact_S_convolution(inst, table, transform="auto") == direct
+    assert exact_S_convolution(inst, table, transform="ntt") == direct
+
+
 def test_monotone_in_x():
     table = divisor_sieve(4 * 40)
     values = [exact_S_convolution(ProblemInstance(x=x, k=3), table) for x in range(1, 41)]
@@ -267,13 +300,10 @@ def test_monotone_in_x():
 def test_ntt_matches_reference_convolution():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a = rng.integers(0, 10**3, size=int(rng.integers(2, 80)))
-        b = rng.integers(0, 10**3, size=int(rng.integers(2, 80)))
-        assert np.array_equal(_ntt_convolve(a, b), np.convolve(a, b))
-    # coefficients just below the prime stay exact
-    a = np.array([_NTT_PRIME - 2, 1])
-    b = np.array([1, 1])
-    assert _ntt_convolve(a, b).tolist() == [_NTT_PRIME - 2, _NTT_PRIME - 1, 1]
+        a = rng.integers(0, 10, size=int(rng.integers(2, 80)))
+        assert np.array_equal(_ntt_cube(a), np.convolve(np.convolve(a, a), a))
+    # a coefficient just below the prime stays exact: 551^3 < p < 552^3
+    assert _ntt_cube(np.array([551, 0])).tolist() == [551**3, 0, 0, 0]
 
 
 @pytest.mark.parametrize("p", [_NTT_PRIME])
@@ -345,24 +375,26 @@ def test_ntt_butterflies_match_modulo_form(p, invert):
 
 
 def test_ntt_matches_fft_at_length_2_20():
-    inst = ProblemInstance(x=2 * 10**5, k=3)
-    r12, r34 = build_histograms(inst)
-    assert np.array_equal(_ntt_convolve(r12, r34), _fft_convolve_checked(r12, r34))
+    indicator, _ = build_histograms(ProblemInstance(x=2 * 10**5, k=3))
+    assert 1 << (3 * len(indicator) - 3).bit_length() == 1 << 20
+    assert np.array_equal(_ntt_cube(indicator), _fft_cube_checked(indicator))
 
 
 def test_ntt_capacity_guard():
-    huge = np.array([10**9] * 4)
     with pytest.raises(SizeError):
-        _ntt_convolve(huge, huge)
+        _ntt_cube(np.array([10**9] * 4))
 
 
-# zero-copy inputs whose convolution needs 2^25 + 1 coefficients
-LONG = np.broadcast_to(np.int64(1), (2**24 + 1,))
+# a zero-copy input whose cube needs 2^25 + 2 coefficients
+LONG = np.broadcast_to(np.int64(1), (2**25 // 3 + 2,))
 
 
 def test_ntt_refuses_length_past_2_25(no_array_allocation):
     with pytest.raises(SizeError, match="NTT length 67108864"):
-        _ntt_convolve(LONG, LONG)
+        _ntt_cube(LONG)
+    # one entry shorter fits 2^25 points; the coefficient bound refuses it
+    with pytest.raises(SizeError, match="beyond the prime"):
+        _ntt_cube(LONG[1:])
 
 
 def scaled_values():
@@ -374,68 +406,72 @@ def scaled_values():
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=scaled_values(), b=scaled_values())
-@example(a=[1], b=[_NTT_PRIME - 1])
-@example(a=[1], b=[_NTT_PRIME])
-@example(a=[3, 1, 4], b=[10**9] * 64)
-@example(a=[10**9] * 64, b=[10**9] * 64)
-def test_ntt_convolve_equals_integer_convolution(a, b):
-    bound = min(max(a) * sum(b), max(b) * sum(a))
-    arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+@given(a=scaled_values())
+# max * sum^2 = p - 1 and just above p, and a lone 551^3 < p < 552^3
+@example(a=[160] * 6 + [64])
+@example(a=[160] * 6 + [65])
+@example(a=[551])
+@example(a=[552])
+@example(a=[10**9] * 64)
+def test_ntt_cube_equals_integer_convolution(a):
+    bound = max(a) * sum(a) ** 2
+    arr = np.array(a, dtype=np.int64)
     if bound >= _NTT_PRIME:
         with pytest.raises(SizeError):
-            _ntt_convolve(arr_a, arr_b)
+            _ntt_cube(arr)
         return
-    expected = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
-    assert _ntt_convolve(arr_a, arr_b).tolist() == expected.tolist()
+    obj = np.array(a, dtype=object)
+    assert _ntt_cube(arr).tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
-    def refuse(a, b):
+    def refuse(a):
         raise PrecisionError("forced")
 
     calls = []
 
-    def counted(a, b):
-        calls.append(len(a) + len(b) - 1)
-        return _ntt_convolve(a, b)
+    def counted(a):
+        calls.append(3 * len(a) - 2)
+        return _ntt_cube(a)
 
-    monkeypatch.setattr(arith, "_fft_convolve_checked", refuse)
-    monkeypatch.setattr(arith, "_ntt_convolve", counted)
+    monkeypatch.setattr(arith, "_fft_cube_checked", refuse)
+    monkeypatch.setattr(arith, "_ntt_cube", counted)
     for x, k in ((1, 3), (3000, 3), (5000, 8)):
         inst = ProblemInstance(x=x, k=k)
         table = divisor_sieve(inst.max_value)
         assert exact_S_convolution(inst, table) == exact_S_direct(inst, table)
-    # one call per size, each over the max_value + 1 output coefficients
-    assert calls == [5, 11493, 14957]
+    # one call per size, each over the 3r^2 + 1 coefficients of r3
+    assert calls == [4, 8749, 14701]
 
 
 def test_float_transform_guard(monkeypatch):
     # distances within margin pass, anything >= 0.25 must trip the guard
     a = np.array([1, 2, 3], dtype=np.int64)
-    assert np.array_equal(_fft_convolve_checked(a, a), np.convolve(a, a))
+    expected = np.convolve(np.convolve(a, a), a)
+    assert np.array_equal(_fft_cube_checked(a), expected)
     irfft = np.fft.irfft
     for shift, trips in ((0.1, False), (-0.24, False), (0.3, True), (-0.75, True)):
         monkeypatch.setattr(np.fft, "irfft", lambda s, n, shift=shift: irfft(s, n) + shift)
         if trips:
             with pytest.raises(PrecisionError):
-                _fft_convolve_checked(a, a)
+                _fft_cube_checked(a)
         else:
-            assert np.array_equal(_fft_convolve_checked(a, a), np.convolve(a, a))
+            assert np.array_equal(_fft_cube_checked(a), expected)
 
 
 def test_float_transform_memory():
-    # x = 2.5e5: 2^20 points; an out-of-place guard peaked at 4.9 n doubles
-    a, b = build_histograms(ProblemInstance(x=250_000, k=3))
-    n = 1 << (len(a) + len(b) - 2).bit_length()
+    # x = 2.5e5: 2^20 points; an out-of-place guard peaked at 4.9 n doubles,
+    # two-input convolutions at 2.5 n
+    indicator, _ = build_histograms(ProblemInstance(x=250_000, k=3))
+    n = 1 << (3 * len(indicator) - 3).bit_length()
     assert n == 1 << 20
     tracemalloc.start()
     try:
-        _fft_convolve_checked(a, b)
+        _fft_cube_checked(indicator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * 8
+    assert peak < 2.25 * n * 8
 
 
 def test_budget_refusal(monkeypatch):

@@ -307,6 +307,27 @@ def test_verify_mismatch_exits_3_without_report(capsys, monkeypatch, tmp_path):
     assert out == "" and not out_file.exists()
 
 
+@pytest.mark.parametrize("honest", [True, False])
+def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, honest):
+    def no_constants(*args, **kwargs):
+        raise AssertionError("constants computed before the exact values")
+
+    monkeypatch.setattr(circlekit.cli, "sigma_truncated", no_constants)
+    if honest:
+        # 10^11 ordered tuples: the direct route's budget refuses
+        code, out, err = run(capsys, "verify", "--k", "3", "--x", "1000000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.startswith("budget error:")
+        return
+    convolution = circlekit.cli.exact_S_convolution
+    monkeypatch.setattr(
+        circlekit.cli, "exact_S_convolution", lambda *a, **kw: convolution(*a, **kw) + 1
+    )
+    code, out, err = run(capsys, "verify", "--k", "3", "--x", "10", "--method", "both")
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err.startswith("verification mismatch:")
+
+
 # Inputs at the edge of each command's domain: (argv, exit code, stderr prefix).
 EDGE_CASES = [
     (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "2"], EXIT_USAGE, "usage error:"),
