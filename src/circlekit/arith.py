@@ -215,12 +215,12 @@ def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
     n = 1 << (out_len - 1).bit_length()
     spectrum = np.fft.rfft(a.astype(np.float64), n)
     spectrum *= spectrum * spectrum
-    cube = np.fft.irfft(spectrum, n)[:out_len]
+    coeffs = np.fft.irfft(spectrum, n)[:out_len]
     del spectrum
-    rounded = np.rint(cube)
-    cube -= rounded
-    dist = float(np.abs(cube, out=cube).max())
-    del cube
+    rounded = np.rint(coeffs)
+    coeffs -= rounded
+    dist = float(np.abs(coeffs, out=coeffs).max())
+    del coeffs
     if dist >= 0.25:
         raise PrecisionError(
             f"float transform rounding distance {dist:.3f} >= 0.25; "

@@ -261,34 +261,33 @@ def test_convolution_transforms_agree():
 QUARTER_POWERS = [(2**m // 4 + e, k) for m in range(10, 17) for e in (0, 1) for k in (3, 4, 8)]
 
 
+def lattice_edges(k):
+    # x on both sides of a new square or a new k-th power up to 10^5; the
+    # squares include each least r with 3r^2 + 1 > 2^m, where the
+    # transform length of r3 doubles
+    squares = (1, 2, 3, 31, 316, *(math.isqrt(2**e // 3) + 1 for e in range(10, 19)))
+    powers = (2, 3, integer_kth_root(10**5, k))
+    bases = [(m, 2) for m in squares] + [(n, k) for n in powers]
+    return [b**e + s for b, e in bases for s in (-1, 0)]
+
+
+# k = 3..8, wherever the direct route enumerates at most 1.5e8 ordered tuples
+LATTICE_EDGES = [
+    (x, k)
+    for k in range(3, 9)
+    for x in lattice_edges(k)
+    if x >= 1 and ProblemInstance(x, k).tuple_count <= 1.5e8
+]
+
+
 def test_transform_length_at_quarter_powers():
-    table = divisor_sieve(max(ProblemInstance(x, k).max_value for x, k in QUARTER_POWERS))
-    for x, k in QUARTER_POWERS:
+    cases = QUARTER_POWERS + LATTICE_EDGES
+    table = divisor_sieve(max(ProblemInstance(x, k).max_value for x, k in cases))
+    for x, k in cases:
         inst = ProblemInstance(x=x, k=k)
         direct = exact_S_direct(inst, table)
         assert exact_S_convolution(inst, table, transform="auto") == direct, (x, k)
         assert exact_S_convolution(inst, table, transform="ntt") == direct, (x, k)
-
-
-# x on both sides of a new square or a new k-th power, up to 10^5
-LATTICE_EDGES = sorted(
-    {(x, k) for m in (1, 2, 3, 31, 316) for x in (m * m - 1, m * m) for k in range(3, 9) if x >= 1}
-    | {
-        (x, k)
-        for k in range(3, 9)
-        for n in (2, 3, math.floor(10 ** (5 / k) + 1e-9))
-        for x in (n**k - 1, n**k)
-    }
-)
-
-
-@pytest.mark.parametrize("x, k", LATTICE_EDGES)
-def test_convolution_matches_direct_at_lattice_edges(x, k):
-    inst = ProblemInstance(x=x, k=k)
-    table = divisor_sieve(inst.max_value)
-    direct = exact_S_direct(inst, table)
-    assert exact_S_convolution(inst, table, transform="auto") == direct
-    assert exact_S_convolution(inst, table, transform="ntt") == direct
 
 
 def test_monotone_in_x():
@@ -460,8 +459,7 @@ def test_float_transform_guard(monkeypatch):
 
 
 def test_float_transform_memory():
-    # x = 2.5e5: 2^20 points; an out-of-place guard peaked at 4.9 n doubles,
-    # two-input convolutions at 2.5 n
+    # x = 2.5e5: 2^20 points; the in-place guard keeps the peak near 2 n doubles
     indicator, _ = build_histograms(ProblemInstance(x=250_000, k=3))
     n = 1 << (3 * len(indicator) - 3).bit_length()
     assert n == 1 << 20

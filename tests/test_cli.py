@@ -307,13 +307,13 @@ def test_verify_mismatch_exits_3_without_report(capsys, monkeypatch, tmp_path):
     assert out == "" and not out_file.exists()
 
 
-@pytest.mark.parametrize("honest", [True, False])
-def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, honest):
+@pytest.mark.parametrize("case", ["budget", "mismatch"])
+def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, case):
     def no_constants(*args, **kwargs):
         raise AssertionError("constants computed before the exact values")
 
     monkeypatch.setattr(circlekit.cli, "sigma_truncated", no_constants)
-    if honest:
+    if case == "budget":
         # 10^11 ordered tuples: the direct route's budget refuses
         code, out, err = run(capsys, "verify", "--k", "3", "--x", "1000000")
         assert (code, out) == (EXIT_BUDGET, "")

@@ -4,9 +4,8 @@ Each case pins the sha256 of what one command writes to stdout at fixed
 flags.  A change to the exact arithmetic, a float path, the report
 layout or the 12-digit serialization moves a digest; a refactor that
 keeps every number and byte keeps them all.  Three verify cases sit at
-x = 2^m/4 and 2^m/4 + 1, the edges of the convolution's transform
-length: for most of them the power of two covering 4x + 2 is twice the
-one covering the max_value + 1 output coefficients.
+x = 2^m/4 and 2^m/4 + 1, where the power of two covering 4x + 2
+doubles.
 """
 
 import hashlib
