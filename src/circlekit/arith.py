@@ -10,7 +10,8 @@ One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings).  The other cubes the square indicator, by a
 guarded float FFT or an NTT modulo one prime, into the k-independent
 three-square counts r3, and pairs r3 with the divisor table shifted by
-each n4^k.  The two must agree to the last digit.
+each n4^k.  The two must agree to the last digit.  Both run on every
+CPU: the direct rows and the NTT's slices go through threads.ordered_map.
 
 Both transforms run at the power of two covering the 3r^2 + 1
 coefficients of r3.  The NTT prime 5*2^25 + 1 admits up to 2^25 points,
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import threads
 from .budget import check_budget
 from .errors import DomainError, PrecisionError, SizeError
 
@@ -170,8 +172,9 @@ def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> 
     3 for a < n2 = n3.  The pairs n2 < n3 come from one upper triangle
     ordered by n2, so those with n2 >= a are a suffix.  Each piece is
     gathered from the divisor table for all n4 at once, about 2^18 entries
-    per gather, and summed in int64 into a Python int.  No histogram or
-    transform is used, so the route stays independent of
+    per gather, and summed in int64 into a Python int, exact in any order,
+    so the rows n1 = a run interleaved through threads.ordered_map.  No
+    histogram or transform is used, so the route stays independent of
     exact_S_convolution; the budget still counts every ordered tuple.
     """
     check_budget(inst.tuple_count, "exact_S_direct")
@@ -185,13 +188,14 @@ def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> 
     # pairs[start[a]:] are the pairs whose smaller index is >= a
     start = np.searchsorted(n2, np.arange(r + 1))
     step = max(1, 2**18 // p_lim)
-    total = _gathered_sum(d, 3 * sq, powers, step)
-    for a in range(r):
+
+    def row(a: int) -> int:
         shifts = powers + sq[a]
-        total += 3 * _gathered_sum(d, pairs[start[a] : start[a + 1]], shifts, step)
-        total += 6 * _gathered_sum(d, pairs[start[a + 1] :], shifts, step)
-        total += 3 * _gathered_sum(d, 2 * sq[a + 1 :], shifts, step)
-    return total
+        ties = _gathered_sum(d, pairs[start[a] : start[a + 1]], shifts, step)
+        ties += _gathered_sum(d, 2 * sq[a + 1 :], shifts, step)
+        return 3 * ties + 6 * _gathered_sum(d, pairs[start[a + 1] :], shifts, step)
+
+    return _gathered_sum(d, 3 * sq, powers, step) + sum(threads.ordered_map(row, range(r)))
 
 
 def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -252,43 +256,51 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
+def _stages(a: np.ndarray, first: int, invert: bool) -> None:
+    """The butterfly stages of lengths first, 2*first, ..., len(a), in place.
+
+    Only the twiddle product is reduced mod p; lifting each difference by
+    p keeps the entries nonnegative, where numpy's % runs fastest."""
+    p = _NTT_PRIME
+    length = first
+    while length <= len(a):
+        w = pow(_NTT_ROOT, (p - 1) // length, p)
+        if invert:
+            w = pow(w, p - 2, p)
+        half = length // 2
+        blocks = a.reshape(-1, length)
+        left = blocks[:, :half]
+        right = blocks[:, half:] * _unit_powers(w, half)
+        right %= p
+        diff = left - right
+        diff += p
+        left += right
+        blocks[:, half:] = diff
+        length *= 2
+
+
 def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
     """Radix-2 number-theoretic transform mod p = _NTT_PRIME; returns a new array.
 
     The input is permuted into bit-reversed order by one gather and
-    reduced mod p, then log2(n) butterfly stages run as whole-array
-    numpy operations; only the twiddle product needs a % p.  Each
-    stage's twiddles come from _unit_powers, so the Python-level work is
-    O(log^2 n) numpy calls and no per-element loop.  Each % p runs in
-    place on an array this function owns, to keep the peak memory low.
+    reduced mod p, then log2(n) butterfly stages run as O(log^2 n) numpy
+    calls.  The first log2(n/w) stages act on w contiguous slices, w the
+    power of two covering threads.WORKERS (at most n/2), through
+    threads.ordered_map; the last log2(w) act on the whole array.  Lazy
+    reduction keeps the entries in [0, (s+1)p) after s stages, below
+    26p < 2^33 at the 2^25 cap, so each product with a twiddle or 1/n
+    fits int64; one % p ends the transform.
     """
     p = _NTT_PRIME
     n = len(a)
     a = a[_bit_reversal(n)]
     a %= p
-    length = 2
-    while length <= n:
-        w = pow(_NTT_ROOT, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length // 2
-        ws = _unit_powers(w, half)
-        blocks = a.reshape(-1, length)
-        left = blocks[:, :half]
-        right = blocks[:, half:] * ws
-        right %= p
-        # left and right lie in [0, p), so one conditional step of p
-        # reduces their sum and difference
-        total = left + right
-        total -= p * (total >= p)
-        diff = left - right
-        diff += p * (diff < 0)
-        blocks[:, :half] = total
-        blocks[:, half:] = diff
-        length *= 2
+    m = n // min(1 << (threads.WORKERS - 1).bit_length(), max(1, n // 2))
+    threads.ordered_map(lambda lo: _stages(a[lo : lo + m], 2, invert), range(0, n, m))
+    _stages(a, 2 * m, invert)
     if invert:
         a *= pow(n, p - 2, p)
-        a %= p
+    a %= p
     return a
 
 

@@ -83,9 +83,11 @@ def _check_tau(tau: float) -> None:
         raise DomainError(f"tau must be a finite number >= 1, got {tau}")
 
 
-def _check_samples(samples: int) -> None:
+def _check_draws(samples: int, seed: int) -> None:
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 def _euclid_steps(bound: float) -> int:
@@ -142,7 +144,7 @@ def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[d
     and ratio = 1 if dirichlet_contract_holds, else 0; returned with the
     failure count.
     """
-    _check_samples(samples)
+    _check_draws(samples, seed)
     _check_tau(tau)
     # each alpha is a multiple of 2^-53, so Euclid also ends by that denominator
     check_budget(samples * _euclid_steps(min(tau, 2.0**53)), "dirichlet scan")
@@ -409,7 +411,7 @@ def minor_arc_bound_profile(
     k >= 8 the smooth-number bound
     x^(1/k) (1/q + x^(-1/k) + q/x)^(1/(2k(k-1))).
     """
-    _check_samples(samples)
+    _check_draws(samples, seed)
     params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)
     m = integer_kth_root(x, k)

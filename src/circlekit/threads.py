@@ -1,17 +1,18 @@
 """An order-preserving map over worker threads.
 
-The main-term constants are loops of independent numpy blocks that
-release the interpreter lock, so they run on every CPU this process may
-use.  With w workers the calling thread takes items[0::w] itself and
-w - 1 helper threads take items[i::w]: a caller that works rather than
-waits leaves one thread fewer, and with it one allocator arena fewer
-holding freed block temporaries.  Every helper is joined before
-ordered_map returns or raises.
+The main-term constants and both exact routes are loops of independent
+numpy blocks that release the interpreter lock, so they run on every
+CPU this process may use.  With w workers the calling thread takes
+items[0::w] itself and w - 1 helper threads take items[i::w]: a caller
+that works rather than waits leaves one thread fewer, and with it one
+allocator arena fewer holding freed block temporaries.  Every helper is
+joined before ordered_map returns or raises.
 
-Users: the singular-integral sweep's blocks (integrals.j_values) and
-the prime-power local densities (series.sigma_truncated).  What they
-map calls no function that perfbench's tracer wraps, because the
-tracer keeps one span stack for all threads.
+Users: the singular-integral sweep's blocks (integrals.j_values), the
+prime-power local densities (series.sigma_truncated), the direct rows
+(arith.exact_S_direct) and the NTT's slices (arith._ntt).  What they map
+calls no function that perfbench's tracer wraps, because the tracer
+keeps one span stack for all threads.
 """
 
 import os

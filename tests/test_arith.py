@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlekit import arith
+from circlekit import arith, threads
 from circlekit.arith import (
     DivisorTable,
     ProblemInstance,
     _bit_reversal,
     _fft_cube_checked,
+    _NTT_MAX_LEN,
     _NTT_PRIME,
     _NTT_ROOT,
     _ntt,
@@ -244,6 +245,27 @@ def test_direct_matches_ordered_tuples_at_edges(x, k):
     assert exact_S_direct(inst, table) == ordered_direct(inst, table)
 
 
+@settings(max_examples=30, deadline=None)
+@given(x=st.integers(1, 2 * 10**4), k=st.integers(3, 8))
+# both sides of a new square m^2 and of a new k-th power n^k
+@example(x=141**2 - 1, k=3)
+@example(x=141**2, k=5)
+@example(x=27**3 - 1, k=3)
+@example(x=27**3, k=3)
+@example(x=11**4 - 1, k=4)
+@example(x=11**4, k=4)
+@example(x=3**8, k=8)
+def test_direct_equal_on_any_worker_count(x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    with pytest.MonkeyPatch.context() as mp:
+        values = []
+        for workers in (1, 2, 3, 4):
+            mp.setattr(threads, "WORKERS", workers)
+            values.append(exact_S_direct(inst, table))
+    assert values == [values[0]] * 4
+
+
 def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
@@ -371,6 +393,45 @@ def test_ntt_butterflies_match_modulo_form(p, invert):
     wide = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
     for a in (randoms, wide, *edges):
         assert np.array_equal(_ntt(a, invert), modulo_ntt(a, p, _NTT_ROOT, invert))
+
+
+# w = 1, 2, 4, 4 slices at 2^16; n = 1, 2 and 4 clamp w to at most n/2
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 2**16])
+@pytest.mark.parametrize("invert", [False, True])
+def test_split_ntt_matches_modulo_form_on_any_worker_count(monkeypatch, workers, n, invert):
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    a = np.random.default_rng(n + invert).integers(0, _NTT_PRIME, size=n, dtype=np.int64)
+    assert np.array_equal(_ntt(a, invert), modulo_ntt(a, _NTT_PRIME, _NTT_ROOT, invert))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_ntt_round_trips_the_largest_residues(monkeypatch, workers):
+    # every entry p - 1 drives each unreduced sum to its largest value
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    a = np.full(2**16, _NTT_PRIME - 1, dtype=np.int64)
+    forward = _ntt(a, False)
+    assert np.array_equal(forward, modulo_ntt(a, _NTT_PRIME, _NTT_ROOT, False))
+    assert np.array_equal(_ntt(forward, True), a)
+
+
+@pytest.mark.parametrize("fill", ["largest", "random"])
+def test_stages_keep_entries_in_the_lazy_range(fill):
+    # 16 stages from residues in [0, p) end in [0, 17p), the bound the
+    # int64 argument rests on, and nonnegative, where % runs fastest
+    n = 2**16
+    a = np.full(n, _NTT_PRIME - 1, dtype=np.int64)
+    if fill == "random":
+        a = np.random.default_rng(5).integers(0, _NTT_PRIME, size=n, dtype=np.int64)
+    arith._stages(a, 2, False)
+    assert 0 <= a.min() and a.max() < 17 * _NTT_PRIME
+
+
+def test_lazy_reduction_fits_int64_at_the_length_cap():
+    # after the 25 stages of a 2^25 transform entries stay below 26p, and
+    # every product with a twiddle or with 1/n stays below 26p^2
+    assert _NTT_MAX_LEN == 2**25
+    assert 26 * _NTT_PRIME**2 < 2**63
 
 
 def test_ntt_matches_fft_at_length_2_20():

@@ -352,6 +352,9 @@ EDGE_CASES = [
       "--out", "/nonexistent/dir/f.json"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "minor", "--samples", "-4"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "dirichlet", "--samples", "-1"], EXIT_USAGE, "usage error:"),
+    # numpy's default_rng takes no negative seed; refused before any work
+    (["diagnostics", "minor", "--k", "3", "--seed", "-1"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "dirichlet", "--seed", "-1"], EXIT_USAGE, "usage error:"),
     # the probes are charged before their loops: 2.3e10, 1.1e10 and 2e15 units
     (["diagnostics", "dirichlet", "--samples", "1000000000"], EXIT_BUDGET, "budget error:"),
     (["diagnostics", "minor", "--k", "3", "--x", "1000000", "--samples", "10000000"],

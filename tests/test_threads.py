@@ -1,9 +1,9 @@
-"""The threaded main-term constants: the same bits on any worker count.
+"""The threaded constants and exact sums: the same bits on any worker count.
 
-j_values and sigma_truncated spread independent blocks over
-threads.ordered_map.  Their results must not depend on how many
-workers run them, a failure in a helper's share must surface as the
-same exit code, and no helper may outlive the call.
+j_values, sigma_truncated and the direct route's rows spread
+independent work over threads.ordered_map.  Their results must not
+depend on how many workers run them, a failure in a helper's share
+must surface as the same exit code, and no helper may outlive the call.
 """
 
 import sys
@@ -13,8 +13,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from circlekit import integrals, series, threads
-from circlekit.cli import EXIT_NUMERICAL, main
+from circlekit import arith, integrals, series, threads
+from circlekit.cli import EXIT_BUDGET, EXIT_NUMERICAL, main
 from circlekit.errors import NumericalIntegrityError
 from circlekit.integrals import decay_envelope, j_density_batch, j_values
 from circlekit.series import sigma_truncated
@@ -131,3 +131,23 @@ def test_helper_failure_maps_to_numerical_exit(monkeypatch, capsys):
     assert threading.active_count() == baseline
     err = capsys.readouterr().err
     assert err.startswith("numerical integrity error:") and "q=5" in err
+
+
+def test_memory_error_in_a_direct_row_maps_to_budget_exit(monkeypatch, capsys):
+    gathered_sum = arith._gathered_sum
+    failed_on = []
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            failed_on.append(threading.current_thread())
+            raise MemoryError("forced in a helper's row")
+        return gathered_sum(*args)
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(arith, "_gathered_sum", failing)
+    baseline = threading.active_count()
+    assert main(["verify", "--k", "3", "--x", "2000", "--method", "direct"]) == EXIT_BUDGET
+    assert failed_on
+    assert threading.active_count() == baseline
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and err.count("\n") == 1

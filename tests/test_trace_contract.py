@@ -13,6 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import circlekit.cli  # noqa: E402,F401  (binds the layer functions the commands call)
 import spans  # noqa: E402
+from circlekit import threads  # noqa: E402
+from circlekit.arith import ProblemInstance, divisor_sieve  # noqa: E402
 
 
 def test_every_traced_layer_is_a_library_function():
@@ -44,3 +46,27 @@ def test_tracer_uninstall_restores_every_binding():
         assert now.keys() == before[name].keys(), name
         changed = [attr for attr, value in before[name].items() if now[attr] is not value]
         assert changed == [], name
+
+
+def test_threaded_exact_routes_record_only_their_own_spans(monkeypatch):
+    # helper threads call no wrapped layer, so the single span stack holds:
+    # each route's one span, and the convolution's histogram child opened
+    # on the calling thread
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    inst = ProblemInstance(x=5000, k=3)
+    table = divisor_sieve(inst.max_value)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        circlekit.arith.exact_S_direct(inst, table)
+        direct = list(tracer.spans)
+        tracer.spans.clear()
+        circlekit.arith.exact_S_convolution(inst, table, "ntt")
+        convolution = list(tracer.spans)
+    finally:
+        tracer.uninstall()
+    assert [(span.name, span.parent) for span in direct] == [("arith.exact_S_direct", -1)]
+    assert [(span.name, span.parent) for span in convolution] == [
+        ("arith.exact_S_convolution.ntt", -1),
+        ("arith.build_histograms", 0),
+    ]
