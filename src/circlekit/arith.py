@@ -11,11 +11,13 @@ weighted by its orderings).  The other cubes the square indicator, by a
 guarded float FFT or an NTT modulo one prime, into the k-independent
 three-square counts r3, and pairs r3 with the divisor table shifted by
 each n4^k.  The two must agree to the last digit.  Both run on every
-CPU: the direct rows and the NTT's slices go through threads.ordered_map.
+CPU: the direct rows, the NTT's slices and the window segments go
+through threads.ordered_map.
 
-Both transforms run at the power of two covering the 3r^2 + 1
-coefficients of r3.  The NTT prime 5*2^25 + 1 admits up to 2^25 points,
-so x <= 11,189,024 (r <= 3344); r3 stays below r^2, far under the prime.
+The float cube runs at the least 2^a * 3^b * 5^c covering the 3r^2 + 1
+coefficients of r3, the NTT at the power of two covering them.  The NTT
+prime 5*2^25 + 1 admits up to 2^25 points, so x <= 11,189,024
+(r <= 3344); r3 stays below r^2, far under the prime.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ MAX_SIEVE = 200_000_000
 _NTT_PRIME = 167772161
 _NTT_ROOT = 3
 _NTT_MAX_LEN = 1 << 25
+
+# Entries of r3 per window segment: its int32 window is 256 KiB.
+_SEGMENT = 1 << 16
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -207,8 +212,23 @@ def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return indicator, np.arange(1, p_lim + 1, dtype=np.int64) ** inst.k
 
 
+def _fft_length(n: int) -> int:
+    """The least 2^a * 3^b * 5^c >= n (n >= 1), where pocketfft runs fastest."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least odd * 2^a >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
-    """Float a*a*a with a rounding-margin guard.
+    """Float a*a*a with a rounding-margin guard, at the 5-smooth length
+    _fft_length covering the 3 len(a) - 2 coefficients.
 
     Any coefficient at distance >= 0.25 from the nearest integer raises
     PrecisionError; callers then fall back to the exact modular path.
@@ -216,7 +236,7 @@ def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
     overwrite the float output, so the peak is about 2 n doubles.
     """
     out_len = 3 * len(a) - 2
-    n = 1 << (out_len - 1).bit_length()
+    n = _fft_length(out_len)
     spectrum = np.fft.rfft(a.astype(np.float64), n)
     spectrum *= spectrum * spectrum
     coeffs = np.fft.irfft(spectrum, n)[:out_len]
@@ -343,14 +363,23 @@ def exact_S_convolution(
 ) -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
     d(m + n4^k), where r3 = cube(square indicator) counts the ordered
-    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  W is summed in int32 from
-    one table slice per n4, ending at most at max_value; it stays below
-    P * max d < 2^20 wherever the sieve cap admits the table.
+    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  W and the dot are built in
+    segments of _SEGMENT entries through threads.ordered_map: each sums
+    one table slice per n4 into a cache-resident int32 buffer, below
+    P * max d < 2^20 wherever the sieve cap admits the table, and returns
+    its int64 dot as a Python int, exact in any order.  The last slice
+    ends at most at max_value.
     """
     table = _require_table(inst, table)
     indicator, powers = build_histograms(inst)
     r3 = cube(indicator, transform)
-    window = np.zeros(len(r3), dtype=np.int32)
-    for s in powers:
-        window += table.values[s : s + len(r3)]
-    return int(np.dot(window.astype(np.int64), r3))
+    d, shifts = table.values, powers.tolist()
+
+    def segment(lo: int) -> int:
+        hi = min(lo + _SEGMENT, len(r3))
+        window = np.zeros(hi - lo, dtype=np.int32)
+        for s in shifts:
+            window += d[s + lo : s + hi]
+        return int(np.dot(window.astype(np.int64), r3[lo:hi]))
+
+    return sum(threads.ordered_map(segment, range(0, len(r3), _SEGMENT)))

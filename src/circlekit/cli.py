@@ -190,7 +190,11 @@ def _check_out(path: str) -> None:
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None):
-    """Write the report as JSON, or as CSV when requested and tabular."""
+    """Write the report as JSON, or as CSV when requested and tabular.
+
+    csv_rows may be a generator: JSON output never iterates it, so rows
+    are built only for CSV.
+    """
     fmt = getattr(args, "format", "json") or "json"
     out_path = getattr(args, "out", None)
     if fmt == "csv" and csv_rows is not None:
@@ -321,10 +325,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         report,
         args,
-        csv_rows=[
+        csv_rows=(
             [r["k"], r["x"], r["exact"], r["main"], r["residual"], r["normalized"]]
             for r in records
-        ],
+        ),
         csv_header=["k", "x", "exact", "main", "residual", "normalized"],
     )
     return EXIT_OK
@@ -333,10 +337,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     k = _single_k(args)
     partial = sigma_truncated(args.q_max, k)
-    rows = [
+    rows = (
         [q, _sig12(value), _sig12(sigma1), _sig12(sigma2)]
         for (q, value), sigma1, sigma2 in zip(partial.terms, partial.running1, partial.running2)
-    ]
+    )
     report = {
         "meta": _meta("series", args),
         "series": {
@@ -377,7 +381,7 @@ def cmd_integral(args: argparse.Namespace) -> int:
         _emit(report, args, csv_rows=scan_rows, csv_header=columns)
     else:
         columns = ["k", "which", "B", "value", "quadrature_error", "tail_bound"]
-        _emit(report, args, csv_rows=[[e[c] for c in columns] for e in entries],
+        _emit(report, args, csv_rows=([e[c] for c in columns] for e in entries),
               csv_header=columns)
     return EXIT_OK
 
@@ -415,7 +419,7 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
     report = {"meta": _meta("diagnostics", args), "diagnostics": block}
     _emit(
         report, args,
-        csv_rows=[[_cell(row[column]) for column in columns] for row in rows],
+        csv_rows=([_cell(row[column]) for column in columns] for row in rows),
         csv_header=columns,
     )
     return EXIT_OK

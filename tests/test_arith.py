@@ -12,6 +12,7 @@ from circlekit.arith import (
     ProblemInstance,
     _bit_reversal,
     _fft_cube_checked,
+    _fft_length,
     _NTT_MAX_LEN,
     _NTT_PRIME,
     _NTT_ROOT,
@@ -266,6 +267,57 @@ def test_direct_equal_on_any_worker_count(x, k):
     assert values == [values[0]] * 4
 
 
+def whole_window_sum(inst, table):
+    # the unsegmented window: one int32 sum of a table slice per n4 over
+    # all of r3, then one int64 dot
+    indicator, powers = build_histograms(inst)
+    r3 = cube(indicator)
+    window = np.zeros(len(r3), dtype=np.int32)
+    for s in powers:
+        window += table.values[s : s + len(r3)]
+    return int(np.dot(window.astype(np.int64), r3))
+
+
+# r = 147 and 148: r3's 3r^2 + 1 entries fit one 2^16 segment, then
+# spill 177 entries into a second
+@pytest.mark.parametrize("x, k", [(148**2 - 1, 3), (148**2, 3), (148**2, 8)])
+def test_window_segments_equal_direct_on_any_worker_count(monkeypatch, x, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    direct = exact_S_direct(inst, table)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        assert exact_S_convolution(inst, table) == direct, workers
+
+
+# 3r^2 + 1 is odd or 4 mod 8, never a multiple of 2^16, so the segment
+# is shrunk to divide the 8749 entries of r3 at r = 54 (13 * 673) and
+# 9076 at r = 55 (4 * 2269), or to leave one entry past the last full
+# segment (8749 = 4 * 2187 + 1, 9076 = 3 * 3025 + 1)
+@pytest.mark.parametrize("x, segment", [(3000, 673), (3000, 8749), (3025, 4), (3025, 9076),
+                                        (3000, 2187), (3000, 8748), (3025, 3025), (3025, 9075)])
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_window_segments_at_multiples_and_one_past(monkeypatch, x, segment, k):
+    inst = ProblemInstance(x=x, k=k)
+    table = divisor_sieve(inst.max_value)
+    direct = exact_S_direct(inst, table)
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        assert exact_S_convolution(inst, table) == direct, workers
+
+
+def test_window_segments_one_past_27_full_segments(monkeypatch):
+    # r = 768: r3 has 27 * 2^16 + 1 entries, the last segment holds one
+    inst = ProblemInstance(x=768**2, k=8)
+    assert 3 * inst.square_limit**2 + 1 == 27 * 2**16 + 1
+    table = divisor_sieve(inst.max_value)
+    expected = whole_window_sum(inst, table)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        assert exact_S_convolution(inst, table) == expected, workers
+
+
 def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
@@ -435,9 +487,50 @@ def test_lazy_reduction_fits_int64_at_the_length_cap():
 
 
 def test_ntt_matches_fft_at_length_2_20():
+    # x = 2e5: the NTT runs at 2^20 points, the float cube at 600,000
     indicator, _ = build_histograms(ProblemInstance(x=2 * 10**5, k=3))
-    assert 1 << (3 * len(indicator) - 3).bit_length() == 1 << 20
+    out_len = 3 * len(indicator) - 2
+    assert 1 << (out_len - 1).bit_length() == 1 << 20
+    assert _fft_length(out_len) == 600_000
     assert np.array_equal(_ntt_cube(indicator), _fft_cube_checked(indicator))
+
+
+def least_smooth_at_least(n):
+    # the first m >= n with no prime factor above 5
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def test_fft_length_matches_brute_force():
+    assert [_fft_length(n) for n in range(1, 5001)] == [
+        least_smooth_at_least(n) for n in range(1, 5001)
+    ]
+    # x = 10^6 and 3e6: 3,000,001 and 8,999,473 coefficients of r3
+    assert _fft_length(3_000_001) == 3_037_500
+    assert _fft_length(8_999_473) == 9_000_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(st.integers(0, 20), min_size=1, max_size=400))
+# 3 len(a) - 2 = 4, 16, 100 and 1000 are 5-smooth: the cube fills the
+# transform with no padding left, so any shorter length aliases
+@example(a=[1, 1])
+@example(a=[3] * 6)
+@example(a=[1] * 34)
+@example(a=[7] * 334)
+def test_cube_equals_integer_convolution_at_every_length(a):
+    arr = np.array(a, dtype=np.int64)
+    obj = np.array(a, dtype=object)
+    expected = np.convolve(np.convolve(obj, obj), obj).tolist()
+    assert cube(arr, "auto").tolist() == expected
+    assert cube(arr, "ntt").tolist() == expected
 
 
 def test_ntt_capacity_guard():
@@ -520,10 +613,11 @@ def test_float_transform_guard(monkeypatch):
 
 
 def test_float_transform_memory():
-    # x = 2.5e5: 2^20 points; the in-place guard keeps the peak near 2 n doubles
+    # x = 2.5e5: 759,375 = 3^5 5^5 points for 750,001 coefficients; the
+    # in-place guard keeps the peak near 2 n doubles
     indicator, _ = build_histograms(ProblemInstance(x=250_000, k=3))
-    n = 1 << (3 * len(indicator) - 3).bit_length()
-    assert n == 1 << 20
+    n = _fft_length(3 * len(indicator) - 2)
+    assert n == 759_375
     tracemalloc.start()
     try:
         _fft_cube_checked(indicator)

@@ -231,6 +231,24 @@ def test_diagnostics_minor_csv_columns(capsys):
     assert len(rows) == 20
 
 
+# the rounding helper each CSV cell passes through, the rows and the
+# columns rounded by it
+@pytest.mark.parametrize("argv, helper, rows, rounded", [
+    (("diagnostics", "dirichlet", "--samples", "50", "--tau", "100"), "_cell", 50, 7),
+    (("series", "--k", "3", "--q-max", "8"), "_sig12", 8, 3),
+])
+def test_json_reports_build_no_csv_rows(monkeypatch, capsys, argv, helper, rows, rounded):
+    original, calls = getattr(circlekit.cli, helper), []
+    monkeypatch.setattr(circlekit.cli, helper, lambda v: calls.append(v) or original(v))
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)
+    json_calls = len(calls)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) == rows + 1
+    # the CSV pass repeats the JSON report's calls and adds one per cell
+    assert len(calls) - 2 * json_calls == rows * rounded
+
+
 def test_sieve_command(capsys):
     code, out, _ = run(capsys, "sieve", "--n", "1000")
     assert code == EXIT_OK
