@@ -4,7 +4,6 @@ over mixed-power quadruples (three squares and one k-th power)."""
 __version__ = "0.1.0"
 
 from .arith import (
-    DivisorTable,
     ProblemInstance,
     divisor_sieve,
     exact_S_convolution,
@@ -20,7 +19,6 @@ __all__ = [
     "__version__",
     "ArcParameters",
     "DeltaResult",
-    "DivisorTable",
     "MainTerm",
     "ProblemInstance",
     "classify_arc",

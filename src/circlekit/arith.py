@@ -6,6 +6,9 @@ r = sqrt(x) and n4 up to P = x^(1/k):
 
     S = sum d(n1^2 + n2^2 + n3^2 + n4^k)
 
+The divisor table is the sieve's int32 array d, d[n] = d(n); its readers
+check or build it through require_table.
+
 One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings).  The other cubes the square indicator, by a
 guarded float FFT or an NTT modulo one prime, into the k-independent
@@ -65,21 +68,9 @@ def integer_kth_root(n: int, k: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class DivisorTable:
-    """d(n) for 1 <= n <= limit; index 0 is unused and holds 0."""
-
-    limit: int
-    values: np.ndarray
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside table range [1, {self.limit}]")
-        return int(self.values[n])
-
-
-def divisor_sieve(limit: int) -> DivisorTable:
-    """Exact d(n) for all n <= limit by a sqrt(N) pair sieve.
+def divisor_sieve(limit: int) -> np.ndarray:
+    """Exact d(n) for all n <= limit, as an int32 array indexed by n whose
+    entry 0 is unused and holds 0, by a sqrt(N) pair sieve.
 
     d(n) counts the ordered pairs (i, j) with i*j = n.  Each pair has a
     smaller factor i <= floor(sqrt(N)), so for each such i the square
@@ -97,20 +88,25 @@ def divisor_sieve(limit: int) -> DivisorTable:
     for i in range(1, math.isqrt(limit) + 1):
         d[i * i] += 1
         d[i * (i + 1) :: i] += 2
-    return DivisorTable(limit=limit, values=d)
+    return d
 
 
-def sum_d_squared(limit: int, table: DivisorTable | None = None) -> int:
+def require_table(need: int, table: np.ndarray | None = None) -> np.ndarray:
+    """table, or divisor_sieve(need) when None; DomainError unless it reaches d[need]."""
+    if table is None:
+        return divisor_sieve(need)
+    if len(table) <= need:
+        raise DomainError(f"divisor table covers {len(table) - 1} < required {need}")
+    return table
+
+
+def sum_d_squared(limit: int, table: np.ndarray | None = None) -> int:
     """Exact sum of d(n)^2 for n <= limit.
 
     The second moment grows like N log^3 N; callers check the fitted
     constant of that envelope.
     """
-    if table is None:
-        table = divisor_sieve(limit)
-    if table.limit < limit:
-        raise DomainError(f"table covers {table.limit} < {limit}")
-    v = table.values[1 : limit + 1].astype(np.int64)
+    v = require_table(limit, table)[1 : limit + 1].astype(np.int64)
     return int(np.dot(v, v))
 
 
@@ -151,15 +147,6 @@ class ProblemInstance:
         return self.square_limit**3 * self.power_limit
 
 
-def _require_table(inst: ProblemInstance, table: DivisorTable | None) -> DivisorTable:
-    need = inst.max_value
-    if table is None:
-        return divisor_sieve(need)
-    if table.limit < need:
-        raise DomainError(f"divisor table covers {table.limit} < required {need}")
-    return table
-
-
 def _gathered_sum(d: np.ndarray, values: np.ndarray, shifts: np.ndarray, step: int) -> int:
     """sum of d[v + s] over v in values and s in shifts, `step` values at a time."""
     total = 0
@@ -168,7 +155,7 @@ def _gathered_sum(d: np.ndarray, values: np.ndarray, shifts: np.ndarray, step: i
     return total
 
 
-def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> int:
+def exact_S_direct(inst: ProblemInstance, table: np.ndarray | None = None) -> int:
     """Exact quadruple-sum value by enumerating square triples and every n4.
 
     The summand is symmetric in (n1, n2, n3), so only n1 <= n2 <= n3 is
@@ -183,9 +170,8 @@ def exact_S_direct(inst: ProblemInstance, table: DivisorTable | None = None) -> 
     exact_S_convolution; the budget still counts every ordered tuple.
     """
     check_budget(inst.tuple_count, "exact_S_direct")
-    table = _require_table(inst, table)
+    d = require_table(inst.max_value, table)
     r, p_lim = inst.square_limit, inst.power_limit
-    d = table.values
     sq = np.arange(1, r + 1, dtype=np.int64) ** 2
     powers = np.arange(1, p_lim + 1, dtype=np.int64)[:, None] ** inst.k
     n2, n3 = np.triu_indices(r, 1)
@@ -358,7 +344,7 @@ def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
 
 def exact_S_convolution(
     inst: ProblemInstance,
-    table: DivisorTable | None = None,
+    table: np.ndarray | None = None,
     transform: str = "auto",
 ) -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
@@ -370,10 +356,10 @@ def exact_S_convolution(
     its int64 dot as a Python int, exact in any order.  The last slice
     ends at most at max_value.
     """
-    table = _require_table(inst, table)
+    d = require_table(inst.max_value, table)
     indicator, powers = build_histograms(inst)
     r3 = cube(indicator, transform)
-    d, shifts = table.values, powers.tolist()
+    shifts = powers.tolist()
 
     def segment(lo: int) -> int:
         hi = min(lo + _SEGMENT, len(r3))

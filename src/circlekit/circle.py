@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorTable, divisor_sieve, integer_kth_root
+from .arith import integer_kth_root, require_table
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import complete_power_sum, divisor_exp_sum, weyl_sum
 from .integrals import (
     linear_phase_batch,
     log_weighted_integral,
+    phase_panels,
     unit_power_phase_integral,
 )
 from .series import log_weight
@@ -115,7 +116,6 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     alpha = float(alpha)
     tau = float(tau)
     num, den = alpha.as_integer_ratio()
-    a, q = num // den, 1
     for p, d in convergents(alpha):
         # int against float compares exactly
         if d > tau:
@@ -251,14 +251,19 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     if x < 1 or k < 1 or q_max < 1:
         raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
     # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
-    # each charged a Weyl sum of m terms and a complete sum of q terms
+    # each charged a Weyl sum of m terms and a complete sum of q terms, and
+    # refused on those before any offset is formed; then per q and offset,
+    # 8 nodes for each of 3 times a phase integral's first panels
     m = integer_kth_root(x, k)
-    check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
+    sums = 2 * q_max * (q_max + 1) * (m + q_max)
+    check_budget(sums, "vk scan")
+    widths = [x ** (1.0 / k - 1.0) / (2.0 * k * q) for q in range(1, q_max + 1)]
+    offsets = [(0.0, 0.5 * width, width, -width) for width in widths]
+    panels = sum(phase_panels(x * beta, k) for betas in offsets for beta in betas)
+    check_budget(sums + 3 * 8 * panels, "vk scan")
     scale = float(x) ** (1.0 / k)
     rows = []
-    for q in range(1, q_max + 1):
-        width = x ** (1.0 / k - 1.0) / (2.0 * k * q)
-        betas = (0.0, 0.5 * width, width, -width)
+    for q, betas in enumerate(offsets, 1):
         phases = [unit_power_phase_integral(x * beta, k) for beta in betas]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
@@ -279,7 +284,7 @@ def divisor_expansion_residual(
     q: int,
     beta: float,
     x: int,
-    table: DivisorTable,
+    table: np.ndarray,
     params: ArcParameters,
 ) -> dict:
     """Error of the three-term main model of f(-a/q - beta), as a scan row.
@@ -317,7 +322,7 @@ def divisor_expansion_residual(
 
 
 def expansion_envelope_scan(
-    x: int, k: int, table: DivisorTable | None = None
+    x: int, k: int, table: np.ndarray | None = None
 ) -> DiagnosticBound:
     """Expansion residuals at a = 1 for q in _EXPANSION_QS up to Q and q = Q,
     each at beta = 0, 1/(2 q tau) and 1/(q tau).
@@ -328,8 +333,7 @@ def expansion_envelope_scan(
     params = ArcParameters.default(x, k)
     qs = sorted({q for q in _EXPANSION_QS if q <= params.Q} | {params.Q})
     check_budget(3 * len(qs) * 4 * x, "expansion scan")
-    if table is None:
-        table = divisor_sieve(4 * x)
+    table = require_table(4 * x, table)
     rows = [
         divisor_expansion_residual(1, q, beta, x, table, params)
         for q in qs

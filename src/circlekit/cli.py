@@ -12,7 +12,8 @@ significant digits and every report embeds the command, flag set,
 seed, and library version, so fixed flags give byte-identical output.
 
 Exit codes: 0 ok, 2 usage, 3 verification mismatch, 4 budget exceeded
-or out of memory, 5 numerical-integrity failure.
+or out of memory, 5 numerical-integrity failure, 141 stdout closed by
+its reader before the report was written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +58,16 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
+
+# The exit code and stderr prefix of each failure, matched in this order
+FAILURES = {
+    BudgetError: (EXIT_BUDGET, "budget error: "),
+    MemoryError: (EXIT_BUDGET, "budget error: out of memory: "),
+    VerificationMismatch: (EXIT_MISMATCH, "verification mismatch: "),
+    NumericalIntegrityError: (EXIT_NUMERICAL, "numerical integrity error: "),
+    DomainError: (EXIT_USAGE, "usage error: "),
+}
 
 # JSON report layout; tests validate emitted reports against this.
 REPORT_SCHEMA = {
@@ -201,8 +213,7 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
         text = buffer.getvalue()
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -243,20 +254,13 @@ def cmd_delta(args: argparse.Namespace) -> int:
     # balance evaluates the 8 error terms at up to 29 candidate cutoffs per k
     check_budget(len(ks) * 8 * 29, "delta table")
     rows = _delta_rows(ks)
+    cells = [[str(r["k"]), r["theta_star"], r["worst_exp"], r["delta"], r["reference"],
+              "MATCH" if r["match"] else "MISMATCH"] for r in rows]
     widths = (3, 8, 14, 14, 14, 9)
     header = ("k", "theta*", "worst_exp", "delta", "reference", "status")
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        status = "MATCH" if row["match"] else "MISMATCH"
-        cells = (
-            str(row["k"]),
-            row["theta_star"],
-            row["worst_exp"],
-            row["delta"],
-            row["reference"],
-            status,
-        )
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    for row, line in zip(rows, cells):
+        print("  ".join(c.ljust(w) for c, w in zip(line, widths)))
         if not row["match"]:
             print(f"    binding terms: {', '.join(row['binding'])}")
     report = {"meta": _meta("delta", args), "delta_table": rows}
@@ -264,11 +268,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         _emit(
             report,
             args,
-            csv_rows=[
-                [r["k"], r["theta_star"], r["worst_exp"], r["delta"], r["reference"],
-                 "MATCH" if r["match"] else "MISMATCH", ";".join(r["binding"])]
-                for r in rows
-            ],
+            csv_rows=[line + [";".join(r["binding"])] for r, line in zip(rows, cells)],
             csv_header=["k", "theta_star", "worst_exp", "delta", "reference", "status", "binding"],
         )
     if not all(row["match"] for row in rows):
@@ -322,14 +322,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "records": records,
         "diagnostics": diagnostics,
     }
+    columns = ["k", "x", "exact", "main", "residual", "normalized"]
     _emit(
         report,
         args,
-        csv_rows=(
-            [r["k"], r["x"], r["exact"], r["main"], r["residual"], r["normalized"]]
-            for r in records
-        ),
-        csv_header=["k", "x", "exact", "main", "residual", "normalized"],
+        csv_rows=([r[c] for c in columns] for r in records),
+        csv_header=columns,
     )
     return EXIT_OK
 
@@ -430,14 +428,12 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     total_sq = sum_d_squared(args.n, table)
     block = {
         "N": args.n,
-        "sum_d": int(table.values.sum(dtype=int)),
+        "sum_d": int(table.sum(dtype=int)),
         "sum_d_squared": int(total_sq),
         "moment_ratio": _sig12(moment_ratio(args.n, total_sq)),
     }
     report = {"meta": _meta("sieve", args), "sieve": block}
-    _emit(report, args, csv_rows=[[block["N"], block["sum_d"],
-                                   block["sum_d_squared"], block["moment_ratio"]]],
-          csv_header=["N", "sum_d", "sum_d_squared", "moment_ratio"])
+    _emit(report, args, csv_rows=[list(block.values())], csv_header=list(block))
     return EXIT_OK
 
 
@@ -512,22 +508,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MemoryError as exc:
-        print(f"budget error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationMismatch as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except NumericalIntegrityError as exc:
-        print(f"numerical integrity error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except tuple(FAILURES) as exc:
+        code, prefix = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point it at devnull so the final flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -21,13 +21,15 @@ import math
 
 import numpy as np
 
-from .arith import DivisorTable, integer_kth_root
+from .arith import integer_kth_root, require_table
 from .errors import DomainError
 
 _WORD = 2**64
 
 # Terms per block of the divisor exponential sum.
 _TERMS = 1 << 16
+# Terms per block of a Weyl sum; any m up to it sums as one numpy array.
+_WEYL_TERMS = 1 << 20
 
 
 def _check_modulus(q: int, k: int) -> None:
@@ -82,7 +84,8 @@ def power_sum_spectrum(q: int, k: int) -> np.ndarray:
 
 
 def weyl_sum(alpha: float, x: int, ell: int) -> complex:
-    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell) with exact phase reduction.
+    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell) with exact phase reduction,
+    _WEYL_TERMS terms at a time.
 
     alpha = num/2^e exactly.  The phase (num n^ell mod 2^e)/2^e is the
     same float from uint64 arithmetic (e <= 64) as from Python integers.
@@ -93,33 +96,36 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
         raise DomainError(f"x must be >= 1, got {x}")
     m = integer_kth_root(x, ell)
     num, den = float(alpha).as_integer_ratio()
-    if den > _WORD:
-        phases = np.fromiter(
-            (((num * n**ell) % den) / den for n in range(1, m + 1)),
-            dtype=np.float64,
-            count=m,
-        )
-    else:
-        # den = 2^e divides 2^64, so wrapping uint64 products keep every
-        # residue mod den; dividing by a power of two is exact.
-        n = np.arange(1, m + 1, dtype=np.uint64)
-        powers = n.copy()
-        for _ in range(ell - 1):
-            powers *= n
-        residues = powers * np.uint64(num % _WORD) & np.uint64(den - 1)
-        phases = residues.astype(np.float64) / float(den)
-    return complex(np.exp(2j * np.pi * phases).sum())
+    sums = []
+    for lo in range(1, m + 1, _WEYL_TERMS):
+        hi = min(lo + _WEYL_TERMS, m + 1)
+        if den > _WORD:
+            phases = np.fromiter(
+                (((num * n**ell) % den) / den for n in range(lo, hi)),
+                dtype=np.float64,
+                count=hi - lo,
+            )
+        else:
+            # den = 2^e divides 2^64, so wrapping uint64 products keep every
+            # residue mod den; dividing by a power of two is exact.
+            n = np.arange(lo, hi, dtype=np.uint64)
+            powers = n.copy()
+            for _ in range(ell - 1):
+                powers *= n
+            residues = powers * np.uint64(num % _WORD) & np.uint64(den - 1)
+            phases = residues.astype(np.float64) / float(den)
+        sums.append(complex(np.exp(2j * np.pi * phases).sum()))
+    return sum(sums[1:], sums[0])
 
 
-def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: DivisorTable) -> complex:
+def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: np.ndarray | None) -> complex:
     """f(a/q + beta) = sum_{n <= 4x} d(n) e(n (a/q + beta)), _TERMS terms at a time."""
     n_max = 4 * x
-    if table.limit < n_max:
-        raise DomainError(f"divisor table covers {table.limit} < 4x = {n_max}")
+    table = require_table(n_max, table)
     total = 0j
     for start in range(1, n_max + 1, _TERMS):
         n = np.arange(start, min(start + _TERMS, n_max + 1), dtype=np.int64)
         phases = ((n * a) % q) / q + n.astype(np.float64) * beta
-        d = table.values[start : start + n.size].astype(np.float64)
+        d = table[start : start + n.size].astype(np.float64)
         total += complex((d * np.exp(2j * np.pi * phases)).sum())
     return total

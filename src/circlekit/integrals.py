@@ -71,6 +71,8 @@ _TAIL_CUT = 2.0**-60
 _BLOCK = 1 << 15
 # Phase entries per chunk of the small-beta unit-phase quadrature.
 _PHASE_CHUNK = 1 << 22
+# 8-node panels per block of a reference quadrature: 2^20 nodes.
+_RULE_PANELS = 1 << 17
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -93,16 +95,26 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _refine(rule, panels: int, tol: float, failure: str) -> complex:
-    """rule(panels), doubling panels until two successive values agree within tol."""
+def _refine(edges, terms, panels: int, tol: float, failure: str) -> complex:
+    """The sum of terms(nodes, weights) over the 8-point panels on edges(panels),
+    doubling panels until two successive sums agree within tol; the nodes are
+    formed and summed _RULE_PANELS panels at a time."""
     previous = None
     for _ in range(7):
-        value = rule(panels)
+        grid = edges(panels)
+        sums = [complex(np.sum(terms(*_panel_nodes(grid[lo : lo + _RULE_PANELS + 1], 8))))
+                for lo in range(0, grid.size - 1, _RULE_PANELS)]
+        value = sum(sums[1:], sums[0])
         if previous is not None and abs(value - previous) < 0.5 * tol:
             return value
         previous = value
         panels *= 2
     raise AccuracyError(failure, achieved=abs(value - previous))
+
+
+def phase_panels(beta: float, k: int) -> int:
+    """Panels unit_power_phase_integral(beta, k) starts at: ten per oscillation, saturated."""
+    return max(4, math.ceil(min(10.0 * max(1.0, k * abs(beta) / TWO_PI), np.finfo(float).max)))
 
 
 def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex:
@@ -115,14 +127,11 @@ def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     beta = float(beta)
-
-    def rule(panels: int) -> complex:
-        nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, panels + 1), 8)
-        return complex(np.sum(weights * np.exp(2j * np.pi * beta * nodes**k)))
-
-    panels = max(4, math.ceil(10.0 * max(1.0, k * abs(beta) / TWO_PI)))
-    failure = f"unit phase integral did not converge at beta={beta}, k={k}"
-    return _refine(rule, panels, tol, failure)
+    return _refine(
+        lambda n: np.linspace(0.0, 1.0, n + 1),
+        lambda nodes, weights: weights * np.exp(2j * np.pi * beta * nodes**k),
+        phase_panels(beta, k), tol, f"unit phase integral did not converge at beta={beta}, k={k}",
+    )
 
 
 def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
@@ -141,14 +150,12 @@ def log_weighted_integral(beta: float, upper: float = 3.0, tol: float = 1e-8) ->
     sized for the oscillation.
     """
     beta = float(beta)
-
-    def rule(panels: int) -> complex:
-        nodes, weights = _panel_nodes(_log_panel_edges(upper, panels), 8)
-        return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
-
     panels = max(8, math.ceil(10.0 * max(1.0, upper * abs(beta) / TWO_PI)))
-    failure = f"log-weighted integral did not converge at beta={beta}"
-    return complex(_log_head(beta)) + _refine(rule, panels, tol, failure)
+    return complex(_log_head(beta)) + _refine(
+        lambda n: _log_panel_edges(upper, n),
+        lambda nodes, weights: weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes),
+        panels, tol, f"log-weighted integral did not converge at beta={beta}",
+    )
 
 
 def _log_head(beta):
@@ -223,23 +230,24 @@ def _unit_batch_large(lam: np.ndarray, rotation: np.ndarray, k: int) -> np.ndarr
     return (lead - 1j * rotation * tail) / k
 
 
+def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """low where small (beta <= _ASYM_BETA) holds and high elsewhere."""
+    out = np.empty(small.shape, dtype=complex)
+    out[small] = low
+    out[~small] = high
+    return out
+
+
 def _unit_phase_batches(betas: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     """unit_phase_batch for each k in ks, sharing e^(i lam) across them."""
     betas = np.asarray(betas, dtype=float)
     small = betas <= _ASYM_BETA
-    large = ~small
-    if large.any():
-        lam = TWO_PI * betas[large]
-        rotation = np.exp(1j * lam)
-    outs = []
-    for k in ks:
-        out = np.empty(betas.shape, dtype=complex)
-        if small.any():
-            out[small] = _unit_batch_small(betas[small], k)
-        if large.any():
-            out[large] = _unit_batch_large(lam, rotation, k)
-        outs.append(out)
-    return outs
+    lam = TWO_PI * betas[~small]
+    rotation = np.exp(1j * lam)
+    return [
+        _by_regime(small, _unit_batch_small(betas[small], k), _unit_batch_large(lam, rotation, k))
+        for k in ks
+    ]
 
 
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
@@ -294,13 +302,8 @@ def _log_batch_large(betas: np.ndarray) -> np.ndarray:
 def log_phase_batch(betas: np.ndarray) -> np.ndarray:
     """Vectorized int_0^3 e(-beta u) log u du over beta >= 0."""
     betas = np.asarray(betas, dtype=float)
-    out = np.empty(betas.shape, dtype=complex)
     small = betas <= _ASYM_BETA
-    if small.any():
-        out[small] = _log_batch_small(betas[small])
-    if (~small).any():
-        out[~small] = _log_batch_large(betas[~small])
-    return out
+    return _by_regime(small, _log_batch_small(betas[small]), _log_batch_large(betas[~small]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +344,7 @@ def density_profile(
     _check_B(B)
     # units: three reference quadratures per point, each counted at the
     # 8-node panels the k-th power phase starts with at beta = B
-    panels = max(4, math.ceil(min(10.0 * max(1.0, k * B / TWO_PI), np.finfo(float).max)))
-    check_budget(points * 3 * 8 * panels, "density profile")
+    check_budget(points * 3 * 8 * phase_panels(B, k), "density profile")
     betas = [B * i / max(1, points - 1) for i in range(points)]
     densities = [j_density(beta, k, which) for beta in betas]
     ratios = decay_envelope(np.array(densities), np.array(betas), k, which)

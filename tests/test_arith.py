@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from circlekit import arith, threads
 from circlekit.arith import (
-    DivisorTable,
     ProblemInstance,
     _bit_reversal,
     _fft_cube_checked,
@@ -27,7 +26,9 @@ from circlekit.arith import (
     integer_kth_root,
     sum_d_squared,
 )
+from circlekit.circle import expansion_envelope_scan
 from circlekit.errors import BudgetError, DomainError, PrecisionError, SizeError
+from circlekit.expsums import divisor_exp_sum
 
 PRIMES_UNDER_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -62,13 +63,13 @@ def test_sieve_small_values():
 
 def test_sieve_limit_one():
     t = divisor_sieve(1)
-    assert t.limit == 1 and t[1] == 1
+    assert len(t) == 2 and t[1] == 1
 
 
 def test_sieve_rejects_bad_sizes():
     with pytest.raises(SizeError):
         divisor_sieve(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(IndexError):
         divisor_sieve(10)[11]
 
 
@@ -103,7 +104,7 @@ def test_sieve_matches_harmonic_marking():
         1023, 1024, 1025, 9999, 10000, 10001, 141**2 - 1, 141**2, 2 * 10**4,
     ]
     for n in sizes:
-        values = divisor_sieve(n).values
+        values = divisor_sieve(n)
         assert values.dtype == np.int32
         assert np.array_equal(values, reference[: n + 1]), n
 
@@ -112,7 +113,7 @@ def test_sieve_matches_harmonic_marking():
 def test_sieve_prefix_sum_matches_hyperbola(n):
     s = math.isqrt(n)
     expected = 2 * sum(n // i for i in range(1, s + 1)) - s * s
-    assert int(divisor_sieve(n).values.sum(dtype=np.int64)) == expected
+    assert int(divisor_sieve(n).sum(dtype=np.int64)) == expected
 
 
 def test_sieve_top_of_verify_range():
@@ -201,7 +202,7 @@ def test_direct_equals_every_transform(x, k):
     # the float cube paired with one table slice per n4, in int64
     indicator, powers = build_histograms(inst)
     r3 = _fft_cube_checked(indicator)
-    d = table.values.astype(np.int64)
+    d = table.astype(np.int64)
     assert sum(int(np.dot(d[p : p + len(r3)], r3)) for p in powers) == direct
 
 
@@ -209,7 +210,7 @@ def ordered_direct(inst, table):
     # every ordered (n1, n2, n3, n4): the (n2, n3) plane swept as one block
     # per (n4, n1-chunk)
     r, p_lim = inst.square_limit, inst.power_limit
-    d = table.values
+    d = table
     sq = np.arange(1, r + 1, dtype=np.int64) ** 2
     plane = sq[:, None] + sq[None, :]
     chunk = max(1, 4_000_000 // (r * r))
@@ -274,7 +275,7 @@ def whole_window_sum(inst, table):
     r3 = cube(indicator)
     window = np.zeros(len(r3), dtype=np.int32)
     for s in powers:
-        window += table.values[s : s + len(r3)]
+        window += table[s : s + len(r3)]
     return int(np.dot(window.astype(np.int64), r3))
 
 
@@ -635,8 +636,26 @@ def test_budget_refusal(monkeypatch):
     assert info.value.budget == 1000
 
 
+SMALL = ProblemInstance(x=50, k=3)
+
+# each reader of the divisor table, and the largest n it reads
+TABLE_READERS = {
+    "exact_S_direct": (lambda t: exact_S_direct(SMALL, t), SMALL.max_value),
+    "exact_S_convolution": (lambda t: exact_S_convolution(SMALL, t), SMALL.max_value),
+    "sum_d_squared": (lambda t: sum_d_squared(100, t), 100),
+    "divisor_exp_sum": (lambda t: divisor_exp_sum(1, 3, 1e-4, 25, t), 100),
+    "expansion_envelope_scan": (lambda t: expansion_envelope_scan(1000, 3, t).rows, 4000),
+}
+
+
+@pytest.mark.parametrize("read, need", TABLE_READERS.values(), ids=TABLE_READERS.keys())
+def test_table_readers_share_one_coverage_check(read, need):
+    with pytest.raises(DomainError):
+        read(divisor_sieve(need - 1))
+    assert read(None) == read(divisor_sieve(need))
+
+
 def test_table_reuse_requires_coverage():
     small = divisor_sieve(10)
     with pytest.raises(DomainError):
         exact_S_direct(ProblemInstance(x=100, k=3), small)
-    assert isinstance(small, DivisorTable)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlekit.arith import divisor_sieve
+from circlekit.arith import divisor_sieve, integer_kth_root
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.circle import (
     ArcParameters,
@@ -353,7 +353,7 @@ def test_expansion_residual_models_f_at_minus_alpha():
         beta = 0.5 / (q * params.tau)
         alpha = -Fraction(a, q) - Fraction(beta)
         phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
-        f = complex((table.values[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
+        f = complex((table[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
         lin = complex(linear_phase_batch(x * beta, upper=4.0))
         lg = log_weighted_integral(x * beta, upper=4.0)
         model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
@@ -475,8 +475,9 @@ def test_hua_budget_counts_convolution_products(monkeypatch):
         # x = 10^4, k = 3: Q = 39, tau = 10^4/39, m = 21; per sample
         # 50 draws * (2*6 + 3) + (2*9 + 3) + 21 = 792
         (lambda: minor_arc_bound_profile(10**4, 3, samples=2), 1584),
-        # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3)
-        (lambda: vk_envelope_scan(100, 3, q_max=3), 168),
+        # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3), and 4 offsets per q
+        # with x |beta| < 1, each starting at 10 panels: 3 * 8 * 3 * 4 * 10
+        (lambda: vk_envelope_scan(100, 3, q_max=3), 168 + 2880),
         # x = 1000, k = 3: Q = 15, q in {1, 2, 3, 5, 7, 11, 15}, three
         # beta each, 4x terms per row: 21 * 4000
         (lambda: expansion_envelope_scan(1000, 3), 84_000),
@@ -515,6 +516,40 @@ def test_probe_charges_at_benchmark_sizes_stay_small(monkeypatch):
     with pytest.raises(Charged) as info:
         expansion_envelope_scan(10**4, 3)
     assert info.value.args[0] == 840_000
+
+
+def test_vk_scan_charges_its_phase_integrals_before_running_one(monkeypatch):
+    # x = 10^12, k = 3, q = 1: 2 * 1 * 2 * (10^4 + 1) = 40,004 for the sums;
+    # x * width = 10^4 / 6, so the offsets start at 10, 3979, 7958 and 7958
+    # panels, charged 3 * 8 each: 477,720
+    def no_phase(beta, k):
+        raise AssertionError("phase integral ran before the budget check")
+
+    monkeypatch.setattr("circlekit.circle.unit_power_phase_integral", no_phase)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "100000")
+    with pytest.raises(BudgetError) as info:
+        vk_envelope_scan(10**12, 3, 1)
+    assert info.value.required == 40_004 + 477_720
+
+
+@pytest.mark.parametrize(
+    "x, q_max, required",
+    [
+        # m = 10^133 terms: x itself is past a float, so the sums refuse first
+        (10**400, 1, 4 * (integer_kth_root(10**400, 3) + 1)),
+        # 2 * 10^9 * (10^9 + 1) * (21 + 10^9) units before 4 * 10^9 offsets
+        (10**4, 10**9, 2 * 10**9 * (10**9 + 1) * (21 + 10**9)),
+    ],
+    ids=["x-past-float", "q-max-1e9"],
+)
+def test_vk_scan_refuses_its_sums_before_forming_offsets(monkeypatch, x, q_max, required):
+    def no_panels(beta, k):
+        raise AssertionError("offsets formed before the sums were charged")
+
+    monkeypatch.setattr("circlekit.circle.phase_panels", no_panels)
+    with pytest.raises(BudgetError) as info:
+        vk_envelope_scan(x, 3, q_max)
+    assert info.value.required == required
 
 
 def test_vk_scan_domain():

@@ -20,6 +20,15 @@ from circlekit.cli import (
     REPORT_SCHEMA,
     main,
 )
+from circlekit.errors import (
+    AccuracyError,
+    BudgetError,
+    DomainError,
+    NumericalIntegrityError,
+    PrecisionError,
+    SizeError,
+    VerificationMismatch,
+)
 
 
 def run(capsys, *argv):
@@ -278,6 +287,54 @@ def test_out_of_memory_exits_4_without_traceback(capsys, monkeypatch):
     assert err == "budget error: out of memory: Unable to allocate 8.6 GiB\n"
 
 
+LIBRARY_FAILURES = [
+    (BudgetError(10, 5, "sieve"), 4, "budget error: "),
+    (MemoryError("Unable to allocate 1 GiB"), 4, "budget error: out of memory: "),
+    (VerificationMismatch("direct=1 convolution=2"), 3, "verification mismatch: "),
+    (NumericalIntegrityError("cancellation"), 5, "numerical integrity error: "),
+    (PrecisionError("rounding"), 5, "numerical integrity error: "),
+    (AccuracyError("no convergence", 1e-3), 5, "numerical integrity error: "),
+    (DomainError("bad k"), 2, "usage error: "),
+    (SizeError("too large"), 2, "usage error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "failure, code, prefix", LIBRARY_FAILURES, ids=[type(f[0]).__name__ for f in LIBRARY_FAILURES]
+)
+def test_each_failure_maps_to_its_exit_code_and_prefix(capsys, monkeypatch, failure, code, prefix):
+    def fail(limit):
+        raise failure
+
+    monkeypatch.setattr(circlekit.cli, "divisor_sieve", fail)
+    got, out, err = run(capsys, "sieve", "--n", "10")
+    assert (got, out, err) == (code, "", f"{prefix}{failure}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["sieve", "--n", "10"], ["delta", "--k", "3"]], ids=["sieve", "delta"]
+)
+def test_closed_stdout_exits_141_without_traceback(argv, buffered):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "circlekit.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""
+
+
 def test_malformed_budget_is_usage_error():
     env = dict(os.environ, CIRCLEKIT_BUDGET="abc")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -378,6 +435,10 @@ EDGE_CASES = [
     (["diagnostics", "minor", "--k", "3", "--x", "1000000", "--samples", "10000000"],
      EXIT_BUDGET, "budget error:"),
     (["diagnostics", "vk", "--k", "3", "--x", "10000", "--q-max", "100000"],
+     EXIT_BUDGET, "budget error:"),
+    # refused on the Weyl and complete sums before any offset is formed
+    (["diagnostics", "vk", "--k", "3", "--x", "1" + "0" * 400], EXIT_BUDGET, "budget error:"),
+    (["diagnostics", "vk", "--k", "3", "--x", "10000", "--q-max", "1000000000"],
      EXIT_BUDGET, "budget error:"),
     (["diagnostics", "vk", "--k", "3", "--x", "100", "--q-max", "0"], EXIT_USAGE, "usage error:"),
     (["series", "--k", "-1", "--q-max", "10"], EXIT_USAGE, "usage error:"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlekit import expsums
 from circlekit.arith import divisor_sieve, integer_kth_root
 from circlekit.errors import DomainError
 from circlekit.expsums import (
@@ -188,6 +190,37 @@ def test_weyl_matches_bigint_when_powers_wrap(ell, x):
         assert weyl_sum(alpha, x, ell) == bigint_weyl(alpha, x, ell), alpha
 
 
+def whole_array_weyl(alpha, x, ell):
+    # the uint64 phase route with every term in one array (alpha >= 2^-12)
+    num, den = float(alpha).as_integer_ratio()
+    n = np.arange(1, integer_kth_root(x, ell) + 1, dtype=np.uint64)
+    residues = n**ell * np.uint64(num % 2**64) & np.uint64(den - 1)
+    return complex(np.exp(2j * np.pi * (residues.astype(np.float64) / float(den))).sum())
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_weyl_blocks_keep_their_bits_up_to_one_block(monkeypatch, ell):
+    monkeypatch.setattr(expsums, "_WEYL_TERMS", 1 << 12)
+    for m in (1, 4095, 4096):
+        assert weyl_sum(math.pi - 3, m**ell, ell) == whole_array_weyl(math.pi - 3, m**ell, ell)
+    for m in (4097, 3 * 4096 + 5):
+        got = weyl_sum(math.pi - 3, m**ell, ell)
+        assert abs(got - whole_array_weyl(math.pi - 3, m**ell, ell)) < 1e-9
+
+
+def test_weyl_sum_memory_is_one_block(monkeypatch):
+    # the terms take about 64 bytes each while alive; m = 4 blocks of 2^12
+    monkeypatch.setattr(expsums, "_WEYL_TERMS", 1 << 12)
+    m = 4 << 12
+    tracemalloc.start()
+    try:
+        weyl_sum(math.pi - 3, m * m, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * (1 << 12)
+
+
 def test_weyl_complete_period_identity():
     # x^(1/l) a multiple of q: the incomplete sum closes into complete periods
     q, a, ell, m = 7, 3, 2, 21
@@ -207,7 +240,7 @@ def fraction_divisor_exp_sum(a, q, beta, x, table):
     alpha = Fraction(a, q) + Fraction(beta)
     num, den = alpha.numerator, alpha.denominator
     phases = np.array([(n * num) % den / den for n in range(1, 4 * x + 1)])
-    terms = table.values[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)
+    terms = table[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 

@@ -164,6 +164,109 @@ def test_log_phase_batch_mpmath_oracle():
     assert abs(complex(quad) - _log_phase_mp(10.01)) < 1e-20
 
 
+def guarded_unit_batch(betas, k):
+    # each regime filled behind its own .any() guard, one k at a time
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(betas.shape, dtype=complex)
+    small = betas <= 10.0
+    if small.any():
+        out[small] = integrals._unit_batch_small(betas[small], k)
+    if (~small).any():
+        lam = integrals.TWO_PI * betas[~small]
+        out[~small] = integrals._unit_batch_large(lam, np.exp(1j * lam), k)
+    return out
+
+
+def guarded_log_batch(betas):
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(betas.shape, dtype=complex)
+    small = betas <= 10.0
+    if small.any():
+        out[small] = integrals._log_batch_small(betas[small])
+    if (~small).any():
+        out[~small] = integrals._log_batch_large(betas[~small])
+    return out
+
+
+REGIME_BETAS = {
+    "empty": [],
+    "all small": [0.0, 0.3, 4.4, 9.99, 10.0],
+    "all large": [10.0 + 1e-12, 10.01, 37.5, 400.0, 1e4],
+    "mixed unsorted": [400.0, 0.0, 10.01, 9.99, 10.0, 1e4, 2.5, 123.4, 0.3],
+}
+
+
+@pytest.mark.parametrize("betas", REGIME_BETAS.values(), ids=REGIME_BETAS.keys())
+def test_phase_batches_equal_the_guarded_two_regime_fill(betas):
+    betas = np.array(betas, dtype=float)
+    for k in (2, 3, 8):
+        assert np.array_equal(unit_phase_batch(betas, k), guarded_unit_batch(betas, k))
+    shared = integrals._unit_phase_batches(betas, (2, 5))
+    assert all(np.array_equal(got, guarded_unit_batch(betas, k)) for got, k in zip(shared, (2, 5)))
+    assert np.array_equal(log_phase_batch(betas), guarded_log_batch(betas))
+
+
+def whole_array_refine(rule, panels, tol):
+    # every node of a refinement formed and summed as one array
+    previous = None
+    for _ in range(7):
+        value = rule(panels)
+        if previous is not None and abs(value - previous) < 0.5 * tol:
+            return value
+        previous = value
+        panels *= 2
+    raise AssertionError("no convergence")
+
+
+def whole_array_unit_phase(beta, k):
+    def rule(panels):
+        nodes, weights = integrals._panel_nodes(np.linspace(0.0, 1.0, panels + 1), 8)
+        return complex(np.sum(weights * np.exp(2j * np.pi * beta * nodes**k)))
+
+    panels = max(4, math.ceil(10.0 * max(1.0, k * abs(beta) / (2 * math.pi))))
+    return whole_array_refine(rule, panels, 1e-9)
+
+
+def whole_array_log_phase(beta):
+    def rule(panels):
+        nodes, weights = integrals._panel_nodes(integrals._log_panel_edges(3.0, panels), 8)
+        return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
+
+    panels = max(8, math.ceil(10.0 * max(1.0, 3.0 * abs(beta) / (2 * math.pi))))
+    return complex(integrals._log_head(beta)) + whole_array_refine(rule, panels, 1e-8)
+
+
+@pytest.mark.parametrize("beta", [0.0, -2.5, 3.7, 41.0, 1e3, 8e3])
+def test_reference_rules_keep_their_bits_within_one_block(beta):
+    # 8e3 at k = 8: 101,860 then 203,720 panels; the second spans two blocks
+    for k in (2, 3, 8):
+        got = unit_power_phase_integral(beta, k)
+        want = whole_array_unit_phase(beta, k)
+        if 2 * integrals.phase_panels(beta, k) <= integrals._RULE_PANELS:
+            assert got == want, k
+        else:
+            assert abs(got - want) < 1e-12, k
+    assert log_weighted_integral(beta) == whole_array_log_phase(beta)
+
+
+def test_reference_rules_sum_in_bounded_blocks(monkeypatch):
+    # beta = 13726, k = 3: 65,537 then 131,074 panels, 2^20 nodes, in
+    # blocks of 2^10 panels; whole arrays of those nodes peaked near 70 MiB
+    monkeypatch.setattr(integrals, "_RULE_PANELS", 1 << 10)
+    for integral, reference, bound in (
+        (lambda: unit_power_phase_integral(13726.0, 3), whole_array_unit_phase(13726.0, 3), 4),
+        (lambda: log_weighted_integral(13726.0), whole_array_log_phase(13726.0), 8),
+    ):
+        tracemalloc.start()
+        try:
+            value = integral()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
+        assert abs(value - reference) < 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(0.0, 2000.0), k=st.sampled_from([2, 3, 5, 8]))
 def test_batch_and_scalar_routes_agree(beta, k):
