@@ -10,17 +10,13 @@ The divisor table is the sieve's int32 array d, d[n] = d(n); its readers
 check or build it through require_table.
 
 One evaluator enumerates the tuples (each unordered square triple once,
-weighted by its orderings).  The other cubes the square indicator, by a
-guarded float FFT or an NTT modulo one prime, into the k-independent
-three-square counts r3, and pairs r3 with the divisor table shifted by
-each n4^k.  The two must agree to the last digit.  Both run on every
-CPU: the direct rows, the NTT's slices and the window segments go
-through threads.ordered_map.
-
-The float cube runs at the least 2^a * 3^b * 5^c covering the 3r^2 + 1
-coefficients of r3, the NTT at the power of two covering them.  The NTT
-prime 5*2^25 + 1 admits up to 2^25 points, so x <= 11,189,024
-(r <= 3344); r3 stays below r^2, far under the prime.
+weighted by its orderings).  The other cubes the square indicator into
+the k-independent three-square counts r3, by a guarded float FFT at the
+least 2^a * 3^b * 5^c covering its 3r^2 + 1 coefficients or exactly by
+about 3r^3 shifted integer adds, and pairs r3 with the divisor table
+shifted by each n4^k.  The two must agree to the last digit.  The direct
+rows and the window segments run on every CPU through
+threads.ordered_map.
 """
 
 from __future__ import annotations
@@ -36,11 +32,6 @@ from .errors import DomainError, PrecisionError, SizeError
 
 # Largest divisor table we are willing to allocate (entries).
 MAX_SIEVE = 200_000_000
-
-# NTT prime 5*2^25 + 1 with primitive root 3: transform lengths up to 2^25.
-_NTT_PRIME = 167772161
-_NTT_ROOT = 3
-_NTT_MAX_LEN = 1 << 25
 
 # Entries of r3 per window segment: its int32 window is 256 KiB.
 _SEGMENT = 1 << 16
@@ -217,7 +208,7 @@ def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
     _fft_length covering the 3 len(a) - 2 coefficients.
 
     Any coefficient at distance >= 0.25 from the nearest integer raises
-    PrecisionError; callers then fall back to the exact modular path.
+    PrecisionError; callers then fall back to the exact cube.
     The spectrum is cubed through one temporary and the distances
     overwrite the float output, so the peak is about 2 n doubles.
     """
@@ -232,106 +223,41 @@ def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
     dist = float(np.abs(coeffs, out=coeffs).max())
     del coeffs
     if dist >= 0.25:
-        raise PrecisionError(
-            f"float transform rounding distance {dist:.3f} >= 0.25; "
-            "exact modular transform required"
-        )
+        raise PrecisionError(f"float transform rounding distance {dist:.3f} >= 0.25")
     return rounded.astype(np.int64)
 
 
-def _unit_powers(w: int, count: int) -> np.ndarray:
-    """[w^0, w^1, ..., w^(count-1)] mod _NTT_PRIME by doubling the known prefix.
+def _exact_cube(a: np.ndarray) -> np.ndarray:
+    """Exact a*a*a for a >= 0 in int64: a*a, then (a*a)*a, each the sum of
+    one shifted copy per nonzero entry of a.
 
-    Operands stay below the prime < 2^31, so every product fits int64 exactly.
+    Every coefficient, partial sum and scaled copy is at most
+    max(a) * sum(a)^2, so the adds run in int32 below 2^31 and in int64
+    below 2^63; a larger bound raises SizeError before any allocation.
     """
-    ws = np.ones(1, dtype=np.int64)
-    while len(ws) < count:
-        ws = np.concatenate((ws, ws * pow(w, len(ws), _NTT_PRIME) % _NTT_PRIME))
-    return ws[:count]
+    top = int(a.max())
+    # top^3 <= bound; below 2^21 the int64 sum of an array in memory cannot wrap
+    bound = top**3 if top >= 2**21 else top * int(a.sum()) ** 2
+    if bound >= 2**63:
+        raise SizeError(f"cube coefficients may reach {bound}, beyond int64")
+    dtype = np.int32 if bound < 2**31 else np.int64
+    support = np.flatnonzero(a)
+    terms = list(zip(support.tolist(), a[support].tolist()))
 
+    def times_a(b: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(b) + len(a) - 1, dtype=dtype)
+        for i, v in terms:
+            out[i : i + len(b)] += b if v == 1 else v * b
+        return out
 
-def _bit_reversal(n: int) -> np.ndarray:
-    """Index permutation i -> bit-reverse(i) over log2(n) bits, in O(n) work:
-    the reversal over one more bit is 2*rev followed by 2*rev + 1."""
-    rev = np.zeros(n, dtype=np.int64)
-    half = 1
-    while half < n:
-        rev[:half] *= 2
-        np.add(rev[:half], 1, out=rev[half : 2 * half])
-        half *= 2
-    return rev
-
-
-def _stages(a: np.ndarray, first: int, invert: bool) -> None:
-    """The butterfly stages of lengths first, 2*first, ..., len(a), in place.
-
-    Only the twiddle product is reduced mod p; lifting each difference by
-    p keeps the entries nonnegative, where numpy's % runs fastest."""
-    p = _NTT_PRIME
-    length = first
-    while length <= len(a):
-        w = pow(_NTT_ROOT, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length // 2
-        blocks = a.reshape(-1, length)
-        left = blocks[:, :half]
-        right = blocks[:, half:] * _unit_powers(w, half)
-        right %= p
-        diff = left - right
-        diff += p
-        left += right
-        blocks[:, half:] = diff
-        length *= 2
-
-
-def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
-    """Radix-2 number-theoretic transform mod p = _NTT_PRIME; returns a new array.
-
-    The input is permuted into bit-reversed order by one gather and
-    reduced mod p, then log2(n) butterfly stages run as O(log^2 n) numpy
-    calls.  The first log2(n/w) stages act on w contiguous slices, w the
-    power of two covering threads.WORKERS (at most n/2), through
-    threads.ordered_map; the last log2(w) act on the whole array.  Lazy
-    reduction keeps the entries in [0, (s+1)p) after s stages, below
-    26p < 2^33 at the 2^25 cap, so each product with a twiddle or 1/n
-    fits int64; one % p ends the transform.
-    """
-    p = _NTT_PRIME
-    n = len(a)
-    a = a[_bit_reversal(n)]
-    a %= p
-    m = n // min(1 << (threads.WORKERS - 1).bit_length(), max(1, n // 2))
-    threads.ordered_map(lambda lo: _stages(a[lo : lo + m], 2, invert), range(0, n, m))
-    _stages(a, 2 * m, invert)
-    if invert:
-        a *= pow(n, p - 2, p)
-    a %= p
-    return a
-
-
-def _ntt_cube(a: np.ndarray) -> np.ndarray:
-    """Exact a*a*a for a >= 0, modulo _NTT_PRIME.
-
-    Every output coefficient is at most max(a) * sum(a)^2, so the
-    residues are the coefficients when that bound is below the prime.
-    A longer transform than the prime supports, or a larger bound,
-    raises SizeError before anything is padded or transformed.
-    """
-    out_len = 3 * len(a) - 2
-    n = 1 << (out_len - 1).bit_length()
-    if n > _NTT_MAX_LEN:
-        raise SizeError(f"NTT length {n} for {out_len} coefficients exceeds {_NTT_MAX_LEN}")
-    bound = int(a.max()) * int(a.sum()) ** 2
-    if bound >= _NTT_PRIME:
-        raise SizeError(f"NTT coefficients may reach {bound}, beyond the prime {_NTT_PRIME}")
-    f = _ntt(np.pad(a.astype(np.int64), (0, n - len(a))), False)
-    return _ntt(f * f % _NTT_PRIME * f % _NTT_PRIME, True)[:out_len]
+    return times_a(times_a(a.astype(dtype))).astype(np.int64)
 
 
 def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
     """The exact a*a*a of a >= 0 in int64: "auto" tries the checked float
-    FFT and falls back to the modular transform, which "ntt" forces."""
+    FFT and falls back to _exact_cube, which "ntt" forces.  "ntt" names
+    the exact route for the callers and benchmark metrics that pass it;
+    no number-theoretic transform is left."""
     if transform == "auto":
         try:
             return _fft_cube_checked(a)
@@ -339,7 +265,7 @@ def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
             pass
     elif transform != "ntt":
         raise DomainError(f"unknown transform {transform!r}")
-    return _ntt_cube(a)
+    return _exact_cube(a)
 
 
 def exact_S_convolution(

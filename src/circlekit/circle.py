@@ -91,6 +91,14 @@ def _check_draws(samples: int, seed: int) -> None:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
 
+def _float_x(x: int) -> float:
+    """float(x), or DomainError when x is past the largest float."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"x has {x.bit_length()} bits, past the largest float") from None
+
+
 def _euclid_steps(bound: float) -> int:
     """At most the convergents computed until a denominator passes bound.
 
@@ -193,6 +201,7 @@ class ArcParameters:
         """Q = floor(x^(2/(k+2))), tau = x/Q."""
         if x < 1:
             raise DomainError(f"x must be >= 1, got {x}")
+        _float_x(x)
         q_bound = integer_kth_root(x * x, k + 2)
         return cls(x=x, k=k, Q=q_bound, tau=x / q_bound)
 
@@ -257,11 +266,12 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     m = integer_kth_root(x, k)
     sums = 2 * q_max * (q_max + 1) * (m + q_max)
     check_budget(sums, "vk scan")
-    widths = [x ** (1.0 / k - 1.0) / (2.0 * k * q) for q in range(1, q_max + 1)]
+    x_float = _float_x(x)
+    widths = [x_float ** (1.0 / k - 1.0) / (2.0 * k * q) for q in range(1, q_max + 1)]
     offsets = [(0.0, 0.5 * width, width, -width) for width in widths]
     panels = sum(phase_panels(x * beta, k) for betas in offsets for beta in betas)
     check_budget(sums + 3 * 8 * panels, "vk scan")
-    scale = float(x) ** (1.0 / k)
+    scale = x_float ** (1.0 / k)
     rows = []
     for q, betas in enumerate(offsets, 1):
         phases = [unit_power_phase_integral(x * beta, k) for beta in betas]

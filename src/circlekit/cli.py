@@ -89,7 +89,9 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["k", "theta_star", "worst_exp", "delta", "reference", "match", "binding"],
+                "required": [
+                    "k", "theta_star", "worst_exp", "delta", "reference", "match", "binding"
+                ],
                 "properties": {
                     "k": {"type": "integer"},
                     "theta_star": {"type": "string"},

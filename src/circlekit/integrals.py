@@ -29,9 +29,9 @@ density value per node and which, summed by numpy's pairwise rule over
 the whole array, so the sums do not depend on the block or worker
 count.  The half-resolution sweep is reduced to its sums before the
 fine one starts, so j_values(3, 400) peaks at about 77 MiB of numpy
-memory, where whole node, weight and value arrays took 145 MiB.  The block evaluator calls no function the
-benchmark's tracer wraps, since the tracer keeps one span stack for
-all threads.
+memory, where whole node, weight and value arrays took 145 MiB.  The
+block evaluator calls no function the benchmark's tracer wraps, since
+the tracer keeps one span stack for all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
@@ -69,7 +69,7 @@ _ASYM_TERMS = 40
 _TAIL_CUT = 2.0**-60
 # Nodes per block of the density sweep.
 _BLOCK = 1 << 15
-# Phase entries per chunk of the small-beta unit-phase quadrature.
+# Phase entries per chunk of the small-beta quadratures.
 _PHASE_CHUNK = 1 << 22
 # 8-node panels per block of a reference quadrature: 2^20 nodes.
 _RULE_PANELS = 1 << 17
@@ -112,9 +112,10 @@ def _refine(edges, terms, panels: int, tol: float, failure: str) -> complex:
     raise AccuracyError(failure, achieved=abs(value - previous))
 
 
-def phase_panels(beta: float, k: int) -> int:
-    """Panels unit_power_phase_integral(beta, k) starts at: ten per oscillation, saturated."""
-    return max(4, math.ceil(min(10.0 * max(1.0, k * abs(beta) / TWO_PI), np.finfo(float).max)))
+def phase_panels(beta: float, k: float) -> int:
+    """Panels a quadrature of int_0^1 e(beta u^k) du, or of e(-beta u) over
+    [0, k], starts at: ten per oscillation, at least ten, saturated."""
+    return math.ceil(min(10.0 * max(1.0, k * abs(beta) / TWO_PI), np.finfo(float).max))
 
 
 def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex:
@@ -150,11 +151,10 @@ def log_weighted_integral(beta: float, upper: float = 3.0, tol: float = 1e-8) ->
     sized for the oscillation.
     """
     beta = float(beta)
-    panels = max(8, math.ceil(10.0 * max(1.0, upper * abs(beta) / TWO_PI)))
     return complex(_log_head(beta)) + _refine(
         lambda n: _log_panel_edges(upper, n),
         lambda nodes, weights: weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes),
-        panels, tol, f"log-weighted integral did not converge at beta={beta}",
+        phase_panels(beta, upper), tol, f"log-weighted integral did not converge at beta={beta}",
     )
 
 
@@ -171,22 +171,24 @@ def _log_head(beta):
 # ---------------------------------------------------------------------------
 
 
-def _small_panels(k: int) -> int:
-    """Panels of the beta <= _ASYM_BETA quadrature of int_0^1 e(beta u^k) du."""
-    return max(16, math.ceil(10.0 * max(1.0, k * _ASYM_BETA / TWO_PI)))
+def _small_batch(
+    betas: np.ndarray, nodes: np.ndarray, weights: np.ndarray, sign: float
+) -> np.ndarray:
+    """sum_j weights[j] e(sign beta nodes[j]) for each beta, on a fixed panel
+    rule; rows of the betas x nodes phase table are taken at most
+    _PHASE_CHUNK entries at a time."""
+    step = max(1, _PHASE_CHUNK // nodes.size)
+    out = np.empty(betas.shape, dtype=complex)
+    for start in range(0, betas.size, step):
+        outer = np.multiply.outer(betas[start : start + step], nodes)
+        out[start : start + step] = np.exp(sign * 2j * np.pi * outer) @ weights
+    return out
 
 
 def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    # panels grow with k, so rows of the betas x nodes phase table are
-    # taken at most _PHASE_CHUNK entries at a time
-    nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, _small_panels(k) + 1), 8)
-    powers = nodes**k
-    step = max(1, _PHASE_CHUNK // powers.size)
-    out = np.empty(betas.shape, dtype=complex)
-    for start in range(0, betas.size, step):
-        phases = np.exp(2j * np.pi * np.multiply.outer(betas[start : start + step], powers))
-        out[start : start + step] = phases @ weights
-    return out
+    edges = np.linspace(0.0, 1.0, phase_panels(_ASYM_BETA, k) + 1)
+    nodes, weights = _panel_nodes(edges, 8)
+    return _small_batch(betas, nodes**k, weights, 1.0)
 
 
 def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndarray:
@@ -279,11 +281,8 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
 
 
 def _log_batch_small(betas: np.ndarray) -> np.ndarray:
-    panels = max(32, math.ceil(10.0 * max(1.0, 3.0 * _ASYM_BETA / TWO_PI)))
-    nodes, weights = _panel_nodes(_log_panel_edges(3.0, panels), 8)
-    weighted = np.log(nodes) * weights
-    phases = np.exp(-2j * np.pi * np.multiply.outer(betas, nodes))
-    return phases @ weighted + _log_head(betas)
+    nodes, weights = _panel_nodes(_log_panel_edges(3.0, phase_panels(_ASYM_BETA, 3.0)), 8)
+    return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
 def _log_batch_large(betas: np.ndarray) -> np.ndarray:
@@ -490,7 +489,7 @@ def j_values(
     # plus, for each node at beta <= _ASYM_BETA, the 8 nodes per panel of
     # the k-th power phase's small-beta quadrature
     small = _small_nodes(edges) + _small_nodes(coarse_edges)
-    check_budget(units + small * 8 * _small_panels(k), "singular-integral sweep")
+    check_budget(units + small * 8 * phase_panels(_ASYM_BETA, k), "singular-integral sweep")
     coarse, _ = _sweep(coarse_edges, k, whiches, envelope=False)
     fine, envelopes = _sweep(edges, k, whiches, envelope=True)
 

@@ -10,10 +10,10 @@ joined before ordered_map returns or raises.
 
 Users: the singular-integral sweep's blocks (integrals.j_values), the
 prime-power local densities (series.sigma_truncated), the direct rows
-(arith.exact_S_direct), the NTT's slices (arith._ntt) and the window
-segments (arith.exact_S_convolution).  What they map
-calls no function that perfbench's tracer wraps, because the tracer
-keeps one span stack for all threads.
+(arith.exact_S_direct) and the window segments
+(arith.exact_S_convolution).  What they map calls no function that
+perfbench's tracer wraps, because the tracer keeps one span stack for
+all threads.
 """
 
 import os

@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 from circlekit import arith, threads
 from circlekit.arith import (
     ProblemInstance,
-    _bit_reversal,
+    _exact_cube,
     _fft_cube_checked,
     _fft_length,
-    _NTT_MAX_LEN,
-    _NTT_PRIME,
-    _NTT_ROOT,
-    _ntt,
-    _ntt_cube,
-    _unit_powers,
     build_histograms,
     cube,
     divisor_sieve,
@@ -323,7 +317,7 @@ def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
     indicator, _ = build_histograms(inst)
-    assert np.array_equal(_fft_cube_checked(indicator), _ntt_cube(indicator))
+    assert np.array_equal(_fft_cube_checked(indicator), _exact_cube(indicator))
     ntt_val = exact_S_convolution(inst, table, transform="ntt")
     assert exact_S_convolution(inst, table, transform="auto") == ntt_val
     for transform in ("fft", "bogus"):
@@ -372,128 +366,21 @@ def test_monotone_in_x():
 
 
 def test_ntt_matches_reference_convolution():
+    # transform="ntt" runs the exact cube
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.integers(0, 10, size=int(rng.integers(2, 80)))
-        assert np.array_equal(_ntt_cube(a), np.convolve(np.convolve(a, a), a))
-    # a coefficient just below the prime stays exact: 551^3 < p < 552^3
-    assert _ntt_cube(np.array([551, 0])).tolist() == [551**3, 0, 0, 0]
-
-
-@pytest.mark.parametrize("p", [_NTT_PRIME])
-def test_ntt_round_trip_and_naive_dft(p):
-    rng = np.random.default_rng(p)
-    a = rng.integers(0, p, size=2**16, dtype=np.int64)
-    forward = _ntt(a, False)
-    assert np.array_equal(_ntt(forward, True), a)
-    # natural-order output: X[m] = sum_j a[j] w^(jm) with w of order n
-    n = 16
-    small = [int(v) for v in a[:n]]
-    w = pow(_NTT_ROOT, (p - 1) // n, p)
-    naive = [sum(v * pow(w, j * m, p) for j, v in enumerate(small)) % p for m in range(n)]
-    assert _ntt(a[:n], False).tolist() == naive
-
-
-def per_bit_reversal(n):
-    # one whole-array pass per bit: bit b of i moves to bit (bits - 1 - b)
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def test_bit_reversal_matches_per_bit_loop():
-    for e in range(17):
-        assert np.array_equal(_bit_reversal(2**e), per_bit_reversal(2**e)), e
-
-
-def modulo_ntt(a, p, g, invert):
-    # the butterfly with a full % p after every add and subtract
-    n = len(a)
-    a = a[_bit_reversal(n)]
-    length = 2
-    while length <= n:
-        w = pow(g, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length // 2
-        ws = _unit_powers(w, half)
-        blocks = a.reshape(-1, length)
-        left = blocks[:, :half].copy()
-        right = blocks[:, half:] * ws % p
-        blocks[:, :half] = (left + right) % p
-        blocks[:, half:] = (left - right) % p
-        length *= 2
-    if invert:
-        a = a * pow(n, p - 2, p) % p
-    return a
-
-
-@pytest.mark.parametrize("p", [_NTT_PRIME])
-@pytest.mark.parametrize("invert", [False, True])
-def test_ntt_butterflies_match_modulo_form(p, invert):
-    n = 2**16
-    edges = np.zeros((2, n), dtype=np.int64)
-    # the last stage forms E[0] + O[0] and E[0] - O[0] from the even and
-    # odd halves: these inputs put that sum on p and that difference on 0
-    edges[0, :2] = [1, p - 1]
-    edges[1, :2] = [5, 5]
-    rng = np.random.default_rng(p + invert)
-    randoms = rng.integers(0, p, size=n, dtype=np.int64)
-    # inputs outside [0, p) must come out reduced as well
-    wide = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
-    for a in (randoms, wide, *edges):
-        assert np.array_equal(_ntt(a, invert), modulo_ntt(a, p, _NTT_ROOT, invert))
-
-
-# w = 1, 2, 4, 4 slices at 2^16; n = 1, 2 and 4 clamp w to at most n/2
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 4, 2**16])
-@pytest.mark.parametrize("invert", [False, True])
-def test_split_ntt_matches_modulo_form_on_any_worker_count(monkeypatch, workers, n, invert):
-    monkeypatch.setattr(threads, "WORKERS", workers)
-    a = np.random.default_rng(n + invert).integers(0, _NTT_PRIME, size=n, dtype=np.int64)
-    assert np.array_equal(_ntt(a, invert), modulo_ntt(a, _NTT_PRIME, _NTT_ROOT, invert))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_ntt_round_trips_the_largest_residues(monkeypatch, workers):
-    # every entry p - 1 drives each unreduced sum to its largest value
-    monkeypatch.setattr(threads, "WORKERS", workers)
-    a = np.full(2**16, _NTT_PRIME - 1, dtype=np.int64)
-    forward = _ntt(a, False)
-    assert np.array_equal(forward, modulo_ntt(a, _NTT_PRIME, _NTT_ROOT, False))
-    assert np.array_equal(_ntt(forward, True), a)
-
-
-@pytest.mark.parametrize("fill", ["largest", "random"])
-def test_stages_keep_entries_in_the_lazy_range(fill):
-    # 16 stages from residues in [0, p) end in [0, 17p), the bound the
-    # int64 argument rests on, and nonnegative, where % runs fastest
-    n = 2**16
-    a = np.full(n, _NTT_PRIME - 1, dtype=np.int64)
-    if fill == "random":
-        a = np.random.default_rng(5).integers(0, _NTT_PRIME, size=n, dtype=np.int64)
-    arith._stages(a, 2, False)
-    assert 0 <= a.min() and a.max() < 17 * _NTT_PRIME
-
-
-def test_lazy_reduction_fits_int64_at_the_length_cap():
-    # after the 25 stages of a 2^25 transform entries stay below 26p, and
-    # every product with a twiddle or with 1/n stays below 26p^2
-    assert _NTT_MAX_LEN == 2**25
-    assert 26 * _NTT_PRIME**2 < 2**63
+        assert np.array_equal(cube(a, "ntt"), np.convolve(np.convolve(a, a), a))
 
 
 def test_ntt_matches_fft_at_length_2_20():
-    # x = 2e5: the NTT runs at 2^20 points, the float cube at 600,000
+    # x = 2e5: 599,428 coefficients of r3, which the power of two 2^20
+    # covers; the float cube runs at 600,000 points
     indicator, _ = build_histograms(ProblemInstance(x=2 * 10**5, k=3))
     out_len = 3 * len(indicator) - 2
     assert 1 << (out_len - 1).bit_length() == 1 << 20
     assert _fft_length(out_len) == 600_000
-    assert np.array_equal(_ntt_cube(indicator), _fft_cube_checked(indicator))
+    assert np.array_equal(_exact_cube(indicator), _fft_cube_checked(indicator))
 
 
 def least_smooth_at_least(n):
@@ -536,24 +423,22 @@ def test_cube_equals_integer_convolution_at_every_length(a):
 
 def test_ntt_capacity_guard():
     with pytest.raises(SizeError):
-        _ntt_cube(np.array([10**9] * 4))
+        cube(np.array([10**9] * 4), "ntt")
 
 
-# a zero-copy input whose cube needs 2^25 + 2 coefficients
-LONG = np.broadcast_to(np.int64(1), (2**25 // 3 + 2,))
+# a zero-copy input whose cube bound 2^21 * 2^82 is far past int64; its
+# cube would need 3 * 2^20 coefficients
+HUGE = np.broadcast_to(np.int64(2**21), (2**20,))
 
 
-def test_ntt_refuses_length_past_2_25(no_array_allocation):
-    with pytest.raises(SizeError, match="NTT length 67108864"):
-        _ntt_cube(LONG)
-    # one entry shorter fits 2^25 points; the coefficient bound refuses it
-    with pytest.raises(SizeError, match="beyond the prime"):
-        _ntt_cube(LONG[1:])
+def test_exact_cube_refuses_before_allocating(no_array_allocation):
+    with pytest.raises(SizeError, match="beyond int64"):
+        _exact_cube(HUGE)
 
 
 def scaled_values():
     # magnitudes from 1 to 10^9, so the coefficient bound falls on both
-    # sides of the prime
+    # sides of 2^31 and of 2^63
     return st.integers(0, 9).flatmap(
         lambda e: st.lists(st.integers(0, 10**e), min_size=1, max_size=64)
     )
@@ -561,21 +446,24 @@ def scaled_values():
 
 @settings(max_examples=200, deadline=None)
 @given(a=scaled_values())
-# max * sum^2 = p - 1 and just above p, and a lone 551^3 < p < 552^3
-@example(a=[160] * 6 + [64])
-@example(a=[160] * 6 + [65])
-@example(a=[551])
-@example(a=[552])
+# max * sum^2 = 1290^3 < 2^31 < 1291^3, where the adds switch from int32
+# to int64, and 2097151^3 < 2^63 = 2097152^3, where the cube is refused
+@example(a=[1290])
+@example(a=[1291])
+@example(a=[2097151])
+@example(a=[2097152])
 @example(a=[10**9] * 64)
+# an int64 sum of 2^64 would wrap to 0
+@example(a=[2**62] * 4)
 def test_ntt_cube_equals_integer_convolution(a):
     bound = max(a) * sum(a) ** 2
     arr = np.array(a, dtype=np.int64)
-    if bound >= _NTT_PRIME:
+    if bound >= 2**63:
         with pytest.raises(SizeError):
-            _ntt_cube(arr)
+            _exact_cube(arr)
         return
     obj = np.array(a, dtype=object)
-    assert _ntt_cube(arr).tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
+    assert _exact_cube(arr).tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
@@ -586,15 +474,15 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
     def counted(a):
         calls.append(3 * len(a) - 2)
-        return _ntt_cube(a)
+        return _exact_cube(a)
 
     monkeypatch.setattr(arith, "_fft_cube_checked", refuse)
-    monkeypatch.setattr(arith, "_ntt_cube", counted)
+    monkeypatch.setattr(arith, "_exact_cube", counted)
     for x, k in ((1, 3), (3000, 3), (5000, 8)):
         inst = ProblemInstance(x=x, k=k)
         table = divisor_sieve(inst.max_value)
         assert exact_S_convolution(inst, table) == exact_S_direct(inst, table)
-    # one call per size, each over the 3r^2 + 1 coefficients of r3
+    # one exact cube per size, each over the 3r^2 + 1 coefficients of r3
     assert calls == [4, 8749, 14701]
 
 

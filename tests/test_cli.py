@@ -438,6 +438,12 @@ EDGE_CASES = [
      EXIT_BUDGET, "budget error:"),
     # refused on the Weyl and complete sums before any offset is formed
     (["diagnostics", "vk", "--k", "3", "--x", "1" + "0" * 400], EXIT_BUDGET, "budget error:"),
+    # within budget at k = 200, but x is past the largest float
+    (["diagnostics", "vk", "--k", "200", "--x", "1" + "0" * 400], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "minor", "--samples", "1", "--k", "200", "--x", "1" + "0" * 400],
+     EXIT_USAGE, "usage error:"),
+    (["diagnostics", "expansion", "--k", "200", "--x", "1" + "0" * 400],
+     EXIT_USAGE, "usage error:"),
     (["diagnostics", "vk", "--k", "3", "--x", "10000", "--q-max", "1000000000"],
      EXIT_BUDGET, "budget error:"),
     (["diagnostics", "vk", "--k", "3", "--x", "100", "--q-max", "0"], EXIT_USAGE, "usage error:"),

@@ -371,6 +371,25 @@ def test_unit_phase_batch_in_chunks_matches_reference():
         assert abs(batch[i] - unit_power_phase_integral(betas[i], 100)) < 1e-9
 
 
+@pytest.mark.parametrize("batch", [
+    log_phase_batch,
+    lambda betas: unit_phase_batch(betas, 3),
+    lambda betas: j_density_batch(betas, 3, 2),
+], ids=["log", "unit", "density"])
+def test_small_beta_batches_peak_at_three_chunks(batch):
+    # 2^15 betas <= 10 against 536 log-phase nodes make a 268 MiB phase
+    # table; a chunk's float outer product, complex phases and their
+    # exponential stay below three complex chunks (192 MiB)
+    betas = np.linspace(0.0, 10.0, 2**15)
+    tracemalloc.start()
+    try:
+        batch(betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * integrals._PHASE_CHUNK * 16
+
+
 def test_j_value_doubling_stability():
     for which in (1, 2):
         half = j_value(3, which, 200.0)

@@ -3,9 +3,7 @@
 Each case pins the sha256 of what one command writes to stdout at fixed
 flags.  A change to the exact arithmetic, a float path, the report
 layout or the 12-digit serialization moves a digest; a refactor that
-keeps every number and byte keeps them all.  Three verify cases sit at
-x = 2^m/4 and 2^m/4 + 1, where the power of two covering 4x + 2
-doubles.
+keeps every number and byte keeps them all.
 """
 
 import hashlib
