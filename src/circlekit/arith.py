@@ -156,7 +156,8 @@ def exact_S_direct(inst: ProblemInstance, table: np.ndarray | None = None) -> in
     ordered by n2, so those with n2 >= a are a suffix.  Each piece is
     gathered from the divisor table for all n4 at once, about 2^18 entries
     per gather, and summed in int64 into a Python int, exact in any order,
-    so the rows n1 = a run interleaved through threads.ordered_map.  No
+    so the rows n1 = a, whose cost falls with a, run through
+    threads.ordered_map, each taken by the next free thread.  No
     histogram or transform is used, so the route stays independent of
     exact_S_convolution; the budget still counts every ordered tuple.
     """

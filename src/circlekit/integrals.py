@@ -21,17 +21,22 @@ each other to 1e-9:
 j_values sweeps beta once for both singular integrals: the factors the
 two densities share, (square phase)^3 times the k-th power phase, are
 computed once per node, and each integral then multiplies in only its
-own last factor.  The two unit phases also share e^(i lam).  The sweep
-is streamed in blocks of _BLOCK nodes, each building its own nodes and
-weights from its slice of the panel edges, and the blocks run on every
-CPU through threads.ordered_map.  What a sweep keeps is one weighted
-density value per node and which, summed by numpy's pairwise rule over
-the whole array, so the sums do not depend on the block or worker
-count.  The half-resolution sweep is reduced to its sums before the
-fine one starts, so j_values(3, 400) peaks at about 77 MiB of numpy
-memory, where whole node, weight and value arrays took 145 MiB.  The
-block evaluator calls no function the benchmark's tracer wraps, since
-the tracer keeps one span stack for all threads.
+own last factor.  All three phases share lam = 2 pi beta, and the two
+unit phases also 1/lam and e^(i lam).  The sweep is streamed in blocks
+of _BLOCK nodes, each building its own nodes and weights from its slice
+of the panel edges, and the blocks run on every CPU through
+threads.ordered_map, each taken by the next free thread: the first
+block, which holds every beta <= _ASYM_BETA, costs several times any
+other.  The small-beta products go to BLAS in pieces that OpenBLAS
+runs on the calling thread, so no BLAS helper thread competes with the
+sweep's own.  What a sweep keeps is one weighted density value per node
+and which, summed by numpy's pairwise rule over the whole array, so the
+sums do not depend on the block, worker or BLAS thread count.  The
+half-resolution sweep is reduced to its sums before the fine one
+starts, so j_values(3, 400) peaks at about 60 MiB of numpy memory,
+where whole node, weight and value arrays took 145 MiB.  The block
+evaluator calls no function the benchmark's tracer wraps, since the
+tracer keeps one span stack for all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
@@ -69,8 +74,13 @@ _ASYM_TERMS = 40
 _TAIL_CUT = 2.0**-60
 # Nodes per block of the density sweep.
 _BLOCK = 1 << 15
-# Phase entries per chunk of the small-beta quadratures.
-_PHASE_CHUNK = 1 << 22
+# Phase entries per BLAS product of the small-beta quadratures.  OpenBLAS
+# 0.3.31 runs a complex matrix-vector product on the calling thread when
+# it has under 2^12 entries or at most 4 rows, as every chunk here does
+# (at most _PHASE_CHUNK entries and one row of at most 1024 nodes, or else
+# 2 or 3 rows); a larger one wakes helper threads, which spin after it
+# and take a CPU from the sweep's own threads.
+_PHASE_CHUNK = 1 << 11
 # 8-node panels per block of a reference quadrature: 2^20 nodes.
 _RULE_PANELS = 1 << 17
 
@@ -175,13 +185,20 @@ def _small_batch(
     betas: np.ndarray, nodes: np.ndarray, weights: np.ndarray, sign: float
 ) -> np.ndarray:
     """sum_j weights[j] e(sign beta nodes[j]) for each beta, on a fixed panel
-    rule; rows of the betas x nodes phase table are taken at most
-    _PHASE_CHUNK entries at a time."""
-    step = max(1, _PHASE_CHUNK // nodes.size)
+    rule.
+
+    Rows of the betas x nodes phase table go to BLAS in chunks of at most
+    _PHASE_CHUNK entries, but never fewer than two rows: a one-row product
+    runs another kernel that rounds differently, so a lone last row joins
+    the chunk before it.  Each beta's value is then bitwise the one a
+    product over the whole table gives.
+    """
+    step = max(2, _PHASE_CHUNK // nodes.size)
+    bounds = [*range(0, max(1, betas.size - 1), step), betas.size]
     out = np.empty(betas.shape, dtype=complex)
-    for start in range(0, betas.size, step):
-        outer = np.multiply.outer(betas[start : start + step], nodes)
-        out[start : start + step] = np.exp(sign * 2j * np.pi * outer) @ weights
+    for lo, hi in zip(bounds, bounds[1:]):
+        outer = np.multiply.outer(betas[lo:hi], nodes)
+        out[lo:hi] = np.exp(sign * 2j * np.pi * outer) @ weights
     return out
 
 
@@ -219,17 +236,43 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _unit_batch_large(lam: np.ndarray, rotation: np.ndarray, k: int) -> np.ndarray:
+def _unit_batch_large(
+    lam: np.ndarray, inv: np.ndarray, rotation: np.ndarray, k: int
+) -> np.ndarray:
     # Rotate int_0^1 t^c e(beta t) dt (c = 1/k - 1) onto the rays from 0
     # and 1: a Gamma-function boundary term plus rotation = e^(i lam)
-    # times a smooth remainder expanded asymptotically in 1/lam, with
-    # coefficients i^m c(c-1)...(c-m+1).
+    # times a smooth remainder expanded asymptotically in inv = 1/lam,
+    # with coefficients i^m c(c-1)...(c-m+1).
     c = 1.0 / k - 1.0
     lead = 1j * np.exp(1j * np.pi * c / 2.0) * gamma_fn(c + 1.0) * lam ** (-(c + 1.0))
     coeffs = np.cumprod(np.concatenate([[1.0], c - np.arange(_ASYM_TERMS - 1)]))
-    inv = 1.0 / lam
     tail = inv * _asymptotic_tail(coeffs, inv, 1.0 / (TWO_PI * _ASYM_BETA))
     return (lead - 1j * rotation * tail) / k
+
+
+def _phase_batches(betas: np.ndarray, ks: tuple[int, ...], log: bool) -> list[np.ndarray]:
+    """unit_phase_batch for each k in ks, then log_phase_batch if log is set.
+
+    The factors share the regime split and, past _ASYM_BETA, lam = 2 pi
+    beta; the unit phases also share 1/lam and e^(i lam).  Without a beta
+    <= _ASYM_BETA the large-beta forms run on betas as given, with no mask
+    or copy.
+    """
+    betas = np.asarray(betas, dtype=float)
+    small = betas <= _ASYM_BETA
+    any_small = small.any()
+    lam = TWO_PI * (betas[~small] if any_small else betas)
+    inv = 1.0 / lam
+    rotation = np.exp(1j * lam)
+    highs = [_unit_batch_large(lam, inv, rotation, k) for k in ks]
+    if log:
+        highs.append(_log_batch_large(lam))
+    if not any_small:
+        return highs
+    lows = [_unit_batch_small(betas[small], k) for k in ks]
+    if log:
+        lows.append(_log_batch_small(betas[small]))
+    return [_by_regime(small, low, high) for low, high in zip(lows, highs)]
 
 
 def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -240,21 +283,9 @@ def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarr
     return out
 
 
-def _unit_phase_batches(betas: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
-    """unit_phase_batch for each k in ks, sharing e^(i lam) across them."""
-    betas = np.asarray(betas, dtype=float)
-    small = betas <= _ASYM_BETA
-    lam = TWO_PI * betas[~small]
-    rotation = np.exp(1j * lam)
-    return [
-        _by_regime(small, _unit_batch_small(betas[small], k), _unit_batch_large(lam, rotation, k))
-        for k in ks
-    ]
-
-
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized int_0^1 e(beta u^k) du over an array of beta >= 0."""
-    return _unit_phase_batches(betas, (k,))[0]
+    return _phase_batches(betas, (k,), False)[0]
 
 
 def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
@@ -285,12 +316,11 @@ def _log_batch_small(betas: np.ndarray) -> np.ndarray:
     return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
-def _log_batch_large(betas: np.ndarray) -> np.ndarray:
+def _log_batch_large(lam: np.ndarray) -> np.ndarray:
     # Same contour rotation for int_0^3 e(-beta u) log u du: the ray from
     # 0 integrates exactly (Frullani-type log moment), the ray from 3
     # leaves e^(-3 i lam) times an asymptotic remainder in 1/(3 lam)
     # with coefficients log 3, then -i^m (m-1)!.
-    lam = TWO_PI * betas
     lead = 1j * (EULER_GAMMA + np.log(lam)) / lam - np.pi / (2.0 * lam)
     factorials = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _ASYM_TERMS - 1)]))
     coeffs = np.concatenate([[math.log(3.0)], -factorials])
@@ -300,9 +330,7 @@ def _log_batch_large(betas: np.ndarray) -> np.ndarray:
 
 def log_phase_batch(betas: np.ndarray) -> np.ndarray:
     """Vectorized int_0^3 e(-beta u) log u du over beta >= 0."""
-    betas = np.asarray(betas, dtype=float)
-    small = betas <= _ASYM_BETA
-    return _by_regime(small, _log_batch_small(betas[small]), _log_batch_large(betas[~small]))
+    return _phase_batches(betas, (), True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +383,9 @@ def _block_densities(
 ) -> list[np.ndarray]:
     # The core (square phase)^3 * (k-th power phase) is shared by every
     # which; each multiplies in only its own last factor.
-    square, power = _unit_phase_batches(betas, (2, k))
+    square, power, *log = _phase_batches(betas, (2, k), 2 in whiches)
     core = square**3 * power
-    return [
-        core * (log_phase_batch(betas) if which == 2 else linear_phase_batch(betas))
-        for which in whiches
-    ]
+    return [core * (log[0] if which == 2 else linear_phase_batch(betas)) for which in whiches]
 
 
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
@@ -551,7 +576,9 @@ def volume_midpoint(k: int, which: int, grid: int) -> float:
     cuts = np.searchsorted(s3, 3.0 - powers, side="right")
     if which == 1:
         return int(np.cumsum(counts)[cuts - 1].sum()) / grid**4
-    return sum(float(counts[:m] @ np.log(s3[:m] + p)) for m, p in zip(cuts, powers)) / grid**4
+    # numpy's pairwise sum, not a BLAS dot, whose bits follow its thread count
+    logs = (float(np.sum(counts[:m] * np.log(s3[:m] + p))) for m, p in zip(cuts, powers))
+    return sum(logs) / grid**4
 
 
 def j_volume_oracle(k: int, which: int, grid: int = 128) -> float:

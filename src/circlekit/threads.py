@@ -2,8 +2,9 @@
 
 The main-term constants and both exact routes are loops of independent
 numpy blocks that release the interpreter lock, so they run on every
-CPU this process may use.  With w workers the calling thread takes
-items[0::w] itself and w - 1 helper threads take items[i::w]: a caller
+CPU this process may use.  The calling thread and w - 1 helper threads
+each claim the next unclaimed item from one shared counter until none
+is left, so a slow item holds up only the thread running it: a caller
 that works rather than waits leaves one thread fewer, and with it one
 allocator arena fewer holding freed block temporaries.  Every helper is
 joined before ordered_map returns or raises.
@@ -35,17 +36,23 @@ def ordered_map(fn, items) -> list:
     """[fn(x) for x in items], computed on up to WORKERS threads.
 
     If any call raises, the exception of the earliest failing item is
-    re-raised, the one a serial loop would have raised.  Items after a
-    failure are skipped, so an interrupt does not wait for every share.
+    re-raised, the one a serial loop would have raised: items are claimed
+    in rising order, so every item before a failure has been claimed and
+    runs to its end.  Items claimed after a failure are skipped, so an
+    interrupt does not wait for every item.
     """
     items = list(items)
     w = max(1, min(WORKERS, len(items)))
     results = [None] * len(items)
     failures = []  # (index, exception); list.append is atomic
+    claims = iter(range(len(items)))
+    lock = threading.Lock()
 
-    def share(first: int) -> None:
-        for i in range(first, len(items), w):
-            if failures and i > min(index for index, _ in failures):
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None or failures and i > min(index for index, _ in failures):
                 return
             try:
                 results[i] = fn(items[i])
@@ -53,11 +60,11 @@ def ordered_map(fn, items) -> list:
                 failures.append((i, exc))
                 return
 
-    helpers = [threading.Thread(target=share, args=(i,), daemon=True) for i in range(1, w)]
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(1, w)]
     for helper in helpers:
         helper.start()
     try:
-        share(0)
+        work()
     finally:
         for helper in helpers:
             helper.join()

@@ -173,7 +173,7 @@ def guarded_unit_batch(betas, k):
         out[small] = integrals._unit_batch_small(betas[small], k)
     if (~small).any():
         lam = integrals.TWO_PI * betas[~small]
-        out[~small] = integrals._unit_batch_large(lam, np.exp(1j * lam), k)
+        out[~small] = integrals._unit_batch_large(lam, 1.0 / lam, np.exp(1j * lam), k)
     return out
 
 
@@ -184,7 +184,7 @@ def guarded_log_batch(betas):
     if small.any():
         out[small] = integrals._log_batch_small(betas[small])
     if (~small).any():
-        out[~small] = integrals._log_batch_large(betas[~small])
+        out[~small] = integrals._log_batch_large(integrals.TWO_PI * betas[~small])
     return out
 
 
@@ -201,8 +201,9 @@ def test_phase_batches_equal_the_guarded_two_regime_fill(betas):
     betas = np.array(betas, dtype=float)
     for k in (2, 3, 8):
         assert np.array_equal(unit_phase_batch(betas, k), guarded_unit_batch(betas, k))
-    shared = integrals._unit_phase_batches(betas, (2, 5))
+    *shared, log = integrals._phase_batches(betas, (2, 5), True)
     assert all(np.array_equal(got, guarded_unit_batch(betas, k)) for got, k in zip(shared, (2, 5)))
+    assert np.array_equal(log, guarded_log_batch(betas))
     assert np.array_equal(log_phase_batch(betas), guarded_log_batch(betas))
 
 
@@ -364,11 +365,38 @@ def test_j_values_memory():
 
 
 def test_unit_phase_batch_in_chunks_matches_reference():
-    # k = 100: 12736 quadrature nodes, so 2^22 phase entries hold 329 betas
-    betas = np.linspace(0.0, 10.0, 700)
+    # k = 100: 12736 quadrature nodes, so a chunk holds 2 betas and the
+    # last one, 696 to 698, holds 3
+    betas = np.linspace(0.0, 10.0, 699)
     batch = unit_phase_batch(betas, 100)
-    for i in (0, 328, 329, 657, 658, 699):
+    for i in (0, 1, 2, 695, 696, 698):
         assert abs(batch[i] - unit_power_phase_integral(betas[i], 100)) < 1e-9
+
+
+def _small_rules():
+    # (nodes, weights, sign) of the k = 2, 3, 8 unit rules and the log rule
+    for k in (2, 3, 8):
+        edges = np.linspace(0.0, 1.0, integrals.phase_panels(10.0, k) + 1)
+        nodes, weights = integrals._panel_nodes(edges, 8)
+        yield f"unit k={k}", (nodes**k, weights, 1.0)
+    edges = integrals._log_panel_edges(3.0, integrals.phase_panels(10.0, 3.0))
+    nodes, weights = integrals._panel_nodes(edges, 8)
+    yield "log", (nodes, np.log(nodes) * weights, -1.0)
+
+
+SMALL_RULES = dict(_small_rules())
+
+
+@pytest.mark.parametrize("rule", SMALL_RULES.values(), ids=SMALL_RULES.keys())
+def test_chunked_small_batch_equals_the_whole_table_product(rule):
+    # a one-row BLAS product rounds differently, so no chunk may be a lone
+    # last row; counts of 1 mod step would leave one
+    nodes, weights, sign = rule
+    step = max(2, integrals._PHASE_CHUNK // nodes.size)
+    for count in (1, 2, 3, step, step + 1, 2 * step + 1, 8 * step + 1, 8 * step + 2):
+        betas = np.linspace(0.0, 10.0, count)
+        whole = np.exp(sign * 2j * np.pi * np.multiply.outer(betas, nodes)) @ weights
+        assert np.array_equal(integrals._small_batch(betas, nodes, weights, sign), whole), count
 
 
 @pytest.mark.parametrize("batch", [
@@ -376,10 +404,10 @@ def test_unit_phase_batch_in_chunks_matches_reference():
     lambda betas: unit_phase_batch(betas, 3),
     lambda betas: j_density_batch(betas, 3, 2),
 ], ids=["log", "unit", "density"])
-def test_small_beta_batches_peak_at_three_chunks(batch):
+def test_small_beta_batches_peak_below_16_mib(batch):
     # 2^15 betas <= 10 against 536 log-phase nodes make a 268 MiB phase
-    # table; a chunk's float outer product, complex phases and their
-    # exponential stay below three complex chunks (192 MiB)
+    # table; it goes to BLAS _PHASE_CHUNK entries at a time, so the peak
+    # is a few 2^15-entry batch arrays
     betas = np.linspace(0.0, 10.0, 2**15)
     tracemalloc.start()
     try:
@@ -387,7 +415,7 @@ def test_small_beta_batches_peak_at_three_chunks(batch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * integrals._PHASE_CHUNK * 16
+    assert peak <= 16 * 2**20
 
 
 def test_j_value_doubling_stability():

@@ -2,19 +2,26 @@
 
 j_values, sigma_truncated and the direct route's rows spread
 independent work over threads.ordered_map.  Their results must not
-depend on how many workers run them, a failure in a helper's share
-must surface as the same exit code, and no helper may outlive the call.
+depend on how many workers run them, nor on how many threads numpy's
+BLAS runs; a failure in a helper's share must surface as the same exit
+code, and no helper may outlive the call.
 """
 
+import contextlib
+import io
+import json
+import os
+import subprocess
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circlekit import arith, integrals, series, threads
-from circlekit.cli import EXIT_BUDGET, EXIT_NUMERICAL, main
+from circlekit.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, main
 from circlekit.errors import NumericalIntegrityError
 from circlekit.integrals import decay_envelope, j_density_batch, j_values
 from circlekit.series import sigma_truncated
@@ -77,6 +84,29 @@ def test_ordered_map_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_ordered_map_runs_the_rest_while_one_item_waits(monkeypatch):
+    # item 0 waits for every other item to finish; with fixed strides its
+    # thread would own items 2, 4, ... and the wait would time out
+    n = 7
+    done = []
+    rest_done = threading.Event()
+    lock = threading.Lock()
+
+    def fn(i):
+        if i == 0:
+            return rest_done.wait(timeout=10)
+        with lock:
+            done.append(i)
+            if len(done) == n - 1:
+                rest_done.set()
+        return True
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    baseline = threading.active_count()
+    assert threads.ordered_map(fn, range(n)) == [True] * n
+    assert threading.active_count() == baseline
+
+
 # B = 400 has 46 full blocks of fine panels and a partial last one
 @pytest.mark.parametrize("k", [3, 8])
 @pytest.mark.parametrize("B", [1.5, 10.0, 50.0, 400.0])
@@ -113,24 +143,29 @@ def test_sigma_terms_equal_on_any_worker_count(monkeypatch, k):
 
 
 def test_helper_failure_maps_to_numerical_exit(monkeypatch, capsys):
-    # prime powers 2, 3, 4, 5, ...: with two workers q = 5 is the helper's
+    # the first prime power a helper claims fails; the caller holds its
+    # own first item until then, so the helper is sure to claim one
     spectrum = series._spectrum_density
     failed_on = []
+    helper_failed = threading.Event()
 
     def failing(q, k):
-        if q == 5:
-            failed_on.append(threading.current_thread())
-            raise NumericalIntegrityError("forced at q=5")
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(timeout=10)
+        elif not failed_on:
+            failed_on.append(q)
+            helper_failed.set()
+            raise NumericalIntegrityError(f"forced at q={q}")
         return spectrum(q, k)
 
     monkeypatch.setattr(threads, "WORKERS", 2)
     monkeypatch.setattr(series, "_spectrum_density", failing)
     baseline = threading.active_count()
     assert main(["series", "--k", "3", "--q-max", "50"]) == EXIT_NUMERICAL
-    assert failed_on and failed_on[0] is not threading.main_thread()
+    assert failed_on
     assert threading.active_count() == baseline
     err = capsys.readouterr().err
-    assert err.startswith("numerical integrity error:") and "q=5" in err
+    assert err.startswith("numerical integrity error:") and f"q={failed_on[0]}\n" in err
 
 
 def test_memory_error_in_a_direct_row_maps_to_budget_exit(monkeypatch, capsys):
@@ -151,3 +186,38 @@ def test_memory_error_in_a_direct_row_maps_to_budget_exit(monkeypatch, capsys):
     assert threading.active_count() == baseline
     err = capsys.readouterr().err
     assert err.startswith("budget error:") and err.count("\n") == 1
+
+
+GRID_COMMANDS = [
+    "integral --k 3 --B 400 --grid 64",
+    "integral --k 8 --B 400 --grid 64",
+    "integral --k 4 --which 2 --B 50 --grid 128",
+]
+
+
+def blas_sensitive_outputs() -> dict:
+    """stdout of the volume-oracle commands and the hex of every field of
+    j_values(k, 400) for k = 3 and 8."""
+    outputs = {}
+    for command in GRID_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(command.split()) == EXIT_OK
+        outputs[command] = out.getvalue()
+    for k in (3, 8):
+        fields = [astuple(value) for value in j_values(k, 400.0)]
+        outputs[f"j_values({k}, 400)"] = [[float(f).hex() for f in row] for row in fields]
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(monkeypatch):
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("CIRCLEKIT_BUDGET", None)
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                                      env.get("PYTHONPATH")]))
+    code = "import json, test_threads; print(json.dumps(test_threads.blas_sensitive_outputs()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == blas_sensitive_outputs()
