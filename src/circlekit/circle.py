@@ -24,13 +24,8 @@ import numpy as np
 from .arith import integer_kth_root, require_table
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
-from .expsums import complete_power_sum, divisor_exp_sum, weyl_sum
-from .integrals import (
-    linear_phase_batch,
-    log_weighted_integral,
-    phase_panels,
-    unit_power_phase_integral,
-)
+from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_sum
+from .integrals import linear_phase_batch, log_phase_batch, unit_phase_batch
 from .series import log_weight
 
 # The generating function over divisors runs to 4x, so the expansion
@@ -252,33 +247,35 @@ class DiagnosticBound:
 def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     """Fitted constant of the V_k residual envelope q^(1/2+_SLACK) (1+x|beta|)^(1/2).
 
-    Scans every reduced a/q with q <= q_max and offsets beta through the
-    window |beta| <= x^(1/k-1)/(2kq) where the sharper remainder form
-    applies.  A row's residual is |f_k(a/q + beta) - V_k| for the model
-    V_k = x^(1/k) S_k(q, a)/q int_0^1 e(x beta u^k) du.
+    Scans every reduced a/q with q <= q_max at the offsets beta = 0, w/2,
+    w and -w, w = x^(1/k-1)/(2kq), the edge of the window where the
+    sharper remainder form applies.  A row's residual is
+    |f_k(a/q + beta) - V_k| for the model
+    V_k = x^(1/k) S_k(q, a)/q int_0^1 e(x beta u^k) du.  Each q takes
+    its phases from one unit_phase_batch at x * (0, w/2, w), the one at
+    -w being the conjugate of the one at w, and every S_k(q, a) from one
+    power_sum_spectrum.
     """
     if x < 1 or k < 1 or q_max < 1:
         raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
     # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
     # each charged a Weyl sum of m terms and a complete sum of q terms, and
-    # refused on those before any offset is formed; then per q and offset,
-    # 8 nodes for each of 3 times a phase integral's first panels
+    # refused on those before any offset is formed
     m = integer_kth_root(x, k)
-    sums = 2 * q_max * (q_max + 1) * (m + q_max)
-    check_budget(sums, "vk scan")
+    check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
     x_float = _float_x(x)
-    widths = [x_float ** (1.0 / k - 1.0) / (2.0 * k * q) for q in range(1, q_max + 1)]
-    offsets = [(0.0, 0.5 * width, width, -width) for width in widths]
-    panels = sum(phase_panels(x * beta, k) for betas in offsets for beta in betas)
-    check_budget(sums + 3 * 8 * panels, "vk scan")
     scale = x_float ** (1.0 / k)
     rows = []
-    for q, betas in enumerate(offsets, 1):
-        phases = [unit_power_phase_integral(x * beta, k) for beta in betas]
+    for q in range(1, q_max + 1):
+        width = x_float ** (1.0 / k - 1.0) / (2.0 * k * q)
+        betas = (0.0, 0.5 * width, width, -width)
+        zero, half, full = unit_phase_batch(x_float * np.array(betas[:3]), k).tolist()
+        phases = (zero, half, full, full.conjugate())
+        spectrum = power_sum_spectrum(q, k).tolist()
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            weight = scale * complete_power_sum(q, a, k) / q
+            weight = scale * spectrum[a % q] / q
             for beta, phase in zip(betas, phases):
                 residual = abs(weyl_sum(a / q + beta, x, k) - weight * phase)
                 envelope = q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5
@@ -315,11 +312,14 @@ def divisor_expansion_residual(
         raise DomainError("need Q*tau <= x for the expansion hypothesis")
     if abs(beta) > 1.0 / (q * params.tau):
         raise DomainError(f"|beta|={abs(beta)} exceeds 1/(q tau)")
-    # d is real, so f(-alpha) is the conjugate of f(alpha)
+    # d is real, so f(-alpha) is the conjugate of f(alpha); so is each
+    # phase integral at -x beta that of the one at x beta
     observed = divisor_exp_sum(a, q, beta, x, table).conjugate()
     arg = x * beta
     lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
-    lg = log_weighted_integral(arg, upper=_EXPANSION_RANGE)
+    lg = complex(log_phase_batch(np.array([abs(arg)]), upper=_EXPANSION_RANGE)[0])
+    if arg < 0:
+        lg = lg.conjugate()
     model = (
         (x * math.log(x) / q) * lin
         + (x / q) * lg

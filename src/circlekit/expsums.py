@@ -64,7 +64,11 @@ def coprime_mask(q: int) -> np.ndarray:
 
 
 def complete_power_sum(q: int, a: int, k: int) -> complex:
-    """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q), gcd(a, q) = 1."""
+    """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q), gcd(a, q) = 1.
+
+    A test reference for power_sum_spectrum, which every command uses;
+    it stays here because the benchmark's tracer names it.
+    """
     _check_modulus(q, k)
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got gcd({a}, {q})")

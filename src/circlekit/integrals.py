@@ -12,11 +12,14 @@ one, an independent oracle counted from an exact square-sum histogram.
 Each phase factor has two evaluation routes that are tested against
 each other to 1e-9:
 
-  * panel Gauss-Legendre quadrature, subdivided fine enough for at
-    least ten nodes per oscillation (the reference, any beta);
-  * for the frequency sweep, a vectorized path: exact closed forms
-    where they exist, and contour-rotated boundary terms whose smooth
-    remainder is an asymptotic series in 1/lam, lam = 2 pi beta.
+  * the vectorized batches, which every command uses: exact closed
+    forms where they exist, a fixed panel rule for beta <= _ASYM_BETA,
+    and past it contour-rotated boundary terms whose smooth remainder
+    is an asymptotic series in 1/lam, lam = 2 pi beta;
+  * adaptive panel Gauss-Legendre quadrature, subdivided fine enough
+    for at least ten nodes per oscillation (any beta).  These scalar
+    routes are test references; they stay here because the benchmark's
+    tracer names them.
 
 j_values sweeps beta once for both singular integrals: the factors the
 two densities share, (square phase)^3 times the k-th power phase, are
@@ -39,14 +42,15 @@ evaluator calls no function the benchmark's tracer wraps, since the
 tracer keeps one span stack for all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
-1/(3 lam)) is evaluated as two real Horner polynomials in x^2, one for
-its real and one for its imaginary part.  It keeps the terms before the
-first one smaller than 2^-60 of the leading term at the x of beta = 10,
-the largest x it is evaluated at: 20 or 21 of the 40 allowed for the
-unit phases, 11 for the log-weighted one.  The remainder after m terms
-is bounded by the magnitude of term m for both series (the Taylor
-remainder of (1 + i s)^c, c < 0, and of log(3 + i s) under the Laplace
-integral), so a cut tail is within 2^-60 of its leading term, below
+1/(U lam), U the log-weighted integral's upper limit) is evaluated as
+two real Horner polynomials in x^2, one for its real and one for its
+imaginary part.  It keeps the terms before the first one smaller than
+2^-60 of the leading term at the x of beta = 10, the largest x it is
+evaluated at: 20 or 21 of the 40 allowed for the unit phases, 11 for
+the log-weighted one at U = 3 and 10 at U = 4.  The remainder after m
+terms is bounded by the magnitude of term m for both series (the
+Taylor remainder of (1 + i s)^c, c < 0, and of log(U + i s) under the
+Laplace integral), so a cut tail is within 2^-60 of its leading term, below
 1.6e-20 absolute for beta > 10 and well under one rounding of the
 result.
 """
@@ -129,7 +133,8 @@ def phase_panels(beta: float, k: float) -> int:
 
 
 def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex:
-    """int_0^1 e(beta u^k) du by adaptive panel quadrature.
+    """int_0^1 e(beta u^k) du by adaptive panel quadrature; a test
+    reference for unit_phase_batch.
 
     Panel count scales with the fastest local frequency k|beta| so every
     oscillation carries >= 10 nodes; panels double until two successive
@@ -153,7 +158,7 @@ def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
 
 
 def log_weighted_integral(beta: float, upper: float = 3.0, tol: float = 1e-8) -> complex:
-    """int_0^upper e(-beta u) log u du.
+    """int_0^upper e(-beta u) log u du; a test reference for log_phase_batch.
 
     [0, delta] is integrated analytically through the first order in
     beta (the neglected remainder is O(beta^2 delta^3 log delta)); the
@@ -250,8 +255,11 @@ def _unit_batch_large(
     return (lead - 1j * rotation * tail) / k
 
 
-def _phase_batches(betas: np.ndarray, ks: tuple[int, ...], log: bool) -> list[np.ndarray]:
-    """unit_phase_batch for each k in ks, then log_phase_batch if log is set.
+def _phase_batches(
+    betas: np.ndarray, ks: tuple[int, ...], log_upper: float | None
+) -> list[np.ndarray]:
+    """unit_phase_batch for each k in ks, then log_phase_batch up to log_upper
+    unless it is None.
 
     The factors share the regime split and, past _ASYM_BETA, lam = 2 pi
     beta; the unit phases also share 1/lam and e^(i lam).  Without a beta
@@ -265,13 +273,13 @@ def _phase_batches(betas: np.ndarray, ks: tuple[int, ...], log: bool) -> list[np
     inv = 1.0 / lam
     rotation = np.exp(1j * lam)
     highs = [_unit_batch_large(lam, inv, rotation, k) for k in ks]
-    if log:
-        highs.append(_log_batch_large(lam))
+    if log_upper is not None:
+        highs.append(_log_batch_large(lam, log_upper))
     if not any_small:
         return highs
     lows = [_unit_batch_small(betas[small], k) for k in ks]
-    if log:
-        lows.append(_log_batch_small(betas[small]))
+    if log_upper is not None:
+        lows.append(_log_batch_small(betas[small], log_upper))
     return [_by_regime(small, low, high) for low, high in zip(lows, highs)]
 
 
@@ -285,18 +293,20 @@ def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarr
 
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized int_0^1 e(beta u^k) du over an array of beta >= 0."""
-    return _phase_batches(betas, (k,), False)[0]
+    return _phase_batches(betas, (k,), None)[0]
 
 
 def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
     """int_0^upper e(-beta u) du in closed form, elementwise over betas.
 
-    (1 - e(-upper*beta)) / (2 pi i beta) away from zero; a power series
-    keeps the seam |beta| < 1e-6 smooth to full precision.  A scalar
-    beta gives a 0-d array.
+    (1 - e(-upper*beta)) / (2 pi i beta) over the whole array; a power
+    series then overwrites the seam |beta| < 1e-6 to full precision.  A
+    scalar beta gives a 0-d array.
     """
     betas = np.asarray(betas, dtype=float)
-    out = np.empty(betas.shape, dtype=complex)
+    # at 0 and near it the division fails or overflows; the series replaces those
+    with np.errstate(all="ignore"):
+        out = np.asarray((1.0 - np.exp(-2j * np.pi * upper * betas)) / (2j * np.pi * betas))
     tiny = np.abs(betas) < 1e-6
     if tiny.any():
         z = -2j * np.pi * upper * betas[tiny]
@@ -306,46 +316,34 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
             term = term * z / (m + 1)
             total += term
         out[tiny] = upper * total
-    rest = betas[~tiny]
-    out[~tiny] = (1.0 - np.exp(-2j * np.pi * upper * rest)) / (2j * np.pi * rest)
     return out
 
 
-def _log_batch_small(betas: np.ndarray) -> np.ndarray:
-    nodes, weights = _panel_nodes(_log_panel_edges(3.0, phase_panels(_ASYM_BETA, 3.0)), 8)
+def _log_batch_small(betas: np.ndarray, upper: float) -> np.ndarray:
+    nodes, weights = _panel_nodes(_log_panel_edges(upper, phase_panels(_ASYM_BETA, upper)), 8)
     return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
-def _log_batch_large(lam: np.ndarray) -> np.ndarray:
-    # Same contour rotation for int_0^3 e(-beta u) log u du: the ray from
-    # 0 integrates exactly (Frullani-type log moment), the ray from 3
-    # leaves e^(-3 i lam) times an asymptotic remainder in 1/(3 lam)
-    # with coefficients log 3, then -i^m (m-1)!.
+def _log_batch_large(lam: np.ndarray, upper: float) -> np.ndarray:
+    # Same contour rotation for int_0^U e(-beta u) log u du, U = upper: the
+    # ray from 0 integrates exactly (Frullani-type log moment), the ray
+    # from U leaves e^(-U i lam) times an asymptotic remainder in
+    # 1/(U lam) with coefficients log U, then -i^m (m-1)!.
     lead = 1j * (EULER_GAMMA + np.log(lam)) / lam - np.pi / (2.0 * lam)
     factorials = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _ASYM_TERMS - 1)]))
-    coeffs = np.concatenate([[math.log(3.0)], -factorials])
-    total = _asymptotic_tail(coeffs, 1.0 / (3.0 * lam), 1.0 / (3.0 * TWO_PI * _ASYM_BETA))
-    return lead + 1j * np.exp(-3j * lam) * total / lam
+    coeffs = np.concatenate([[math.log(upper)], -factorials])
+    total = _asymptotic_tail(coeffs, 1.0 / (upper * lam), 1.0 / (upper * TWO_PI * _ASYM_BETA))
+    return lead + 1j * np.exp(-1j * upper * lam) * total / lam
 
 
-def log_phase_batch(betas: np.ndarray) -> np.ndarray:
-    """Vectorized int_0^3 e(-beta u) log u du over beta >= 0."""
-    return _phase_batches(betas, (), True)[0]
+def log_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
+    """Vectorized int_0^upper e(-beta u) log u du over beta >= 0."""
+    return _phase_batches(betas, (), upper)[0]
 
 
 # ---------------------------------------------------------------------------
 # density, its integral, and the volume oracle
 # ---------------------------------------------------------------------------
-
-
-def j_density(beta: float, k: int, which: int) -> complex:
-    """Density value at one frequency via the reference quadratures."""
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
-    square = unit_power_phase_integral(beta, 2)
-    power = unit_power_phase_integral(beta, k)
-    last = log_weighted_integral(beta) if which == 2 else complex(linear_phase_batch(beta))
-    return square**3 * power * last
 
 
 def decay_envelope(density, betas, k: int, which: int):
@@ -365,17 +363,17 @@ def _check_B(B: float) -> None:
 def density_profile(
     k: int, which: int, B: float, points: int
 ) -> list[tuple[float, complex, float]]:
-    """(beta, j_density, decay_envelope) at `points` even steps over [0, B]."""
+    """(beta, density, decay_envelope) at `points` even steps over [0, B]."""
     if points < 1:
         raise DomainError(f"density profile needs points >= 1, got {points}")
     _check_B(B)
-    # units: three reference quadratures per point, each counted at the
-    # 8-node panels the k-th power phase starts with at beta = B
-    check_budget(points * 3 * 8 * phase_panels(B, k), "density profile")
-    betas = [B * i / max(1, points - 1) for i in range(points)]
-    densities = [j_density(beta, k, which) for beta in betas]
-    ratios = decay_envelope(np.array(densities), np.array(betas), k, which)
-    return list(zip(betas, densities, ratios.tolist()))
+    # units: per point, at most the 8-node panels of the k-th power phase's
+    # small-beta rule
+    check_budget(points * 8 * phase_panels(_ASYM_BETA, k), "density profile")
+    betas = B * np.arange(points) / max(1, points - 1)
+    densities = j_density_batch(betas, k, which)
+    ratios = decay_envelope(densities, betas, k, which)
+    return list(zip(betas.tolist(), densities.tolist(), ratios.tolist()))
 
 
 def _block_densities(
@@ -383,7 +381,7 @@ def _block_densities(
 ) -> list[np.ndarray]:
     # The core (square phase)^3 * (k-th power phase) is shared by every
     # which; each multiplies in only its own last factor.
-    square, power, *log = _phase_batches(betas, (2, k), 2 in whiches)
+    square, power, *log = _phase_batches(betas, (2, k), 3.0 if 2 in whiches else None)
     core = square**3 * power
     return [core * (log[0] if which == 2 else linear_phase_batch(betas)) for which in whiches]
 

@@ -8,9 +8,9 @@ real by conjugate pairing, multiplicative in q, and bounded by
 q^(-3/2-1/k) up to a constant.  The two truncated sums kept here are
 sigma1 = sum A_k(q) and sigma2 = sum (-2 log q + 2 gamma) A_k(q).
 
-A_k is computed two ways: a direct sum over residues (the slow
-reference) and the residue spectrum, which the truncated sums evaluate
-at prime powers only and extend multiplicatively.  The spectrum path
+A_k comes from the residue spectrum, which the truncated sums evaluate
+at prime powers only and extend multiplicatively; the direct sum over
+residues it is tested against lives with the tests.  The spectrum path
 takes S_2 and S_k from expsums.power_sum_spectrum, whose residue powers
 are whole-array int64 arithmetic (so it refuses q > 2^31), and keeps
 the a coprime to q with expsums.coprime_mask.  With the singular
@@ -35,7 +35,7 @@ import numpy as np
 from .budget import check_budget
 from .constants import EULER_GAMMA
 from .errors import DomainError, NumericalIntegrityError
-from .expsums import complete_power_sum, coprime_mask, power_sum_spectrum
+from .expsums import coprime_mask, power_sum_spectrum
 from .threads import ordered_map
 
 IMAG_TOL = 1e-9
@@ -63,17 +63,6 @@ def _spectrum_density(q: int, k: int) -> float:
     mask = coprime_mask(q)
     total = complex((s2[mask] ** 3 * sk[mask]).sum()) / q**5
     return _real_part(total, q)
-
-
-def local_density_direct(q: int, k: int) -> float:
-    """A_k(q) by direct summation over residues; validation path."""
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    total = 0j
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1:
-            total += complete_power_sum(q, a, 2) ** 3 * complete_power_sum(q, a, k)
-    return _real_part(total / q**5, q)
 
 
 def log_weight(q: int) -> float:

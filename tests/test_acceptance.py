@@ -29,8 +29,9 @@ from circlekit.circle import (
 )
 from circlekit.expsums import complete_power_sum, power_sum_spectrum
 from circlekit.exponents import derive_delta
-from circlekit.integrals import j_density, j_value, j_volume_oracle, volume_midpoint
+from circlekit.integrals import j_value, j_volume_oracle, volume_midpoint
 from circlekit.series import local_density, sigma_truncated
+from density_reference import j_density
 
 
 @pytest.fixture(scope="module")

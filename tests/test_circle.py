@@ -25,10 +25,11 @@ from circlekit.circle import (
     vk_envelope_scan,
 )
 from circlekit.errors import BudgetError, DomainError, SizeError
-from circlekit.expsums import complete_power_sum, weyl_sum
+from circlekit.expsums import power_sum_spectrum, weyl_sum
 from circlekit.integrals import (
     linear_phase_batch,
     log_weighted_integral,
+    unit_phase_batch,
     unit_power_phase_integral,
 )
 from circlekit.series import log_weight
@@ -292,16 +293,47 @@ def test_vk_at_beta_zero_q_one():
 
 def test_vk_rows_rebuild_the_model():
     # every row is |f_k(a/q + beta) - x^(1/k) S_k(q, a)/q I(x beta)|, rebuilt
-    # here from its three factors in the scan's float order
+    # here from its three factors in the scan's float order: I from one
+    # batch at x (0, w/2, w), conjugated at -w, and S_k(q, a) from the
+    # spectrum of q
     x, k = 10**4, 3
     scan = vk_envelope_scan(x, k, q_max=6)
     pairs = [(a, q) for q in range(1, 7) for a in range(1, q + 1) if math.gcd(a, q) == 1]
     assert [(row["a"], row["q"]) for row in scan.rows[::4]] == pairs
-    for row in scan.rows:
-        a, q, beta = row["a"], row["q"], row["beta"]
-        phase = unit_power_phase_integral(x * beta, k)
-        model = x ** (1.0 / k) * complete_power_sum(q, a, k) / q * phase
-        assert row["observed"] == abs(weyl_sum(a / q + beta, x, k) - model)
+    for first in range(0, len(scan.rows), 4):
+        rows = scan.rows[first : first + 4]
+        a, q = rows[0]["a"], rows[0]["q"]
+        betas = [row["beta"] for row in rows]
+        width = betas[2]
+        assert betas == [0.0, 0.5 * width, width, -width]
+        phases = unit_phase_batch(float(x) * np.array(betas[:3]), k).tolist()
+        phases.append(phases[2].conjugate())
+        weight = x ** (1.0 / k) * power_sum_spectrum(q, k).tolist()[a % q] / q
+        for row, beta, phase in zip(rows, betas, phases):
+            assert row["observed"] == abs(weyl_sum(a / q + beta, x, k) - weight * phase)
+
+
+@pytest.mark.parametrize("x", [215_999, 216_001, 10**15], ids=["below-10", "above-10", "1.67e4"])
+def test_vk_phases_match_the_reference_quadrature(monkeypatch, x):
+    # at q = 1 and k = 3, x w = x^(1/3)/6: just below and just above the
+    # beta = 10 regime split of the batch, and 1.67e4, deep in its
+    # large-beta form
+    calls = []
+
+    def recording(betas, k):
+        values = unit_phase_batch(betas, k)
+        calls.append((betas, values))
+        return values
+
+    monkeypatch.setattr("circlekit.circle.unit_phase_batch", recording)
+    rows = vk_envelope_scan(x, 3, q_max=1).rows
+    [(betas, values)] = calls
+    width = rows[2]["beta"]
+    assert betas.tolist() == [0.0, float(x) * 0.5 * width, float(x) * width]
+    for beta, value in zip(betas, values):
+        assert abs(value - unit_power_phase_integral(beta, 3)) < 1e-9, beta
+    # the scan's phase at -w, the conjugate of the one at w
+    assert abs(values[2].conjugate() - unit_power_phase_integral(-betas[2], 3)) < 1e-9
 
 
 def test_vk_residual_envelope_small_scan():
@@ -349,8 +381,9 @@ def test_expansion_residual_models_f_at_minus_alpha():
     x = 10**3
     params = ArcParameters.default(x, 3)
     table = divisor_sieve(4 * x)
-    for a, q in ((1, 1), (2, 5), (3, 7)):
-        beta = 0.5 / (q * params.tau)
+    # x |beta| = 15.0 at (1, 1, -1): the log phase's large-beta form, conjugated
+    for a, q, offset in ((1, 1, 0.5), (2, 5, 0.5), (3, 7, 0.5), (2, 5, -0.5), (1, 1, -1.0)):
+        beta = offset / (q * params.tau)
         alpha = -Fraction(a, q) - Fraction(beta)
         phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
         f = complex((table[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
@@ -475,9 +508,8 @@ def test_hua_budget_counts_convolution_products(monkeypatch):
         # x = 10^4, k = 3: Q = 39, tau = 10^4/39, m = 21; per sample
         # 50 draws * (2*6 + 3) + (2*9 + 3) + 21 = 792
         (lambda: minor_arc_bound_profile(10**4, 3, samples=2), 1584),
-        # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3), and 4 offsets per q
-        # with x |beta| < 1, each starting at 10 panels: 3 * 8 * 3 * 4 * 10
-        (lambda: vk_envelope_scan(100, 3, q_max=3), 168 + 2880),
+        # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3)
+        (lambda: vk_envelope_scan(100, 3, q_max=3), 168),
         # x = 1000, k = 3: Q = 15, q in {1, 2, 3, 5, 7, 11, 15}, three
         # beta each, 4x terms per row: 21 * 4000
         (lambda: expansion_envelope_scan(1000, 3), 84_000),
@@ -518,18 +550,18 @@ def test_probe_charges_at_benchmark_sizes_stay_small(monkeypatch):
     assert info.value.args[0] == 840_000
 
 
-def test_vk_scan_charges_its_phase_integrals_before_running_one(monkeypatch):
+def test_vk_scan_charges_its_sums_before_any_phase(monkeypatch):
     # x = 10^12, k = 3, q = 1: 2 * 1 * 2 * (10^4 + 1) = 40,004 for the sums;
-    # x * width = 10^4 / 6, so the offsets start at 10, 3979, 7958 and 7958
-    # panels, charged 3 * 8 each: 477,720
-    def no_phase(beta, k):
-        raise AssertionError("phase integral ran before the budget check")
+    # the phases and the complete sums are not charged apart
+    def no_factor(q_or_betas, k):
+        raise AssertionError("a model factor was computed before the budget check")
 
-    monkeypatch.setattr("circlekit.circle.unit_power_phase_integral", no_phase)
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "100000")
+    monkeypatch.setattr("circlekit.circle.unit_phase_batch", no_factor)
+    monkeypatch.setattr("circlekit.circle.power_sum_spectrum", no_factor)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "40003")
     with pytest.raises(BudgetError) as info:
         vk_envelope_scan(10**12, 3, 1)
-    assert info.value.required == 40_004 + 477_720
+    assert info.value.required == 40_004
 
 
 @pytest.mark.parametrize(
@@ -543,10 +575,11 @@ def test_vk_scan_charges_its_phase_integrals_before_running_one(monkeypatch):
     ids=["x-past-float", "q-max-1e9"],
 )
 def test_vk_scan_refuses_its_sums_before_forming_offsets(monkeypatch, x, q_max, required):
-    def no_panels(beta, k):
+    def no_factor(q_or_betas, k):
         raise AssertionError("offsets formed before the sums were charged")
 
-    monkeypatch.setattr("circlekit.circle.phase_panels", no_panels)
+    monkeypatch.setattr("circlekit.circle.unit_phase_batch", no_factor)
+    monkeypatch.setattr("circlekit.circle.power_sum_spectrum", no_factor)
     with pytest.raises(BudgetError) as info:
         vk_envelope_scan(x, 3, q_max)
     assert info.value.required == required

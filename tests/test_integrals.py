@@ -14,7 +14,6 @@ from circlekit.errors import AccuracyError, BudgetError, DomainError
 from circlekit.integrals import (
     _square_sum_histogram,
     density_profile,
-    j_density,
     j_density_batch,
     j_value,
     j_values,
@@ -26,6 +25,7 @@ from circlekit.integrals import (
     unit_power_phase_integral,
     volume_midpoint,
 )
+from density_reference import j_density
 
 LOG3 = math.log(3.0)
 
@@ -75,6 +75,38 @@ def test_linear_phase_values():
     assert abs(linear_phase_batch(beta) - brute) < 1e-10
 
 
+def masked_linear_phase(betas, upper):
+    # the seam series on |beta| < 1e-6 and the closed form on a masked copy
+    # of the rest, written into an empty array
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(betas.shape, dtype=complex)
+    tiny = np.abs(betas) < 1e-6
+    if tiny.any():
+        z = -2j * np.pi * upper * betas[tiny]
+        total = np.ones(z.shape, dtype=complex)
+        term = np.ones(z.shape, dtype=complex)
+        for m in range(1, 9):
+            term = term * z / (m + 1)
+            total += term
+        out[tiny] = upper * total
+    rest = betas[~tiny]
+    out[~tiny] = (1.0 - np.exp(-2j * np.pi * upper * rest)) / (2j * np.pi * rest)
+    return out
+
+
+@pytest.mark.parametrize("upper", [3.0, 4.0])
+def test_linear_phase_equals_the_masked_rule(upper):
+    # every fine node of j_values(3, 400) and the seam; the closed form runs
+    # over the whole array and only the seam is overwritten
+    nodes = integrals._panel_nodes(integrals._beta_edges(400.0), 4)[0]
+    betas = np.concatenate([nodes, [0.0, 1e-7, -1e-7, 5e-7, 1e-310]])
+    assert np.array_equal(linear_phase_batch(betas, upper), masked_linear_phase(betas, upper))
+    for beta in (0.0, 1e-310, 1e-7, 2.5):
+        value = linear_phase_batch(beta, upper)
+        assert isinstance(value, np.ndarray) and value.shape == ()
+        assert value == masked_linear_phase(beta, upper)
+
+
 def test_log_weighted_values():
     assert log_weighted_integral(0.0) == pytest.approx(3 * LOG3 - 3, abs=1e-9)
     for beta in (0.9, 17.0):
@@ -122,14 +154,16 @@ def _unit_phase_mp(beta: float, k: int) -> complex:
         return complex(z ** (-a) * mpmath.gammainc(a, 0, z) / k)
 
 
-def _log_phase_mp(beta: float) -> complex:
-    # int_0^3 e^(-w u) log u du = ((1 - e^(-3w)) log 3 - E1(3w) - log(3w) - gamma) / w,
-    # w = 2 pi i beta (integration by parts against e^(-w u) - 1)
+def _log_phase_mp(beta: float, upper: float = 3.0) -> complex:
+    # int_0^U e^(-w u) log u du = ((1 - e^(-Uw)) log U - E1(Uw) - log(Uw) - gamma) / w,
+    # w = 2 pi i beta (integration by parts against e^(-w u) - 1); U log U - U at 0
     with mpmath.workdps(30):
+        U = mpmath.mpf(upper)
+        if beta == 0.0:
+            return complex(U * mpmath.log(U) - U)
         w = mpmath.mpc(0, 2 * mpmath.pi * beta)
-        log3 = mpmath.log(3)
-        value = (1 - mpmath.exp(-3 * w)) * log3 - mpmath.e1(3 * w)
-        return complex((value - mpmath.log(3 * w) - mpmath.euler) / w)
+        value = (1 - mpmath.exp(-U * w)) * mpmath.log(U) - mpmath.e1(U * w)
+        return complex((value - mpmath.log(U * w) - mpmath.euler) / w)
 
 
 def _oracle_betas() -> np.ndarray:
@@ -164,6 +198,14 @@ def test_log_phase_batch_mpmath_oracle():
     assert abs(complex(quad) - _log_phase_mp(10.01)) < 1e-20
 
 
+def test_log_phase_batch_at_upper_4_mpmath_oracle():
+    # the range the expansion residual integrates over; both regimes
+    betas = np.array([0.0, 0.37, 1.9, 5.3, 9.99, 10.5, 17.3, 39.0])
+    fast = log_phase_batch(betas, 4.0)
+    for b, f in zip(betas, fast):
+        assert abs(f - _log_phase_mp(float(b), 4.0)) < 5e-14, b
+
+
 def guarded_unit_batch(betas, k):
     # each regime filled behind its own .any() guard, one k at a time
     betas = np.asarray(betas, dtype=float)
@@ -177,14 +219,14 @@ def guarded_unit_batch(betas, k):
     return out
 
 
-def guarded_log_batch(betas):
+def guarded_log_batch(betas, upper):
     betas = np.asarray(betas, dtype=float)
     out = np.empty(betas.shape, dtype=complex)
     small = betas <= 10.0
     if small.any():
-        out[small] = integrals._log_batch_small(betas[small])
+        out[small] = integrals._log_batch_small(betas[small], upper)
     if (~small).any():
-        out[~small] = integrals._log_batch_large(integrals.TWO_PI * betas[~small])
+        out[~small] = integrals._log_batch_large(integrals.TWO_PI * betas[~small], upper)
     return out
 
 
@@ -201,10 +243,11 @@ def test_phase_batches_equal_the_guarded_two_regime_fill(betas):
     betas = np.array(betas, dtype=float)
     for k in (2, 3, 8):
         assert np.array_equal(unit_phase_batch(betas, k), guarded_unit_batch(betas, k))
-    *shared, log = integrals._phase_batches(betas, (2, 5), True)
+    *shared, log = integrals._phase_batches(betas, (2, 5), 3.0)
     assert all(np.array_equal(got, guarded_unit_batch(betas, k)) for got, k in zip(shared, (2, 5)))
-    assert np.array_equal(log, guarded_log_batch(betas))
-    assert np.array_equal(log_phase_batch(betas), guarded_log_batch(betas))
+    assert np.array_equal(log, guarded_log_batch(betas, 3.0))
+    for upper in (3.0, 4.0):
+        assert np.array_equal(log_phase_batch(betas, upper), guarded_log_batch(betas, upper))
 
 
 def whole_array_refine(rule, panels, tol):
@@ -283,8 +326,8 @@ def test_density_at_zero():
     for k in (3, 4, 5):
         assert j_density(0.0, k, 1) == pytest.approx(3.0, abs=1e-9)
         assert j_density(0.0, k, 2) == pytest.approx(3 * LOG3 - 3, abs=1e-9)
-    with pytest.raises(DomainError):
-        j_density(0.0, 3, 3)
+    with pytest.raises(DomainError, match="which"):
+        j_density_batch(np.array([0.0]), 3, 3)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])

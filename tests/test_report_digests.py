@@ -7,9 +7,11 @@ keeps every number and byte keeps them all.
 """
 
 import hashlib
+import sys
 
 import pytest
 
+from circlekit import expsums, integrals
 from circlekit.cli import EXIT_OK, main
 
 DIGESTS = {
@@ -38,13 +40,13 @@ DIGESTS = {
     "integral --k 4 --which 2 --B 50 --grid 128":
         "b6b6318f17e0bd1994ee0bf66b18a6a106560599b7ee498a8dd5c7515a0f5b94",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
-        "e795355798f739d16a0f4236e27a3658aa584b9f5287edf13d09999ac9db0a7f",
+        "bfce07e336f6ccd70d7847323062b46d56d94b80436001411145a87e5422128d",
     "diagnostics hua --k 3 --j 2 --y 2000":
         "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
     "diagnostics vk --k 4 --x 10000":
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
     "diagnostics expansion --k 3 --x 10000":
-        "c0e321661296046aa09800e71a1b23b43c87f00ee32abf388f2a7f1928283478",
+        "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5":
         "5f1de1908b3552f27cfbe42439b0d43e71134194eb3d729384267a57982417aa",
     "diagnostics dirichlet --samples 2000 --tau 1000 --seed 3 --format csv":
@@ -63,3 +65,22 @@ def test_report_digest(capsys, monkeypatch, command):
     assert main(command.split()) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
+    # the adaptive quadratures and the per-residue complete sums are test
+    # references; every binding of them in the library raises here
+    scalars = [integrals.unit_power_phase_integral, integrals.log_weighted_integral,
+               integrals._refine, expsums.complete_power_sum]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command reached a scalar reference evaluator")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("circlekit"):
+            for attr, value in list(vars(module).items()):
+                if any(value is scalar for scalar in scalars):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    assert main(command.split()) == EXIT_OK

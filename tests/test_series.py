@@ -10,9 +10,9 @@ from circlekit.series import (
     MainTerm,
     _real_part,
     local_density,
-    local_density_direct,
     sigma_truncated,
 )
+from density_reference import local_density_direct
 from power_residue_reference import power_sum_spectrum_reference
 
 
