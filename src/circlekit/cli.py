@@ -50,7 +50,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .exponents import derive_delta, reference_delta
-from .integrals import density_profile, j_values, j_volume_oracle
+from .integrals import density_profile, j_values, j_volume, j_volume_oracle
 from .series import MainTerm, sigma_truncated
 
 EXIT_OK = 0
@@ -118,7 +118,11 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["k", "which", "B", "value", "quadrature_error", "tail_bound"],
+                # the Fourier sweep's entry (integral) or the reduced volume's (verify)
+                "anyOf": [
+                    {"required": ["k", "which", "B", "value", "quadrature_error", "tail_bound"]},
+                    {"required": ["k", "which", "value", "error"]},
+                ],
             },
         },
         "records": {
@@ -150,10 +154,14 @@ def _cell(value):
     return _sig12(value) if isinstance(value, float) else value
 
 
-def _integral_entry(jv) -> dict:
+def _sweep_entry(jv) -> dict:
     return {"k": jv.k, "which": jv.which, "B": jv.B, "value": _sig12(jv.value),
             "quadrature_error": _sig12(jv.quadrature_error),
             "tail_bound": _sig12(jv.tail_bound)}
+
+
+def _volume_entry(jv) -> dict:
+    return {"k": jv.k, "which": jv.which, "value": _sig12(jv.value), "error": _sig12(jv.error)}
 
 
 def _parse_k_range(text: str) -> range:
@@ -302,7 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         records.append({"k": k, "x": inst.x, "exact": exact,
                         "methods": {name: int(v) for name, v in values.items()}})
     partial = sigma_truncated(args.q_max, k)
-    jv1, jv2 = j_values(k, args.B)
+    jv1, jv2 = j_volume(k, 1), j_volume(k, 2)
     main_term = MainTerm(k, partial.sigma1, partial.sigma2, jv1.value, jv2.value)
     for r in records:
         main = main_term.value(r["x"])
@@ -320,7 +328,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "delta_table": _delta_rows([k]),
         "series": {"k": k, "Q": partial.Q, "sigma1": _sig12(partial.sigma1),
                    "sigma2": _sig12(partial.sigma2)},
-        "integrals": [_integral_entry(jv1), _integral_entry(jv2)],
+        "integrals": [_volume_entry(jv1), _volume_entry(jv2)],
         "records": records,
         "diagnostics": diagnostics,
     }
@@ -362,7 +370,7 @@ def cmd_integral(args: argparse.Namespace) -> int:
     profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
     entries = []
     for value in j_values(k, args.B, whiches):
-        entry = _integral_entry(value)
+        entry = _sweep_entry(value)
         entry["envelope_constant"] = _sig12(value.envelope_constant)
         if args.grid is not None:
             oracle = j_volume_oracle(k, value.which, args.grid)
@@ -465,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated x values")
     p.add_argument("--q-max", dest="q_max", type=int, default=200,
                    help="series truncation bound")
-    p.add_argument("--B", type=float, default=400.0, help="integral truncation")
     p.add_argument("--method", choices=("direct", "conv", "both"), default="both")
     p.set_defaults(func=cmd_verify)
 

@@ -9,12 +9,14 @@ that works rather than waits leaves one thread fewer, and with it one
 allocator arena fewer holding freed block temporaries.  Every helper is
 joined before ordered_map returns or raises.
 
-Users: the singular-integral sweep's blocks (integrals.j_values), the
-prime-power local densities (series.sigma_truncated), the direct rows
-(arith.exact_S_direct) and the window segments
-(arith.exact_S_convolution).  What they map calls no function that
-perfbench's tracer wraps, because the tracer keeps one span stack for
-all threads.
+Users: the singular-integral sweep's blocks (integrals.j_values, which
+`integral` runs), the prime-power local densities
+(series.sigma_truncated), the direct rows (arith.exact_S_direct) and the
+window segments (arith.exact_S_convolution).  `verify` takes its
+singular integrals from integrals.j_volume instead, which maps nothing
+and runs on the calling thread.  What the users map calls no function
+that perfbench's tracer wraps, because the tracer keeps one span stack
+for all threads.
 """
 
 import os

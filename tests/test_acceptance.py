@@ -29,16 +29,15 @@ from circlekit.circle import (
 )
 from circlekit.expsums import complete_power_sum, power_sum_spectrum
 from circlekit.exponents import derive_delta
-from circlekit.integrals import j_value, j_volume_oracle, volume_midpoint
+from circlekit.integrals import j_values, j_volume, j_volume_oracle, volume_midpoint
 from circlekit.series import local_density, sigma_truncated
 from density_reference import j_density
 
 
 @pytest.fixture(scope="module")
-def j_values():
-    return {
-        (k, which): j_value(k, which, 400.0) for k in (3, 4, 5) for which in (1, 2)
-    }
+def sweeps():
+    # k -> (J1, J2) from the Fourier sweep at B = 400
+    return {k: j_values(k, 400.0) for k in range(3, 9)}
 
 
 def _print_pass(n: int, name: str, detail: str = ""):
@@ -110,15 +109,24 @@ def test_criterion_3_gauss_and_crt():
     _print_pass(3, "Gauss-sum identity", f"{checked} (q,a) pairs, {trials} CRT trials")
 
 
-def test_criterion_4_integral_cross_oracle(j_values):
+def test_criterion_4_integral_cross_oracle(sweeps):
     log3 = math.log(3.0)
     for k in (3, 4, 5):
         assert abs(j_density(0.0, k, 1) - 3.0) < 1e-9
         assert abs(j_density(0.0, k, 2) - (3 * log3 - 3)) < 1e-9
-        gap1 = abs(j_values[(k, 1)].value - j_volume_oracle(k, 1, grid=128))
-        gap2 = abs(j_values[(k, 2)].value - j_volume_oracle(k, 2, grid=128))
+        gap1 = abs(sweeps[k][0].value - j_volume_oracle(k, 1, grid=128))
+        gap2 = abs(sweeps[k][1].value - j_volume_oracle(k, 2, grid=128))
         assert gap1 < 1e-3, f"plain cross-oracle gap {gap1:.2e} at k={k}"
         assert gap2 < 5e-3, f"log cross-oracle gap {gap2:.2e} at k={k}"
+    # the sweep against the reduced volume (stated error ~1e-14); measured
+    # gaps at k = 3, 4, 5: 1.6e-8, 4.9e-8, 9.0e-8 (J1), 5.0e-8, 2.6e-7, 5.3e-7 (J2)
+    for k in range(3, 9):
+        for sweep in sweeps[k]:
+            gap = abs(sweep.value - j_volume(k, sweep.which).value)
+            assert gap <= sweep.quadrature_error + sweep.tail_bound, (k, sweep.which, gap)
+            if k <= 5:
+                tol = 2e-7 if sweep.which == 1 else 1e-6
+                assert gap < tol, f"J{sweep.which} sweep-volume gap {gap:.2e} at k={k}"
     # oracle's own grid convergence at the canonical resolutions
     assert abs(volume_midpoint(3, 1, 128) - volume_midpoint(3, 1, 256)) < 1e-3
     _print_pass(4, "singular-integral cross-oracle")
@@ -167,28 +175,29 @@ def test_criterion_6_residual_envelopes():
     )
 
 
-def test_criterion_7_end_to_end_main_term(j_values):
+def test_criterion_7_end_to_end_main_term(sweeps):
     k = 3
     partial = sigma_truncated(200, k)
-    j1 = j_values[(k, 1)].value
-    j2 = j_values[(k, 2)].value
-    c1 = partial.sigma1 * j1
-    c2 = partial.sigma1 * j2 + partial.sigma2 * j1
     table = divisor_sieve(4 * 10**4)
-    normalized = []
-    for x in (10**2, 10**3, 10**4):
-        exact = exact_S_convolution(ProblemInstance(x=x, k=k), table)
-        scale = x ** (1.5 + 1.0 / k)
-        main = c1 * scale * math.log(x) + c2 * scale
-        normalized.append(abs(exact - main) / scale)
-    assert all(
-        later < earlier for earlier, later in zip(normalized, normalized[1:])
-    ), f"normalized residuals not strictly decreasing: {normalized}"
-    _print_pass(
-        7,
-        "end-to-end main term",
-        " -> ".join(f"{v:.4f}" for v in normalized),
-    )
+    exact = {x: exact_S_convolution(ProblemInstance(x=x, k=k), table)
+             for x in (10**2, 10**3, 10**4)}
+    # J from the Fourier sweep and from the reduced volume (verify's)
+    routes = {"sweep": [jv.value for jv in sweeps[k]],
+              "volume": [j_volume(k, which).value for which in (1, 2)]}
+    details = []
+    for route, (j1, j2) in routes.items():
+        c1 = partial.sigma1 * j1
+        c2 = partial.sigma1 * j2 + partial.sigma2 * j1
+        normalized = []
+        for x, value in exact.items():
+            scale = x ** (1.5 + 1.0 / k)
+            main = c1 * scale * math.log(x) + c2 * scale
+            normalized.append(abs(value - main) / scale)
+        assert all(
+            later < earlier for earlier, later in zip(normalized, normalized[1:])
+        ), f"normalized residuals not strictly decreasing with J from the {route}: {normalized}"
+        details.append(f"{route}: " + " -> ".join(f"{v:.4f}" for v in normalized))
+    _print_pass(7, "end-to-end main term", "; ".join(details))
 
 
 def test_criterion_8_dirichlet_and_arc_contracts():

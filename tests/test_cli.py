@@ -77,7 +77,7 @@ def test_series_csv_running_sums(capsys):
 
 def test_verify_trivial_x(capsys):
     code, out, _ = run(
-        capsys, "verify", "--k", "3", "--x", "1", "--q-max", "5", "--B", "10"
+        capsys, "verify", "--k", "3", "--x", "1", "--q-max", "5"
     )
     assert code == EXIT_OK
     report = json.loads(out)
@@ -89,18 +89,18 @@ def test_verify_trivial_x(capsys):
 
 def test_verify_report_schema_and_trend(capsys):
     code, out, _ = run(
-        capsys, "verify", "--k", "3", "--x", "100,1000", "--q-max", "50", "--B", "50"
+        capsys, "verify", "--k", "3", "--x", "100,1000", "--q-max", "50"
     )
     assert code == EXIT_OK
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["diagnostics"]["residual_trend"] in ("decreasing", "FAIL-SOFT")
     assert report["delta_table"][0]["match"] is True
-    assert len(report["integrals"]) == 2
+    assert [set(entry) for entry in report["integrals"]] == [{"k", "which", "value", "error"}] * 2
 
 
 def test_verify_deterministic_output(capsys, tmp_path):
-    args = ["verify", "--k", "3", "--x", "10,100", "--q-max", "20", "--B", "20"]
+    args = ["verify", "--k", "3", "--x", "10,100", "--q-max", "20"]
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     assert main(args + ["--out", str(first)]) == EXIT_OK
@@ -111,12 +111,38 @@ def test_verify_deterministic_output(capsys, tmp_path):
 
 def test_verify_csv_format(capsys):
     code, out, _ = run(
-        capsys, "verify", "--k", "3", "--x", "1,4", "--q-max", "5", "--B", "10",
+        capsys, "verify", "--k", "3", "--x", "1,4", "--q-max", "5",
         "--format", "csv",
     )
     assert code == EXIT_OK
     rows = list(csv.DictReader(out.splitlines()))
     assert [int(r["exact"]) for r in rows] == [3, 23]
+
+
+def test_verify_takes_no_B(capsys):
+    # verify's J1 and J2 come from the reduced volume; only integral truncates a sweep
+    code, out, err = run(capsys, "verify", "--k", "3", "--x", "10", "--B", "400")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --B" in err
+
+
+# one integrals entry of each shape: the sweep's (integral) and the reduced volume's (verify)
+INTEGRAL_ENTRIES = {
+    "sweep": {"k": 3, "which": 1, "B": 400.0, "value": 0.99698, "quadrature_error": 2.8e-10,
+              "tail_bound": 6.0e-05},
+    "volume": {"k": 3, "which": 1, "value": 0.99698, "error": 7.1e-15},
+}
+
+
+@pytest.mark.parametrize("shape", INTEGRAL_ENTRIES)
+def test_integral_entry_missing_a_required_field_fails_the_schema(shape):
+    entry = INTEGRAL_ENTRIES[shape]
+    meta = {"command": "verify", "version": "0", "flags": {}, "seed": 0, "budget": 1}
+    jsonschema.validate({"meta": meta, "integrals": [entry]}, REPORT_SCHEMA)
+    for field in entry:
+        partial = {key: value for key, value in entry.items() if key != field}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"meta": meta, "integrals": [partial]}, REPORT_SCHEMA)
 
 
 def test_verify_rejects_k_range(capsys):
@@ -126,7 +152,7 @@ def test_verify_rejects_k_range(capsys):
 
 
 def test_verify_ignores_duplicate_x(capsys):
-    base = ["verify", "--k", "3", "--q-max", "20", "--B", "20"]
+    base = ["verify", "--k", "3", "--q-max", "20"]
     code, out, _ = run(capsys, *base, "--x", "100,100,1000")
     assert code == EXIT_OK
     repeated = json.loads(out)
@@ -142,7 +168,6 @@ def test_verify_ignores_duplicate_x(capsys):
     [
         ["integral", "--k", "3", "--B", "nan"],
         ["integral", "--k", "3", "--B", "inf"],
-        ["verify", "--k", "3", "--x", "10", "--B", "nan"],
     ],
 )
 def test_non_finite_B_is_usage_error(capsys, argv):
@@ -369,7 +394,7 @@ def test_verify_mismatch_exits_3_without_report(capsys, monkeypatch, tmp_path):
         circlekit.cli, "exact_S_convolution", lambda *a, **kw: honest(*a, **kw) + 1
     )
     out_file = tmp_path / "report.json"
-    base = ["verify", "--k", "3", "--x", "10", "--q-max", "5", "--B", "10", "--method", "both"]
+    base = ["verify", "--k", "3", "--x", "10", "--q-max", "5", "--method", "both"]
     code, out, err = run(capsys, *base)
     assert code == EXIT_MISMATCH
     assert out == ""
@@ -496,6 +521,7 @@ def test_verify_refuses_sizes_before_the_constants(capsys, monkeypatch, xs):
 
     monkeypatch.setattr(circlekit.cli, "sigma_truncated", no_constants)
     monkeypatch.setattr(circlekit.cli, "j_values", no_constants)
+    monkeypatch.setattr(circlekit.cli, "j_volume", no_constants)
     code, out, err = run(capsys, "verify", "--k", "3", "--x", xs, "--method", "conv")
     assert code == EXIT_USAGE
     assert out == ""

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import asdict
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from circlekit.integrals import (
     j_density_batch,
     j_value,
     j_values,
+    j_volume,
     j_volume_oracle,
     linear_phase_batch,
     log_phase_batch,
@@ -26,6 +28,7 @@ from circlekit.integrals import (
     volume_midpoint,
 )
 from density_reference import j_density
+from volume_reference import J2_REFERENCE, j1_reference
 
 LOG3 = math.log(3.0)
 
@@ -535,3 +538,59 @@ def test_oracle_and_profile_reject_small_sizes(monkeypatch):
     for points in (0, -3):
         with pytest.raises(DomainError, match="points"):
             density_profile(3, 1, 5.0, points)
+
+
+# ---------------------------------------------------------------------------
+# the singular integrals as reduced volumes
+# ---------------------------------------------------------------------------
+
+VOLUME_KS = [3, 4, 5, 8]
+_j1_reference = cache(j1_reference)
+
+
+def _volume_reference(k, which):
+    return _j1_reference(k) if which == 1 else mpmath.mpf(J2_REFERENCE[k])
+
+
+@pytest.mark.parametrize("k", VOLUME_KS)
+def test_j_volume_j1_matches_mpmath(k):
+    assert abs(j_volume(k, 1).value - float(_volume_reference(k, 1))) <= 1e-13
+
+
+@pytest.mark.parametrize("k", VOLUME_KS)
+def test_j_volume_j2_matches_committed_mpmath(k):
+    assert abs(j_volume(k, 2).value - float(_volume_reference(k, 2))) <= 1e-13
+
+
+@pytest.mark.parametrize("k", VOLUME_KS)
+@pytest.mark.parametrize("which", [1, 2])
+def test_j_volume_states_an_error_at_least_the_true_one(k, which):
+    result = j_volume(k, which)
+    assert (result.k, result.which) == (k, which)
+    true_error = abs(mpmath.mpf(result.value) - _volume_reference(k, which))
+    assert true_error <= result.error <= 1e-12
+
+
+def test_j_volume_domain_and_budget(monkeypatch, no_array_allocation):
+    for k, which in ((0, 1), (3, 0), (3, 3)):
+        with pytest.raises(DomainError):
+            j_volume(k, which)
+    # 36 * 24^3 = 497,664 J2 nodes and 10 * 24^2 = 5,760 J1 nodes, refused
+    # before any node array
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "497663")
+    with pytest.raises(BudgetError, match="reduced-volume"):
+        j_volume(3, 2)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "5759")
+    with pytest.raises(BudgetError, match="reduced-volume"):
+        j_volume(3, 1)
+
+
+def test_j_volume_peaks_below_16_mib():
+    tracemalloc.start()
+    try:
+        for which in (1, 2):
+            j_volume(8, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

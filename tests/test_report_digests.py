@@ -16,17 +16,17 @@ from circlekit.cli import EXIT_OK, main
 
 DIGESTS = {
     "verify --k 3 --x 100,1000,10000":
-        "c007663a1cdfe8f3ed4a035abde8a437901b05e1c46e9707bb02a962063da0e5",
+        "91503806c432ae5e1962720cef7a191666536b4ddce043eef76b25f42dcf2aa8",
     "verify --k 3 --x 4096,16384,65536 --method both":
-        "0be1166b0c9ebda1f9d1a55562286c939351b595ce478e8d890304f08b58794e",
-    "verify --k 4 --x 4096,16384,65536 --method both --q-max 50 --B 100":
-        "5a1753f7bbf669ad0046db1b8ba5c97b1b08bf45422071083a7912e5bd4c2304",
-    "verify --k 8 --x 4097,16385 --method both --q-max 50 --B 100 --format csv":
-        "f8e1a52e38a56e04a6d25886ed00c5ed5b94b54a9cce50d208a2c12a9afd311e",
+        "cb78ec369a3a9cf4038f34d78390876bbe1d8cbbaa8206eea8142a840e95ce59",
+    "verify --k 4 --x 4096,16384,65536 --method both --q-max 50":
+        "84b8f35723d3697863daff1c71641398fd0c175c9fcef8b8cc3d2e98bc58c2fb",
+    "verify --k 8 --x 4097,16385 --method both --q-max 50 --format csv":
+        "9154a7a0ccc8cf3bbdf32fbfbc068fd9c8fc88fcfd16824de9e4df692298c516",
     "verify --k 3 --method conv --x 9969,100304,1000000":
-        "c983f437711cf23767c5f51d746d49de789054ad7cc912e7f327aaa443a600b7",
+        "ce606ac3a18710a28f9629978e8740e047e34c0d0cc32359566107df7c5d761c",
     "verify --k 5 --method conv --x 99999,100000":
-        "1ca699a398c636642179396ad46d669343f8623e71fc4bb74a71a5d0d6e1fc9d",
+        "ae479bb4c1403c818ef77aab986f39eb43bf1258922e7a1886b4e67a058b67d0",
     "series --k 3 --q-max 500":
         "543d3a7b13436c9f0b89ac2ffceb4fdf1e6c9be4850596ff81f0cda9a26fb096",
     "series --k 6 --q-max 5000":
@@ -82,5 +82,19 @@ def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
             for attr, value in list(vars(module).items()):
                 if any(value is scalar for scalar in scalars):
                     monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    assert main(command.split()) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", sorted(c for c in DIGESTS if c.startswith("verify")))
+def test_verify_runs_no_fourier_sweep(monkeypatch, command):
+    # verify takes J1 and J2 from the reduced volume; the sweep is integral's
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran the Fourier sweep")
+
+    monkeypatch.setattr(integrals, "_sweep", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("circlekit") and hasattr(module, "j_values"):
+            monkeypatch.setattr(module, "j_values", refuse)
     monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
     assert main(command.split()) == EXIT_OK

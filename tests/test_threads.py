@@ -4,7 +4,8 @@ j_values, sigma_truncated and the direct route's rows spread
 independent work over threads.ordered_map.  Their results must not
 depend on how many workers run them, nor on how many threads numpy's
 BLAS runs; a failure in a helper's share must surface as the same exit
-code, and no helper may outlive the call.
+code, and no helper may outlive the call.  j_volume, verify's source of
+J1 and J2, runs on the calling thread and must keep its bits likewise.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 from circlekit import arith, integrals, series, threads
 from circlekit.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, main
 from circlekit.errors import NumericalIntegrityError
-from circlekit.integrals import decay_envelope, j_density_batch, j_values
+from circlekit.integrals import decay_envelope, j_density_batch, j_values, j_volume
 from circlekit.series import sigma_truncated
 
 
@@ -132,6 +133,20 @@ def test_j_values_equal_the_whole_node_sweep(monkeypatch, k, B, block):
         assert result.envelope_constant == envelope
 
 
+@pytest.mark.parametrize("k", [3, 8])
+def test_j_volume_bitwise_equal_on_any_worker_count(monkeypatch, k):
+    # j_volume maps nothing over threads: it runs on the calling thread alone
+    def no_map(*args):
+        raise AssertionError("j_volume started worker threads")
+
+    monkeypatch.setattr(integrals, "ordered_map", no_map)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        runs.append([asdict(j_volume(k, which)) for which in (1, 2)])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_sigma_terms_equal_on_any_worker_count(monkeypatch, k):
     runs = []
@@ -197,7 +212,7 @@ GRID_COMMANDS = [
 
 def blas_sensitive_outputs() -> dict:
     """stdout of the volume-oracle commands and the hex of every field of
-    j_values(k, 400) for k = 3 and 8."""
+    j_values(k, 400) and of j_volume(k, 1) and (k, 2) for k = 3 and 8."""
     outputs = {}
     for command in GRID_COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -206,6 +221,8 @@ def blas_sensitive_outputs() -> dict:
     for k in (3, 8):
         fields = [astuple(value) for value in j_values(k, 400.0)]
         outputs[f"j_values({k}, 400)"] = [[float(f).hex() for f in row] for row in fields]
+        fields = [astuple(j_volume(k, which)) for which in (1, 2)]
+        outputs[f"j_volume({k})"] = [[float(f).hex() for f in row] for row in fields]
     return outputs
 
 
