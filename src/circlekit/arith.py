@@ -43,12 +43,6 @@ def integer_kth_root(n: int, k: int) -> int:
         raise DomainError(f"k must be >= 1, got {k}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
     lo, hi = 0, 1 << (n.bit_length() // k + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -286,69 +286,41 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": _SLACK}, rows=rows)
 
 
-def divisor_expansion_residual(
-    a: int,
-    q: int,
-    beta: float,
-    x: int,
-    table: np.ndarray,
-    params: ArcParameters,
-) -> dict:
-    """Error of the three-term main model of f(-a/q - beta), as a scan row.
+def expansion_envelope_scan(
+    x: int, k: int, table: np.ndarray | None = None
+) -> DiagnosticBound:
+    """Error of the three-term main model of f(-1/q - beta), for q in
+    _EXPANSION_QS up to Q and q = Q, each at beta = 0, 1/(2 q tau) and 1/(q tau).
 
     The model is (x log x / q) L(x beta) + (x/q) L_log(x beta)
     + ((-2 log q + 2 gamma)/q) x L(x beta), with L and L_log the linear
     and log-weighted phase integrals taken over the scaled range [0, 4]
-    actually spanned by the 4x summation limit of f.  The row's bound is
-    x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).
-    """
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"gcd(a, q) must be 1, got ({a}, {q})")
-    if q > params.Q:
-        raise DomainError(f"q={q} exceeds Q={params.Q}")
-    if params.tau <= x**0.51:
-        raise DomainError(f"tau={params.tau} must exceed x^0.51")
-    if params.Q * params.tau > x * (1 + 1e-12):
-        raise DomainError("need Q*tau <= x for the expansion hypothesis")
-    if abs(beta) > 1.0 / (q * params.tau):
-        raise DomainError(f"|beta|={abs(beta)} exceeds 1/(q tau)")
-    # d is real, so f(-alpha) is the conjugate of f(alpha); so is each
-    # phase integral at -x beta that of the one at x beta
-    observed = divisor_exp_sum(a, q, beta, x, table).conjugate()
-    arg = x * beta
-    lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
-    lg = complex(log_phase_batch(np.array([abs(arg)]), upper=_EXPANSION_RANGE)[0])
-    if arg < 0:
-        lg = lg.conjugate()
-    model = (
-        (x * math.log(x) / q) * lin
-        + (x / q) * lg
-        + (log_weight(q) / q) * x * lin
-    )
-    residual = abs(observed - model)
-    bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
-    return {"a": a, "q": q, "beta": beta, "observed": residual, "bound": bound,
-            "ratio": residual / bound}
+    actually spanned by the 4x summation limit of f.  A row's bound is
+    x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).  Each beta takes its own
+    one-element log phase batch: a one-row small-beta product rounds
+    differently from a batched one.
 
-
-def expansion_envelope_scan(
-    x: int, k: int, table: np.ndarray | None = None
-) -> DiagnosticBound:
-    """Expansion residuals at a = 1 for q in _EXPANSION_QS up to Q and q = Q,
-    each at beta = 0, 1/(2 q tau) and 1/(q tau).
-
-    Each row sums 4x divisor terms, charged before the divisor table is
-    built when none is passed.
+    ArcParameters.default gives Q tau = x (to rounding) and tau >= x^(3/5), so every
+    row meets the expansion's hypotheses.  Each row sums 4x divisor
+    terms, charged before the divisor table is built when none is passed.
     """
     params = ArcParameters.default(x, k)
     qs = sorted({q for q in _EXPANSION_QS if q <= params.Q} | {params.Q})
     check_budget(3 * len(qs) * 4 * x, "expansion scan")
     table = require_table(4 * x, table)
-    rows = [
-        divisor_expansion_residual(1, q, beta, x, table, params)
-        for q in qs
-        for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))
-    ]
+    rows = []
+    for q in qs:
+        bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
+        for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau)):
+            # d is real, so f(-alpha) is the conjugate of f(alpha)
+            observed = divisor_exp_sum(1, q, beta, x, table).conjugate()
+            arg = x * beta
+            lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
+            lg = complex(log_phase_batch(np.array([arg]), upper=_EXPANSION_RANGE)[0])
+            model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
+            residual = abs(observed - model)
+            rows.append({"a": 1, "q": q, "beta": beta, "observed": residual, "bound": bound,
+                         "ratio": residual / bound})
     return DiagnosticBound(
         params={"x": x, "k": k, "slack": _SLACK, "Q": params.Q, "tau": params.tau},
         rows=rows,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -50,7 +51,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .exponents import derive_delta, reference_delta
-from .integrals import density_profile, j_values, j_volume, j_volume_oracle
+from .integrals import check_oracle_grid, density_profile, j_values, j_volume, j_volume_oracle
 from .series import MainTerm, sigma_truncated
 
 EXIT_OK = 0
@@ -154,14 +155,8 @@ def _cell(value):
     return _sig12(value) if isinstance(value, float) else value
 
 
-def _sweep_entry(jv) -> dict:
-    return {"k": jv.k, "which": jv.which, "B": jv.B, "value": _sig12(jv.value),
-            "quadrature_error": _sig12(jv.quadrature_error),
-            "tail_bound": _sig12(jv.tail_bound)}
-
-
-def _volume_entry(jv) -> dict:
-    return {"k": jv.k, "which": jv.which, "value": _sig12(jv.value), "error": _sig12(jv.error)}
+def _entry(value) -> dict:
+    return {key: _cell(field) for key, field in dataclasses.asdict(value).items()}
 
 
 def _parse_k_range(text: str) -> range:
@@ -328,7 +323,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "delta_table": _delta_rows([k]),
         "series": {"k": k, "Q": partial.Q, "sigma1": _sig12(partial.sigma1),
                    "sigma2": _sig12(partial.sigma2)},
-        "integrals": [_volume_entry(jv1), _volume_entry(jv2)],
+        "integrals": [_entry(jv1), _entry(jv2)],
         "records": records,
         "diagnostics": diagnostics,
     }
@@ -366,12 +361,14 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_integral(args: argparse.Namespace) -> int:
     k = _single_k(args)
     whiches = (args.which,) if args.which else (1, 2)
-    # the scan is budgeted up front, so it runs before the sweep
+    # the scan is budgeted up front, so it runs before the sweep; the sweep
+    # refuses its own size before any work, so the oracles run after it
     profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
+    if args.grid is not None:
+        check_oracle_grid(args.grid)
     entries = []
     for value in j_values(k, args.B, whiches):
-        entry = _sweep_entry(value)
-        entry["envelope_constant"] = _sig12(value.envelope_constant)
+        entry = {**_entry(value), "B": value.B}  # B echoes --B unrounded
         if args.grid is not None:
             oracle = j_volume_oracle(k, value.which, args.grid)
             entry["oracle"] = _sig12(oracle)

@@ -16,9 +16,9 @@ or J2 (log-weighted), and this module has three routes to each:
     from an exact square-sum histogram;
   * j_volume: the same volume reduced to the (u4, u3) unit square, the
     other two coordinates in closed form (J1) or on one polar line (J2),
-    on fixed Gauss-Legendre rules.  It is good to about 1e-14 in about
-    10 ms per k, where the sweep at B = 400 is 1.6e-8 to 1.4e-6 off in
-    0.6 s, so `verify` takes J1 and J2 from it.
+    on fixed Gauss-Legendre rules.  It is good to about 1e-14 in under
+    10 ms per k, where the sweep at B = 400 is 1.6e-8 to 1.4e-6 off and
+    takes about 0.25 s, so `verify` takes J1 and J2 from it.
 
 Each phase factor has two evaluation routes that are tested against
 each other to 1e-9:
@@ -47,10 +47,9 @@ sweep's own.  What a sweep keeps is one weighted density value per node
 and which, summed by numpy's pairwise rule over the whole array, so the
 sums do not depend on the block, worker or BLAS thread count.  The
 half-resolution sweep is reduced to its sums before the fine one
-starts, so j_values(3, 400) peaks at about 60 MiB of numpy memory,
-where whole node, weight and value arrays took 145 MiB.  The block
-evaluator calls no function the benchmark's tracer wraps, since the
-tracer keeps one span stack for all threads.
+starts, so j_values(3, 400) peaks at about 60 MiB of numpy memory.  The
+block evaluator calls no function the benchmark's tracer wraps, since
+the tracer keeps one span stack for all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(U lam), U the log-weighted integral's upper limit) is evaluated as
@@ -78,9 +77,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .arith import cube
 from .budget import check_budget
-from .constants import EULER_GAMMA, TWO_PI
 from .errors import AccuracyError, DomainError
 from .threads import ordered_map
+
+TWO_PI = 2.0 * math.pi
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
@@ -340,7 +340,7 @@ def _log_batch_large(lam: np.ndarray, upper: float) -> np.ndarray:
     # ray from 0 integrates exactly (Frullani-type log moment), the ray
     # from U leaves e^(-U i lam) times an asymptotic remainder in
     # 1/(U lam) with coefficients log U, then -i^m (m-1)!.
-    lead = 1j * (EULER_GAMMA + np.log(lam)) / lam - np.pi / (2.0 * lam)
+    lead = 1j * (np.euler_gamma + np.log(lam)) / lam - np.pi / (2.0 * lam)
     factorials = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _ASYM_TERMS - 1)]))
     coeffs = np.concatenate([[math.log(upper)], -factorials])
     total = _asymptotic_tail(coeffs, 1.0 / (upper * lam), 1.0 / (upper * TWO_PI * _ASYM_BETA))
@@ -398,17 +398,16 @@ def _block_densities(
 
 
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
-    """Density values on a beta >= 0 grid via the vectorized evaluators."""
+    """Density values on a 1-d beta >= 0 grid via the vectorized evaluators."""
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     betas = np.asarray(betas, dtype=float)
-    flat = betas.ravel()
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty(betas.shape, dtype=complex)
     # blocks of _BLOCK nodes keep the temporaries small and in cache
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
+    for start in range(0, betas.size, _BLOCK):
+        block = betas[start : start + _BLOCK]
         out[start : start + _BLOCK] = _block_densities(block, k, (which,))[0]
-    return out.reshape(betas.shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -548,7 +547,8 @@ def j_values(
 
 
 def j_value(k: int, which: int, B: float = 400.0) -> SingularIntegralValue:
-    """The truncated singular integral for one which; see j_values."""
+    """The truncated singular integral for one which; see j_values.  No
+    command calls it: it stays only because perfbench/spans.py names it."""
     return j_values(k, B, (which,))[0]
 
 
@@ -590,11 +590,17 @@ def volume_midpoint(k: int, which: int, grid: int) -> float:
     return sum(logs) / grid**4
 
 
-def j_volume_oracle(k: int, which: int, grid: int = 128) -> float:
-    """Richardson extrapolation of the midpoint volume across (g, 2g);
-    the 2g grid goes first, so a budget refusal comes before any work."""
+def check_oracle_grid(grid: int) -> None:
+    """Refuse a j_volume_oracle grid before any work: below 64 per axis,
+    or a 2g grid past the budget."""
     if grid < 64:
         raise DomainError(f"grid must be >= 64 per axis, got {grid}")
+    check_budget((2 * grid) ** 3, "volume oracle")
+
+
+def j_volume_oracle(k: int, which: int, grid: int = 128) -> float:
+    """Richardson extrapolation of the midpoint volume across (g, 2g)."""
+    check_oracle_grid(grid)
     fine = volume_midpoint(k, which, 2 * grid)
     coarse = volume_midpoint(k, which, grid)
     return 2.0 * fine - coarse
@@ -626,15 +632,10 @@ class VolumeIntegralValue:
     error: float
 
 
-def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def _t_rule(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """t^k and the weights of 2n nodes t on [0, 1]: t = u^2/2 on [0, 1/2]
     and t = 1 - u^2/2 on [1/2, 1], u on an n-point rule."""
-    u, w = _unit_rule(n)
+    u, w = _panel_nodes(np.array([0.0, 1.0]), n)
     half = u * u / 2.0
     return np.concatenate([half, 1.0 - half]) ** k, np.concatenate([u * w, u * w])
 
@@ -677,22 +678,21 @@ def _reduced_volume(k: int, which: int, n: int) -> float:
     tk, wt = _t_rule(k, n)
     a2 = 1.0 - tk
     a = np.sqrt(a2)
-    v, wv = _unit_rule(n)
+    v, wv = _panel_nodes(np.array([0.0, 1.0]), n)
     v2, dv = v * v, 2.0 * v * wv
     if which == 1:
         top = (1.0 - a)[:, None] * v2  # 1 - z on [a, 1]
         area = _cut_area(a2[:, None] + top * (2.0 - top))
         rows = a + (1.0 - a) * np.sum(area * dv, axis=1)
         return float(np.sum(rows * wt))
-    y, wy = _unit_rule(n)
     rows = np.empty(tk.shape)
     for lo in range(0, tk.size, _T_BLOCK):
         b = slice(lo, lo + _T_BLOCK)
         low = tk[b, None] + (a[b, None] * v2) ** 2  # c on z in [0, a]
         top = (1.0 - a[b, None]) * v2  # 1 - z on [a, 1]
         r1 = a2[b, None] + top * (2.0 - top)  # 3 - c - 1 on [a, 1]
-        low_h = _log_area(low, np.full(low.shape, math.sqrt(2.0) - 1.0), y, wy)
-        high_h = _log_area(2.0 - r1, r1 / (np.sqrt(1.0 + r1) + 1.0), y, wy)
+        low_h = _log_area(low, np.full(low.shape, math.sqrt(2.0) - 1.0), v, wv)
+        high_h = _log_area(2.0 - r1, r1 / (np.sqrt(1.0 + r1) + 1.0), v, wv)
         rows[b] = a[b] * np.sum(low_h * dv, axis=1) + (1.0 - a[b]) * np.sum(high_h * dv, axis=1)
     return float(np.sum(rows * wt))
 

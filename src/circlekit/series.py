@@ -33,7 +33,6 @@ from itertools import accumulate
 import numpy as np
 
 from .budget import check_budget
-from .constants import EULER_GAMMA
 from .errors import DomainError, NumericalIntegrityError
 from .expsums import coprime_mask, power_sum_spectrum
 from .threads import ordered_map
@@ -51,7 +50,8 @@ def _real_part(value: complex, q: int) -> float:
 
 
 def local_density(q: int, k: int) -> float:
-    """A_k(q) via the vectorized residue spectrum."""
+    """A_k(q) via the vectorized residue spectrum.  No command calls it:
+    it stays only because perfbench/spans.py names it."""
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return _spectrum_density(q, k)
@@ -67,7 +67,7 @@ def _spectrum_density(q: int, k: int) -> float:
 
 def log_weight(q: int) -> float:
     """sigma2's weight -2 log q + 2 gamma at modulus q."""
-    return -2.0 * math.log(q) + 2.0 * EULER_GAMMA
+    return -2.0 * math.log(q) + 2.0 * np.euler_gamma
 
 
 @dataclass(frozen=True)

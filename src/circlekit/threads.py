@@ -53,8 +53,8 @@ def ordered_map(fn, items) -> list:
     def work() -> None:
         while True:
             with lock:
-                i = next(claims, None)
-            if i is None or failures and i > min(index for index, _ in failures):
+                i = None if failures else next(claims, None)
+            if i is None:
                 return
             try:
                 results[i] = fn(items[i])

@@ -46,6 +46,17 @@ def test_integer_kth_root_exact_at_powers():
         assert r**k <= n < (r + 1) ** k
 
 
+def test_integer_kth_root_at_zero_and_exponents_1_and_2():
+    # the bisection alone, with no shortcut, at n = 0 and k = 1, 2 up to 10^400
+    assert [integer_kth_root(0, k) for k in range(1, 9)] == [0] * 8
+    rng = np.random.default_rng(11)
+    ns = [1, 2, 3, 4, 10**400, 10**400 - 1, (10**200 + 7) ** 2, (10**200 + 7) ** 2 - 1]
+    ns += [int(rng.integers(1, 10**6)) ** int(rng.integers(1, 68)) for _ in range(200)]
+    for n in ns:
+        assert integer_kth_root(n, 1) == n
+        assert integer_kth_root(n, 2) == math.isqrt(n)
+
+
 def test_sieve_small_values():
     t = divisor_sieve(100)
     assert t[1] == 1

@@ -18,7 +18,6 @@ from circlekit.circle import (
     dirichlet_approx,
     dirichlet_contract_holds,
     dirichlet_contract_scan,
-    divisor_expansion_residual,
     expansion_envelope_scan,
     hua_count,
     minor_arc_bound_profile,
@@ -343,54 +342,43 @@ def test_vk_residual_envelope_small_scan():
     assert len(scan.rows) > 0
 
 
-def test_expansion_residual_preconditions():
-    x = 10**4
-    table = divisor_sieve(4 * x)
-    params = ArcParameters.default(x, 3)
-    with pytest.raises(DomainError):
-        divisor_expansion_residual(1, params.Q + 1, 0.0, x, table, params)
-    with pytest.raises(DomainError):
-        divisor_expansion_residual(1, 1, 1.0, x, table, params)  # |beta| too large
-    with pytest.raises(DomainError):
-        divisor_expansion_residual(2, 4, 0.0, x, table, params)  # gcd != 1
-    with pytest.raises(DomainError):
-        divisor_expansion_residual(1, 1, 0.0, x, divisor_sieve(100), params)
-
-
 def test_expansion_residual_q1():
-    x = 10**3
-    table = divisor_sieve(4 * x)
-    params = ArcParameters.default(x, 3)
-    res = divisor_expansion_residual(1, 1, 0.0, x, table, params)
-    assert res["ratio"] <= 10.0
-    res = divisor_expansion_residual(2, 5, 1.0 / (2 * 5 * params.tau), x, table, params)
-    assert res["ratio"] <= 10.0
+    scan = expansion_envelope_scan(10**3, 3)
+    q1 = [row for row in scan.rows if row["q"] == 1]
+    assert len(q1) == 3
+    assert all(row["ratio"] <= 10.0 for row in q1)
 
 
 def test_expansion_residual_is_the_scan_row():
+    # a = 1 at every q in _EXPANSION_QS up to Q and Q itself, each at
+    # beta = 0, 1/(2 q tau), 1/(q tau), with the documented bound
     x = 10**3
     params = ArcParameters.default(x, 3)
-    table = divisor_sieve(4 * x)
     scan = expansion_envelope_scan(x, 3)
+    grid = [(1, q, beta) for q in (1, 2, 3, 5, 7, 11, params.Q)
+            for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))]
+    assert [(row["a"], row["q"], row["beta"]) for row in scan.rows] == grid
     for row in scan.rows:
-        assert row == divisor_expansion_residual(row["a"], row["q"], row["beta"], x, table, params)
+        q = row["q"]
+        bound = x**0.05 * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
+        assert row["bound"] == bound
+        assert row["ratio"] == row["observed"] / bound
 
 
 def test_expansion_residual_models_f_at_minus_alpha():
-    # the documented model, against f(-a/q - beta) summed with Fraction phases
-    x = 10**3
-    params = ArcParameters.default(x, 3)
+    # each scan row is the documented model against f(-a/q - beta) summed
+    # with Fraction phases; x beta = Q = 15 at q = 1, beta = 1/tau takes
+    # the log phase's large-beta form
+    x, k = 10**3, 3
     table = divisor_sieve(4 * x)
-    # x |beta| = 15.0 at (1, 1, -1): the log phase's large-beta form, conjugated
-    for a, q, offset in ((1, 1, 0.5), (2, 5, 0.5), (3, 7, 0.5), (2, 5, -0.5), (1, 1, -1.0)):
-        beta = offset / (q * params.tau)
+    for row in expansion_envelope_scan(x, k).rows:
+        a, q, beta = row["a"], row["q"], row["beta"]
         alpha = -Fraction(a, q) - Fraction(beta)
         phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
         f = complex((table[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
         lin = complex(linear_phase_batch(x * beta, upper=4.0))
         lg = log_weighted_integral(x * beta, upper=4.0)
         model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
-        row = divisor_expansion_residual(a, q, beta, x, table, params)
         assert row["observed"] == pytest.approx(abs(f - model), rel=1e-9)
 
 

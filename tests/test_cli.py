@@ -184,6 +184,32 @@ def test_integral_sweep_budget_refused_up_front(capsys, monkeypatch):
     assert "singular-integral sweep" in err
 
 
+@pytest.mark.parametrize(
+    "grid, code, prefix",
+    [("32", EXIT_USAGE, "usage error:"), ("10000000", EXIT_BUDGET, "budget error:")],
+)
+def test_integral_refuses_grid_before_the_sweep(capsys, monkeypatch, grid, code, prefix):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --grid was checked")
+
+    monkeypatch.setattr(circlekit.integrals, "_sweep", no_sweep)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    got, out, err = run(capsys, "integral", "--k", "3", "--B", "2000", "--grid", grid)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)
+
+
+def test_integral_refuses_the_sweep_before_the_oracle(capsys, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the sweep's budget was checked")
+
+    monkeypatch.setattr(circlekit.integrals, "volume_midpoint", no_oracle)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    got, out, err = run(capsys, "integral", "--k", "3", "--B", "1e6", "--grid", "64")
+    assert (got, out) == (EXIT_BUDGET, "")
+    assert "singular-integral sweep" in err
+
+
 def test_series_budget_refused_up_front(capsys, monkeypatch):
     # Q = 10^6 would visit about 5e11 residues; refused before any local density
     def no_density(q, k):
@@ -221,6 +247,13 @@ def test_integral_with_oracle(capsys):
     jsonschema.validate(report, REPORT_SCHEMA)
     entry = report["integrals"][0]
     assert entry["oracle_gap"] < 1e-3
+
+
+def test_integral_reports_B_unrounded(capsys):
+    # every other float is cut to 12 significant digits; B echoes the flag
+    code, out, _ = run(capsys, "integral", "--k", "3", "--which", "1", "--B", "5.0123456789012345")
+    assert code == EXIT_OK
+    assert json.loads(out)["integrals"][0]["B"] == 5.0123456789012345
 
 
 def test_integral_scan_csv(capsys):

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from circlekit import expsums, integrals
+from circlekit import expsums, integrals, series
 from circlekit.cli import EXIT_OK, main
 
 DIGESTS = {
@@ -47,6 +47,10 @@ DIGESTS = {
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
     "diagnostics expansion --k 3 --x 10000":
         "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
+    "diagnostics expansion --k 3 --x 10000 --format csv":
+        "647d652015680e55d21c7baf7b1856a3ad1604432fcf79acc52704c628b221b5",
+    "diagnostics expansion --k 5 --x 100000 --format csv":
+        "eaf7d4c76850fa3a6f7cd0fc6456ce5030638e27a1c0c794b13ed7f9a965a4dd",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5":
         "5f1de1908b3552f27cfbe42439b0d43e71134194eb3d729384267a57982417aa",
     "diagnostics dirichlet --samples 2000 --tau 1000 --seed 3 --format csv":
@@ -70,12 +74,14 @@ def test_report_digest(capsys, monkeypatch, command):
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
     # the adaptive quadratures and the per-residue complete sums are test
-    # references; every binding of them in the library raises here
+    # references, and the scalar local_density and j_value only the
+    # benchmark's tracer names; every binding of them in the library raises here
     scalars = [integrals.unit_power_phase_integral, integrals.log_weighted_integral,
-               integrals._refine, expsums.complete_power_sum]
+               integrals._refine, expsums.complete_power_sum, series.local_density,
+               integrals.j_value]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a command reached a scalar reference evaluator")
+        raise AssertionError("a command reached a scalar evaluator")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("circlekit"):

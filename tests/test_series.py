@@ -4,7 +4,6 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from circlekit.constants import EULER_GAMMA
 from circlekit.errors import BudgetError, DomainError, NumericalIntegrityError
 from circlekit.series import (
     MainTerm,
@@ -67,7 +66,7 @@ def test_density_domain_and_integrity_gate():
 def test_sigma_q1_and_q2():
     p1 = sigma_truncated(1, 3)
     assert p1.sigma1 == 1.0
-    assert p1.sigma2 == pytest.approx(2 * EULER_GAMMA, abs=1e-12)
+    assert p1.sigma2 == pytest.approx(2 * np.euler_gamma, abs=1e-12)
     p2 = sigma_truncated(2, 3)
     assert p2.sigma1 == pytest.approx(p1.sigma1, abs=1e-12)
     assert p2.sigma2 == pytest.approx(p1.sigma2, abs=1e-12)
@@ -140,7 +139,7 @@ def test_sigma_fast_equals_direct():
         assert [q for q, _ in partial.terms] == list(range(1, 51))
         for (_, value), expected in zip(partial.terms, direct):
             assert value == pytest.approx(expected, abs=1e-10)
-        weighted = [(-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in enumerate(direct, 1)]
+        weighted = [(-2.0 * math.log(q) + 2.0 * np.euler_gamma) * a for q, a in enumerate(direct, 1)]
         assert partial.sigma1 == pytest.approx(sum(direct), abs=1e-10)
         assert partial.sigma2 == pytest.approx(sum(weighted), abs=1e-10)
 
@@ -148,7 +147,7 @@ def test_sigma_fast_equals_direct():
 def test_running_sums_accumulate_the_terms():
     partial = sigma_truncated(60, 4)
     values = [a for _, a in partial.terms]
-    weighted = [(-2.0 * math.log(q) + 2.0 * EULER_GAMMA) * a for q, a in partial.terms]
+    weighted = [(-2.0 * math.log(q) + 2.0 * np.euler_gamma) * a for q, a in partial.terms]
     assert partial.running1 == list(accumulate(values))
     assert partial.running2 == list(accumulate(weighted))
     assert partial.sigma1 == partial.running1[-1]

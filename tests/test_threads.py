@@ -15,8 +15,10 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict, astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +65,39 @@ def test_ordered_map_raises_the_earliest_failure(monkeypatch):
             threads.ordered_map(fn, range(8))
         assert info.value.args == (3,)
         assert threading.active_count() == baseline
+
+
+class _PauseAfterFirstClaim:
+    """A lock whose first release is followed by a pause: the thread that
+    claimed item 0 sleeps between its claim and running it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._released = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        self._released += 1
+        if self._released == 1:
+            time.sleep(0.2)
+
+
+def test_ordered_map_runs_a_claim_made_before_a_later_failure(monkeypatch):
+    # item 1 fails while item 0's thread pauses after claiming it; item 0
+    # still runs, so its own failure, the one a serial loop meets, is raised
+    def fn(x):
+        raise ValueError(x)
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(
+        threads, "threading", SimpleNamespace(Thread=threading.Thread, Lock=_PauseAfterFirstClaim)
+    )
+    with pytest.raises(ValueError) as info:
+        threads.ordered_map(fn, range(2))
+    assert info.value.args == (0,)
 
 
 def test_ordered_map_under_fast_thread_switching(monkeypatch):
