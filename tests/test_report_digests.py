@@ -41,10 +41,14 @@ DIGESTS = {
         "b6b6318f17e0bd1994ee0bf66b18a6a106560599b7ee498a8dd5c7515a0f5b94",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "bfce07e336f6ccd70d7847323062b46d56d94b80436001411145a87e5422128d",
+    "integral --k 5 --which 1 --B 12 --scan 1000 --format csv":
+        "c9c04ba2807c67fe39fdbd41690673c2b1e803d5a36a6ba7e0df58e150b6c0b5",
     "diagnostics hua --k 3 --j 2 --y 2000":
         "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
     "diagnostics vk --k 4 --x 10000":
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
+    "diagnostics vk --k 4 --x 10000 --format csv":
+        "7cb638ec3172d459bddf48b1cae0a1723250f0572d8f44f0728c3f1529d88445",
     "diagnostics expansion --k 3 --x 10000":
         "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
     "diagnostics expansion --k 3 --x 10000 --format csv":
