@@ -296,9 +296,8 @@ def expansion_envelope_scan(
     + ((-2 log q + 2 gamma)/q) x L(x beta), with L and L_log the linear
     and log-weighted phase integrals taken over the scaled range [0, 4]
     actually spanned by the 4x summation limit of f.  A row's bound is
-    x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).  Each beta takes its own
-    one-element log phase batch: a one-row small-beta product rounds
-    differently from a batched one.
+    x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).  Each q takes its three
+    linear and its three log phases from one batch call each.
 
     ArcParameters.default gives Q tau = x (to rounding) and tau >= x^(3/5), so every
     row meets the expansion's hypotheses.  Each row sums 4x divisor
@@ -311,12 +310,13 @@ def expansion_envelope_scan(
     rows = []
     for q in qs:
         bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
-        for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau)):
+        betas = (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))
+        args = np.array([x * beta for beta in betas])
+        lins = linear_phase_batch(args, upper=_EXPANSION_RANGE).tolist()
+        logs = log_phase_batch(args, upper=_EXPANSION_RANGE).tolist()
+        for beta, lin, lg in zip(betas, lins, logs):
             # d is real, so f(-alpha) is the conjugate of f(alpha)
             observed = divisor_exp_sum(1, q, beta, x, table).conjugate()
-            arg = x * beta
-            lin = complex(linear_phase_batch(arg, upper=_EXPANSION_RANGE))
-            lg = complex(log_phase_batch(np.array([arg]), upper=_EXPANSION_RANGE)[0])
             model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
             residual = abs(observed - model)
             rows.append({"a": 1, "q": q, "beta": beta, "observed": residual, "bound": bound,

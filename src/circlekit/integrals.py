@@ -41,15 +41,14 @@ of _BLOCK nodes, each building its own nodes and weights from its slice
 of the panel edges, and the blocks run on every CPU through
 threads.ordered_map, each taken by the next free thread: the first
 block, which holds every beta <= _ASYM_BETA, costs several times any
-other.  The small-beta products go to BLAS in pieces that OpenBLAS
-runs on the calling thread, so no BLAS helper thread competes with the
-sweep's own.  What a sweep keeps is one weighted density value per node
-and which, summed by numpy's pairwise rule over the whole array, so the
-sums do not depend on the block, worker or BLAS thread count.  The
-half-resolution sweep is reduced to its sums before the fine one
-starts, so j_values(3, 400) peaks at about 60 MiB of numpy memory.  The
-block evaluator calls no function the benchmark's tracer wraps, since
-the tracer keeps one span stack for all threads.
+other.  Each block keeps only its pairwise sum and envelope peak per
+which; the block sums are added by math.fsum.  No step calls BLAS: the
+small-beta phase tables are weighted and summed row by row in numpy,
+so no value depends on the worker or BLAS thread count, and a beta's
+phase has the same bits alone as in any batch.  j_values(3, 400) peaks
+at about 14 MiB of numpy memory.  The block evaluator calls no function
+the benchmark's tracer wraps, since the tracer keeps one span stack for
+all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(U lam), U the log-weighted integral's upper limit) is evaluated as
@@ -89,12 +88,8 @@ _ASYM_TERMS = 40
 _TAIL_CUT = 2.0**-60
 # Nodes per block of the density sweep.
 _BLOCK = 1 << 15
-# Phase entries per BLAS product of the small-beta quadratures.  OpenBLAS
-# 0.3.31 runs a complex matrix-vector product on the calling thread when
-# it has under 2^12 entries or at most 4 rows, as every chunk here does
-# (at most _PHASE_CHUNK entries and one row of at most 1024 nodes, or else
-# 2 or 3 rows); a larger one wakes helper threads, which spin after it
-# and take a CPU from the sweep's own threads.
+# Phase-table entries per chunk of a small-beta quadrature (at least one
+# row): the bound on its temporaries.
 _PHASE_CHUNK = 1 << 11
 # 8-node panels per block of a reference quadrature: 2^20 nodes.
 _RULE_PANELS = 1 << 17
@@ -203,18 +198,16 @@ def _small_batch(
     """sum_j weights[j] e(sign beta nodes[j]) for each beta, on a fixed panel
     rule.
 
-    Rows of the betas x nodes phase table go to BLAS in chunks of at most
-    _PHASE_CHUNK entries, but never fewer than two rows: a one-row product
-    runs another kernel that rounds differently, so a lone last row joins
-    the chunk before it.  Each beta's value is then bitwise the one a
-    product over the whole table gives.
+    The betas x nodes phase table is formed in chunks of at most
+    _PHASE_CHUNK entries (or one row), and each weighted row is summed by
+    numpy's pairwise rule, so a beta's value has the same bits alone as in
+    any batch.
     """
-    step = max(2, _PHASE_CHUNK // nodes.size)
-    bounds = [*range(0, max(1, betas.size - 1), step), betas.size]
+    step = max(1, _PHASE_CHUNK // nodes.size)
     out = np.empty(betas.shape, dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        outer = np.multiply.outer(betas[lo:hi], nodes)
-        out[lo:hi] = np.exp(sign * 2j * np.pi * outer) @ weights
+    for lo in range(0, betas.size, step):
+        outer = np.multiply.outer(betas[lo : lo + step], nodes)
+        out[lo : lo + step] = (np.exp(sign * 2j * np.pi * outer) * weights).sum(axis=1)
     return out
 
 
@@ -470,26 +463,25 @@ def _sweep(
     """2 Re of the 4-point panel quadrature of the density over edges, and
     (when envelope is set) the largest decay_envelope on its nodes, per which.
 
-    Blocks of _BLOCK nodes run through ordered_map.  Each writes its
-    weighted values into one array per which, so the sums are numpy's
-    pairwise sums over every node in order, as for a single batch.
+    Blocks of _BLOCK nodes run through ordered_map.  Each returns, per
+    which, the pairwise sum of its weighted values and its envelope peak;
+    math.fsum adds the block sums in block order, correctly rounded, so
+    no value depends on the worker count and no array spans the sweep.
     """
-    panels = edges.size - 1
     step = _BLOCK // 4
-    products = [np.empty(4 * panels, dtype=complex) for _ in whiches]
 
-    def block(first: int) -> list[float]:
+    def block(first: int) -> tuple[list[float], list[float]]:
         nodes, weights = _panel_nodes(edges[first : first + step + 1], 4)
-        peaks = []
-        for which, product, values in zip(whiches, products, _block_densities(nodes, k, whiches)):
-            np.multiply(values, weights, out=product[4 * first : 4 * first + nodes.size])
+        sums, peaks = [], []
+        for which, values in zip(whiches, _block_densities(nodes, k, whiches)):
+            sums.append(float(np.sum(values * weights).real))
             if envelope:
-                peaks.append(decay_envelope(values, nodes, k, which).max())
-        return peaks
+                peaks.append(float(decay_envelope(values, nodes, k, which).max()))
+        return sums, peaks
 
-    peaks = ordered_map(block, range(0, panels, step))
-    sums = [2.0 * float(np.sum(product).real) for product in products]
-    return sums, [float(np.max(column)) for column in zip(*peaks)]
+    blocks = ordered_map(block, range(0, edges.size - 1, step))
+    sums = [2.0 * math.fsum(column) for column in zip(*(s for s, _ in blocks))]
+    return sums, [max(column) for column in zip(*(p for _, p in blocks))]
 
 
 def j_values(
@@ -497,14 +489,13 @@ def j_values(
 ) -> list[SingularIntegralValue]:
     """2 Re int_0^B of the density for each which, from one sweep.
 
-    The half-resolution panels run first and are reduced to their sums,
-    then the fine panels.  Each block of panels builds its own nodes and
-    evaluates the phase factors common to every which once per node, so
-    a sweep holds one weighted value per node and which, not the nodes.
-    The quadrature error is the difference between the two panel sets;
-    the tail bound integrates the largest decay_envelope on the fine
-    nodes times (1+beta)^(-5/2-1/k), and log(2+beta) for which = 2, from
-    B to infinity on both sides.
+    The half-resolution panels run first, then the fine panels.  Each
+    block of panels builds its own nodes, evaluates the phase factors
+    common to every which once per node, and keeps only its sum and
+    envelope peak per which.  The quadrature error is the difference
+    between the two panel sets; the tail bound integrates the largest
+    decay_envelope on the fine nodes times (1+beta)^(-5/2-1/k), and
+    log(2+beta) for which = 2, from B to infinity on both sides.
     """
     _check_B(B)
     if k < 1:

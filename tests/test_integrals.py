@@ -400,19 +400,22 @@ def test_small_beta_count_from_edges_matches_every_node(B):
 
 
 def test_j_values_memory():
-    # every node, weight and density value at once peaked at 145 MiB
-    tracemalloc.start()
-    try:
-        j_values(3, 400.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * 2**20
+    # B = 400 has about 1.5 million fine nodes, so one complex value per
+    # node is 23 MiB: any array that spans the sweep breaks the bound,
+    # while a block's nodes, phases and products stay a few MiB per worker
+    for k in (3, 8):
+        tracemalloc.start()
+        try:
+            j_values(k, 400.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20, k
 
 
 def test_unit_phase_batch_in_chunks_matches_reference():
-    # k = 100: 12736 quadrature nodes, so a chunk holds 2 betas and the
-    # last one, 696 to 698, holds 3
+    # k = 100: 12736 quadrature nodes, more than _PHASE_CHUNK, so every
+    # chunk is one beta's row
     betas = np.linspace(0.0, 10.0, 699)
     batch = unit_phase_batch(betas, 100)
     for i in (0, 1, 2, 695, 696, 698):
@@ -434,15 +437,23 @@ SMALL_RULES = dict(_small_rules())
 
 
 @pytest.mark.parametrize("rule", SMALL_RULES.values(), ids=SMALL_RULES.keys())
-def test_chunked_small_batch_equals_the_whole_table_product(rule):
-    # a one-row BLAS product rounds differently, so no chunk may be a lone
-    # last row; counts of 1 mod step would leave one
+def test_small_batch_gives_each_beta_the_same_bits_in_any_batch(monkeypatch, rule):
+    # every beta alone, in consecutive batches of each count, and in one
+    # batch cut into one-row chunks or left as one chunk: the same bits
     nodes, weights, sign = rule
-    step = max(2, integrals._PHASE_CHUNK // nodes.size)
-    for count in (1, 2, 3, step, step + 1, 2 * step + 1, 8 * step + 1, 8 * step + 2):
-        betas = np.linspace(0.0, 10.0, count)
-        whole = np.exp(sign * 2j * np.pi * np.multiply.outer(betas, nodes)) @ weights
-        assert np.array_equal(integrals._small_batch(betas, nodes, weights, sign), whole), count
+
+    def batches(betas, count):
+        return np.concatenate([integrals._small_batch(betas[lo : lo + count], nodes, weights, sign)
+                               for lo in range(0, betas.size, count)])
+
+    betas = np.linspace(0.0, 10.0, 101)
+    alone = batches(betas, 1)
+    step = max(1, integrals._PHASE_CHUNK // nodes.size)
+    for count in (2, 3, step, step + 1, 8 * step + 1):
+        assert np.array_equal(batches(betas, count), alone), count
+    for chunk in (1, betas.size * nodes.size):
+        monkeypatch.setattr(integrals, "_PHASE_CHUNK", chunk)
+        assert np.array_equal(batches(betas, betas.size), alone), chunk
 
 
 @pytest.mark.parametrize("batch", [
@@ -452,8 +463,8 @@ def test_chunked_small_batch_equals_the_whole_table_product(rule):
 ], ids=["log", "unit", "density"])
 def test_small_beta_batches_peak_below_16_mib(batch):
     # 2^15 betas <= 10 against 536 log-phase nodes make a 268 MiB phase
-    # table; it goes to BLAS _PHASE_CHUNK entries at a time, so the peak
-    # is a few 2^15-entry batch arrays
+    # table; it is formed _PHASE_CHUNK entries at a time, so the peak is
+    # a few 2^15-entry batch arrays
     betas = np.linspace(0.0, 10.0, 2**15)
     tracemalloc.start()
     try:

@@ -32,23 +32,23 @@ DIGESTS = {
     "series --k 6 --q-max 5000":
         "392a8d203fc00f22b1bfae53585174142cc105d2fb600496b7d5bc3094523d22",
     "integral --k 3 --B 400 --grid 64":
-        "64cb73e5fff6fc0af67d9c388493f029f4c8f5fedf61dff08ff39458f3359d3e",
+        "399672830417cf505a24abafce2a6627e82e4573bc2b96061bb2985b9e8541af",
     "integral --k 8 --B 400 --grid 64":
-        "98a8a82f08c349ec2d14690ea928e9de8f780cb60618fcb5fa38f5857a77f8b6",
+        "ce5163ea43821cc6532ac89afe8177f2b0f820d24bc4ec26f353ef0828815090",
     "integral --k 5 --which 2 --B 400":
-        "a8358015d7de6994ebdd9d6488fefa76161f11678f26a947fb2f7caea1663168",
+        "788f5d9d4a09818d9dc963b209548d3d63d0c5ed6db5d98c4413dd56374ceeea",
     "integral --k 4 --which 2 --B 50 --grid 128":
-        "b6b6318f17e0bd1994ee0bf66b18a6a106560599b7ee498a8dd5c7515a0f5b94",
+        "bdaa44d99e023e231e2690888c206d5e47df9b2e43d32011a640240e8ae9ca5e",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "bfce07e336f6ccd70d7847323062b46d56d94b80436001411145a87e5422128d",
     "integral --k 5 --which 1 --B 12 --scan 1000 --format csv":
-        "c9c04ba2807c67fe39fdbd41690673c2b1e803d5a36a6ba7e0df58e150b6c0b5",
+        "20f9e4cef2a8bd1c1638aaf2bdfa60d4048be410ab9eec4b960031465514ce48",
     "diagnostics hua --k 3 --j 2 --y 2000":
         "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
     "diagnostics vk --k 4 --x 10000":
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
     "diagnostics vk --k 4 --x 10000 --format csv":
-        "7cb638ec3172d459bddf48b1cae0a1723250f0572d8f44f0728c3f1529d88445",
+        "a38a70444f5ffa4e1ce3a14c79c11cd3cd848443c8759f531609f69fa10afa70",
     "diagnostics expansion --k 3 --x 10000":
         "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
     "diagnostics expansion --k 3 --x 10000 --format csv":

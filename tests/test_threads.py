@@ -11,6 +11,7 @@ J1 and J2, runs on the calling thread and must keep its bits likewise.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,27 @@ def _all_node_sweep(k, B, which):
     fine = 2.0 * float(np.sum(values * weights).real)
     coarse = 2.0 * float(np.sum(j_density_batch(c_nodes, k, which) * c_weights).real)
     envelope = float(decay_envelope(values, nodes, k, which).max())
+    return fine, abs(fine - coarse), envelope
+
+
+def _block_sums(k, edges, which, block):
+    """2 Re of the panel quadrature over edges as the fsum, in block order, of
+    the pairwise sums over blocks of `block` nodes; and the largest envelope."""
+    step = block // 4
+    sums, peak = [], 0.0
+    for first in range(0, edges.size - 1, step):
+        nodes, weights = integrals._panel_nodes(edges[first : first + step + 1], 4)
+        values = j_density_batch(nodes, k, which)
+        sums.append(float(np.sum(values * weights).real))
+        peak = max(peak, float(decay_envelope(values, nodes, k, which).max()))
+    return 2.0 * math.fsum(sums), peak
+
+
+def _block_order_sweep(k, B, which, block):
+    """The sweep in blocks of `block` nodes: value, quadrature error and envelope."""
+    edges = integrals._beta_edges(B)
+    fine, envelope = _block_sums(k, edges, which, block)
+    coarse, _ = _block_sums(k, integrals._coarse_edges(edges), which, block)
     return fine, abs(fine - coarse), envelope
 
 
@@ -159,12 +181,19 @@ def test_j_values_bitwise_equal_on_any_worker_count(monkeypatch, k, B):
 @pytest.mark.parametrize("k, B, block", [(3, 1.5, None), (3, 10.0, None), (3, 50.0, 1024),
                                          (8, 50.0, 1024)])
 def test_j_values_equal_the_whole_node_sweep(monkeypatch, k, B, block):
+    # one block is one pairwise sum over every node, bit for bit; more
+    # blocks add their pairwise sums by fsum, within rounding of the whole
     if block:
         monkeypatch.setattr(integrals, "_BLOCK", block)
     for result in j_values(k, B):
+        fields = (result.value, result.quadrature_error, result.envelope_constant)
         value, gap, envelope = _all_node_sweep(k, B, result.which)
-        assert result.value == value
-        assert result.quadrature_error == gap
+        if block is None:
+            assert fields == (value, gap, envelope)
+            continue
+        assert fields == _block_order_sweep(k, B, result.which, block)
+        assert abs(result.value - value) <= 1e-15 * abs(value)
+        assert abs(result.quadrature_error - gap) <= 1e-15 * abs(value)
         assert result.envelope_constant == envelope
 
 
