@@ -12,7 +12,7 @@ from .arith import (
 )
 from .circle import ArcParameters, classify_arc, dirichlet_approx, hua_count
 from .exponents import DeltaResult, derive_delta, reference_delta
-from .integrals import j_value, j_values, j_volume_oracle
+from .integrals import j_values, j_volume_oracle
 from .series import MainTerm, sigma_truncated
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "exact_S_convolution",
     "exact_S_direct",
     "hua_count",
-    "j_value",
     "j_values",
     "j_volume_oracle",
     "reference_delta",

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .exponents import derive_delta, reference_delta
 from .integrals import check_oracle_grid, density_profile, j_values, j_volume, j_volume_oracle
-from .series import MainTerm, sigma_truncated
+from .series import MainTerm, check_series, sigma_truncated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -286,8 +286,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.x == []:
         raise DomainError("--x lists no values")
     xs = sorted(set(args.x or [100, 1000, 10000]))
-    # every exact value, and so every size refusal, comes before the constants
+    # every size refusal comes before the constants: --q-max before the
+    # sieve, and x through the sieve and the exact values
     instances = [ProblemInstance(x=x, k=k) for x in xs]
+    check_series(args.q_max, k)
     table = divisor_sieve(instances[-1].max_value)
     records = []
     for inst in instances:

@@ -41,13 +41,5 @@ class PrecisionError(NumericalIntegrityError):
     """A floating transform produced coefficients too far from integers."""
 
 
-class AccuracyError(NumericalIntegrityError):
-    """Quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        self.achieved = float(achieved)
-        super().__init__(f"{message} (achieved {achieved:.3e})")
-
-
 class VerificationMismatch(CircleKitError):
     """Two evaluation routes that must agree exactly disagreed."""

@@ -1,10 +1,9 @@
 """Complete and incomplete exponential sums.
 
-complete_power_sum evaluates sum_{r=1..q} e(a r^k / q) with the power
-reduced mod q, so every term's phase is an exact rational;
-power_sum_spectrum gives S_k(q, a) for every a from one FFT.  Both form
-r^k mod q for all r by square-and-multiply on int64 arrays, exact for
-q <= 2^31 and refused beyond it.  weyl_sum
+power_sum_spectrum gives S_k(q, a) = sum_{r=1..q} e(a r^k / q) for every
+a from one FFT of the histogram of r^k mod q, formed for all r by
+square-and-multiply on int64 arrays, exact for q <= 2^31 and refused
+beyond it; complete_power_sum reads one a from it.  weyl_sum
 evaluates sum_{n <= x^(1/l)} e(alpha n^l) with the phase alpha*n^l
 reduced mod 1 in exact integer arithmetic (a float's value is a dyadic
 rational num/2^e), keeping per-term phase error at the ulp level
@@ -64,16 +63,11 @@ def coprime_mask(q: int) -> np.ndarray:
 
 
 def complete_power_sum(q: int, a: int, k: int) -> complex:
-    """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q), gcd(a, q) = 1.
-
-    A test reference for power_sum_spectrum, which every command uses;
-    it stays here because the benchmark's tracer names it.
-    """
-    _check_modulus(q, k)
+    """S_k(q, a), gcd(a, q) = 1, from power_sum_spectrum.  No command
+    calls it: it stays only because perfbench/spans.py names it."""
     if math.gcd(a, q) != 1:
         raise DomainError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    residues = (a % q) * _power_residues(q, k) % q
-    return complex(np.exp(2j * np.pi * (residues / q)).sum())
+    return complex(power_sum_spectrum(q, k)[a % q])
 
 
 def power_sum_spectrum(q: int, k: int) -> np.ndarray:

@@ -20,17 +20,14 @@ or J2 (log-weighted), and this module has three routes to each:
     10 ms per k, where the sweep at B = 400 is 1.6e-8 to 1.4e-6 off and
     takes about 0.25 s, so `verify` takes J1 and J2 from it.
 
-Each phase factor has two evaluation routes that are tested against
-each other to 1e-9:
-
-  * the vectorized batches, which every command uses: exact closed
-    forms where they exist, a fixed panel rule for beta <= _ASYM_BETA,
-    and past it contour-rotated boundary terms whose smooth remainder
-    is an asymptotic series in 1/lam, lam = 2 pi beta;
-  * adaptive panel Gauss-Legendre quadrature, subdivided fine enough
-    for at least ten nodes per oscillation (any beta).  These scalar
-    routes are test references; they stay here because the benchmark's
-    tracer names them.
+Each phase factor has one evaluator, vectorized over beta >= 0, which
+every command uses: exact closed forms where they exist, a fixed panel
+rule for beta <= _ASYM_BETA, and past it contour-rotated boundary terms
+whose smooth remainder is an asymptotic series in 1/lam, lam = 2 pi
+beta.  unit_power_phase_integral and log_weighted_integral read one beta
+of either sign from it.  The tests hold it to 1e-9 against adaptive
+panel quadratures (tests/density_reference.py) and past _ASYM_BETA to
+1e-14 against mpmath's closed forms.
 
 j_values sweeps beta once for both singular integrals: the factors the
 two densities share, (square phase)^3 times the k-th power phase, are
@@ -76,7 +73,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .arith import cube
 from .budget import check_budget
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .threads import ordered_map
 
 TWO_PI = 2.0 * math.pi
@@ -91,8 +88,6 @@ _BLOCK = 1 << 15
 # Phase-table entries per chunk of a small-beta quadrature (at least one
 # row): the bound on its temporaries.
 _PHASE_CHUNK = 1 << 11
-# 8-node panels per block of a reference quadrature: 2^20 nodes.
-_RULE_PANELS = 1 << 17
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -110,50 +105,10 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-# ---------------------------------------------------------------------------
-# scalar reference quadratures
-# ---------------------------------------------------------------------------
-
-
-def _refine(edges, terms, panels: int, tol: float, failure: str) -> complex:
-    """The sum of terms(nodes, weights) over the 8-point panels on edges(panels),
-    doubling panels until two successive sums agree within tol; the nodes are
-    formed and summed _RULE_PANELS panels at a time."""
-    previous = None
-    for _ in range(7):
-        grid = edges(panels)
-        sums = [complex(np.sum(terms(*_panel_nodes(grid[lo : lo + _RULE_PANELS + 1], 8))))
-                for lo in range(0, grid.size - 1, _RULE_PANELS)]
-        value = sum(sums[1:], sums[0])
-        if previous is not None and abs(value - previous) < 0.5 * tol:
-            return value
-        previous = value
-        panels *= 2
-    raise AccuracyError(failure, achieved=abs(value - previous))
-
-
 def phase_panels(beta: float, k: float) -> int:
     """Panels a quadrature of int_0^1 e(beta u^k) du, or of e(-beta u) over
-    [0, k], starts at: ten per oscillation, at least ten, saturated."""
+    [0, k], needs: ten per oscillation, at least ten, saturated."""
     return math.ceil(min(10.0 * max(1.0, k * abs(beta) / TWO_PI), np.finfo(float).max))
-
-
-def unit_power_phase_integral(beta: float, k: int, tol: float = 1e-9) -> complex:
-    """int_0^1 e(beta u^k) du by adaptive panel quadrature; a test
-    reference for unit_phase_batch.
-
-    Panel count scales with the fastest local frequency k|beta| so every
-    oscillation carries >= 10 nodes; panels double until two successive
-    refinements agree within tol.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    beta = float(beta)
-    return _refine(
-        lambda n: np.linspace(0.0, 1.0, n + 1),
-        lambda nodes, weights: weights * np.exp(2j * np.pi * beta * nodes**k),
-        phase_panels(beta, k), tol, f"unit phase integral did not converge at beta={beta}, k={k}",
-    )
 
 
 def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
@@ -161,22 +116,6 @@ def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
     graded = graded[graded < min(1.0, upper)]
     uniform = np.linspace(LOG_SPLIT, upper, oscillation_panels + 1)
     return np.unique(np.concatenate([graded, uniform, [upper]]))
-
-
-def log_weighted_integral(beta: float, upper: float = 3.0, tol: float = 1e-8) -> complex:
-    """int_0^upper e(-beta u) log u du; a test reference for log_phase_batch.
-
-    [0, delta] is integrated analytically through the first order in
-    beta (the neglected remainder is O(beta^2 delta^3 log delta)); the
-    rest uses panels graded geometrically toward the singularity and
-    sized for the oscillation.
-    """
-    beta = float(beta)
-    return complex(_log_head(beta)) + _refine(
-        lambda n: _log_panel_edges(upper, n),
-        lambda nodes, weights: weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes),
-        phase_panels(beta, upper), tol, f"log-weighted integral did not converge at beta={beta}",
-    )
 
 
 def _log_head(beta):
@@ -295,8 +234,14 @@ def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarr
     return out
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+
+
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized int_0^1 e(beta u^k) du over an array of beta >= 0."""
+    _check_k(k)
     return _phase_batches(betas, (k,), None)[0]
 
 
@@ -343,6 +288,23 @@ def _log_batch_large(lam: np.ndarray, upper: float) -> np.ndarray:
 def log_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
     """Vectorized int_0^upper e(-beta u) log u du over beta >= 0."""
     return _phase_batches(betas, (), upper)[0]
+
+
+# The one-beta forms: a beta < 0 takes the conjugate of the value at
+# |beta|, as both integrands are conjugate under beta -> -beta.  No
+# command calls them; they stay only because perfbench/spans.py names them.
+
+
+def unit_power_phase_integral(beta: float, k: int) -> complex:
+    """int_0^1 e(beta u^k) du for one beta, from unit_phase_batch."""
+    value = complex(unit_phase_batch(np.array([abs(float(beta))]), k)[0])
+    return value.conjugate() if beta < 0 else value
+
+
+def log_weighted_integral(beta: float, upper: float = 3.0) -> complex:
+    """int_0^upper e(-beta u) log u du for one beta, from log_phase_batch."""
+    value = complex(log_phase_batch(np.array([abs(float(beta))]), upper)[0])
+    return value.conjugate() if beta < 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +354,7 @@ def _block_densities(
 
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
     """Density values on a 1-d beta >= 0 grid via the vectorized evaluators."""
+    _check_k(k)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     betas = np.asarray(betas, dtype=float)
@@ -498,8 +461,7 @@ def j_values(
     log(2+beta) for which = 2, from B to infinity on both sides.
     """
     _check_B(B)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    _check_k(k)
     for which in whiches:
         if which not in (1, 2):
             raise DomainError(f"which must be 1 or 2, got {which}")
@@ -701,8 +663,7 @@ def j_volume(k: int, which: int) -> VolumeIntegralValue:
     _ROUNDING.  Runs on the calling thread and
     sums by numpy's pairwise rule, so its bits follow no thread count.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     n = _VOLUME_ORDER

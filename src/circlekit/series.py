@@ -90,6 +90,17 @@ class SingularSeriesPartial:
         return self.running2[-1]
 
 
+def check_series(Q: int, k: int) -> None:
+    """Refuse a truncated series before any work: Q or k below 1, or Q
+    past the budget."""
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    # at most the residues of every modulus q <= Q are visited
+    check_budget(Q * (Q + 1) // 2, "singular series")
+
+
 def sigma_truncated(Q: int, k: int) -> SingularSeriesPartial:
     """Partial sums of the singular series over q <= Q.
 
@@ -98,12 +109,7 @@ def sigma_truncated(Q: int, k: int) -> SingularSeriesPartial:
     the part of q's largest prime, so the prime-power factors multiply
     in ascending prime order.
     """
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    # at most the residues of every modulus q <= Q are visited
-    check_budget(Q * (Q + 1) // 2, "singular series")
+    check_series(Q, k)
     # part[q] = p^e dividing q exactly, p its largest prime: p is still 0
     # when reached, and each power's multiples are overwritten in turn
     part = np.zeros(Q + 1, dtype=np.int64)

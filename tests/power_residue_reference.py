@@ -1,8 +1,10 @@
 """Reference routes for residue powers: one Python pow per residue.
 
-Generator forms of expsums.complete_power_sum and
-expsums.power_sum_spectrum; tests require the library's int64
-square-and-multiply to give bitwise the same arrays and sums.
+Generator forms of the residue powers, of one complete power sum
+S_k(q, a) summed term by term, and of expsums.power_sum_spectrum.  Tests
+require the library's int64 square-and-multiply to give bitwise the same
+residues and spectra, and every spectrum entry to agree with the
+term-by-term sum.
 """
 
 import numpy as np

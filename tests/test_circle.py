@@ -25,13 +25,9 @@ from circlekit.circle import (
 )
 from circlekit.errors import BudgetError, DomainError, SizeError
 from circlekit.expsums import power_sum_spectrum, weyl_sum
-from circlekit.integrals import (
-    linear_phase_batch,
-    log_weighted_integral,
-    unit_phase_batch,
-    unit_power_phase_integral,
-)
+from circlekit.integrals import linear_phase_batch, unit_phase_batch
 from circlekit.series import log_weight
+from density_reference import whole_array_log_phase, whole_array_unit_phase
 
 
 def exact_contract_holds(alpha: float, tau: float) -> bool:
@@ -330,9 +326,9 @@ def test_vk_phases_match_the_reference_quadrature(monkeypatch, x):
     width = rows[2]["beta"]
     assert betas.tolist() == [0.0, float(x) * 0.5 * width, float(x) * width]
     for beta, value in zip(betas, values):
-        assert abs(value - unit_power_phase_integral(beta, 3)) < 1e-9, beta
+        assert abs(value - whole_array_unit_phase(beta, 3)) < 1e-9, beta
     # the scan's phase at -w, the conjugate of the one at w
-    assert abs(values[2].conjugate() - unit_power_phase_integral(-betas[2], 3)) < 1e-9
+    assert abs(values[2].conjugate() - whole_array_unit_phase(-betas[2], 3)) < 1e-9
 
 
 def test_vk_residual_envelope_small_scan():
@@ -377,7 +373,7 @@ def test_expansion_residual_models_f_at_minus_alpha():
         phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
         f = complex((table[1 : 4 * x + 1] * np.exp(2j * np.pi * phases)).sum())
         lin = complex(linear_phase_batch(x * beta, upper=4.0))
-        lg = log_weighted_integral(x * beta, upper=4.0)
+        lg = whole_array_log_phase(x * beta, upper=4.0)
         model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
         assert row["observed"] == pytest.approx(abs(f - model), rel=1e-9)
 

@@ -21,7 +21,6 @@ from circlekit.cli import (
     main,
 )
 from circlekit.errors import (
-    AccuracyError,
     BudgetError,
     DomainError,
     NumericalIntegrityError,
@@ -351,7 +350,6 @@ LIBRARY_FAILURES = [
     (VerificationMismatch("direct=1 convolution=2"), 3, "verification mismatch: "),
     (NumericalIntegrityError("cancellation"), 5, "numerical integrity error: "),
     (PrecisionError("rounding"), 5, "numerical integrity error: "),
-    (AccuracyError("no convergence", 1e-3), 5, "numerical integrity error: "),
     (DomainError("bad k"), 2, "usage error: "),
     (SizeError("too large"), 2, "usage error: "),
 ]
@@ -475,6 +473,10 @@ EDGE_CASES = [
     (["integral", "--k", "3", "--B", "5", "--grid", "32"], EXIT_USAGE, "usage error:"),
     (["integral", "--k", "3", "--B", "5", "--scan", "0"], EXIT_USAGE, "usage error:"),
     (["integral", "--k", "3", "--B", "5", "--scan", "-3"], EXIT_USAGE, "usage error:"),
+    # refused by the scan's density before any of it is computed
+    (["integral", "--k", "0", "--B", "50", "--scan", "10"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "-1", "--B", "50", "--scan", "10"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", "-2", "--B", "50", "--scan", "10"], EXIT_USAGE, "usage error:"),
     # budgeted before the scan or the sweep starts
     (["integral", "--k", "3", "--B", "400", "--scan", "10000000"], EXIT_BUDGET, "budget error:"),
     # B*B overflows a float
@@ -559,6 +561,21 @@ def test_verify_refuses_sizes_before_the_constants(capsys, monkeypatch, xs):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("q_max, code, prefix", [("0", EXIT_USAGE, "usage error:"),
+                                                  ("200000", EXIT_BUDGET, "budget error:")])
+def test_verify_refuses_q_max_before_the_exact_sums(capsys, monkeypatch, q_max, code, prefix):
+    def no_exact_sum(*args, **kwargs):
+        raise AssertionError("exact sums computed before --q-max was checked")
+
+    for name in ("divisor_sieve", "exact_S_direct", "exact_S_convolution"):
+        monkeypatch.setattr(circlekit.cli, name, no_exact_sum)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    got, out, err = run(capsys, "verify", "--k", "3", "--method", "conv", "--x", "3000000",
+                        "--q-max", q_max)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)
 
 
 def test_delta_out_to_directory_is_usage_error(capsys, tmp_path):

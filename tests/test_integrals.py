@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from circlekit import integrals
-from circlekit.errors import AccuracyError, BudgetError, DomainError
+from circlekit.errors import BudgetError, DomainError
 from circlekit.integrals import (
     _square_sum_histogram,
     density_profile,
@@ -27,7 +27,7 @@ from circlekit.integrals import (
     unit_power_phase_integral,
     volume_midpoint,
 )
-from density_reference import j_density
+from density_reference import j_density, whole_array_log_phase, whole_array_unit_phase
 from volume_reference import J2_REFERENCE, j1_reference
 
 LOG3 = math.log(3.0)
@@ -45,11 +45,11 @@ def test_unit_phase_k1_closed_form():
 
 
 def test_unit_phase_domain_and_tolerance_failure():
-    with pytest.raises(DomainError):
-        unit_power_phase_integral(1.0, 0)
-    with pytest.raises(AccuracyError) as info:
-        unit_power_phase_integral(3.7, 3, tol=0.0)  # unattainable request
-    assert info.value.achieved >= 0.0
+    for k in (0, -1, -2):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            unit_power_phase_integral(1.0, k)
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            j_density_batch(np.array([1.0]), k, 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -131,10 +131,10 @@ def test_batch_paths_match_reference():
     for k in (2, 3, 5, 8):
         fast = unit_phase_batch(betas, k)
         for b, f in zip(betas, fast):
-            assert abs(f - unit_power_phase_integral(float(b), k)) < 1e-9
+            assert abs(f - whole_array_unit_phase(float(b), k)) < 1e-9
     fast = log_phase_batch(betas)
     for b, f in zip(betas, fast):
-        assert abs(f - log_weighted_integral(float(b))) < 1e-9
+        assert abs(f - whole_array_log_phase(float(b))) < 1e-9
     fast = linear_phase_batch(betas)
     for b, f in zip(betas, fast):
         assert abs(f - _linear_phase_mp(float(b))) < 1e-12
@@ -253,73 +253,11 @@ def test_phase_batches_equal_the_guarded_two_regime_fill(betas):
         assert np.array_equal(log_phase_batch(betas, upper), guarded_log_batch(betas, upper))
 
 
-def whole_array_refine(rule, panels, tol):
-    # every node of a refinement formed and summed as one array
-    previous = None
-    for _ in range(7):
-        value = rule(panels)
-        if previous is not None and abs(value - previous) < 0.5 * tol:
-            return value
-        previous = value
-        panels *= 2
-    raise AssertionError("no convergence")
-
-
-def whole_array_unit_phase(beta, k):
-    def rule(panels):
-        nodes, weights = integrals._panel_nodes(np.linspace(0.0, 1.0, panels + 1), 8)
-        return complex(np.sum(weights * np.exp(2j * np.pi * beta * nodes**k)))
-
-    panels = max(4, math.ceil(10.0 * max(1.0, k * abs(beta) / (2 * math.pi))))
-    return whole_array_refine(rule, panels, 1e-9)
-
-
-def whole_array_log_phase(beta):
-    def rule(panels):
-        nodes, weights = integrals._panel_nodes(integrals._log_panel_edges(3.0, panels), 8)
-        return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
-
-    panels = max(8, math.ceil(10.0 * max(1.0, 3.0 * abs(beta) / (2 * math.pi))))
-    return complex(integrals._log_head(beta)) + whole_array_refine(rule, panels, 1e-8)
-
-
-@pytest.mark.parametrize("beta", [0.0, -2.5, 3.7, 41.0, 1e3, 8e3])
-def test_reference_rules_keep_their_bits_within_one_block(beta):
-    # 8e3 at k = 8: 101,860 then 203,720 panels; the second spans two blocks
-    for k in (2, 3, 8):
-        got = unit_power_phase_integral(beta, k)
-        want = whole_array_unit_phase(beta, k)
-        if 2 * integrals.phase_panels(beta, k) <= integrals._RULE_PANELS:
-            assert got == want, k
-        else:
-            assert abs(got - want) < 1e-12, k
-    assert log_weighted_integral(beta) == whole_array_log_phase(beta)
-
-
-def test_reference_rules_sum_in_bounded_blocks(monkeypatch):
-    # beta = 13726, k = 3: 65,537 then 131,074 panels, 2^20 nodes, in
-    # blocks of 2^10 panels; whole arrays of those nodes peaked near 70 MiB
-    monkeypatch.setattr(integrals, "_RULE_PANELS", 1 << 10)
-    for integral, reference, bound in (
-        (lambda: unit_power_phase_integral(13726.0, 3), whole_array_unit_phase(13726.0, 3), 4),
-        (lambda: log_weighted_integral(13726.0), whole_array_log_phase(13726.0), 8),
-    ):
-        tracemalloc.start()
-        try:
-            value = integral()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * 2**20
-        assert abs(value - reference) < 1e-12
-
-
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(0.0, 2000.0), k=st.sampled_from([2, 3, 5, 8]))
 def test_batch_and_scalar_routes_agree(beta, k):
-    assert abs(unit_phase_batch(np.array([beta]), k)[0]
-               - unit_power_phase_integral(beta, k)) < 1e-9
-    assert abs(log_phase_batch(np.array([beta]))[0] - log_weighted_integral(beta)) < 1e-9
+    assert abs(unit_phase_batch(np.array([beta]), k)[0] - whole_array_unit_phase(beta, k)) < 1e-9
+    assert abs(log_phase_batch(np.array([beta]))[0] - whole_array_log_phase(beta)) < 1e-9
     for which in (1, 2):
         assert abs(j_density_batch(np.array([beta]), k, which)[0]
                    - j_density(beta, k, which)) < 1e-9
@@ -419,7 +357,7 @@ def test_unit_phase_batch_in_chunks_matches_reference():
     betas = np.linspace(0.0, 10.0, 699)
     batch = unit_phase_batch(betas, 100)
     for i in (0, 1, 2, 695, 696, 698):
-        assert abs(batch[i] - unit_power_phase_integral(betas[i], 100)) < 1e-9
+        assert abs(batch[i] - whole_array_unit_phase(betas[i], 100)) < 1e-9
 
 
 def _small_rules():

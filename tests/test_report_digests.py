@@ -77,12 +77,10 @@ def test_report_digest(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
-    # the adaptive quadratures and the per-residue complete sums are test
-    # references, and the scalar local_density and j_value only the
+    # the one-value forms of the batch evaluators, which only the
     # benchmark's tracer names; every binding of them in the library raises here
     scalars = [integrals.unit_power_phase_integral, integrals.log_weighted_integral,
-               integrals._refine, expsums.complete_power_sum, series.local_density,
-               integrals.j_value]
+               expsums.complete_power_sum, series.local_density, integrals.j_value]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a command reached a scalar evaluator")
