@@ -6,8 +6,8 @@ r = sqrt(x) and n4 up to P = x^(1/k):
 
     S = sum d(n1^2 + n2^2 + n3^2 + n4^k)
 
-The divisor table is the sieve's int32 array d, d[n] = d(n); its readers
-check or build it through require_table.
+The divisor table is the sieve's int32 array d, d[n] = d(n), sieved by the
+command that reads it; every reader checks its coverage by require_table.
 
 One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings).  The other cubes the square indicator into
@@ -76,16 +76,14 @@ def divisor_sieve(limit: int) -> np.ndarray:
     return d
 
 
-def require_table(need: int, table: np.ndarray | None = None) -> np.ndarray:
-    """table, or divisor_sieve(need) when None; DomainError unless it reaches d[need]."""
-    if table is None:
-        return divisor_sieve(need)
+def require_table(need: int, table: np.ndarray) -> np.ndarray:
+    """table, or DomainError unless it reaches d[need]."""
     if len(table) <= need:
         raise DomainError(f"divisor table covers {len(table) - 1} < required {need}")
     return table
 
 
-def sum_d_squared(limit: int, table: np.ndarray | None = None) -> int:
+def sum_d_squared(limit: int, table: np.ndarray) -> int:
     """Exact sum of d(n)^2 for n <= limit.
 
     The second moment grows like N log^3 N; callers check the fitted
@@ -140,7 +138,7 @@ def _gathered_sum(d: np.ndarray, values: np.ndarray, shifts: np.ndarray, step: i
     return total
 
 
-def exact_S_direct(inst: ProblemInstance, table: np.ndarray | None = None) -> int:
+def exact_S_direct(inst: ProblemInstance, table: np.ndarray) -> int:
     """Exact quadruple-sum value by enumerating square triples and every n4.
 
     The summand is symmetric in (n1, n2, n3), so only n1 <= n2 <= n3 is
@@ -263,11 +261,7 @@ def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
     return _exact_cube(a)
 
 
-def exact_S_convolution(
-    inst: ProblemInstance,
-    table: np.ndarray | None = None,
-    transform: str = "auto",
-) -> int:
+def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str = "auto") -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
     d(m + n4^k), where r3 = cube(square indicator) counts the ordered
     (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  W and the dot are built in

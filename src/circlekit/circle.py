@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import integer_kth_root, require_table
+from .arith import divisor_sieve, integer_kth_root
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_sum
-from .integrals import linear_phase_batch, log_phase_batch, unit_phase_batch
+from .integrals import linear_phase_batch, log_phase_batch, small_rule_nodes, unit_phase_batch
 from .series import log_weight
 
 # The generating function over divisors runs to 4x, so the expansion
@@ -259,10 +259,10 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     if x < 1 or k < 1 or q_max < 1:
         raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
     # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
-    # each charged a Weyl sum of m terms and a complete sum of q terms, and
-    # refused on those before any offset is formed
+    # each a Weyl sum of m terms and a complete sum of q terms, and each q's
+    # 3 phases a small-beta rule: all charged before any offset is formed
     m = integer_kth_root(x, k)
-    check_budget(2 * q_max * (q_max + 1) * (m + q_max), "vk scan")
+    check_budget(2 * q_max * (q_max + 1) * (m + q_max) + 3 * q_max * small_rule_nodes(k), "vk scan")
     x_float = _float_x(x)
     scale = x_float ** (1.0 / k)
     rows = []
@@ -286,9 +286,7 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": _SLACK}, rows=rows)
 
 
-def expansion_envelope_scan(
-    x: int, k: int, table: np.ndarray | None = None
-) -> DiagnosticBound:
+def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
     """Error of the three-term main model of f(-1/q - beta), for q in
     _EXPANSION_QS up to Q and q = Q, each at beta = 0, 1/(2 q tau) and 1/(q tau).
 
@@ -301,12 +299,12 @@ def expansion_envelope_scan(
 
     ArcParameters.default gives Q tau = x (to rounding) and tau >= x^(3/5), so every
     row meets the expansion's hypotheses.  Each row sums 4x divisor
-    terms, charged before the divisor table is built when none is passed.
+    terms, charged before the scan sieves its divisor table to 4x.
     """
     params = ArcParameters.default(x, k)
     qs = sorted({q for q in _EXPANSION_QS if q <= params.Q} | {params.Q})
     check_budget(3 * len(qs) * 4 * x, "expansion scan")
-    table = require_table(4 * x, table)
+    table = divisor_sieve(4 * x)
     rows = []
     for q in qs:
         bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))

@@ -116,7 +116,7 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
     return sum(sums[1:], sums[0])
 
 
-def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: np.ndarray | None) -> complex:
+def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: np.ndarray) -> complex:
     """f(a/q + beta) = sum_{n <= 4x} d(n) e(n (a/q + beta)), _TERMS terms at a time."""
     n_max = 4 * x
     table = require_table(n_max, table)

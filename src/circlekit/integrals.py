@@ -77,6 +77,7 @@ from .errors import DomainError
 from .threads import ordered_map
 
 TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Crossover between panel quadrature and the asymptotic contour path.
 _ASYM_BETA = 10.0
@@ -88,6 +89,8 @@ _BLOCK = 1 << 15
 # Phase-table entries per chunk of a small-beta quadrature (at least one
 # row): the bound on its temporaries.
 _PHASE_CHUNK = 1 << 11
+# Gauss-Legendre nodes per panel of a small-beta rule.
+_RULE_ORDER = 8
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -105,10 +108,16 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-def phase_panels(beta: float, k: float) -> int:
-    """Panels a quadrature of int_0^1 e(beta u^k) du, or of e(-beta u) over
-    [0, k], needs: ten per oscillation, at least ten, saturated."""
-    return math.ceil(min(10.0 * max(1.0, k * abs(beta) / TWO_PI), np.finfo(float).max))
+def phase_panels(k: float) -> int:
+    """Panels of the small-beta rule for int_0^1 e(beta u^k) du, or e(-beta u) on [0, k]:
+    ten per oscillation at _ASYM_BETA, at least ten; an int k past a float saturates."""
+    scale = min(max(k, 0.0), _FLOAT_MAX) * _ASYM_BETA / TWO_PI
+    return math.ceil(min(10.0 * max(1.0, scale), _FLOAT_MAX))
+
+
+def small_rule_nodes(k: float) -> int:
+    """Nodes of that rule, _RULE_ORDER per panel: every small-beta charge reads it."""
+    return _RULE_ORDER * phase_panels(k)
 
 
 def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
@@ -151,8 +160,8 @@ def _small_batch(
 
 
 def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    edges = np.linspace(0.0, 1.0, phase_panels(_ASYM_BETA, k) + 1)
-    nodes, weights = _panel_nodes(edges, 8)
+    edges = np.linspace(0.0, 1.0, phase_panels(k) + 1)
+    nodes, weights = _panel_nodes(edges, _RULE_ORDER)
     return _small_batch(betas, nodes**k, weights, 1.0)
 
 
@@ -269,7 +278,7 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
 
 
 def _log_batch_small(betas: np.ndarray, upper: float) -> np.ndarray:
-    nodes, weights = _panel_nodes(_log_panel_edges(upper, phase_panels(_ASYM_BETA, upper)), 8)
+    nodes, weights = _panel_nodes(_log_panel_edges(upper, phase_panels(upper)), _RULE_ORDER)
     return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
@@ -333,9 +342,8 @@ def density_profile(
     if points < 1:
         raise DomainError(f"density profile needs points >= 1, got {points}")
     _check_B(B)
-    # units: per point, at most the 8-node panels of the k-th power phase's
-    # small-beta rule
-    check_budget(points * 8 * phase_panels(_ASYM_BETA, k), "density profile")
+    # units: per point, at most the k-th power phase's small-beta rule
+    check_budget(points * small_rule_nodes(k), "density profile")
     betas = B * np.arange(points) / max(1, points - 1)
     densities = j_density_batch(betas, k, which)
     ratios = decay_envelope(densities, betas, k, which)
@@ -387,7 +395,7 @@ def _fine_panels(B: float) -> int:
     """Panels _beta_edges(B) returns; saturated, past any budget, where B*B overflows."""
     if B <= _PIVOT:
         return math.ceil(B / 0.1)
-    tail = min((B * B - _PIVOT * _PIVOT) / (2.0 * _WIDTH), np.finfo(float).max)
+    tail = min((B * B - _PIVOT * _PIVOT) / (2.0 * _WIDTH), _FLOAT_MAX)
     return math.ceil(_PIVOT / 0.1) + math.ceil(tail)
 
 
@@ -472,10 +480,9 @@ def j_values(
     check_budget(units, "singular-integral sweep")
     edges = _beta_edges(B)
     coarse_edges = _coarse_edges(edges)
-    # plus, for each node at beta <= _ASYM_BETA, the 8 nodes per panel of
-    # the k-th power phase's small-beta quadrature
+    # plus the k-th power phase's small-beta rule per node at beta <= _ASYM_BETA
     small = _small_nodes(edges) + _small_nodes(coarse_edges)
-    check_budget(units + small * 8 * phase_panels(_ASYM_BETA, k), "singular-integral sweep")
+    check_budget(units + small * small_rule_nodes(k), "singular-integral sweep")
     coarse, _ = _sweep(coarse_edges, k, whiches, envelope=False)
     fine, envelopes = _sweep(edges, k, whiches, envelope=True)
 

@@ -154,8 +154,7 @@ def test_criterion_6_residual_envelopes():
     # divisor-expansion residual, fitted constant stable across a decade
     constants = {}
     for x in (10**3, 10**4):
-        table = divisor_sieve(4 * x)
-        constants[x] = expansion_envelope_scan(x, 3, table).constant
+        constants[x] = expansion_envelope_scan(x, 3).constant
     ratio = constants[10**4] / constants[10**3]
     assert 0.25 <= ratio <= 4.0, f"expansion constant drifted by {ratio:.2f}"
     # moment counts

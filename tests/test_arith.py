@@ -20,7 +20,6 @@ from circlekit.arith import (
     integer_kth_root,
     sum_d_squared,
 )
-from circlekit.circle import expansion_envelope_scan
 from circlekit.errors import BudgetError, DomainError, PrecisionError, SizeError
 from circlekit.expsums import divisor_exp_sum
 
@@ -141,8 +140,9 @@ def test_divisor_multiplicative_on_coprime_pairs(table_1e6):
 
 
 def test_sum_d_squared_hand_values():
-    assert sum_d_squared(1) == 1
-    assert sum_d_squared(4) == 18  # 1 + 4 + 4 + 9
+    table = divisor_sieve(4)
+    assert sum_d_squared(1, table) == 1
+    assert sum_d_squared(4, table) == 18  # 1 + 4 + 4 + 9
 
 
 def test_second_moment_envelope(table_1e6):
@@ -164,11 +164,12 @@ def test_problem_instance_validation():
 
 
 def test_exact_sum_hand_values():
-    assert exact_S_direct(ProblemInstance(x=1, k=3)) == 3  # single tuple, d(4)
+    table = divisor_sieve(13)
+    assert exact_S_direct(ProblemInstance(x=1, k=3), table) == 3  # single tuple, d(4)
     # x=4, k=3: 1*d(4) + 3*d(7) + 3*d(10) + 1*d(13) = 3 + 6 + 12 + 2
-    assert exact_S_direct(ProblemInstance(x=4, k=3)) == 23
-    assert exact_S_convolution(ProblemInstance(x=1, k=3)) == 3
-    assert exact_S_convolution(ProblemInstance(x=4, k=3)) == 23
+    assert exact_S_direct(ProblemInstance(x=4, k=3), table) == 23
+    assert exact_S_convolution(ProblemInstance(x=1, k=3), table) == 3
+    assert exact_S_convolution(ProblemInstance(x=4, k=3), table) == 23
 
 
 def test_histograms_x4():
@@ -528,10 +529,12 @@ def test_float_transform_memory():
 
 
 def test_budget_refusal(monkeypatch):
+    inst = ProblemInstance(x=10**4, k=3)
+    table = divisor_sieve(inst.max_value)
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000")
     with pytest.raises(BudgetError) as info:
-        exact_S_direct(ProblemInstance(x=10**4, k=3))
-    assert info.value.required == ProblemInstance(x=10**4, k=3).tuple_count
+        exact_S_direct(inst, table)
+    assert info.value.required == inst.tuple_count
     assert info.value.budget == 1000
 
 
@@ -543,7 +546,6 @@ TABLE_READERS = {
     "exact_S_convolution": (lambda t: exact_S_convolution(SMALL, t), SMALL.max_value),
     "sum_d_squared": (lambda t: sum_d_squared(100, t), 100),
     "divisor_exp_sum": (lambda t: divisor_exp_sum(1, 3, 1e-4, 25, t), 100),
-    "expansion_envelope_scan": (lambda t: expansion_envelope_scan(1000, 3, t).rows, 4000),
 }
 
 
@@ -551,7 +553,7 @@ TABLE_READERS = {
 def test_table_readers_share_one_coverage_check(read, need):
     with pytest.raises(DomainError):
         read(divisor_sieve(need - 1))
-    assert read(None) == read(divisor_sieve(need))
+    read(divisor_sieve(need))
 
 
 def test_table_reuse_requires_coverage():

@@ -10,7 +10,7 @@ import pytest
 
 import circlekit.cli
 import circlekit.integrals
-from circlekit.arith import ProblemInstance, exact_S_direct
+from circlekit.arith import ProblemInstance, divisor_sieve, exact_S_direct
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.cli import (
     EXIT_BUDGET,
@@ -431,7 +431,8 @@ def test_verify_mismatch_exits_3_without_report(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("verification mismatch:")
     assert "k=3, x=10" in err
-    direct = exact_S_direct(ProblemInstance(x=10, k=3))
+    inst = ProblemInstance(x=10, k=3)
+    direct = exact_S_direct(inst, divisor_sieve(inst.max_value))
     assert f"direct={direct}" in err and f"convolution={direct + 1}" in err
     code, out, _ = run(capsys, *base, "--out", str(out_file))
     assert code == EXIT_MISMATCH

@@ -360,13 +360,29 @@ def test_unit_phase_batch_in_chunks_matches_reference():
         assert abs(batch[i] - whole_array_unit_phase(betas[i], 100)) < 1e-9
 
 
+def test_small_rule_size_is_the_ten_per_oscillation_count():
+    # the count written out at beta = 10, as each small-beta rule took it:
+    # the same for every k up to 30,000 and for the log rule's upper limits
+    def written_out(k):
+        return math.ceil(min(10.0 * max(1.0, k * 10.0 / (2.0 * math.pi)), np.finfo(float).max))
+
+    for k in list(range(1, 30_001)) + [3.0, 4.0, 0.5, 2.0**60, 1e300]:
+        assert integrals.phase_panels(k) == written_out(k), k
+        assert integrals.small_rule_nodes(k) == 8 * written_out(k), k
+    assert (integrals.small_rule_nodes(3), integrals.small_rule_nodes(8)) == (384, 1024)
+    # an int past a float's range saturates where the float arithmetic would
+    for k in (10**400, 2**1024, -(10**400)):
+        expected = written_out(np.finfo(float).max if k > 0 else -1.0)
+        assert integrals.phase_panels(k) == expected, k
+
+
 def _small_rules():
     # (nodes, weights, sign) of the k = 2, 3, 8 unit rules and the log rule
     for k in (2, 3, 8):
-        edges = np.linspace(0.0, 1.0, integrals.phase_panels(10.0, k) + 1)
+        edges = np.linspace(0.0, 1.0, integrals.phase_panels(k) + 1)
         nodes, weights = integrals._panel_nodes(edges, 8)
         yield f"unit k={k}", (nodes**k, weights, 1.0)
-    edges = integrals._log_panel_edges(3.0, integrals.phase_panels(10.0, 3.0))
+    edges = integrals._log_panel_edges(3.0, integrals.phase_panels(3.0))
     nodes, weights = integrals._panel_nodes(edges, 8)
     yield "log", (nodes, np.log(nodes) * weights, -1.0)
 

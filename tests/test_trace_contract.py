@@ -87,6 +87,8 @@ def test_threaded_exact_routes_record_only_their_own_spans(monkeypatch):
 
 # x = 500, k = 3: r = 22 squares, P = 7 powers, values up to 3 * 22^2 + 7^3
 SMALL = ProblemInstance(x=500, k=3)
+# sieved outside the tracer, as every command passes its own table
+SMALL_TABLE = divisor_sieve(SMALL.max_value)
 
 # one call per LAYERS function on small arguments, with the span name and
 # units spans gives it
@@ -94,9 +96,9 @@ LAYER_CALLS = {
     ("arith", "divisor_sieve"): ((100,), "arith.divisor_sieve", 100),
     ("arith", "build_histograms"): ((SMALL,), "arith.build_histograms", 22 * (22 + 7)),
     # the power of two covering 4x + 2 = 2002
-    ("arith", "exact_S_convolution"): ((SMALL, None, "ntt"), "arith.exact_S_convolution.ntt",
-                                       2048),
-    ("arith", "exact_S_direct"): ((SMALL,), "arith.exact_S_direct", 22**3 * 7),
+    ("arith", "exact_S_convolution"): ((SMALL, SMALL_TABLE, "ntt"),
+                                       "arith.exact_S_convolution.ntt", 2048),
+    ("arith", "exact_S_direct"): ((SMALL, SMALL_TABLE), "arith.exact_S_direct", 22**3 * 7),
     ("series", "sigma_truncated"): ((5, 3), "series.sigma_truncated", 5),
     ("series", "local_density"): ((7, 3), "series.local_density", 7),
     # B = 5: 71 fine and 36 coarse panels of 4 nodes
