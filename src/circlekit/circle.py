@@ -330,11 +330,13 @@ def hua_count(Y: int, k: int, j: int) -> int:
 
     By orthogonality this equals the 2^j-th moment of the power
     generating sum.  j=1 counts the diagonal.  j=2 sorts the Y(Y-1)/2
-    pair sums m^k + n^k with m < n, refusing 2*Y^k beyond int64: if r_s
-    such pairs sum to s and d_s = 1 when s = 2m^k, the ordered count is
-    c_s = 2 r_s + d_s, so sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.
-    Higher j convolves the power histogram t - 1 times in Python ints,
-    charged one unit per coefficient product.
+    pair sums m^k + n^k with m < n: if r_s such pairs sum to s and d_s = 1
+    when s = 2m^k, the ordered count is c_s = 2 r_s + d_s, so
+    sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.  Higher j convolves the
+    int64-indexed power histogram t - 1 times in Python ints, charged one
+    unit per coefficient product.  Every j >= 2 refuses 2*Y^k beyond int64,
+    and j >= 3 a t >= 2^1024, whose units pass any budget a float can set;
+    both before Y^k or t is formed.
     """
     if Y < 1 or k < 1:
         raise DomainError(f"need Y >= 1 and k >= 1, got Y={Y}, k={k}")
@@ -343,15 +345,14 @@ def hua_count(Y: int, k: int, j: int) -> int:
     if j == 1:
         check_budget(Y, "hua_count")
         return Y
+    # Y^k >= 2^((bits - 1) k): the first test refuses before Y^k is formed
+    if (Y.bit_length() - 1) * k >= 63 or 2 * Y**k > INT64_MAX:
+        raise SizeError(f"power sums reach 2*{Y}^{k}, beyond int64 {INT64_MAX}")
     if j == 2:
         check_budget(Y * Y, "hua_count")
         pairs = Y * (Y - 1) // 2
         if pairs > MAX_SORT:
             raise SizeError(f"pair-sum sort needs {pairs} entries, cap is {MAX_SORT}")
-        if 2 * Y**k > INT64_MAX:
-            raise SizeError(
-                f"pair sums reach 2*{Y}^{k} = {2 * Y**k}, beyond int64 {INT64_MAX}"
-            )
         powers = np.arange(1, Y + 1, dtype=np.int64) ** k
         sums = np.empty(pairs, dtype=np.int64)
         start = 0
@@ -374,6 +375,8 @@ def hua_count(Y: int, k: int, j: int) -> int:
             (np.searchsorted(sums, doubles, "right") - np.searchsorted(sums, doubles)).sum()
         )
         return 4 * squares + 4 * on_diagonal + Y
+    if j > 1024:
+        raise SizeError(f"j = {j} takes 2^{j - 1} powers a side, past any work budget")
     t = 2 ** (j - 1)
     # step i = 1..t-1 convolves i*Y^k + 1 coefficients with Y^k + 1 of them
     check_budget((Y**k + 1) * (Y**k * t * (t - 1) // 2 + t - 1), "hua_count")

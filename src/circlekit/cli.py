@@ -51,7 +51,14 @@ from .errors import (
     VerificationMismatch,
 )
 from .exponents import derive_delta, reference_delta
-from .integrals import check_oracle_grid, density_profile, j_values, j_volume, j_volume_oracle
+from .integrals import (
+    check_oracle_grid,
+    check_sweep,
+    density_profile,
+    j_values,
+    j_volume,
+    j_volume_oracle,
+)
 from .series import MainTerm, check_series, sigma_truncated
 
 EXIT_OK = 0
@@ -363,11 +370,12 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_integral(args: argparse.Namespace) -> int:
     k = _single_k(args)
     whiches = (args.which,) if args.which else (1, 2)
-    # the scan is budgeted up front, so it runs before the sweep; the sweep
-    # refuses its own size before any work, so the oracles run after it
-    profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
+    # every size is refused before any work: the sweep's, the oracle grid's,
+    # then the scan's own charge
+    check_sweep(k, args.B)
     if args.grid is not None:
         check_oracle_grid(args.grid)
+    profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
     entries = []
     for value in j_values(k, args.B, whiches):
         entry = {**_entry(value), "B": value.B}  # B echoes --B unrounded

@@ -19,6 +19,11 @@ class SizeError(DomainError):
     """A table or transform size that cannot be honored."""
 
 
+# Units past this many bits are printed by bit length: the decimal form of
+# a larger int may pass Python's int-to-str digit limit, 640 at its lowest.
+_PRINTED_BITS = 2000
+
+
 class BudgetError(CircleKitError):
     """Work refused because it exceeds the configured budget."""
 
@@ -27,8 +32,10 @@ class BudgetError(CircleKitError):
         self.budget = int(budget)
         self.label = label
         what = f" for {label}" if label else ""
+        bits = self.required.bit_length()
+        amount = self.required if bits <= _PRINTED_BITS else f"a {bits}-bit number of"
         super().__init__(
-            f"work budget exceeded{what}: requires {self.required} units, "
+            f"work budget exceeded{what}: requires {amount} units, "
             f"budget is {self.budget} (raise CIRCLEKIT_BUDGET to allow)"
         )
 

@@ -22,8 +22,9 @@ or J2 (log-weighted), and this module has three routes to each:
 
 Each phase factor has one evaluator, vectorized over beta >= 0, which
 every command uses: exact closed forms where they exist, a fixed panel
-rule for beta <= _ASYM_BETA, and past it contour-rotated boundary terms
-whose smooth remainder is an asymptotic series in 1/lam, lam = 2 pi
+rule for beta <= _ASYM_BETA (small_rule_nodes nodes, refused before any
+array past _MAX_RULE_NODES), and past _ASYM_BETA contour-rotated boundary
+terms whose smooth remainder is an asymptotic series in 1/lam, lam = 2 pi
 beta.  unit_power_phase_integral and log_weighted_integral read one beta
 of either sign from it.  The tests hold it to 1e-9 against adaptive
 panel quadratures (tests/density_reference.py) and past _ASYM_BETA to
@@ -73,7 +74,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .arith import cube
 from .budget import check_budget
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .threads import ordered_map
 
 TWO_PI = 2.0 * math.pi
@@ -89,8 +90,10 @@ _BLOCK = 1 << 15
 # Phase-table entries per chunk of a small-beta quadrature (at least one
 # row): the bound on its temporaries.
 _PHASE_CHUNK = 1 << 11
-# Gauss-Legendre nodes per panel of a small-beta rule.
+# Gauss-Legendre nodes per panel of a small-beta rule, and the most nodes
+# one may have (k up to about 33,000): its arrays take about 65 bytes a node.
 _RULE_ORDER = 8
+_MAX_RULE_NODES = 1 << 22
 
 # Split point for the integrable log singularity at 0.
 LOG_SPLIT = 1e-6
@@ -118,6 +121,15 @@ def phase_panels(k: float) -> int:
 def small_rule_nodes(k: float) -> int:
     """Nodes of that rule, _RULE_ORDER per panel: every small-beta charge reads it."""
     return _RULE_ORDER * phase_panels(k)
+
+
+def _rule_panels(k: float) -> int:
+    """phase_panels(k) for a rule's builder, or SizeError before any array
+    when the rule passes _MAX_RULE_NODES."""
+    nodes = small_rule_nodes(k)
+    if nodes > _MAX_RULE_NODES:
+        raise SizeError(f"small-beta rule needs {nodes} nodes, cap is {_MAX_RULE_NODES}")
+    return nodes // _RULE_ORDER
 
 
 def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
@@ -160,7 +172,7 @@ def _small_batch(
 
 
 def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    edges = np.linspace(0.0, 1.0, phase_panels(k) + 1)
+    edges = np.linspace(0.0, 1.0, _rule_panels(k) + 1)
     nodes, weights = _panel_nodes(edges, _RULE_ORDER)
     return _small_batch(betas, nodes**k, weights, 1.0)
 
@@ -278,7 +290,7 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
 
 
 def _log_batch_small(betas: np.ndarray, upper: float) -> np.ndarray:
-    nodes, weights = _panel_nodes(_log_panel_edges(upper, phase_panels(upper)), _RULE_ORDER)
+    nodes, weights = _panel_nodes(_log_panel_edges(upper, _rule_panels(upper)), _RULE_ORDER)
     return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
@@ -455,6 +467,22 @@ def _sweep(
     return sums, [max(column) for column in zip(*(p for _, p in blocks))]
 
 
+def check_sweep(k: int, B: float) -> None:
+    """Refuse a j_values sweep before any work: a bad k or B, or past the
+    budget.  It is charged 4 Gauss nodes per fine and per half-resolution
+    panel, and the k-th power phase's small-beta rule per node at beta <=
+    _ASYM_BETA.  Those nodes lie on the edges up to the first past
+    _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so they are counted on
+    the edges of min(B, 2 _ASYM_BETA) and no sweep's edges are built here."""
+    _check_B(B)
+    _check_k(k)
+    fine_panels = _fine_panels(float(B))
+    units = 4 * (fine_panels + (fine_panels + 1) // 2)
+    head = _beta_edges(min(float(B), 2.0 * _ASYM_BETA))
+    small = _small_nodes(head) + _small_nodes(_coarse_edges(head))
+    check_budget(units + small * small_rule_nodes(k), "singular-integral sweep")
+
+
 def j_values(
     k: int, B: float = 400.0, whiches: tuple[int, ...] = (1, 2)
 ) -> list[SingularIntegralValue]:
@@ -468,22 +496,13 @@ def j_values(
     decay_envelope on the fine nodes times (1+beta)^(-5/2-1/k), and
     log(2+beta) for which = 2, from B to infinity on both sides.
     """
-    _check_B(B)
-    _check_k(k)
     for which in whiches:
         if which not in (1, 2):
             raise DomainError(f"which must be 1 or 2, got {which}")
+    check_sweep(k, B)
     B = float(B)
-    # 4 Gauss nodes per fine panel and per half-resolution panel
-    fine_panels = _fine_panels(B)
-    units = 4 * (fine_panels + (fine_panels + 1) // 2)
-    check_budget(units, "singular-integral sweep")
     edges = _beta_edges(B)
-    coarse_edges = _coarse_edges(edges)
-    # plus the k-th power phase's small-beta rule per node at beta <= _ASYM_BETA
-    small = _small_nodes(edges) + _small_nodes(coarse_edges)
-    check_budget(units + small * small_rule_nodes(k), "singular-integral sweep")
-    coarse, _ = _sweep(coarse_edges, k, whiches, envelope=False)
+    coarse, _ = _sweep(_coarse_edges(edges), k, whiches, envelope=False)
     fine, envelopes = _sweep(edges, k, whiches, envelope=True)
 
     p = 1.5 + 1.0 / k

@@ -474,6 +474,25 @@ def test_hua_budget_and_domain(monkeypatch):
         hua_count(1000, 3, 2)
 
 
+@pytest.mark.parametrize("Y, k, j", [(2, 10**39, 2), (2, 10**39, 3), (3, 40, 2), (3, 40, 4),
+                                     (2, 3, 1025), (2, 3, 10**30)])
+def test_hua_refuses_by_bit_length_before_forming_powers(Y, k, j):
+    # 2 * Y^k past int64, or t = 2^(j - 1) past 2^1023, where no float
+    # budget is reached; neither Y^k nor t is formed
+    with pytest.raises(SizeError):
+        hua_count(Y, k, j)
+
+
+def test_hua_keeps_the_exact_int64_edge():
+    # 2 * 2^62 is past int64 but 2 * (2^62 - 1) is not; 3^39 < 2^62 < 3^40
+    with pytest.raises(SizeError):
+        hua_count(2, 62, 2)
+    assert hua_count(2, 61, 2) == brute_hua(2, 61, 2)
+    assert hua_count(3, 39, 2) == brute_hua(3, 39, 2)
+    with pytest.raises(SizeError):
+        hua_count(3, 40, 2)
+
+
 def test_hua_budget_counts_convolution_products(monkeypatch):
     # Y = 3, k = 3, j = 3: sum over i = 1..3 of (27 i + 1) * 28 = 4620
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "4620")

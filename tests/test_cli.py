@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import circlekit.circle
 import circlekit.cli
 import circlekit.integrals
 from circlekit.arith import ProblemInstance, divisor_sieve, exact_S_direct
@@ -460,6 +462,9 @@ def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, case
     assert err.startswith("verification mismatch:")
 
 
+# A k past the largest float.
+BIG_K = "1" + "0" * 400
+
 # Inputs at the edge of each command's domain: (argv, exit code, stderr prefix).
 EDGE_CASES = [
     (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "2"], EXIT_USAGE, "usage error:"),
@@ -521,6 +526,28 @@ EDGE_CASES = [
     (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
     # sieve takes no k, so the range is never expanded into a list
     (["sieve", "--n", "10", "--k", "3..100000000"], EXIT_USAGE, "usage:"),
+    # a k past a float: each small-beta rule saturates at about 1.4e309 nodes
+    # and is charged at that, before any phase or x^(1/k)
+    (["integral", "--k", BIG_K, "--B", "5"], EXIT_BUDGET, "budget error:"),
+    (["integral", "--k", BIG_K, "--B", "5", "--scan", "3"], EXIT_BUDGET, "budget error:"),
+    (["diagnostics", "vk", "--k", BIG_K, "--x", "10"], EXIT_BUDGET, "budget error:"),
+    # within budget, but the small-beta rule's 3.8e7 and 3.8e8 nodes pass
+    # its 2^22 cap, refused before any of its arrays
+    (["diagnostics", "vk", "--k", "300000", "--x", "10", "--q-max", "1"],
+     EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", "3000000", "--x", "10", "--q-max", "1"],
+     EXIT_USAGE, "usage error:"),
+    # the sweep's charge comes before the scan: 60 small-beta nodes of
+    # 3.8e7 each, and 600 of 3.8e6 each
+    (["integral", "--k", "300000", "--B", "1", "--scan", "1"], EXIT_BUDGET, "budget error:"),
+    (["integral", "--k", "30000", "--B", "10", "--scan", "1"], EXIT_BUDGET, "budget error:"),
+    # 2 * Y^k past int64, refused by bit length before Y^k is formed
+    (["diagnostics", "hua", "--k", "20000", "--y", "2", "--j", "2"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", "20000", "--y", "2", "--j", "3"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", "1" + "0" * 39, "--y", "2", "--j", "2"],
+     EXIT_USAGE, "usage error:"),
+    # t = 2^19999 powers a side, refused before t is formed
+    (["diagnostics", "hua", "--k", "3", "--y", "2", "--j", "20000"], EXIT_USAGE, "usage error:"),
 ]
 
 
@@ -528,10 +555,59 @@ EDGE_CASES = [
     "argv, code, prefix", EDGE_CASES, ids=[" ".join(case[0]) for case in EDGE_CASES]
 )
 def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
-    got, out, err = run(capsys, *argv)
+    # tracemalloc sees numpy's arrays too: a refusal that comes after a
+    # large rule, table or sort is built fails here
+    tracemalloc.start()
+    try:
+        got, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert got == code
     assert out == ""
     assert err.startswith(prefix)
+    assert peak < 16 * 2**20
+
+
+def test_budget_error_prints_a_huge_charge_by_its_bit_length(capsys):
+    # --q-max 10^4000 charges about 2 * 10^12000 units, past the digits
+    # Python converts an int to
+    code, out, err = run(capsys, "diagnostics", "vk", "--k", "3", "--x", "10",
+                         "--q-max", "1" + "0" * 4000)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "requires a 39865-bit number of units" in err
+
+
+def test_integral_charges_the_sweep_before_the_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the sweep's charge")
+
+    monkeypatch.setattr(circlekit.cli, "density_profile", no_scan)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    # 600 small-beta nodes, each charged k = 30,000's rule of 3.8e6 nodes
+    code, out, err = run(capsys, "integral", "--k", "30000", "--B", "10", "--scan", "1")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "singular-integral sweep" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--k", "3", "--B", "5"],
+    ["integral", "--k", "3", "--B", "5", "--scan", "3"],
+    ["diagnostics", "vk", "--k", "3", "--x", "100"],
+], ids=["sweep", "scan", "vk"])
+def test_small_beta_rules_are_charged_before_they_are_built(capsys, monkeypatch, argv):
+    # with every rule sized at 10^12 nodes, each command is refused by its
+    # charge before any small-beta phase is evaluated
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a small-beta phase was evaluated before its charge")
+
+    for module in (circlekit.integrals, circlekit.circle):
+        monkeypatch.setattr(module, "small_rule_nodes", lambda k: 10**12)
+    monkeypatch.setattr(circlekit.integrals, "_small_batch", no_rule)
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("budget error:")
 
 
 @pytest.mark.parametrize("command", ["delta", "verify", "series", "integral"])

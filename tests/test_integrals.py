@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from circlekit import integrals
-from circlekit.errors import BudgetError, DomainError
+from circlekit.errors import BudgetError, DomainError, SizeError
 from circlekit.integrals import (
     _square_sum_histogram,
     density_profile,
@@ -337,6 +337,39 @@ def test_small_beta_count_from_edges_matches_every_node(B):
         assert integrals._small_nodes(grid) == np.count_nonzero(nodes <= 10.0)
 
 
+@pytest.mark.parametrize("B", [1.0, 5.0, 10.0, 10.3, 19.99, 20.0, 20.01, 57.3, 400.0, 2000.0])
+def test_sweep_charge_counts_the_small_nodes_of_every_edge(monkeypatch, B):
+    # check_sweep counts on the edges of min(B, 20); the full fine and
+    # coarse edges give the same count at every B
+    edges = integrals._beta_edges(B)
+    small = integrals._small_nodes(edges) + integrals._small_nodes(integrals._coarse_edges(edges))
+    fine = integrals._fine_panels(B)
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1")
+    for k in (3, 8):
+        with pytest.raises(BudgetError) as info:
+            integrals.check_sweep(k, B)
+        units = 4 * (fine + (fine + 1) // 2)
+        assert info.value.required == units + small * integrals.small_rule_nodes(k), k
+
+
+def test_small_beta_rule_is_capped_before_its_arrays():
+    # k = 30,000 takes 3.8e6 nodes, under the 2^22 cap; k = 32,942 is the
+    # least k past it, refused before any array of its 4.2e6 nodes
+    assert integrals._rule_panels(30_000) == integrals.phase_panels(30_000)
+    assert integrals.small_rule_nodes(32_941) <= 2**22 < integrals.small_rule_nodes(32_942)
+    for k in (32_942, 300_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                unit_phase_batch(np.array([0.0, 1.0, 20.0]), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, k
+    with pytest.raises(SizeError):
+        log_phase_batch(np.array([1.0]), 1e6)
+
+
 def test_j_values_memory():
     # B = 400 has about 1.5 million fine nodes, so one complex value per
     # node is 23 MiB: any array that spans the sweep breaks the bound,
@@ -372,7 +405,7 @@ def test_small_rule_size_is_the_ten_per_oscillation_count():
     assert (integrals.small_rule_nodes(3), integrals.small_rule_nodes(8)) == (384, 1024)
     # an int past a float's range saturates where the float arithmetic would
     for k in (10**400, 2**1024, -(10**400)):
-        expected = written_out(np.finfo(float).max if k > 0 else -1.0)
+        expected = written_out(float(np.finfo(float).max) if k > 0 else -1.0)
         assert integrals.phase_panels(k) == expected, k
 
 
