@@ -477,8 +477,8 @@ def test_hua_budget_and_domain(monkeypatch):
 @pytest.mark.parametrize("Y, k, j", [(2, 10**39, 2), (2, 10**39, 3), (3, 40, 2), (3, 40, 4),
                                      (2, 3, 1025), (2, 3, 10**30)])
 def test_hua_refuses_by_bit_length_before_forming_powers(Y, k, j):
-    # 2 * Y^k past int64, or t = 2^(j - 1) past 2^1023, where no float
-    # budget is reached; neither Y^k nor t is formed
+    # 2 * Y^k past int64, or t = 2^(j - 1) of at least 2^1024, whose units
+    # no float budget covers; neither Y^k nor t is formed
     with pytest.raises(SizeError):
         hua_count(Y, k, j)
 

@@ -337,7 +337,7 @@ def test_small_beta_count_from_edges_matches_every_node(B):
         assert integrals._small_nodes(grid) == np.count_nonzero(nodes <= 10.0)
 
 
-@pytest.mark.parametrize("B", [1.0, 5.0, 10.0, 10.3, 19.99, 20.0, 20.01, 57.3, 400.0, 2000.0])
+@pytest.mark.parametrize("B", [1.0, 5.0, 10.0, 10.3, 19.99, 20.0, 20.01, 57.3, 400.0])
 def test_sweep_charge_counts_the_small_nodes_of_every_edge(monkeypatch, B):
     # check_sweep counts on the edges of min(B, 20); the full fine and
     # coarse edges give the same count at every B
