@@ -36,6 +36,17 @@ MAX_SIEVE = 200_000_000
 # Entries of r3 per window segment: its int32 window is 256 KiB.
 _SEGMENT = 1 << 16
 
+# The largest int64, and so the largest k: numpy takes every k-th power's
+# exponent as an int64.
+INT64_MAX = 2**63 - 1
+
+
+def check_k(k: int, least: int = 1) -> None:
+    """DomainError unless least <= k <= INT64_MAX."""
+    if not least <= k <= INT64_MAX:
+        got = k if k < least else f"a {k.bit_length()}-bit k"
+        raise DomainError(f"k must be >= {least} and below 2^63, got {got}")
+
 
 def integer_kth_root(n: int, k: int) -> int:
     """floor(n^(1/k)) by integer bisection; exact at perfect powers."""
@@ -107,8 +118,7 @@ class ProblemInstance:
     k: int
 
     def __post_init__(self):
-        if self.k < 3:
-            raise DomainError(f"k must be >= 3, got {self.k}")
+        check_k(self.k, 3)
         if self.x < 1:
             raise DomainError(f"x must be >= 1, got {self.x}")
 

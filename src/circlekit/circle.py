@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisor_sieve, integer_kth_root
+from .arith import INT64_MAX, check_k, divisor_sieve, integer_kth_root
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_sum
-from .integrals import linear_phase_batch, log_phase_batch, small_rule_nodes, unit_phase_batch
+from .integrals import UNIT_RULE_NODES, linear_phase_batch, log_phase_batch, unit_phase_batch
 from .series import log_weight
 
 # The generating function over divisors runs to 4x, so the expansion
@@ -37,9 +37,6 @@ _EXPANSION_QS = (1, 2, 3, 5, 7, 11)
 
 # The epsilon of the x^epsilon and q^epsilon losses in the residual envelopes.
 _SLACK = 0.05
-
-# Pair sums m^k + n^k are formed in int64 and must not wrap.
-INT64_MAX = 2**63 - 1
 
 # The minor-arc profile gives up after this many draws per sample.
 _DRAWS_PER_SAMPLE = 50
@@ -177,8 +174,7 @@ class ArcParameters:
     tau: float
 
     def __post_init__(self):
-        if self.k < 3:
-            raise DomainError(f"k must be >= 3, got {self.k}")
+        check_k(self.k, 3)
         if not math.log(self.x) < 2 * self.Q:
             raise DomainError(f"need log x < 2Q: log({self.x}) vs 2*{self.Q}")
         if not 2 * self.Q < self.tau < self.x:
@@ -256,13 +252,14 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     -w being the conjugate of the one at w, and every S_k(q, a) from one
     power_sum_spectrum.
     """
-    if x < 1 or k < 1 or q_max < 1:
-        raise DomainError(f"need x, k, q_max >= 1, got x={x}, k={k}, q_max={q_max}")
+    check_k(k)
+    if x < 1 or q_max < 1:
+        raise DomainError(f"need x, q_max >= 1, got x={x}, q_max={q_max}")
     # at most 4 offsets for each of the q_max (q_max + 1) / 2 pairs (a, q),
     # each a Weyl sum of m terms and a complete sum of q terms, and each q's
-    # 3 phases a small-beta rule: all charged before any offset is formed
+    # 3 phases the unit small-beta rule: all charged before any offset is formed
     m = integer_kth_root(x, k)
-    check_budget(2 * q_max * (q_max + 1) * (m + q_max) + 3 * q_max * small_rule_nodes(k), "vk scan")
+    check_budget(2 * q_max * (q_max + 1) * (m + q_max) + 3 * q_max * UNIT_RULE_NODES, "vk scan")
     x_float = _float_x(x)
     scale = x_float ** (1.0 / k)
     rows = []
@@ -345,6 +342,7 @@ def hua_count(Y: int, k: int, j: int) -> int:
     if j == 1:
         check_budget(Y, "hua_count")
         return Y
+    # pair sums m^k + n^k are formed in int64 and must not wrap;
     # Y^k >= 2^((bits - 1) k): the first test refuses before Y^k is formed
     if (Y.bit_length() - 1) * k >= 63 or 2 * Y**k > INT64_MAX:
         raise SizeError(f"power sums reach 2*{Y}^{k}, beyond int64 {INT64_MAX}")

@@ -293,10 +293,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.x == []:
         raise DomainError("--x lists no values")
     xs = sorted(set(args.x or [100, 1000, 10000]))
-    # every size refusal comes before the constants: --q-max before the
-    # sieve, and x through the sieve and the exact values
+    # every size refusal comes before the constants: --q-max and the direct
+    # route's tuples before the sieve, and x through the sieve and the exact values
     instances = [ProblemInstance(x=x, k=k) for x in xs]
     check_series(args.q_max, k)
+    if args.method != "conv":
+        check_budget(instances[-1].tuple_count, "exact_S_direct")
     table = divisor_sieve(instances[-1].max_value)
     records = []
     for inst in instances:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .arith import integer_kth_root, require_table
+from .arith import check_k, integer_kth_root, require_table
 from .errors import DomainError
 
 _WORD = 2**64
@@ -88,8 +88,7 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
     alpha = num/2^e exactly.  The phase (num n^ell mod 2^e)/2^e is the
     same float from uint64 arithmetic (e <= 64) as from Python integers.
     """
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
+    check_k(ell)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     m = integer_kth_root(x, ell)
@@ -99,18 +98,16 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
         hi = min(lo + _WEYL_TERMS, m + 1)
         if den > _WORD:
             phases = np.fromiter(
-                (((num * n**ell) % den) / den for n in range(lo, hi)),
+                (((num * pow(n, ell, den)) % den) / den for n in range(lo, hi)),
                 dtype=np.float64,
                 count=hi - lo,
             )
         else:
             # den = 2^e divides 2^64, so wrapping uint64 products keep every
             # residue mod den; dividing by a power of two is exact.
+            # numpy's integer power squares and multiplies, wrapping alike
             n = np.arange(lo, hi, dtype=np.uint64)
-            powers = n.copy()
-            for _ in range(ell - 1):
-                powers *= n
-            residues = powers * np.uint64(num % _WORD) & np.uint64(den - 1)
+            residues = n ** np.uint64(ell) * np.uint64(num % _WORD) & np.uint64(den - 1)
             phases = residues.astype(np.float64) / float(den)
         sums.append(complex(np.exp(2j * np.pi * phases).sum()))
     return sum(sums[1:], sums[0])

@@ -22,13 +22,15 @@ or J2 (log-weighted), and this module has three routes to each:
 
 Each phase factor has one evaluator, vectorized over beta >= 0, which
 every command uses: exact closed forms where they exist, a fixed panel
-rule for beta <= _ASYM_BETA (small_rule_nodes nodes, refused before any
-array past _MAX_RULE_NODES), and past _ASYM_BETA contour-rotated boundary
+rule for beta <= _ASYM_BETA, and past _ASYM_BETA contour-rotated boundary
 terms whose smooth remainder is an asymptotic series in 1/lam, lam = 2 pi
-beta.  unit_power_phase_integral and log_weighted_integral read one beta
-of either sign from it.  The tests hold it to 1e-9 against adaptive
-panel quadratures (tests/density_reference.py) and past _ASYM_BETA to
-1e-14 against mpmath's closed forms.
+beta.  A unit phase runs in v = u^k, as s int_0^1 v^(s-1) e(beta v) dv,
+s = 1/k, singular only at 0 like log u in the log phase: both small-beta
+rules are graded panels from LOG_SPLIT after a closed-form head, the same
+at every k.  unit_power_phase_integral and log_weighted_integral read one
+beta of either sign from it.  The tests hold it to 1e-9 against adaptive
+panel quadratures (tests/density_reference.py), and to 2e-15 (unit
+phases) or 1e-14 (past _ASYM_BETA) against mpmath's closed forms.
 
 j_values sweeps beta once for both singular integrals: the factors the
 two densities share, (square phase)^3 times the k-th power phase, are
@@ -72,9 +74,9 @@ from math import gamma as gamma_fn
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .arith import cube
+from .arith import check_k, cube
 from .budget import check_budget
-from .errors import DomainError, SizeError
+from .errors import DomainError
 from .threads import ordered_map
 
 TWO_PI = 2.0 * math.pi
@@ -90,12 +92,10 @@ _BLOCK = 1 << 15
 # Phase-table entries per chunk of a small-beta quadrature (at least one
 # row): the bound on its temporaries.
 _PHASE_CHUNK = 1 << 11
-# Gauss-Legendre nodes per panel of a small-beta rule, and the most nodes
-# one may have (k up to about 33,000): its arrays take about 65 bytes a node.
+# Gauss-Legendre nodes per panel of a small-beta rule.
 _RULE_ORDER = 8
-_MAX_RULE_NODES = 1 << 22
 
-# Split point for the integrable log singularity at 0.
+# Split point for the integrable singularity at 0 of log u and of v^(s-1).
 LOG_SPLIT = 1e-6
 
 # Gauss-Legendre nodes and weights by order.
@@ -111,32 +111,21 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-def phase_panels(k: float) -> int:
-    """Panels of the small-beta rule for int_0^1 e(beta u^k) du, or e(-beta u) on [0, k]:
-    ten per oscillation at _ASYM_BETA, at least ten; an int k past a float saturates."""
-    scale = min(max(k, 0.0), _FLOAT_MAX) * _ASYM_BETA / TWO_PI
-    return math.ceil(min(10.0 * max(1.0, scale), _FLOAT_MAX))
+def _small_edges(upper: float, per_octave: int) -> np.ndarray:
+    """Panel edges of a small-beta rule on [LOG_SPLIT, upper]: per_octave graded
+    panels a doubling from LOG_SPLIT up to min(1, upper), two for v^(s-1) (one
+    left the k = 3 phase 9e-14 off) and one for log u, merged with ten uniform
+    panels per oscillation at _ASYM_BETA, at least ten."""
+    graded = LOG_SPLIT * 2.0 ** (np.arange(0, 40 * per_octave) / per_octave)
+    panels = math.ceil(10.0 * max(1.0, upper * _ASYM_BETA / TWO_PI))
+    uniform = np.linspace(LOG_SPLIT, upper, panels + 1)
+    # a set, not np.unique, whose numpy.ma import would cost 6 ms at import
+    return np.array(sorted({*graded[graded < min(1.0, upper)].tolist(), *uniform.tolist(), upper}))
 
 
-def small_rule_nodes(k: float) -> int:
-    """Nodes of that rule, _RULE_ORDER per panel: every small-beta charge reads it."""
-    return _RULE_ORDER * phase_panels(k)
-
-
-def _rule_panels(k: float) -> int:
-    """phase_panels(k) for a rule's builder, or SizeError before any array
-    when the rule passes _MAX_RULE_NODES."""
-    nodes = small_rule_nodes(k)
-    if nodes > _MAX_RULE_NODES:
-        raise SizeError(f"small-beta rule needs {nodes} nodes, cap is {_MAX_RULE_NODES}")
-    return nodes // _RULE_ORDER
-
-
-def _log_panel_edges(upper: float, oscillation_panels: int) -> np.ndarray:
-    graded = LOG_SPLIT * 2.0 ** np.arange(0, 40)
-    graded = graded[graded < min(1.0, upper)]
-    uniform = np.linspace(LOG_SPLIT, upper, oscillation_panels + 1)
-    return np.unique(np.concatenate([graded, uniform, [upper]]))
+# Nodes of each small-beta rule, _RULE_ORDER a panel: every small-beta charge reads these.
+UNIT_RULE_NODES = _RULE_ORDER * (_small_edges(1.0, 2).size - 1)
+LOG_RULE_NODES = _RULE_ORDER * (_small_edges(3.0, 1).size - 1)
 
 
 def _log_head(beta):
@@ -172,9 +161,14 @@ def _small_batch(
 
 
 def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    edges = np.linspace(0.0, 1.0, _rule_panels(k) + 1)
-    nodes, weights = _panel_nodes(edges, _RULE_ORDER)
-    return _small_batch(betas, nodes**k, weights, 1.0)
+    # s int_0^1 v^(s-1) e(beta v) dv, s = 1/k: on [0, d], d = LOG_SPLIT, the
+    # head d^s sum_n s z^n / (n! (n + s)), z = 2 pi i beta d, through n = 3
+    # (n = 4 is below 1e-20 at beta <= 10), then the graded rule for every k
+    s = 1.0 / k
+    z = 2j * np.pi * LOG_SPLIT * betas
+    head = LOG_SPLIT**s * sum(s * z**n / (math.factorial(n) * (n + s)) for n in range(4))
+    nodes, weights = _panel_nodes(_small_edges(1.0, 2), _RULE_ORDER)
+    return _small_batch(betas, nodes, s * nodes ** (s - 1.0) * weights, 1.0) + head
 
 
 def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndarray:
@@ -211,9 +205,9 @@ def _unit_batch_large(
     # Rotate int_0^1 t^c e(beta t) dt (c = 1/k - 1) onto the rays from 0
     # and 1: a Gamma-function boundary term plus rotation = e^(i lam)
     # times a smooth remainder expanded asymptotically in inv = 1/lam,
-    # with coefficients i^m c(c-1)...(c-m+1).
+    # with coefficients i^m c(c-1)...(c-m+1).  Gamma takes 1/k: c + 1 drops its low digits.
     c = 1.0 / k - 1.0
-    lead = 1j * np.exp(1j * np.pi * c / 2.0) * gamma_fn(c + 1.0) * lam ** (-(c + 1.0))
+    lead = 1j * np.exp(1j * np.pi * c / 2.0) * gamma_fn(1.0 / k) * lam ** (-1.0 / k)
     coeffs = np.cumprod(np.concatenate([[1.0], c - np.arange(_ASYM_TERMS - 1)]))
     tail = inv * _asymptotic_tail(coeffs, inv, 1.0 / (TWO_PI * _ASYM_BETA))
     return (lead - 1j * rotation * tail) / k
@@ -255,14 +249,9 @@ def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarr
     return out
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-
-
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized int_0^1 e(beta u^k) du over an array of beta >= 0."""
-    _check_k(k)
+    check_k(k)
     return _phase_batches(betas, (k,), None)[0]
 
 
@@ -290,7 +279,7 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
 
 
 def _log_batch_small(betas: np.ndarray, upper: float) -> np.ndarray:
-    nodes, weights = _panel_nodes(_log_panel_edges(upper, _rule_panels(upper)), _RULE_ORDER)
+    nodes, weights = _panel_nodes(_small_edges(upper, 1), _RULE_ORDER)
     return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
@@ -307,7 +296,9 @@ def _log_batch_large(lam: np.ndarray, upper: float) -> np.ndarray:
 
 
 def log_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
-    """Vectorized int_0^upper e(-beta u) log u du over beta >= 0."""
+    """Vectorized int_0^upper e(-beta u) log u du over beta >= 0, upper in [1, 4]."""
+    if not 1.0 <= upper <= 4.0:
+        raise DomainError(f"upper must be in [1, 4], got {upper}")
     return _phase_batches(betas, (), upper)[0]
 
 
@@ -354,8 +345,9 @@ def density_profile(
     if points < 1:
         raise DomainError(f"density profile needs points >= 1, got {points}")
     _check_B(B)
-    # units: per point, at most the k-th power phase's small-beta rule
-    check_budget(points * small_rule_nodes(k), "density profile")
+    # units: per point, the small-beta rule of each unit phase and, for
+    # which = 2, of the log phase
+    check_budget(points * (2 * UNIT_RULE_NODES + LOG_RULE_NODES * (which == 2)), "density profile")
     betas = B * np.arange(points) / max(1, points - 1)
     densities = j_density_batch(betas, k, which)
     ratios = decay_envelope(densities, betas, k, which)
@@ -374,7 +366,7 @@ def _block_densities(
 
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
     """Density values on a 1-d beta >= 0 grid via the vectorized evaluators."""
-    _check_k(k)
+    check_k(k)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     betas = np.asarray(betas, dtype=float)
@@ -470,17 +462,17 @@ def _sweep(
 def check_sweep(k: int, B: float) -> None:
     """Refuse a j_values sweep before any work: a bad k or B, or past the
     budget.  It is charged 4 Gauss nodes per fine and per half-resolution
-    panel, and the k-th power phase's small-beta rule per node at beta <=
-    _ASYM_BETA.  Those nodes lie on the edges up to the first past
-    _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so they are counted on
-    the edges of min(B, 2 _ASYM_BETA) and no sweep's edges are built here."""
+    panel, and per node at beta <= _ASYM_BETA the small-beta rules of both
+    unit phases and the log phase (which = 2).  Those nodes lie on the edges
+    up to the first past _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so
+    they are counted on the edges of min(B, 2 _ASYM_BETA), not the sweep's."""
     _check_B(B)
-    _check_k(k)
+    check_k(k)
     fine_panels = _fine_panels(float(B))
     units = 4 * (fine_panels + (fine_panels + 1) // 2)
     head = _beta_edges(min(float(B), 2.0 * _ASYM_BETA))
     small = _small_nodes(head) + _small_nodes(_coarse_edges(head))
-    check_budget(units + small * small_rule_nodes(k), "singular-integral sweep")
+    check_budget(units + small * (2 * UNIT_RULE_NODES + LOG_RULE_NODES), "singular-integral sweep")
 
 
 def j_values(
@@ -689,7 +681,7 @@ def j_volume(k: int, which: int) -> VolumeIntegralValue:
     _ROUNDING.  Runs on the calling thread and
     sums by numpy's pairwise rule, so its bits follow no thread count.
     """
-    _check_k(k)
+    check_k(k)
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     n = _VOLUME_ORDER

@@ -41,11 +41,18 @@ def whole_array_unit_phase(beta, k):
     return whole_array_refine(rule, panels, 1e-9)
 
 
+def _log_edges(upper, panels):
+    # one graded edge an octave from LOG_SPLIT below 1, and `panels` uniform panels
+    graded = integrals.LOG_SPLIT * 2.0 ** np.arange(0, 40)
+    uniform = np.linspace(integrals.LOG_SPLIT, upper, panels + 1)
+    return np.unique(np.concatenate([graded[graded < min(1.0, upper)], uniform, [upper]]))
+
+
 def whole_array_log_phase(beta, upper=3.0):
     """int_0^upper e(-beta u) log u du, any beta: the head [0, LOG_SPLIT]
     through the first order in beta, then panels graded toward 0."""
     def rule(panels):
-        nodes, weights = integrals._panel_nodes(integrals._log_panel_edges(upper, panels), 8)
+        nodes, weights = integrals._panel_nodes(_log_edges(upper, panels), 8)
         return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
 
     panels = max(8, math.ceil(10.0 * max(1.0, upper * abs(beta) / (2 * math.pi))))

@@ -512,8 +512,9 @@ def test_hua_budget_counts_convolution_products(monkeypatch):
         # 50 draws * (2*6 + 3) + (2*9 + 3) + 21 = 792
         (lambda: minor_arc_bound_profile(10**4, 3, samples=2), 1584),
         # x = 100, k = 3: m = 4; 2 * 3 * 4 * (4 + 3) for the sums, and 3 * 3
-        # phases of 8 * 48 = 384 small-beta nodes: 168 + 3456
-        (lambda: vk_envelope_scan(100, 3, q_max=3), 3624),
+        # phases of the unit small-beta rule's 440 nodes (55 panels of 8,
+        # at every k): 168 + 3960
+        (lambda: vk_envelope_scan(100, 3, q_max=3), 4128),
         # x = 1000, k = 3: Q = 15, q in {1, 2, 3, 5, 7, 11, 15}, three
         # beta each, 4x terms per row: 21 * 4000
         (lambda: expansion_envelope_scan(1000, 3), 84_000),
@@ -556,27 +557,27 @@ def test_probe_charges_at_benchmark_sizes_stay_small(monkeypatch):
 
 def test_vk_scan_charges_its_sums_before_any_phase(monkeypatch):
     # x = 10^12, k = 3, q = 1: 2 * 1 * 2 * (10^4 + 1) = 40,004 for the sums,
-    # and 3 phases of 8 * 48 = 384 small-beta nodes: 40,004 + 1,152 = 41,156
+    # and 3 phases of the unit rule's 440 small-beta nodes: 40,004 + 1,320 = 41,324
     def no_factor(q_or_betas, k):
         raise AssertionError("a model factor was computed before the budget check")
 
     monkeypatch.setattr("circlekit.circle.unit_phase_batch", no_factor)
     monkeypatch.setattr("circlekit.circle.power_sum_spectrum", no_factor)
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "41155")
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "41323")
     with pytest.raises(BudgetError) as info:
         vk_envelope_scan(10**12, 3, 1)
-    assert info.value.required == 41_156
+    assert info.value.required == 41_324
 
 
 @pytest.mark.parametrize(
     "x, q_max, required",
     [
         # m = 10^133 terms: x itself is past a float, so the sums refuse
-        # first; the 3 phases take 8 * 48 = 384 small-beta nodes each
-        (10**400, 1, 4 * (integer_kth_root(10**400, 3) + 1) + 3 * 384),
+        # first; the 3 phases take the unit rule's 440 small-beta nodes each
+        (10**400, 1, 4 * (integer_kth_root(10**400, 3) + 1) + 3 * 440),
         # 2 * 10^9 * (10^9 + 1) * (21 + 10^9) units for the sums, and 3 * 10^9
-        # phases of 384 nodes, before 4 * 10^9 offsets
-        (10**4, 10**9, 2 * 10**9 * (10**9 + 1) * (21 + 10**9) + 3 * 10**9 * 384),
+        # phases of 440 nodes, before 4 * 10^9 offsets
+        (10**4, 10**9, 2 * 10**9 * (10**9 + 1) * (21 + 10**9) + 3 * 10**9 * 440),
     ],
     ids=["x-past-float", "q-max-1e9"],
 )

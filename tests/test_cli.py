@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -462,10 +463,13 @@ def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, case
     assert err.startswith("verification mismatch:")
 
 
-# A k past the largest float.
+# A k past the largest float, the last k below 2^63, and 2^63.
 BIG_K = "1" + "0" * 400
+LAST_K = str(2**63 - 1)
+PAST_K = str(2**63)
 
-# Inputs at the edge of each command's domain: (argv, exit code, stderr prefix).
+# Inputs at the edge of each command's domain: (argv, exit code, stderr
+# prefix).  A case with EXIT_OK runs, and its prefix is unused.
 EDGE_CASES = [
     (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "2"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "dirichlet", "--tau", "inf", "--samples", "2"], EXIT_USAGE, "usage error:"),
@@ -520,27 +524,40 @@ EDGE_CASES = [
     (["verify", "--k", "3", "--x", ",,"], EXIT_USAGE, "usage error:"),
     # 21 rows of 1.6e8 divisor terms, charged before the sieve
     (["diagnostics", "expansion", "--k", "3", "--x", "40000000"], EXIT_BUDGET, "budget error:"),
-    # about 1500 small-beta nodes against 8 * 318310 quadrature nodes each
-    (["integral", "--k", "20000", "--B", "20"], EXIT_BUDGET, "budget error:"),
+    # about 1500 small-beta nodes, each on the three small-beta rules that
+    # serve every k
+    (["integral", "--k", "20000", "--B", "20"], EXIT_OK, ""),
     # 8 error terms at 29 candidate cutoffs for each of 10^8 k, before any row
     (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
     # sieve takes no k, so the range is never expanded into a list
     (["sieve", "--n", "10", "--k", "3..100000000"], EXIT_USAGE, "usage:"),
-    # a k past a float: each small-beta rule saturates at about 1.4e309 nodes
-    # and is charged at that, before any phase or x^(1/k)
-    (["integral", "--k", BIG_K, "--B", "5"], EXIT_BUDGET, "budget error:"),
-    (["integral", "--k", BIG_K, "--B", "5", "--scan", "3"], EXIT_BUDGET, "budget error:"),
-    (["diagnostics", "vk", "--k", BIG_K, "--x", "10"], EXIT_BUDGET, "budget error:"),
-    # within budget, but the small-beta rule's 3.8e7 and 3.8e8 nodes pass
-    # its 2^22 cap, refused before any of its arrays
-    (["diagnostics", "vk", "--k", "300000", "--x", "10", "--q-max", "1"],
+    # k from 2^63 on, past the int64 exponent of every k-th power, is
+    # refused before any phase, power or x^(1/k)
+    (["integral", "--k", BIG_K, "--B", "5"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", BIG_K, "--B", "5", "--scan", "3"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", BIG_K, "--x", "10"], EXIT_USAGE, "usage error:"),
+    (["verify", "--k", BIG_K, "--x", "100"], EXIT_USAGE, "usage error:"),
+    (["verify", "--k", BIG_K, "--x", "100", "--method", "conv"], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", PAST_K, "--B", "5"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", PAST_K, "--x", "1000", "--q-max", "3"],
      EXIT_USAGE, "usage error:"),
-    (["diagnostics", "vk", "--k", "3000000", "--x", "10", "--q-max", "1"],
-     EXIT_USAGE, "usage error:"),
-    # the sweep's charge comes before the scan: 60 small-beta nodes of
-    # 3.8e7 each, and 600 of 3.8e6 each
-    (["integral", "--k", "300000", "--B", "1", "--scan", "1"], EXIT_BUDGET, "budget error:"),
-    (["integral", "--k", "30000", "--B", "10", "--scan", "1"], EXIT_BUDGET, "budget error:"),
+    (["verify", "--k", PAST_K, "--x", "100"], EXIT_USAGE, "usage error:"),
+    # the last k below 2^63 runs: one n4, Weyl powers by squaring
+    (["integral", "--k", LAST_K, "--B", "20"], EXIT_OK, ""),
+    (["diagnostics", "vk", "--k", LAST_K, "--x", "1000", "--q-max", "3"], EXIT_OK, ""),
+    (["verify", "--k", LAST_K, "--x", "100"], EXIT_OK, ""),
+    (["series", "--k", LAST_K, "--q-max", "10"], EXIT_OK, ""),
+    # k where a rule uniform in u would pass 2^22 nodes: the same rules as
+    # any k, and Weyl sums forming n^k in about 2 log2(k) multiplies
+    (["diagnostics", "vk", "--k", "300000", "--x", "10", "--q-max", "1"], EXIT_OK, ""),
+    (["diagnostics", "vk", "--k", "3000000", "--x", "10", "--q-max", "1"], EXIT_OK, ""),
+    (["integral", "--k", "300000", "--B", "1", "--scan", "1"], EXIT_OK, ""),
+    (["integral", "--k", "30000", "--B", "10", "--scan", "1"], EXIT_OK, ""),
+    # 8.6e13 direct tuples at x = 4e7, charged before the 1.2e8 sieve
+    (["verify", "--k", "3", "--method", "direct", "--x", "40000000"],
+     EXIT_BUDGET, "budget error:"),
+    (["verify", "--k", "3", "--method", "both", "--x", "40000000"],
+     EXIT_BUDGET, "budget error:"),
     # 2 * Y^k past int64, refused by bit length before Y^k is formed
     (["diagnostics", "hua", "--k", "20000", "--y", "2", "--j", "2"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "hua", "--k", "20000", "--y", "2", "--j", "3"], EXIT_USAGE, "usage error:"),
@@ -559,13 +576,20 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
     # large rule, table or sort is built fails here
     tracemalloc.start()
     try:
+        start = time.perf_counter()
         got, out, err = run(capsys, *argv)
+        seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got == code
-    assert out == ""
-    assert err.startswith(prefix)
+    if code == EXIT_OK:
+        # a case that runs writes its report, silently, within a second
+        assert json.loads(out)["meta"]["command"] == argv[0]
+        assert err == "" and seconds < 1.0
+    else:
+        assert out == ""
+        assert err.startswith(prefix)
     assert peak < 16 * 2**20
 
 
@@ -583,9 +607,10 @@ def test_integral_charges_the_sweep_before_the_scan(capsys, monkeypatch):
         raise AssertionError("the scan ran before the sweep's charge")
 
     monkeypatch.setattr(circlekit.cli, "density_profile", no_scan)
-    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
-    # 600 small-beta nodes, each charged k = 30,000's rule of 3.8e6 nodes
-    code, out, err = run(capsys, "integral", "--k", "30000", "--B", "10", "--scan", "1")
+    # the sweep's 600 small-beta nodes at 1,416 rule nodes each pass the
+    # budget, as would the scan's one point
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000")
+    code, out, err = run(capsys, "integral", "--k", "3", "--B", "10", "--scan", "1")
     assert (code, out) == (EXIT_BUDGET, "")
     assert "singular-integral sweep" in err
 
@@ -596,13 +621,13 @@ def test_integral_charges_the_sweep_before_the_scan(capsys, monkeypatch):
     ["diagnostics", "vk", "--k", "3", "--x", "100"],
 ], ids=["sweep", "scan", "vk"])
 def test_small_beta_rules_are_charged_before_they_are_built(capsys, monkeypatch, argv):
-    # with every rule sized at 10^12 nodes, each command is refused by its
-    # charge before any small-beta phase is evaluated
+    # with the unit rule sized at 10^12 nodes, each command is refused by
+    # its charge before any small-beta phase is evaluated
     def no_rule(*args, **kwargs):
         raise AssertionError("a small-beta phase was evaluated before its charge")
 
     for module in (circlekit.integrals, circlekit.circle):
-        monkeypatch.setattr(module, "small_rule_nodes", lambda k: 10**12)
+        monkeypatch.setattr(module, "UNIT_RULE_NODES", 10**12)
     monkeypatch.setattr(circlekit.integrals, "_small_batch", no_rule)
     monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
     code, out, err = run(capsys, *argv)

@@ -192,6 +192,25 @@ def test_weyl_matches_bigint_when_powers_wrap(ell, x):
         assert weyl_sum(alpha, x, ell) == bigint_weyl(alpha, x, ell), alpha
 
 
+def test_weyl_powers_by_squaring_equal_the_product_loop():
+    # numpy's integer power squares and multiplies, wrapping mod 2^64 as
+    # the ell - 1 successive products did
+    n = np.arange(1, 200_001, dtype=np.uint64)
+    for ell in (1, 2, 3, 5, 8, 13, 64, 1000):
+        powers = n.copy()
+        for _ in range(ell - 1):
+            powers *= n
+        assert np.array_equal(n ** np.uint64(ell), powers), ell
+    # the last ell below 2^63 costs 63 squarings on both paths, where the
+    # products would take 2^63 - 2 multiplies for its one term
+    for alpha in (math.pi - 3, 2.0**-70):
+        assert weyl_sum(alpha, 10, 2**63 - 1) == bigint_weyl(alpha, 10, 2**63 - 1)
+    # numpy takes the exponent as an int64, so ell stops below 2^63
+    for ell in (2**63, 2**64):
+        with pytest.raises(DomainError, match="below 2\\^63"):
+            weyl_sum(0.3, 10, ell)
+
+
 def whole_array_weyl(alpha, x, ell):
     # the uint64 phase route with every term in one array (alpha >= 2^-12)
     num, den = float(alpha).as_integer_ratio()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import fresnel
 
 from circlekit import integrals
-from circlekit.errors import BudgetError, DomainError, SizeError
+from circlekit.errors import BudgetError, DomainError
 from circlekit.integrals import (
     _square_sum_histogram,
     density_profile,
@@ -187,6 +187,17 @@ def test_unit_phase_batch_mpmath_oracle(k):
         assert abs(f - _unit_phase_mp(float(b), k)) < 1e-14, b
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 20, 1000, 30_000, 10**9, 2**63 - 1])
+def test_unit_phase_batch_matches_the_incomplete_gamma_at_every_k(k):
+    # s (-i lam)^(-s) gamma(s, -i lam), s = 1/k, on 40 betas of the
+    # small-beta rule and three past it; one rule serves every k, so the
+    # bound holds from k = 2 to the last k below 2^63
+    betas = np.concatenate([np.linspace(0.25, 10.0, 40), [10.5, 50.0, 400.0]])
+    fast = unit_phase_batch(betas, k)
+    for b, f in zip(betas, fast):
+        assert abs(f - _unit_phase_mp(float(b), k)) < 2e-15, b
+
+
 def test_log_phase_batch_mpmath_oracle():
     betas = _oracle_betas()
     fast = log_phase_batch(betas)
@@ -320,13 +331,26 @@ def test_j_values_checks_budget_before_allocating(monkeypatch):
 
 def test_j_values_charges_the_small_beta_quadrature(monkeypatch):
     # B = 5: 71 fine and 36 coarse panels, 428 nodes, all at beta <= 10;
-    # each meets 8 * 48 nodes of the k = 3 small-beta quadrature
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "164780")
-    j_values(3, 5.0)
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "164779")
-    with pytest.raises(BudgetError) as info:
-        j_values(3, 5.0)
-    assert info.value.required == 164780
+    # each meets the 440-node rule of both unit phases and the 536-node log
+    # rule: 428 + 428 * (2 * 440 + 536) = 606,476 at every k
+    for k in (3, 2**63 - 1):
+        monkeypatch.setenv("CIRCLEKIT_BUDGET", "606476")
+        j_values(k, 5.0)
+        monkeypatch.setenv("CIRCLEKIT_BUDGET", "606475")
+        with pytest.raises(BudgetError) as info:
+            j_values(k, 5.0)
+        assert info.value.required == 606_476
+
+
+def test_density_profile_charges_every_rule_a_point_runs(monkeypatch):
+    # 7 points, each on both unit phases' 440 nodes, and for which = 2 also
+    # the log phase's 536: 6,160 and 9,912 units at every k
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "1")
+    for k in (3, 2**63 - 1):
+        for which, units in ((1, 7 * 880), (2, 7 * 1416)):
+            with pytest.raises(BudgetError) as info:
+                density_profile(k, which, 5.0, 7)
+            assert info.value.required == units, (k, which)
 
 
 @pytest.mark.parametrize("B", [1.0, 1.5, 2.2, 5.0, 9.9, 10.0, 10.05, 10.3, 12.0, 50.0, 400.0])
@@ -345,29 +369,12 @@ def test_sweep_charge_counts_the_small_nodes_of_every_edge(monkeypatch, B):
     small = integrals._small_nodes(edges) + integrals._small_nodes(integrals._coarse_edges(edges))
     fine = integrals._fine_panels(B)
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1")
-    for k in (3, 8):
+    for k in (3, 8, 2**63 - 1):
         with pytest.raises(BudgetError) as info:
             integrals.check_sweep(k, B)
         units = 4 * (fine + (fine + 1) // 2)
-        assert info.value.required == units + small * integrals.small_rule_nodes(k), k
-
-
-def test_small_beta_rule_is_capped_before_its_arrays():
-    # k = 30,000 takes 3.8e6 nodes, under the 2^22 cap; k = 32,942 is the
-    # least k past it, refused before any array of its 4.2e6 nodes
-    assert integrals._rule_panels(30_000) == integrals.phase_panels(30_000)
-    assert integrals.small_rule_nodes(32_941) <= 2**22 < integrals.small_rule_nodes(32_942)
-    for k in (32_942, 300_000):
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeError):
-                unit_phase_batch(np.array([0.0, 1.0, 20.0]), k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, k
-    with pytest.raises(SizeError):
-        log_phase_batch(np.array([1.0]), 1e6)
+        # each small node: two unit phases of 440 nodes and the log phase of 536
+        assert info.value.required == units + small * (2 * 440 + 536), k
 
 
 def test_j_values_memory():
@@ -384,9 +391,10 @@ def test_j_values_memory():
         assert peak < 25 * 2**20, k
 
 
-def test_unit_phase_batch_in_chunks_matches_reference():
-    # k = 100: 12736 quadrature nodes, more than _PHASE_CHUNK, so every
-    # chunk is one beta's row
+def test_unit_phase_batch_in_chunks_matches_reference(monkeypatch):
+    # a chunk smaller than the unit rule's 440 nodes: every chunk is one
+    # beta's row
+    monkeypatch.setattr(integrals, "_PHASE_CHUNK", 100)
     betas = np.linspace(0.0, 10.0, 699)
     batch = unit_phase_batch(betas, 100)
     for i in (0, 1, 2, 695, 696, 698):
@@ -394,29 +402,49 @@ def test_unit_phase_batch_in_chunks_matches_reference():
 
 
 def test_small_rule_size_is_the_ten_per_oscillation_count():
-    # the count written out at beta = 10, as each small-beta rule took it:
-    # the same for every k up to 30,000 and for the log rule's upper limits
-    def written_out(k):
-        return math.ceil(min(10.0 * max(1.0, k * 10.0 / (2.0 * math.pi)), np.finfo(float).max))
+    # ten uniform panels per oscillation at beta = 10, at least ten, merged
+    # with the graded edges below 1: the unit rule on [1e-6, 1] has 16
+    # uniform panels and 40 graded edges 1e-6 * 2^(n/2) up to 0.74, so 55
+    # panels of 8 nodes; the log rule at U = 3 has 48 uniform panels and 20
+    # graded edges 1e-6 * 2^n up to 0.52, 67 panels; at U = 4, 64 and 20, 83
+    def written_out(upper):
+        return math.ceil(10.0 * max(1.0, upper * 10.0 / (2.0 * math.pi)))
 
-    for k in list(range(1, 30_001)) + [3.0, 4.0, 0.5, 2.0**60, 1e300]:
-        assert integrals.phase_panels(k) == written_out(k), k
-        assert integrals.small_rule_nodes(k) == 8 * written_out(k), k
-    assert (integrals.small_rule_nodes(3), integrals.small_rule_nodes(8)) == (384, 1024)
-    # an int past a float's range saturates where the float arithmetic would
-    for k in (10**400, 2**1024, -(10**400)):
-        expected = written_out(float(np.finfo(float).max) if k > 0 else -1.0)
-        assert integrals.phase_panels(k) == expected, k
+    assert [written_out(u) for u in (1.0, 3.0, 4.0)] == [16, 48, 64]
+    assert (integrals.UNIT_RULE_NODES, integrals.LOG_RULE_NODES) == (8 * 55, 8 * 67)
+    for upper, per_octave, panels in ((1.0, 2, 55), (3.0, 1, 67), (4.0, 1, 83)):
+        nodes, weights = integrals._panel_nodes(integrals._small_edges(upper, per_octave), 8)
+        assert nodes.size == weights.size == 8 * panels
+        assert 1e-6 < nodes.min() and nodes.max() < upper
+        assert abs(weights.sum() - (upper - 1e-6)) < 1e-14
+
+
+def test_small_beta_rule_is_the_same_at_every_k():
+    # the unit phases' nodes are v = u^k, so a k where a rule uniform in u
+    # would pass 2^22 nodes (32,942 and up) runs on the same 440 nodes,
+    # below 1 MiB traced
+    for k in (32_942, 300_000, 10**9, 2**63 - 1):
+        tracemalloc.start()
+        try:
+            values = unit_phase_batch(np.array([0.0, 1.0, 20.0]), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, k
+        assert np.all(np.abs(values) <= 1.0) and values[0] == pytest.approx(1.0, abs=1e-15)
+    # the log rule is sized by its upper limit, which the commands keep in [1, 4]
+    for upper in (0.5, 4.5, 1e6, math.nan):
+        with pytest.raises(DomainError, match="upper"):
+            log_phase_batch(np.array([1.0]), upper)
 
 
 def _small_rules():
     # (nodes, weights, sign) of the k = 2, 3, 8 unit rules and the log rule
     for k in (2, 3, 8):
-        edges = np.linspace(0.0, 1.0, integrals.phase_panels(k) + 1)
-        nodes, weights = integrals._panel_nodes(edges, 8)
-        yield f"unit k={k}", (nodes**k, weights, 1.0)
-    edges = integrals._log_panel_edges(3.0, integrals.phase_panels(3.0))
-    nodes, weights = integrals._panel_nodes(edges, 8)
+        nodes, weights = integrals._panel_nodes(integrals._small_edges(1.0, 2), 8)
+        s = 1.0 / k
+        yield f"unit k={k}", (nodes, s * nodes ** (s - 1.0) * weights, 1.0)
+    nodes, weights = integrals._panel_nodes(integrals._small_edges(3.0, 1), 8)
     yield "log", (nodes, np.log(nodes) * weights, -1.0)
 
 

@@ -34,21 +34,21 @@ DIGESTS = {
     "integral --k 3 --B 400 --grid 64":
         "399672830417cf505a24abafce2a6627e82e4573bc2b96061bb2985b9e8541af",
     "integral --k 8 --B 400 --grid 64":
-        "ce5163ea43821cc6532ac89afe8177f2b0f820d24bc4ec26f353ef0828815090",
+        "5c798a0a234a870b977186f65b89c8ef41e4946b879ee1f3d161aa4427d2fefc",
     "integral --k 5 --which 2 --B 400":
-        "788f5d9d4a09818d9dc963b209548d3d63d0c5ed6db5d98c4413dd56374ceeea",
+        "53e841a33648009a79ad41efd5af02a827269149d9365008f92701b5c1c1650f",
     "integral --k 4 --which 2 --B 50 --grid 128":
-        "bdaa44d99e023e231e2690888c206d5e47df9b2e43d32011a640240e8ae9ca5e",
+        "e5eb25098e6027f20e95ca6d17fdafbcefe659bd8232262cc1d226cb4848b355",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "bfce07e336f6ccd70d7847323062b46d56d94b80436001411145a87e5422128d",
     "integral --k 5 --which 1 --B 12 --scan 1000 --format csv":
-        "20f9e4cef2a8bd1c1638aaf2bdfa60d4048be410ab9eec4b960031465514ce48",
+        "731ea13338151fca98dd20512dced71f801f047176c1fe0aff1c298b601914c8",
     "diagnostics hua --k 3 --j 2 --y 2000":
         "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
     "diagnostics vk --k 4 --x 10000":
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
     "diagnostics vk --k 4 --x 10000 --format csv":
-        "a38a70444f5ffa4e1ce3a14c79c11cd3cd848443c8759f531609f69fa10afa70",
+        "544cc7cd8011b9a0574d33f5f6fac74d2ff262e2a7df949a307a31fb7f0b2579",
     "diagnostics expansion --k 3 --x 10000":
         "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
     "diagnostics expansion --k 3 --x 10000 --format csv":
