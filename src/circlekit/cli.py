@@ -179,7 +179,8 @@ def _parse_k_range(text: str) -> range:
 
 def _single_k(args: argparse.Namespace) -> int:
     ks = args.k or [3]
-    if len(ks) != 1:
+    # not len(ks), which a range longer than sys.maxsize cannot give
+    if ks[-1] != ks[0]:
         raise DomainError(f"{args.command} takes a single k")
     return ks[0]
 
@@ -264,7 +265,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     if ks[0] < 3:
         raise DomainError(f"k must be >= 3, got {ks[0]}")
     # balance evaluates the 8 error terms at up to 29 candidate cutoffs per k
-    check_budget(len(ks) * 8 * 29, "delta table")
+    check_budget((ks[-1] - ks[0] + 1) * 8 * 29, "delta table")
     rows = _delta_rows(ks)
     cells = [[str(r["k"]), r["theta_star"], r["worst_exp"], r["delta"], r["reference"],
               "MATCH" if r["match"] else "MISMATCH"] for r in rows]
@@ -374,7 +375,7 @@ def cmd_integral(args: argparse.Namespace) -> int:
     whiches = (args.which,) if args.which else (1, 2)
     # every size is refused before any work: the sweep's, the oracle grid's,
     # then the scan's own charge
-    check_sweep(k, args.B)
+    check_sweep(k, args.B, whiches)
     if args.grid is not None:
         check_oracle_grid(args.grid)
     profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
@@ -398,6 +399,8 @@ def cmd_integral(args: argparse.Namespace) -> int:
         _emit(report, args, csv_rows=scan_rows, csv_header=columns)
     else:
         columns = ["k", "which", "B", "value", "quadrature_error", "tail_bound"]
+        if args.grid is not None:
+            columns += ["oracle", "oracle_gap"]
         _emit(report, args, csv_rows=([e[c] for c in columns] for e in entries),
               csv_header=columns)
     return EXIT_OK

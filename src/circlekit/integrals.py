@@ -21,34 +21,28 @@ or J2 (log-weighted), and this module has three routes to each:
     takes about 0.25 s, so `verify` takes J1 and J2 from it.
 
 Each phase factor has one evaluator, vectorized over beta >= 0, which
-every command uses: exact closed forms where they exist, a fixed panel
-rule for beta <= _ASYM_BETA, and past _ASYM_BETA contour-rotated boundary
-terms whose smooth remainder is an asymptotic series in 1/lam, lam = 2 pi
-beta.  A unit phase runs in v = u^k, as s int_0^1 v^(s-1) e(beta v) dv,
-s = 1/k, singular only at 0 like log u in the log phase: both small-beta
-rules are graded panels from LOG_SPLIT after a closed-form head, the same
-at every k.  unit_power_phase_integral and log_weighted_integral read one
-beta of either sign from it.  The tests hold it to 1e-9 against adaptive
-panel quadratures (tests/density_reference.py), and to 2e-15 (unit
-phases) or 1e-14 (past _ASYM_BETA) against mpmath's closed forms.
+every command uses: exact closed forms where they exist, for beta <=
+_ASYM_BETA one table of e(beta v) on one panel rule (_small_phases), and
+past _ASYM_BETA contour-rotated boundary terms whose smooth remainder is
+an asymptotic series in 1/lam, lam = 2 pi beta.  A unit phase runs in
+v = u^k, as s int_0^1 v^(s-1) e(beta v) dv, s = 1/k, singular only at 0
+like log v in the log phase, which is conjugate to int log v e(beta v) dv.
+unit_power_phase_integral and log_weighted_integral read one beta of
+either sign from it.  The tests hold it to 1e-9 against adaptive panel
+quadratures (tests/density_reference.py), and to 2e-15 (unit phases),
+6e-15 (the log phase) or 1e-14 (past _ASYM_BETA) against mpmath.
 
 j_values sweeps beta once for both singular integrals: the factors the
 two densities share, (square phase)^3 times the k-th power phase, are
-computed once per node, and each integral then multiplies in only its
-own last factor.  All three phases share lam = 2 pi beta, and the two
-unit phases also 1/lam and e^(i lam).  The sweep is streamed in blocks
-of _BLOCK nodes, each building its own nodes and weights from its slice
-of the panel edges, and the blocks run on every CPU through
-threads.ordered_map, each taken by the next free thread: the first
-block, which holds every beta <= _ASYM_BETA, costs several times any
-other.  Each block keeps only its pairwise sum and envelope peak per
-which; the block sums are added by math.fsum.  No step calls BLAS: the
-small-beta phase tables are weighted and summed row by row in numpy,
-so no value depends on the worker or BLAS thread count, and a beta's
-phase has the same bits alone as in any batch.  j_values(3, 400) peaks
-at about 14 MiB of numpy memory.  The block evaluator calls no function
-the benchmark's tracer wraps, since the tracer keeps one span stack for
-all threads.
+computed once per node, and each integral multiplies in only its own
+last factor.  All three phases share the e(beta v) table and lam, and the
+two unit phases also 1/lam and e^(i lam).  The sweep's blocks (_sweep)
+run on every CPU through threads.ordered_map, each taken by the next free
+thread: the first, which holds every beta <= _ASYM_BETA, costs several
+times any other.  No step calls BLAS, so no value depends on the worker
+or BLAS thread count.  j_values(3, 400) peaks at about 14 MiB of numpy
+memory.  The block evaluator calls no function the benchmark's tracer
+wraps, since the tracer keeps one span stack for all threads.
 
 An asymptotic series sum_m i^m a_m x^m (real a_m, x = 1/lam or
 1/(U lam), U the log-weighted integral's upper limit) is evaluated as
@@ -68,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -89,11 +83,12 @@ _ASYM_TERMS = 40
 _TAIL_CUT = 2.0**-60
 # Nodes per block of the density sweep.
 _BLOCK = 1 << 15
-# Phase-table entries per chunk of a small-beta quadrature (at least one
-# row): the bound on its temporaries.
+# Entries per chunk of the small-beta phase table, at least one row.
 _PHASE_CHUNK = 1 << 11
-# Gauss-Legendre nodes per panel of a small-beta rule.
+# Gauss-Legendre nodes per panel of the small-beta rule, and its uniform
+# panels per unit length: 16, ten for every 2 pi / _ASYM_BETA of v.
 _RULE_ORDER = 8
+_UNIFORM = math.ceil(10.0 * _ASYM_BETA / TWO_PI)
 
 # Split point for the integrable singularity at 0 of log u and of v^(s-1).
 LOG_SPLIT = 1e-6
@@ -111,29 +106,34 @@ def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-def _small_edges(upper: float, per_octave: int) -> np.ndarray:
-    """Panel edges of a small-beta rule on [LOG_SPLIT, upper]: per_octave graded
-    panels a doubling from LOG_SPLIT up to min(1, upper), two for v^(s-1) (one
-    left the k = 3 phase 9e-14 off) and one for log u, merged with ten uniform
-    panels per oscillation at _ASYM_BETA, at least ten."""
-    graded = LOG_SPLIT * 2.0 ** (np.arange(0, 40 * per_octave) / per_octave)
-    panels = math.ceil(10.0 * max(1.0, upper * _ASYM_BETA / TWO_PI))
-    uniform = np.linspace(LOG_SPLIT, upper, panels + 1)
+@lru_cache(maxsize=8)  # the commands use upper 1, 3 and 4; a library caller may pass any
+def _small_rule(upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the small-beta rule on [LOG_SPLIT, upper >= 1]:
+    on [LOG_SPLIT, 1], where the unit phases run, two graded panels an
+    octave from LOG_SPLIT for v^(s-1) (one left the k = 3 phase 9e-14 off)
+    and log v, merged with _UNIFORM uniform panels; past 1, where only the
+    log phase runs, uniform panels at most 1/_UNIFORM wide."""
+    graded = LOG_SPLIT * 2.0 ** (np.arange(0, 80) / 2)
+    uniform = np.linspace(LOG_SPLIT, 1.0, _UNIFORM + 1)
     # a set, not np.unique, whose numpy.ma import would cost 6 ms at import
-    return np.array(sorted({*graded[graded < min(1.0, upper)].tolist(), *uniform.tolist(), upper}))
+    unit = sorted({*graded[graded < 1.0].tolist(), *uniform.tolist()})
+    beyond = np.linspace(1.0, upper, math.ceil((upper - 1.0) * _UNIFORM) + 1)[1:]
+    return _panel_nodes(np.array(unit + beyond.tolist()), _RULE_ORDER)
 
 
-# Nodes of each small-beta rule, _RULE_ORDER a panel: every small-beta charge reads these.
-UNIT_RULE_NODES = _RULE_ORDER * (_small_edges(1.0, 2).size - 1)
-LOG_RULE_NODES = _RULE_ORDER * (_small_edges(3.0, 1).size - 1)
+# Entries per beta of the small-beta phase table, the rule's nodes: to 1 for
+# the unit phases alone, to 3 with the sweep's log phase.  Every small-beta
+# charge reads these.
+UNIT_RULE_NODES = _small_rule(1.0)[0].size
+LOG_RULE_NODES = _small_rule(3.0)[0].size
 
 
-def _log_head(beta):
-    """int_0^LOG_SPLIT e(-beta u) log u du through the first order in beta."""
-    delta = LOG_SPLIT
-    return (delta * math.log(delta) - delta) - 2j * np.pi * beta * (
-        delta**2 / 2.0 * math.log(delta) - delta**2 / 4.0
-    )
+def _head(z: np.ndarray, scale: float, moments: list[tuple[float, float]]) -> np.ndarray:
+    """int_0^LOG_SPLIT w(v) e(beta v) dv as sum_n m_n z^n / n!, n <= 3 (n = 4
+    is below 1e-20 at beta <= 10), z = 2 pi i beta LOG_SPLIT, from the moments
+    m_n = scale top / bottom of w on [0, LOG_SPLIT] in units of LOG_SPLIT^n."""
+    return scale * sum(top * z**n / (math.factorial(n) * bottom)
+                       for n, (top, bottom) in enumerate(moments))
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +141,43 @@ def _log_head(beta):
 # ---------------------------------------------------------------------------
 
 
-def _small_batch(
-    betas: np.ndarray, nodes: np.ndarray, weights: np.ndarray, sign: float
-) -> np.ndarray:
-    """sum_j weights[j] e(sign beta nodes[j]) for each beta, on a fixed panel
-    rule.
+def _small_phases(
+    betas: np.ndarray, ks: tuple[int, ...], log_upper: float | None
+) -> list[np.ndarray]:
+    """The unit phase for each k in ks, then the log phase up to log_upper
+    unless it is None, at 0 <= beta <= _ASYM_BETA, from one table of e(beta v)
+    on the small-beta rule to log_upper (to 1 without the log phase).
 
-    The betas x nodes phase table is formed in chunks of at most
-    _PHASE_CHUNK entries (or one row), and each weighted row is summed by
-    numpy's pairwise rule, so a beta's value has the same bits alone as in
-    any batch.
+    Each factor is a weighted row sum of the table plus its head: a unit
+    phase, s int_0^1 v^(s-1) e(beta v) dv, s = 1/k, reads the first
+    UNIT_RULE_NODES columns, and the log phase is the conjugate of the log v
+    row.  The table is formed in chunks of at most _PHASE_CHUNK entries (or
+    one row) and each weighted row summed by numpy's pairwise rule, so a
+    beta's value has the same bits alone as in any batch, and a unit phase
+    the same with or without the log phase.
     """
-    step = max(1, _PHASE_CHUNK // nodes.size)
-    out = np.empty(betas.shape, dtype=complex)
-    for lo in range(0, betas.size, step):
-        outer = np.multiply.outer(betas[lo : lo + step], nodes)
-        out[lo : lo + step] = (np.exp(sign * 2j * np.pi * outer) * weights).sum(axis=1)
-    return out
-
-
-def _unit_batch_small(betas: np.ndarray, k: int) -> np.ndarray:
-    # s int_0^1 v^(s-1) e(beta v) dv, s = 1/k: on [0, d], d = LOG_SPLIT, the
-    # head d^s sum_n s z^n / (n! (n + s)), z = 2 pi i beta d, through n = 3
-    # (n = 4 is below 1e-20 at beta <= 10), then the graded rule for every k
-    s = 1.0 / k
+    nodes, weights = _small_rule(1.0 if log_upper is None else log_upper)
+    unit, unit_weights = nodes[:UNIT_RULE_NODES], weights[:UNIT_RULE_NODES]
     z = 2j * np.pi * LOG_SPLIT * betas
-    head = LOG_SPLIT**s * sum(s * z**n / (math.factorial(n) * (n + s)) for n in range(4))
-    nodes, weights = _panel_nodes(_small_edges(1.0, 2), _RULE_ORDER)
-    return _small_batch(betas, nodes, s * nodes ** (s - 1.0) * weights, 1.0) + head
+    rows, heads = [], []
+    for s in (1.0 / k for k in ks):
+        rows.append(s * unit ** (s - 1.0) * unit_weights)
+        heads.append(_head(z, LOG_SPLIT**s, [(s, n + s) for n in range(4)]))
+    if log_upper is not None:
+        # int_0^d v^n log v dv = d^(n+1) ((n + 1) log d - 1) / (n + 1)^2
+        rows.append(np.log(nodes) * weights)
+        moments = [((n + 1) * math.log(LOG_SPLIT) - 1.0, (n + 1) ** 2) for n in range(4)]
+        heads.append(_head(z, LOG_SPLIT, moments))
+    sums = [np.empty(betas.shape, dtype=complex) for _ in rows]
+    step = max(1, _PHASE_CHUNK // nodes.size)
+    for lo in range(0, betas.size, step):
+        table = np.exp(2j * np.pi * np.multiply.outer(betas[lo : lo + step], nodes))
+        for out, row in zip(sums, rows):
+            out[lo : lo + step] = (table[:, : row.size] * row).sum(axis=1)
+    phases = [out + head for out, head in zip(sums, heads)]
+    if log_upper is not None:
+        phases[-1] = phases[-1].conj()
+    return phases
 
 
 def _asymptotic_tail(coeffs: np.ndarray, x: np.ndarray, x_max: float) -> np.ndarray:
@@ -219,7 +228,7 @@ def _phase_batches(
     """unit_phase_batch for each k in ks, then log_phase_batch up to log_upper
     unless it is None.
 
-    The factors share the regime split and, past _ASYM_BETA, lam = 2 pi
+    The factors share the regime split, the e(beta v) table and lam = 2 pi
     beta; the unit phases also share 1/lam and e^(i lam).  Without a beta
     <= _ASYM_BETA the large-beta forms run on betas as given, with no mask
     or copy.
@@ -235,18 +244,10 @@ def _phase_batches(
         highs.append(_log_batch_large(lam, log_upper))
     if not any_small:
         return highs
-    lows = [_unit_batch_small(betas[small], k) for k in ks]
-    if log_upper is not None:
-        lows.append(_log_batch_small(betas[small], log_upper))
-    return [_by_regime(small, low, high) for low, high in zip(lows, highs)]
-
-
-def _by_regime(small: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """low where small (beta <= _ASYM_BETA) holds and high elsewhere."""
-    out = np.empty(small.shape, dtype=complex)
-    out[small] = low
-    out[~small] = high
-    return out
+    outs = [np.empty(betas.shape, dtype=complex) for _ in highs]
+    for out, low, high in zip(outs, _small_phases(betas[small], ks, log_upper), highs):
+        out[small], out[~small] = low, high
+    return outs
 
 
 def unit_phase_batch(betas: np.ndarray, k: int) -> np.ndarray:
@@ -276,11 +277,6 @@ def linear_phase_batch(betas: np.ndarray, upper: float = 3.0) -> np.ndarray:
             total += term
         out[tiny] = upper * total
     return out
-
-
-def _log_batch_small(betas: np.ndarray, upper: float) -> np.ndarray:
-    nodes, weights = _panel_nodes(_small_edges(upper, 1), _RULE_ORDER)
-    return _small_batch(betas, nodes, np.log(nodes) * weights, -1.0) + _log_head(betas)
 
 
 def _log_batch_large(lam: np.ndarray, upper: float) -> np.ndarray:
@@ -345,9 +341,7 @@ def density_profile(
     if points < 1:
         raise DomainError(f"density profile needs points >= 1, got {points}")
     _check_B(B)
-    # units: per point, the small-beta rule of each unit phase and, for
-    # which = 2, of the log phase
-    check_budget(points * (2 * UNIT_RULE_NODES + LOG_RULE_NODES * (which == 2)), "density profile")
+    check_budget(points * (LOG_RULE_NODES if which == 2 else UNIT_RULE_NODES), "density profile")
     betas = B * np.arange(points) / max(1, points - 1)
     densities = j_density_batch(betas, k, which)
     ratios = decay_envelope(densities, betas, k, which)
@@ -459,20 +453,24 @@ def _sweep(
     return sums, [max(column) for column in zip(*(p for _, p in blocks))]
 
 
-def check_sweep(k: int, B: float) -> None:
-    """Refuse a j_values sweep before any work: a bad k or B, or past the
-    budget.  It is charged 4 Gauss nodes per fine and per half-resolution
-    panel, and per node at beta <= _ASYM_BETA the small-beta rules of both
-    unit phases and the log phase (which = 2).  Those nodes lie on the edges
-    up to the first past _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so
-    they are counted on the edges of min(B, 2 _ASYM_BETA), not the sweep's."""
+def check_sweep(k: int, B: float, whiches: tuple[int, ...]) -> None:
+    """Refuse a j_values sweep before any work: a bad k, B or which, or past
+    the budget.  It is charged 4 Gauss nodes per fine and per half-resolution
+    panel, and per node at beta <= _ASYM_BETA its phase table's entries, with
+    the log phase (which = 2) or without.  Those nodes lie on the edges up to
+    the first past _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so they
+    are counted on the edges of min(B, 2 _ASYM_BETA), not the sweep's."""
+    for which in whiches:
+        if which not in (1, 2):
+            raise DomainError(f"which must be 1 or 2, got {which}")
     _check_B(B)
     check_k(k)
     fine_panels = _fine_panels(float(B))
     units = 4 * (fine_panels + (fine_panels + 1) // 2)
     head = _beta_edges(min(float(B), 2.0 * _ASYM_BETA))
     small = _small_nodes(head) + _small_nodes(_coarse_edges(head))
-    check_budget(units + small * (2 * UNIT_RULE_NODES + LOG_RULE_NODES), "singular-integral sweep")
+    table = LOG_RULE_NODES if 2 in whiches else UNIT_RULE_NODES
+    check_budget(units + small * table, "singular-integral sweep")
 
 
 def j_values(
@@ -488,10 +486,7 @@ def j_values(
     decay_envelope on the fine nodes times (1+beta)^(-5/2-1/k), and
     log(2+beta) for which = 2, from B to infinity on both sides.
     """
-    for which in whiches:
-        if which not in (1, 2):
-            raise DomainError(f"which must be 1 or 2, got {which}")
-    check_sweep(k, B)
+    check_sweep(k, B, whiches)
     B = float(B)
     edges = _beta_edges(B)
     coarse, _ = _sweep(_coarse_edges(edges), k, whiches, envelope=False)

@@ -48,15 +48,24 @@ def _log_edges(upper, panels):
     return np.unique(np.concatenate([graded[graded < min(1.0, upper)], uniform, [upper]]))
 
 
+def _log_head(beta):
+    # int_0^d e(-beta u) log u du through (beta d)^3, d = LOG_SPLIT: the
+    # Taylor terms (-2 pi i beta)^n / n! times int_0^d u^n log u du =
+    # d^(n+1) (log d / (n+1) - 1 / (n+1)^2)
+    d = integrals.LOG_SPLIT
+    return sum((-2j * math.pi * beta) ** n / math.factorial(n)
+               * d ** (n + 1) * (math.log(d) / (n + 1) - 1.0 / (n + 1) ** 2) for n in range(4))
+
+
 def whole_array_log_phase(beta, upper=3.0):
     """int_0^upper e(-beta u) log u du, any beta: the head [0, LOG_SPLIT]
-    through the first order in beta, then panels graded toward 0."""
+    through the third order in beta, then panels graded toward 0."""
     def rule(panels):
         nodes, weights = integrals._panel_nodes(_log_edges(upper, panels), 8)
         return complex(np.sum(weights * np.log(nodes) * np.exp(-2j * np.pi * beta * nodes)))
 
     panels = max(8, math.ceil(10.0 * max(1.0, upper * abs(beta) / (2 * math.pi))))
-    return complex(integrals._log_head(beta)) + whole_array_refine(rule, panels, 1e-8)
+    return _log_head(beta) + whole_array_refine(rule, panels, 1e-8)
 
 
 def j_density(beta, k, which):

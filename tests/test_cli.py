@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -251,6 +252,21 @@ def test_integral_with_oracle(capsys):
     assert entry["oracle_gap"] < 1e-3
 
 
+def test_integral_csv_carries_the_oracle_columns_with_grid(capsys):
+    # the volume oracle --grid computes is written to the CSV too, and the
+    # CSV rows hold the JSON entry's cells
+    argv = ["integral", "--k", "3", "--B", "20", "--grid", "64"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["k", "which", "B", "value", "quadrature_error", "tail_bound",
+                      "oracle", "oracle_gap"]
+    entries = json.loads(run(capsys, *argv)[1])["integrals"]
+    assert rows == [[str(e[c]) for c in header] for e in entries]
+    code, out, _ = run(capsys, "integral", "--k", "3", "--B", "20", "--format", "csv")
+    assert out.splitlines()[0] == "k,which,B,value,quadrature_error,tail_bound"
+
+
 def test_integral_reports_B_unrounded(capsys):
     # every other float is cut to 12 significant digits; B echoes the flag
     code, out, _ = run(capsys, "integral", "--k", "3", "--which", "1", "--B", "5.0123456789012345")
@@ -467,6 +483,8 @@ def test_verify_exact_values_come_before_the_constants(capsys, monkeypatch, case
 BIG_K = "1" + "0" * 400
 LAST_K = str(2**63 - 1)
 PAST_K = str(2**63)
+# a k range of about 10^23 entries
+HUGE_RANGE = "3..1" + "0" * 23
 
 # Inputs at the edge of each command's domain: (argv, exit code, stderr
 # prefix).  A case with EXIT_OK runs, and its prefix is unused.
@@ -524,11 +542,18 @@ EDGE_CASES = [
     (["verify", "--k", "3", "--x", ",,"], EXIT_USAGE, "usage error:"),
     # 21 rows of 1.6e8 divisor terms, charged before the sieve
     (["diagnostics", "expansion", "--k", "3", "--x", "40000000"], EXIT_BUDGET, "budget error:"),
-    # about 1500 small-beta nodes, each on the three small-beta rules that
-    # serve every k
+    # about 1500 small-beta nodes, each on the one small-beta table that
+    # serves every k
     (["integral", "--k", "20000", "--B", "20"], EXIT_OK, ""),
     # 8 error terms at 29 candidate cutoffs for each of 10^8 k, before any row
     (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
+    # a range past sys.maxsize entries, which len() cannot count: delta is
+    # refused by its charge, every single-k command by its k
+    (["delta", "--k", HUGE_RANGE], EXIT_BUDGET, "budget error:"),
+    (["verify", "--k", HUGE_RANGE], EXIT_USAGE, "usage error:"),
+    (["integral", "--k", HUGE_RANGE], EXIT_USAGE, "usage error:"),
+    (["series", "--k", HUGE_RANGE], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "vk", "--k", HUGE_RANGE], EXIT_USAGE, "usage error:"),
     # sieve takes no k, so the range is never expanded into a list
     (["sieve", "--n", "10", "--k", "3..100000000"], EXIT_USAGE, "usage:"),
     # k from 2^63 on, past the int64 exponent of every k-th power, is
@@ -607,7 +632,7 @@ def test_integral_charges_the_sweep_before_the_scan(capsys, monkeypatch):
         raise AssertionError("the scan ran before the sweep's charge")
 
     monkeypatch.setattr(circlekit.cli, "density_profile", no_scan)
-    # the sweep's 600 small-beta nodes at 1,416 rule nodes each pass the
+    # the sweep's 600 small-beta nodes at 696 table entries each pass the
     # budget, as would the scan's one point
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1000")
     code, out, err = run(capsys, "integral", "--k", "3", "--B", "10", "--scan", "1")
@@ -621,14 +646,15 @@ def test_integral_charges_the_sweep_before_the_scan(capsys, monkeypatch):
     ["diagnostics", "vk", "--k", "3", "--x", "100"],
 ], ids=["sweep", "scan", "vk"])
 def test_small_beta_rules_are_charged_before_they_are_built(capsys, monkeypatch, argv):
-    # with the unit rule sized at 10^12 nodes, each command is refused by
-    # its charge before any small-beta phase is evaluated
+    # with the small-beta rule sized at 10^12 nodes, each command is refused
+    # by its charge before any small-beta phase is evaluated
     def no_rule(*args, **kwargs):
         raise AssertionError("a small-beta phase was evaluated before its charge")
 
     for module in (circlekit.integrals, circlekit.circle):
         monkeypatch.setattr(module, "UNIT_RULE_NODES", 10**12)
-    monkeypatch.setattr(circlekit.integrals, "_small_batch", no_rule)
+    monkeypatch.setattr(circlekit.integrals, "LOG_RULE_NODES", 10**12)
+    monkeypatch.setattr(circlekit.integrals, "_small_phases", no_rule)
     monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_BUDGET, "")

@@ -221,12 +221,13 @@ def test_log_phase_batch_at_upper_4_mpmath_oracle():
 
 
 def guarded_unit_batch(betas, k):
-    # each regime filled behind its own .any() guard, one k at a time
+    # each regime filled behind its own .any() guard, one k at a time, the
+    # small betas on a table of their own
     betas = np.asarray(betas, dtype=float)
     out = np.empty(betas.shape, dtype=complex)
     small = betas <= 10.0
     if small.any():
-        out[small] = integrals._unit_batch_small(betas[small], k)
+        out[small] = integrals._small_phases(betas[small], (k,), None)[0]
     if (~small).any():
         lam = integrals.TWO_PI * betas[~small]
         out[~small] = integrals._unit_batch_large(lam, 1.0 / lam, np.exp(1j * lam), k)
@@ -238,7 +239,7 @@ def guarded_log_batch(betas, upper):
     out = np.empty(betas.shape, dtype=complex)
     small = betas <= 10.0
     if small.any():
-        out[small] = integrals._log_batch_small(betas[small], upper)
+        out[small] = integrals._small_phases(betas[small], (), upper)[0]
     if (~small).any():
         out[~small] = integrals._log_batch_large(integrals.TWO_PI * betas[~small], upper)
     return out
@@ -331,23 +332,25 @@ def test_j_values_checks_budget_before_allocating(monkeypatch):
 
 def test_j_values_charges_the_small_beta_quadrature(monkeypatch):
     # B = 5: 71 fine and 36 coarse panels, 428 nodes, all at beta <= 10;
-    # each meets the 440-node rule of both unit phases and the 536-node log
-    # rule: 428 + 428 * (2 * 440 + 536) = 606,476 at every k
-    for k in (3, 2**63 - 1):
-        monkeypatch.setenv("CIRCLEKIT_BUDGET", "606476")
-        j_values(k, 5.0)
-        monkeypatch.setenv("CIRCLEKIT_BUDGET", "606475")
-        with pytest.raises(BudgetError) as info:
-            j_values(k, 5.0)
-        assert info.value.required == 606_476
+    # each forms one phase table, of 696 entries with the log phase to 3
+    # and of 440 without: 428 + 428 * 696 = 298,316 and 428 + 428 * 440 =
+    # 188,748 at every k
+    for whiches, units in (((1, 2), 298_316), ((2,), 298_316), ((1,), 188_748)):
+        for k in (3, 2**63 - 1):
+            monkeypatch.setenv("CIRCLEKIT_BUDGET", str(units))
+            j_values(k, 5.0, whiches)
+            monkeypatch.setenv("CIRCLEKIT_BUDGET", str(units - 1))
+            with pytest.raises(BudgetError) as info:
+                j_values(k, 5.0, whiches)
+            assert info.value.required == units, (whiches, k)
 
 
 def test_density_profile_charges_every_rule_a_point_runs(monkeypatch):
-    # 7 points, each on both unit phases' 440 nodes, and for which = 2 also
-    # the log phase's 536: 6,160 and 9,912 units at every k
+    # 7 points, each on one phase table: 440 entries, or 696 for which = 2
+    # with the log phase: 3,080 and 4,872 units at every k
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1")
     for k in (3, 2**63 - 1):
-        for which, units in ((1, 7 * 880), (2, 7 * 1416)):
+        for which, units in ((1, 7 * 440), (2, 7 * 696)):
             with pytest.raises(BudgetError) as info:
                 density_profile(k, which, 5.0, 7)
             assert info.value.required == units, (k, which)
@@ -369,12 +372,14 @@ def test_sweep_charge_counts_the_small_nodes_of_every_edge(monkeypatch, B):
     small = integrals._small_nodes(edges) + integrals._small_nodes(integrals._coarse_edges(edges))
     fine = integrals._fine_panels(B)
     monkeypatch.setenv("CIRCLEKIT_BUDGET", "1")
+    units = 4 * (fine + (fine + 1) // 2)
+    # each small node: one phase table, of 696 entries with the log phase
+    # and of 440 without
     for k in (3, 8, 2**63 - 1):
-        with pytest.raises(BudgetError) as info:
-            integrals.check_sweep(k, B)
-        units = 4 * (fine + (fine + 1) // 2)
-        # each small node: two unit phases of 440 nodes and the log phase of 536
-        assert info.value.required == units + small * (2 * 440 + 536), k
+        for whiches, table in (((1, 2), 696), ((2,), 696), ((1,), 440)):
+            with pytest.raises(BudgetError) as info:
+                integrals.check_sweep(k, B, whiches)
+            assert info.value.required == units + small * table, (k, whiches)
 
 
 def test_j_values_memory():
@@ -402,21 +407,22 @@ def test_unit_phase_batch_in_chunks_matches_reference(monkeypatch):
 
 
 def test_small_rule_size_is_the_ten_per_oscillation_count():
-    # ten uniform panels per oscillation at beta = 10, at least ten, merged
-    # with the graded edges below 1: the unit rule on [1e-6, 1] has 16
-    # uniform panels and 40 graded edges 1e-6 * 2^(n/2) up to 0.74, so 55
-    # panels of 8 nodes; the log rule at U = 3 has 48 uniform panels and 20
-    # graded edges 1e-6 * 2^n up to 0.52, 67 panels; at U = 4, 64 and 20, 83
-    def written_out(upper):
-        return math.ceil(10.0 * max(1.0, upper * 10.0 / (2.0 * math.pi)))
-
-    assert [written_out(u) for u in (1.0, 3.0, 4.0)] == [16, 48, 64]
-    assert (integrals.UNIT_RULE_NODES, integrals.LOG_RULE_NODES) == (8 * 55, 8 * 67)
-    for upper, per_octave, panels in ((1.0, 2, 55), (3.0, 1, 67), (4.0, 1, 83)):
-        nodes, weights = integrals._panel_nodes(integrals._small_edges(upper, per_octave), 8)
+    # ten uniform panels for every 2 pi / 10 of v, 16 a unit, merged below 1
+    # with the 40 graded edges 1e-6 * 2^(n/2) up to 0.74: 55 panels of 8
+    # nodes on [1e-6, 1], then 16 panels a unit: 87 panels to U = 3 and 103
+    # to U = 4.  The rule to 1 is the first 440 nodes of every longer one.
+    assert math.ceil(10.0 * 10.0 / (2.0 * math.pi)) == 16
+    assert (integrals.UNIT_RULE_NODES, integrals.LOG_RULE_NODES) == (8 * 55, 8 * 87)
+    unit_nodes, unit_weights = integrals._small_rule(1.0)
+    for upper, panels in ((1.0, 55), (3.0, 87), (4.0, 103)):
+        nodes, weights = integrals._small_rule(upper)
         assert nodes.size == weights.size == 8 * panels
+        widths = weights.reshape(panels, 8).sum(axis=1)
+        assert np.all(widths[nodes[::8] > 1.0] <= 1.0 / 16 + 1e-15)
         assert 1e-6 < nodes.min() and nodes.max() < upper
         assert abs(weights.sum() - (upper - 1e-6)) < 1e-14
+        assert np.array_equal(nodes[:440], unit_nodes)
+        assert np.array_equal(weights[:440], unit_weights)
 
 
 def test_small_beta_rule_is_the_same_at_every_k():
@@ -438,37 +444,73 @@ def test_small_beta_rule_is_the_same_at_every_k():
             log_phase_batch(np.array([1.0]), upper)
 
 
-def _small_rules():
-    # (nodes, weights, sign) of the k = 2, 3, 8 unit rules and the log rule
-    for k in (2, 3, 8):
-        nodes, weights = integrals._panel_nodes(integrals._small_edges(1.0, 2), 8)
-        s = 1.0 / k
-        yield f"unit k={k}", (nodes, s * nodes ** (s - 1.0) * weights, 1.0)
-    nodes, weights = integrals._panel_nodes(integrals._small_edges(3.0, 1), 8)
-    yield "log", (nodes, np.log(nodes) * weights, -1.0)
+# (ks, log_upper) of _small_phases: each unit phase alone, the log phase
+# alone, and both on one table
+SMALL_TABLES = {"unit k=2": ((2,), None), "unit k=3": ((3,), None), "unit k=8": ((8,), None),
+                "log": ((), 3.0), "unit k=2,5 and log U=4": ((2, 5), 4.0)}
 
 
-SMALL_RULES = dict(_small_rules())
-
-
-@pytest.mark.parametrize("rule", SMALL_RULES.values(), ids=SMALL_RULES.keys())
-def test_small_batch_gives_each_beta_the_same_bits_in_any_batch(monkeypatch, rule):
+@pytest.mark.parametrize("ks, log_upper", SMALL_TABLES.values(), ids=SMALL_TABLES.keys())
+def test_small_phases_give_each_beta_the_same_bits_in_any_batch(monkeypatch, ks, log_upper):
     # every beta alone, in consecutive batches of each count, and in one
     # batch cut into one-row chunks or left as one chunk: the same bits
-    nodes, weights, sign = rule
-
     def batches(betas, count):
-        return np.concatenate([integrals._small_batch(betas[lo : lo + count], nodes, weights, sign)
-                               for lo in range(0, betas.size, count)])
+        parts = [integrals._small_phases(betas[lo : lo + count], ks, log_upper)
+                 for lo in range(0, betas.size, count)]
+        return np.array([np.concatenate(factor) for factor in zip(*parts)])
 
     betas = np.linspace(0.0, 10.0, 101)
     alone = batches(betas, 1)
-    step = max(1, integrals._PHASE_CHUNK // nodes.size)
+    size = integrals._small_rule(1.0 if log_upper is None else log_upper)[0].size
+    step = max(1, integrals._PHASE_CHUNK // size)
     for count in (2, 3, step, step + 1, 8 * step + 1):
         assert np.array_equal(batches(betas, count), alone), count
-    for chunk in (1, betas.size * nodes.size):
+    for chunk in (1, betas.size * size):
         monkeypatch.setattr(integrals, "_PHASE_CHUNK", chunk)
         assert np.array_equal(batches(betas, betas.size), alone), chunk
+
+
+@pytest.mark.parametrize("upper", [1.0, 3.0, 4.0])
+def test_unit_phases_have_the_same_bits_with_the_log_phase_in_their_table(upper):
+    # the unit rows read the first 440 columns of the longer table
+    betas = np.linspace(0.0, 10.0, 257)
+    *shared, _ = integrals._small_phases(betas, (2, 3, 1000), upper)
+    for got, k in zip(shared, (2, 3, 1000)):
+        assert np.array_equal(got, integrals._small_phases(betas, (k,), None)[0]), k
+
+
+@pytest.mark.parametrize("ks, log_upper", SMALL_TABLES.values(), ids=SMALL_TABLES.keys())
+def test_small_phases_form_one_table_per_chunk(monkeypatch, ks, log_upper):
+    # every e(beta v) np.exp forms is a chunk of the one table: as many as
+    # there are chunks, each over every node of the rule, whatever the factors
+    shapes = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    betas = np.linspace(0.0, 10.0, 37)
+    size = integrals._small_rule(1.0 if log_upper is None else log_upper)[0].size
+    step = max(1, integrals._PHASE_CHUNK // size)
+    monkeypatch.setattr(integrals.np, "exp", counting)
+    integrals._small_phases(betas, ks, log_upper)
+    monkeypatch.undo()
+    tables = [shape for shape in shapes if len(shape) == 2]
+    assert len(tables) == -(-betas.size // step)
+    assert all(shape[1] == size for shape in tables)
+    assert sum(shape[0] for shape in tables) == betas.size
+
+
+@pytest.mark.parametrize("upper", [3.0, 4.0])
+def test_small_beta_log_phase_mpmath_oracle(upper):
+    # 81 betas on [0, 10], each the log v row of the shared table plus its
+    # head through z^3; a head cut at first order in beta is 9.3e-15 off at
+    # beta = 10
+    betas = np.linspace(0.0, 10.0, 81)
+    fast = log_phase_batch(betas, upper)
+    for b, f in zip(betas, fast):
+        assert abs(f - _log_phase_mp(float(b), upper)) < 6e-15, b
 
 
 @pytest.mark.parametrize("batch", [
@@ -477,7 +519,7 @@ def test_small_batch_gives_each_beta_the_same_bits_in_any_batch(monkeypatch, rul
     lambda betas: j_density_batch(betas, 3, 2),
 ], ids=["log", "unit", "density"])
 def test_small_beta_batches_peak_below_16_mib(batch):
-    # 2^15 betas <= 10 against 536 log-phase nodes make a 268 MiB phase
+    # 2^15 betas <= 10 against 696 log-phase nodes make a 348 MiB phase
     # table; it is formed _PHASE_CHUNK entries at a time, so the peak is
     # a few 2^15-entry batch arrays
     betas = np.linspace(0.0, 10.0, 2**15)

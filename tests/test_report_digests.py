@@ -32,13 +32,13 @@ DIGESTS = {
     "series --k 6 --q-max 5000":
         "392a8d203fc00f22b1bfae53585174142cc105d2fb600496b7d5bc3094523d22",
     "integral --k 3 --B 400 --grid 64":
-        "399672830417cf505a24abafce2a6627e82e4573bc2b96061bb2985b9e8541af",
+        "1e0333999bab6165b5d68171b73477ff8d3eed3b7ea1c9ab65788e1b19f6297a",
     "integral --k 8 --B 400 --grid 64":
-        "5c798a0a234a870b977186f65b89c8ef41e4946b879ee1f3d161aa4427d2fefc",
+        "61eab2006ff0b340101928edf24deb6e12c08a348164d5a0197a0a43a2dee1f2",
     "integral --k 5 --which 2 --B 400":
-        "53e841a33648009a79ad41efd5af02a827269149d9365008f92701b5c1c1650f",
+        "b1ef7d49f2d8336757cf84a0ce8a31a97ea7490b6504c6dc63c8ca805de0f06e",
     "integral --k 4 --which 2 --B 50 --grid 128":
-        "e5eb25098e6027f20e95ca6d17fdafbcefe659bd8232262cc1d226cb4848b355",
+        "2c43f4b3e2073def696a8f83cbfdbfd81552166031107cbcc52f42b7c23430ff",
     "integral --k 3 --which 1 --B 50 --scan 40 --format csv":
         "bfce07e336f6ccd70d7847323062b46d56d94b80436001411145a87e5422128d",
     "integral --k 5 --which 1 --B 12 --scan 1000 --format csv":
@@ -52,9 +52,9 @@ DIGESTS = {
     "diagnostics expansion --k 3 --x 10000":
         "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
     "diagnostics expansion --k 3 --x 10000 --format csv":
-        "647d652015680e55d21c7baf7b1856a3ad1604432fcf79acc52704c628b221b5",
+        "3b6a97cd302b38ebcbf2d82dd93dafd4c206a666789a1a69bc4e79e17ac331fa",
     "diagnostics expansion --k 5 --x 100000 --format csv":
-        "eaf7d4c76850fa3a6f7cd0fc6456ce5030638e27a1c0c794b13ed7f9a965a4dd",
+        "f2bb18cef57401045d8257a27902fe28a625e5f38b1d8bca2810de163eaee780",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5":
         "5f1de1908b3552f27cfbe42439b0d43e71134194eb3d729384267a57982417aa",
     "diagnostics dirichlet --samples 2000 --tau 1000 --seed 3 --format csv":
