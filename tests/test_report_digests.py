@@ -57,6 +57,10 @@ DIGESTS = {
         "f2bb18cef57401045d8257a27902fe28a625e5f38b1d8bca2810de163eaee780",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5":
         "5f1de1908b3552f27cfbe42439b0d43e71134194eb3d729384267a57982417aa",
+    "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5 --format csv":
+        "146b994cf74d6144df0703a1a2c978dabcd2c8e192e37f5b8ee89cac9418535c",
+    "diagnostics minor --k 8 --x 1000000 --samples 300 --seed 1 --format csv":
+        "6e7515531b48b89bb1217f2a99d8ce9d3ab67e84108eb1b165aa5331c6a1c870",
     "diagnostics dirichlet --samples 2000 --tau 1000 --seed 3 --format csv":
         "36153706dfc8fea077a97580418244ad4601ad7d972c6077f67967d6ca130fe4",
     "sieve --n 1000000":
