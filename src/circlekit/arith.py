@@ -48,6 +48,25 @@ def check_k(k: int, least: int = 1) -> None:
         raise DomainError(f"k must be >= {least} and below 2^63, got {got}")
 
 
+def dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 num and e with value = num / 2^e in lowest terms, for each float.
+
+    A value's 53-bit significand, stripped of its trailing zero bits, is
+    num, so |num| < 2^62 for every finite |value| < 2^62; those values
+    get e >= 0, the rest (non-finite or larger) num = 0 and e = -1.
+    """
+    mantissa, exponent = np.frexp(values)
+    exponent = exponent.astype(np.int64)
+    held = np.isfinite(values) & (exponent <= 62)
+    top = np.ldexp(np.where(held, mantissa, 0.0), 53).astype(np.int64)
+    # the trailing zero bits of top, from its lowest set bit (-1 at top = 0)
+    zeros = np.frexp(top & -top)[1].astype(np.int64) - 1
+    shift = 53 - exponent
+    e = np.where(top == 0, 0, np.maximum(shift - zeros, 0))
+    num = np.where(e >= shift, top << np.maximum(e - shift, 0), top >> np.maximum(shift - e, 0))
+    return np.where(held, num, 0), np.where(held, e, -1)
+
+
 def integer_kth_root(n: int, k: int) -> int:
     """floor(n^(1/k)) by integer bisection; exact at perfect powers."""
     if k < 1:

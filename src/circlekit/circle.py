@@ -9,9 +9,21 @@ returns its parameters and one row per sample (observed, bound, ratio);
 its fitted constant is the largest row ratio.
 
 Every rational comparison is exact: a float is the dyadic rational
-num/2^e that float.as_integer_ratio() returns, so convergents and the
-arc and contract tests run on Python integers by cross-multiplication.
-Floats only appear in returned remainders and envelope ratios.
+num/2^e, so convergents and the arc and contract tests run on integers
+by cross-multiplication.  Floats only appear in returned remainders and
+envelope ratios.
+
+The arc probes work on arrays of samples.  One Euclid scan steps every
+num/2^e in lockstep, dropping a sample once its remainder is 0 or its
+denominator passes tau, and gives both the arc verdict (the first
+convergent with q <= Q within 1/(q tau)) and the Dirichlet
+approximation (the last convergent with q <= tau).  It runs on int64
+while 2^e <= 2^62 and |num| < 2^62, where no convergent's p or q can
+wrap, and on Python ints in object arrays for any other sample.  The
+arc test compares Euclid's remainder |num q - p 2^e| with
+floor(2^e/tau), read exactly from a table over e; the contract
+check forms |num q - a 2^e| anew.  classify_arc, dirichlet_approx and
+dirichlet_contract_holds are one-sample calls of the batches.
 """
 
 from __future__ import annotations
@@ -21,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import INT64_MAX, check_k, divisor_sieve, integer_kth_root
+from .arith import INT64_MAX, check_k, divisor_sieve, dyadic, integer_kth_root
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
-from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_sum
+from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_batch
 from .integrals import UNIT_RULE_NODES, linear_phase_batch, log_phase_batch, unit_phase_batch
 from .series import log_weight
 
@@ -49,26 +61,6 @@ class RationalApproximation:
     a: int
     q: int
     lam: float
-
-
-def convergents(value):
-    """Continued-fraction convergents (p, q) of an exact rational, in order.
-
-    value is anything with as_integer_ratio(): a float (exactly num/2^e),
-    an int or a Fraction.  Euclid runs on its integer numerator and
-    denominator.
-    """
-    num, den = value.as_integer_ratio()
-    p_prev, q_prev = 1, 0
-    digit, rest = divmod(num, den)
-    p, q = digit, 1
-    yield p, q
-    while rest:
-        num, den = den, rest
-        digit, rest = divmod(num, den)
-        p, p_prev = digit * p + p_prev, p
-        q, q_prev = digit * q + q_prev, q
-        yield p, q
 
 
 def _check_tau(tau: float) -> None:
@@ -100,9 +92,120 @@ def _euclid_steps(bound: float) -> int:
     return 2 * int(bound).bit_length() + 3
 
 
-def _within(num: int, den: int, p: int, q: int, tn: int, td: int) -> bool:
-    """|num/den - p/q| <= 1/(q tau) for tau = tn/td, all denominators > 0."""
-    return abs(num * q - p * den) * tn <= den * td
+def _routes(alphas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(index, num, den) groups with alpha = num/den for every sample.
+
+    int64 where den = 2^e <= 2^62 and |num| < 2^62: every convergent
+    denominator is at most den and every |p| at most |num| + 1, so no
+    product in Euclid wraps.  The rest are Python ints in object arrays.
+    """
+    num, e = dyadic(alphas)
+    wide = (e < 0) | (e > 62)
+    fast = np.flatnonzero(~wide)
+    routes = [(fast, num[fast], np.left_shift(1, e[fast]))]
+    if wide.any():
+        slow = np.flatnonzero(wide)
+        ratios = [alpha.as_integer_ratio() for alpha in alphas[slow].tolist()]
+        routes.append((slow, *(np.array(part, dtype=object) for part in zip(*ratios))))
+    return routes
+
+
+def _floor_scaled(den: np.ndarray, numer: int, denom: int) -> np.ndarray:
+    """floor(den * numer / denom) for every den = 2^e, exactly: read from a
+    table over e <= 62 computed in Python ints, or on the Python-int route
+    computed per sample."""
+    if den.dtype == object:
+        return den * numer // denom
+    table = np.array([(1 << e) * numer // denom for e in range(63)])
+    return table[np.frexp(den)[1] - 1]
+
+
+def _convergent_scan(num, den, tau_floor: int, q_cap: int, within):
+    """Euclid on every num/den in lockstep (int64 or object arrays, den > 0).
+
+    Returns arc_a, arc_q of each sample's first convergent p/q with
+    q <= q_cap, 1 <= p <= q and |num q - p den| <= within (the arc
+    test), and arc_q = 0 where none passes it.  A sample leaves the scan
+    when it passes the arc test, when its remainder is 0, or when its
+    denominator passes tau_floor; a, q and r = num q - a den belong to
+    the last convergent a/q it reached with q <= tau_floor.  So they are
+    the Dirichlet approximation wherever arc_q = 0.  |num q_n - p_n den|
+    is the remainder of Euclid's step n, with sign (-1)^n.
+    """
+    digit = num // den
+    rest = num - digit * den
+    p, q = digit, np.ones_like(den)
+    hit = (q <= q_cap) & (1 <= p) & (p <= q) & (rest <= within)
+    arc_a, arc_q = np.where(hit, p, 0), np.where(hit, q, 0)
+    a, aq, r = p.copy(), q.copy(), rest.copy()
+    live = np.flatnonzero((rest != 0) & ~hit)
+    top, low, p, q = den[live], rest[live], p[live], q[live]
+    p_prev, q_prev = np.ones_like(p), np.zeros_like(q)
+    sign = 1
+    while live.size:
+        sign = -sign
+        digit = top // low
+        top, low = low, top - digit * low
+        p, p_prev = digit * p + p_prev, p
+        q, q_prev = digit * q + q_prev, q
+        inside = q <= tau_floor
+        at = live[inside]
+        a[at], aq[at], r[at] = p[inside], q[inside], sign * low[inside]
+        hit = (q <= q_cap) & (1 <= p) & (p <= q) & (low <= within[live])
+        arc_a[live[hit]], arc_q[live[hit]] = p[hit], q[hit]
+        keep = inside & (low != 0) & ~hit
+        live, top, low, p, p_prev, q, q_prev = (
+            v[keep] for v in (live, top, low, p, p_prev, q, q_prev)
+        )
+    return a, aq, r, arc_a, arc_q
+
+
+def _lambdas(r, den, q) -> np.ndarray:
+    """r / (den q) correctly rounded, as Python's int division gives it.
+
+    Where |r| and q are below 2^53 and den = 2^e <= 2^62 they are exact
+    floats: r / q is correctly rounded, and dividing by den is exact.
+    """
+    lam = np.empty(len(r))
+    narrow = (np.abs(r) < 2**53) & (q < 2**53) & (den <= 2**62)
+    lam[narrow] = (
+        r[narrow].astype(np.float64) / q[narrow].astype(np.float64) / den[narrow].astype(np.float64)
+    )
+    wide = ~narrow
+    lam[wide] = [
+        r / (d * q) for r, d, q in zip(r[wide].tolist(), den[wide].tolist(), q[wide].tolist())
+    ]
+    return lam
+
+
+def _arc_scan(alphas: np.ndarray, tau: float, q_cap: int) -> list[np.ndarray]:
+    """_convergent_scan at every alpha: a, q, lambda = alpha - a/q, arc_a, arc_q,
+    with the arc test |alpha - p/q| <= 1/(q tau) on Euclid's remainder.
+    A scan with q_cap = 0 passes no arc test."""
+    tn, td = tau.as_integer_ratio()
+    parts = []
+    for index, num, den in _routes(alphas):
+        # rest tn <= den td, with tn > 0, is rest <= floor(den td / tn)
+        a, q, r, arc_a, arc_q = _convergent_scan(
+            num, den, math.floor(tau), q_cap, _floor_scaled(den, td, tn)
+        )
+        parts.append((index, (a, q, _lambdas(r, den, q), arc_a, arc_q)))
+    if len(parts) == 1:
+        return list(parts[0][1])
+    # in sample order, the integers in object arrays
+    fields = zip(*(values for _, values in parts))
+    merged = [np.empty(alphas.size, np.result_type(*field)) for field in fields]
+    for index, values in parts:
+        for target, value in zip(merged, values):
+            target[index] = value
+    return merged
+
+
+def dirichlet_batch(alphas: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dirichlet_approx at every alpha: the arrays a, q and lambda."""
+    _check_tau(tau)
+    a, q, lam, _, _ = _arc_scan(np.asarray(alphas, dtype=np.float64), float(tau), 0)
+    return a, q, lam
 
 
 def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
@@ -112,29 +215,49 @@ def dirichlet_approx(alpha: float, tau: float) -> RationalApproximation:
     the next convergent's denominator exceeds tau, the classical
     two-denominator bound gives |alpha - a/q| <= 1/(q q') < 1/(q tau).
     """
-    _check_tau(tau)
-    alpha = float(alpha)
-    tau = float(tau)
-    num, den = alpha.as_integer_ratio()
-    for p, d in convergents(alpha):
-        # int against float compares exactly
-        if d > tau:
-            break
-        a, q = p, d
-    # int / int true division is correctly rounded
-    lam = (num * q - a * den) / (den * q)
-    return RationalApproximation(a=a, q=q, lam=lam)
+    a, q, lam = dirichlet_batch(np.array([float(alpha)]), tau)
+    return RationalApproximation(a=int(a[0]), q=int(q[0]), lam=float(lam[0]))
+
+
+def _close(num, den, a, q, within) -> np.ndarray:
+    return np.abs(num * q - a * den) <= within
+
+
+def contract_batch(alphas: np.ndarray, a: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+    """dirichlet_contract_holds at every (alpha, a, q), from those values alone.
+
+    |alpha - a/q| q tau <= 1 is |num q - a den| <= floor(den/tau).  It is
+    formed in int64 on the int64 route where neither product passes
+    INT64_MAX and their signs agree, so that the difference and its abs
+    cannot wrap; every other sample takes Python ints.  Euclid's
+    remainders are not read: this checks dirichlet_batch's results.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    tn, td = float(tau).as_integer_ratio()
+    holds = (q <= math.floor(tau)) & (np.gcd(a, q) == 1)
+    close = np.empty(alphas.size, dtype=bool)
+    for index, num, den in _routes(alphas):
+        a_i, q_i = a[index], q[index]
+        within = _floor_scaled(den, td, tn)
+        safe = np.zeros(index.size, dtype=bool)
+        if num.dtype != object:
+            safe = (
+                (np.abs(num) <= INT64_MAX // q_i)
+                & (np.abs(a_i) <= INT64_MAX // den)
+                & (np.sign(num) * np.sign(a_i) >= 0)
+            )
+            close[index[safe]] = _close(num[safe], den[safe], a_i[safe], q_i[safe], within[safe])
+        wide = ~safe
+        close[index[wide]] = _close(
+            *(v[wide].astype(object) for v in (num, den, a_i, q_i, within))
+        )
+    return holds & close
 
 
 def dirichlet_contract_holds(alpha: float, approx: RationalApproximation, tau: float) -> bool:
     """q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1, in exact integers (q >= 1)."""
-    num, den = float(alpha).as_integer_ratio()
-    tn, td = float(tau).as_integer_ratio()
-    return (
-        approx.q <= tau
-        and _within(num, den, approx.a, approx.q, tn, td)
-        and math.gcd(approx.a, approx.q) == 1
-    )
+    a, q = (np.array([value], dtype=object) for value in (approx.a, approx.q))
+    return bool(contract_batch(np.array([float(alpha)]), a, q, tau)[0])
 
 
 def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[dict], int]:
@@ -142,26 +265,25 @@ def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[d
 
     Rows hold alpha, a, q, lambda, observed = |lambda|, bound = 1/(q tau)
     and ratio = 1 if dirichlet_contract_holds, else 0; returned with the
-    failure count.
+    failure count.  One rng.random(samples) draw gives the doubles of
+    samples scalar draws; the approximations come from one dirichlet_batch
+    and the contract from one contract_batch.
     """
     _check_draws(samples, seed)
     _check_tau(tau)
     # each alpha is a multiple of 2^-53, so Euclid also ends by that denominator
     check_budget(samples * _euclid_steps(min(tau, 2.0**53)), "dirichlet scan")
-    rng = np.random.default_rng(seed)
-    rows = []
-    failures = 0
-    for _ in range(samples):
-        alpha = float(rng.random())
-        approx = dirichlet_approx(alpha, tau)
-        holds = dirichlet_contract_holds(alpha, approx, tau)
-        failures += not holds
-        rows.append(
-            {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
-             "observed": abs(approx.lam), "bound": 1.0 / (approx.q * tau),
-             "ratio": int(holds)}
+    alphas = np.random.default_rng(seed).random(samples)
+    a, q, lam = dirichlet_batch(alphas, tau)
+    holds = contract_batch(alphas, a, q, tau)
+    rows = [
+        {"alpha": alpha, "a": a_, "q": q_, "lambda": lam_, "observed": abs(lam_),
+         "bound": 1.0 / (q_ * tau), "ratio": int(ok)}
+        for alpha, a_, q_, lam_, ok in zip(
+            alphas.tolist(), a.tolist(), q.tolist(), lam.tolist(), holds.tolist()
         )
-    return rows, failures
+    ]
+    return rows, samples - int(np.count_nonzero(holds))
 
 
 @dataclass(frozen=True)
@@ -206,6 +328,28 @@ class ArcVerdict:
     q: int | None = None
 
 
+def _arc_window(alphas: np.ndarray, tau: float) -> None:
+    """DomainError unless 1/tau <= alpha <= 1 + 1/tau for every alpha, exactly (tau > 1)."""
+    tn, td = tau.as_integer_ratio()
+    for index, num, den in _routes(alphas):
+        # den td <= num tn <= den (tn + td), with tn > 0, against floor and ceiling
+        outside = (num < -_floor_scaled(den, -td, tn)) | (num > _floor_scaled(den, tn + td, tn))
+        if outside.any():
+            alpha = float(alphas[index[np.argmax(outside)]])
+            raise DomainError(f"alpha={alpha} outside [1/tau, 1 + 1/tau]")
+
+
+def classify_batch(
+    alphas: np.ndarray, params: ArcParameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify_arc at every alpha: the arrays major, a and q (a = q = 0 on the minor arcs)."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    tau = float(params.tau)
+    _arc_window(alphas, tau)
+    _, _, _, arc_a, arc_q = _arc_scan(alphas, tau, params.Q)
+    return arc_q != 0, arc_a, arc_q
+
+
 def classify_arc(alpha: float, params: ArcParameters) -> ArcVerdict:
     """Major iff some q <= Q, 1 <= a <= q, gcd(a,q)=1 has |alpha - a/q| <= 1/(q tau).
 
@@ -213,17 +357,9 @@ def classify_arc(alpha: float, params: ArcParameters) -> ArcVerdict:
     tau > 2Q >= 2q, so it must be a continued-fraction convergent;
     scanning convergents with q <= Q is therefore exhaustive.
     """
-    exact = float(alpha)
-    num, den = exact.as_integer_ratio()
-    tn, td = float(params.tau).as_integer_ratio()
-    # 1/tau <= alpha <= 1 + 1/tau, cross-multiplied
-    if not den * td <= num * tn <= den * (tn + td):
-        raise DomainError(f"alpha={alpha} outside [1/tau, 1 + 1/tau]")
-    for p, q in convergents(exact):
-        if q > params.Q:
-            break
-        if 1 <= p <= q and _within(num, den, p, q, tn, td):
-            return ArcVerdict(major=True, a=p, q=q)
+    major, a, q = classify_batch(np.array([float(alpha)]), params)
+    if major[0]:
+        return ArcVerdict(major=True, a=int(a[0]), q=int(q[0]))
     return ArcVerdict(major=False)
 
 
@@ -249,8 +385,8 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     |f_k(a/q + beta) - V_k| for the model
     V_k = x^(1/k) S_k(q, a)/q int_0^1 e(x beta u^k) du.  Each q takes
     its phases from one unit_phase_batch at x * (0, w/2, w), the one at
-    -w being the conjugate of the one at w, and every S_k(q, a) from one
-    power_sum_spectrum.
+    -w being the conjugate of the one at w, every S_k(q, a) from one
+    power_sum_spectrum, and its Weyl sums from one weyl_batch.
     """
     check_k(k)
     if x < 1 or q_max < 1:
@@ -269,12 +405,13 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
         zero, half, full = unit_phase_batch(x_float * np.array(betas[:3]), k).tolist()
         phases = (zero, half, full, full.conjugate())
         spectrum = power_sum_spectrum(q, k).tolist()
-        for a in range(1, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
+        reduced = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        sums = iter(weyl_batch(np.array([a / q + beta for a in reduced for beta in betas]), x, k)
+                    .tolist())
+        for a in reduced:
             weight = scale * spectrum[a % q] / q
             for beta, phase in zip(betas, phases):
-                residual = abs(weyl_sum(a / q + beta, x, k) - weight * phase)
+                residual = abs(next(sums) - weight * phase)
                 envelope = q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5
                 rows.append(
                     {"a": a, "q": q, "beta": beta, "observed": residual,
@@ -395,33 +532,50 @@ def minor_arc_bound_profile(
     M (1/q + 1/M + q/M^k)^(1/2^(k-1)) with M = floor(x^(1/k)), or for
     k >= 8 the smooth-number bound
     x^(1/k) (1/q + x^(-1/k) + q/x)^(1/(2k(k-1))).
+
+    The draws come in rounds, each no larger than the samples still
+    missing or the draws left, so they keep exactly the samples that
+    drawing one at a time would.  One Euclid scan per round classifies
+    each draw and approximates it, and one weyl_batch sums every sample.
     """
     _check_draws(samples, seed)
     params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)
     m = integer_kth_root(x, k)
-    # every draw's classify_arc stops once a denominator passes Q; a kept
-    # sample adds dirichlet_approx, which stops past tau, and m Weyl terms
+    # a major-arc draw's Euclid scan stops by Q; a kept sample's runs on
+    # past tau, and the sample adds m Weyl terms
     steps = _DRAWS_PER_SAMPLE * _euclid_steps(params.Q) + _euclid_steps(params.tau)
     check_budget(samples * (steps + m), "minor-arc profile")
+    tau = float(params.tau)
+    cap = _DRAWS_PER_SAMPLE * samples
+    kept = []
+    count = draws = 0
+    while count < samples and draws < cap:
+        size = min(samples - count, cap - draws)
+        draws += size
+        alphas = 1.0 / params.tau + rng.random(size)
+        _arc_window(alphas, tau)
+        a, q, lam, _, arc_q = _arc_scan(alphas, tau, params.Q)
+        minor = arc_q == 0
+        kept.append((alphas[minor], a[minor], q[minor], lam[minor]))
+        count += int(np.count_nonzero(minor))
+    alphas, a, q, lam = (
+        [np.concatenate(parts) for parts in zip(*kept)] if kept else [np.empty(0)] * 4
+    )
+    sums = weyl_batch(alphas, x, k)
     rows = []
-    draws = 0
-    while len(rows) < samples and draws < _DRAWS_PER_SAMPLE * samples:
-        draws += 1
-        alpha = float(1.0 / params.tau + rng.random())
-        verdict = classify_arc(alpha, params)
-        if verdict.major:
-            continue
-        approx = dirichlet_approx(alpha, params.tau)
-        observed = abs(weyl_sum(alpha, x, k))
+    for alpha, a_, q_, lam_, total in zip(
+        alphas.tolist(), a.tolist(), q.tolist(), lam.tolist(), sums.tolist()
+    ):
+        observed = abs(total)
         if k <= 7:
-            base = 1.0 / approx.q + 1.0 / m + approx.q / m**k
+            base = 1.0 / q_ + 1.0 / m + q_ / m**k
             bound = m * base ** (1.0 / 2 ** (k - 1))
         else:
-            base = 1.0 / approx.q + x ** (-1.0 / k) + approx.q / x
+            base = 1.0 / q_ + x ** (-1.0 / k) + q_ / x
             bound = x ** (1.0 / k) * base ** (1.0 / (2 * k * (k - 1)))
         rows.append(
-            {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
+            {"alpha": alpha, "a": a_, "q": q_, "lambda": lam_,
              "observed": observed, "bound": bound, "ratio": observed / bound}
         )
     return DiagnosticBound(

@@ -379,8 +379,11 @@ def cmd_integral(args: argparse.Namespace) -> int:
     if args.grid is not None:
         check_oracle_grid(args.grid)
     profile = None if args.scan is None else density_profile(k, whiches[0], args.B, args.scan)
+    # the scan's CSV holds only its rows, so neither the sweep nor the
+    # oracle runs for it; both were charged above all the same
+    swept = [] if profile is not None and args.format == "csv" else j_values(k, args.B, whiches)
     entries = []
-    for value in j_values(k, args.B, whiches):
+    for value in swept:
         entry = {**_entry(value), "B": value.B}  # B echoes --B unrounded
         if args.grid is not None:
             oracle = j_volume_oracle(k, value.which, args.grid)

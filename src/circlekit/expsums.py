@@ -3,13 +3,17 @@
 power_sum_spectrum gives S_k(q, a) = sum_{r=1..q} e(a r^k / q) for every
 a from one FFT of the histogram of r^k mod q, formed for all r by
 square-and-multiply on int64 arrays, exact for q <= 2^31 and refused
-beyond it; complete_power_sum reads one a from it.  weyl_sum
-evaluates sum_{n <= x^(1/l)} e(alpha n^l) with the phase alpha*n^l
-reduced mod 1 in exact integer arithmetic (a float's value is a dyadic
-rational num/2^e), keeping per-term phase error at the ulp level
-regardless of how large n^l gets.  For e <= 64, which every
-|alpha| >= 2^-12 satisfies, the reduction runs in wrapping uint64
-arithmetic; smaller alpha falls back to Python integers.
+beyond it; complete_power_sum reads one a from it.  weyl_batch
+evaluates sum_{n <= x^(1/l)} e(alpha n^l) at many alpha with the phase
+alpha*n^l reduced mod 1 in exact integer arithmetic (a float's value is
+a dyadic rational num/2^e), keeping per-term phase error at the ulp
+level regardless of how large n^l gets.  The sums are the rows of a
+samples x terms phase table, formed in chunks of at most _WEYL_TABLE =
+2^16 entries (one row when a row's block is longer).  For e <= 64,
+which every |alpha| >= 2^-12 satisfies, a row's reduction runs in
+wrapping uint64 arithmetic under the mask 2^e - 1; a row with e > 64
+forms its phases on Python integers.  weyl_sum is weyl_batch at one
+alpha, with the same bits.
 divisor_exp_sum evaluates sum_{n <= 4x} d(n) e(n (a/q + beta)) with n a
 reduced mod q in integers, in blocks of a bounded number of terms.
 """
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from .arith import check_k, integer_kth_root, require_table
+from .arith import check_k, dyadic, integer_kth_root, require_table
 from .errors import DomainError
 
 _WORD = 2**64
@@ -29,6 +33,9 @@ _WORD = 2**64
 _TERMS = 1 << 16
 # Terms per block of a Weyl sum; any m up to it sums as one numpy array.
 _WEYL_TERMS = 1 << 20
+# Entries per chunk of a Weyl batch's phase table, about 48 bytes each while
+# the chunk is live.
+_WEYL_TABLE = 1 << 16
 
 
 def _check_modulus(q: int, k: int) -> None:
@@ -82,35 +89,55 @@ def power_sum_spectrum(q: int, k: int) -> np.ndarray:
 
 
 def weyl_sum(alpha: float, x: int, ell: int) -> complex:
-    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell) with exact phase reduction,
-    _WEYL_TERMS terms at a time.
+    """sum_{1 <= n <= x^(1/ell)} e(alpha n^ell): weyl_batch at one alpha."""
+    return complex(weyl_batch(np.array([float(alpha)]), x, ell)[0])
+
+
+def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
+    """weyl_sum at every alpha, as a row of a samples x terms phase table.
 
     alpha = num/2^e exactly.  The phase (num n^ell mod 2^e)/2^e is the
-    same float from uint64 arithmetic (e <= 64) as from Python integers.
+    same float from uint64 arithmetic (e <= 64, the row masked by 2^e - 1)
+    as from Python integers, which rows with e > 64 take.  The terms come
+    in blocks of _WEYL_TERMS and the rows in chunks of at most
+    _WEYL_TABLE entries, or one row where a block is longer; each row's
+    block is one pairwise numpy sum, and the blocks add in order.
     """
     check_k(ell)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     m = integer_kth_root(x, ell)
-    num, den = float(alpha).as_integer_ratio()
-    sums = []
+    alphas = np.asarray(alphas, dtype=np.float64)
+    num, e = dyadic(alphas)
+    words = (e >= 0) & (e <= 64)
+    nums = num.astype(np.uint64)
+    bits = np.where(words, e, 0)
+    masks = np.uint64(_WORD - 1) >> (64 - bits).astype(np.uint64)
+    dens = np.ldexp(1.0, bits)
+    total = None
     for lo in range(1, m + 1, _WEYL_TERMS):
         hi = min(lo + _WEYL_TERMS, m + 1)
-        if den > _WORD:
-            phases = np.fromiter(
-                (((num * pow(n, ell, den)) % den) / den for n in range(lo, hi)),
-                dtype=np.float64,
-                count=hi - lo,
-            )
-        else:
-            # den = 2^e divides 2^64, so wrapping uint64 products keep every
-            # residue mod den; dividing by a power of two is exact.
-            # numpy's integer power squares and multiplies, wrapping alike
-            n = np.arange(lo, hi, dtype=np.uint64)
-            residues = n ** np.uint64(ell) * np.uint64(num % _WORD) & np.uint64(den - 1)
-            phases = residues.astype(np.float64) / float(den)
-        sums.append(complex(np.exp(2j * np.pi * phases).sum()))
-    return sum(sums[1:], sums[0])
+        # numpy's integer power squares and multiplies, wrapping mod 2^64
+        # like the products; den = 2^e divides 2^64, so every residue mod
+        # den survives, and dividing by a power of two is exact
+        powers = np.arange(lo, hi, dtype=np.uint64) ** np.uint64(ell)
+        step = max(1, _WEYL_TABLE // (hi - lo))
+        sums = np.empty(alphas.size, dtype=complex)
+        for start in range(0, alphas.size, step):
+            rows = slice(start, start + step)
+            residues = powers * nums[rows, None] & masks[rows, None]
+            phases = residues.astype(np.float64) / dens[rows, None]
+            for row in np.flatnonzero(~words[rows]):
+                phases[row] = _exact_phases(float(alphas[start + row]), ell, lo, hi)
+            sums[rows] = np.exp(2j * np.pi * phases).sum(axis=1)
+        total = sums if total is None else total + sums
+    return total
+
+
+def _exact_phases(alpha: float, ell: int, lo: int, hi: int) -> list[float]:
+    """(num n^ell mod den)/den for n in [lo, hi), on Python integers."""
+    num, den = alpha.as_integer_ratio()
+    return [((num * pow(n, ell, den)) % den) / den for n in range(lo, hi)]
 
 
 def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: np.ndarray) -> complex:

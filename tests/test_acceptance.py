@@ -21,8 +21,8 @@ from circlekit.arith import (
 )
 from circlekit.circle import (
     ArcParameters,
-    classify_arc,
-    dirichlet_approx,
+    classify_batch,
+    dirichlet_batch,
     expansion_envelope_scan,
     hua_count,
     vk_envelope_scan,
@@ -202,28 +202,32 @@ def test_criterion_7_end_to_end_main_term(sweeps):
 
 
 def test_criterion_8_dirichlet_and_arc_contracts():
+    # one rng.random(n) call draws the doubles of n scalar draws
     rng = np.random.default_rng(1)
     for tau in (1e2, 1e3, 1e4):
         tau_frac = Fraction(tau)
-        for _ in range(10**4):
-            alpha = float(rng.random())
-            approx = dirichlet_approx(alpha, tau)
-            assert approx.q <= tau
-            assert math.gcd(approx.a, approx.q) == 1
-            gap = abs(Fraction(alpha) - Fraction(approx.a, approx.q))
-            assert gap * approx.q * tau_frac <= 1
+        alphas = rng.random(10**4)
+        a, q, _ = dirichlet_batch(alphas, tau)
+        for alpha, a_, q_ in zip(alphas.tolist(), a.tolist(), q.tolist()):
+            assert q_ <= tau
+            assert math.gcd(a_, q_) == 1
+            gap = abs(Fraction(alpha) - Fraction(a_, q_))
+            assert gap * q_ * tau_frac <= 1
     params = ArcParameters.default(10**4, 3)
     tau_frac = Fraction(params.tau)
-    for _ in range(10**4):
-        alpha = float(1.0 / params.tau + rng.random())
-        verdict = classify_arc(alpha, params)
+    alphas = 1.0 / params.tau + rng.random(10**4)
+    major, arc_a, arc_q = classify_batch(alphas, params)
+    _, q, _ = dirichlet_batch(alphas, params.tau)
+    for alpha, major_, a_, q_, dirichlet_q in zip(
+        alphas.tolist(), major.tolist(), arc_a.tolist(), arc_q.tolist(), q.tolist()
+    ):
         exact = Fraction(alpha)
-        if verdict.major:
-            assert verdict.q <= params.Q and 1 <= verdict.a <= verdict.q
-            assert math.gcd(verdict.a, verdict.q) == 1
-            gap = abs(exact - Fraction(verdict.a, verdict.q))
-            assert gap * verdict.q * tau_frac <= 1
+        if major_:
+            assert q_ <= params.Q and 1 <= a_ <= q_
+            assert math.gcd(a_, q_) == 1
+            gap = abs(exact - Fraction(a_, q_))
+            assert gap * q_ * tau_frac <= 1
         else:
             # minor frequencies must have their convergent beyond Q
-            assert dirichlet_approx(alpha, params.tau).q > params.Q
+            assert dirichlet_q > params.Q
     _print_pass(8, "Dirichlet and arc contracts")

@@ -286,6 +286,21 @@ def test_integral_scan_csv(capsys):
     assert float(rows[0]["re_density"]) == pytest.approx(3.0, abs=1e-9)
 
 
+def test_integral_scan_csv_runs_neither_sweep_nor_oracle(capsys, monkeypatch):
+    # the CSV holds only the scan rows; the sweep and the oracle are still
+    # charged, so an over-budget grid keeps its exit code
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan's CSV ran a computation it does not print")
+
+    monkeypatch.setattr(circlekit.cli, "j_values", refuse)
+    monkeypatch.setattr(circlekit.cli, "j_volume_oracle", refuse)
+    argv = ["integral", "--k", "3", "--which", "1", "--B", "400", "--scan", "3", "--grid", "64"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) == 4
+    code, out, err = run(capsys, *argv[:-1], "100000", "--format", "csv")
+    assert (code, out) == (EXIT_BUDGET, "") and "volume oracle" in err
+
+
 def test_diagnostics_hua(capsys):
     code, out, _ = run(
         capsys, "diagnostics", "hua", "--k", "3", "--j", "2", "--y", "100",

@@ -17,6 +17,7 @@ from circlekit.expsums import (
     coprime_mask,
     divisor_exp_sum,
     power_sum_spectrum,
+    weyl_batch,
     weyl_sum,
 )
 from power_residue_reference import (
@@ -240,6 +241,20 @@ def test_weyl_sum_memory_is_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 80 * (1 << 12)
+
+
+def test_weyl_batch_memory_is_one_chunk():
+    # 4000 rows of m = 100 terms: chunked, about 48 bytes a table entry
+    # while a chunk of 2^16 entries is live, 3.3 MiB in all; one unchunked
+    # table of 4 * 10^5 entries peaks at about 18.6 MiB
+    alphas = np.random.default_rng(1).random(4000)
+    tracemalloc.start()
+    try:
+        weyl_batch(alphas, 10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_weyl_complete_period_identity():

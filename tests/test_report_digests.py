@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from circlekit import expsums, integrals, series
+from circlekit import circle, expsums, integrals, series
 from circlekit.cli import EXIT_OK, main
 
 DIGESTS = {
@@ -84,7 +84,9 @@ def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
     # the one-value forms of the batch evaluators, which only the
     # benchmark's tracer names; every binding of them in the library raises here
     scalars = [integrals.unit_power_phase_integral, integrals.log_weighted_integral,
-               expsums.complete_power_sum, series.local_density, integrals.j_value]
+               expsums.complete_power_sum, series.local_density, integrals.j_value,
+               circle.classify_arc, circle.dirichlet_approx, circle.dirichlet_contract_holds,
+               expsums.weyl_sum]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a command reached a scalar evaluator")
