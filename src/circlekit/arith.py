@@ -17,6 +17,10 @@ about 3r^3 shifted integer adds, and pairs r3 with the divisor table
 shifted by each n4^k.  The two must agree to the last digit.  The direct
 rows and the window segments run on every CPU through
 threads.ordered_map.
+
+dyadic is the one place that splits floats into exact num/2^e for the
+arc probes and Weyl batches: int64 while 2^e <= 2^62 and |num| < 2^62,
+Python ints for any other finite float.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ _SEGMENT = 1 << 16
 # exponent as an int64.
 INT64_MAX = 2**63 - 1
 
+# dyadic's int64 bound: every convergent p/q of num/2^e has q <= 2^e and
+# |p| <= |num| + 1, so Euclid cannot wrap while both stay within 2^62.
+DYADIC_BITS = 62
+
 
 def check_k(k: int, least: int = 1) -> None:
     """DomainError unless least <= k <= INT64_MAX."""
@@ -48,23 +56,33 @@ def check_k(k: int, least: int = 1) -> None:
         raise DomainError(f"k must be >= {least} and below 2^63, got {got}")
 
 
-def dyadic(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 num and e with value = num / 2^e in lowest terms, for each float.
+def dyadic(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Routes (index, num, den) with values[index] = num/den in lowest terms, den = 2^e.
 
-    A value's 53-bit significand, stripped of its trailing zero bits, is
-    num, so |num| < 2^62 for every finite |value| < 2^62; those values
-    get e >= 0, the rest (non-finite or larger) num = 0 and e = -1.
+    The first route, possibly empty, is int64 and holds every float64
+    with den <= 2^DYADIC_BITS and |num| < 2^DYADIC_BITS; a second,
+    present only when some value needs it, holds the rest as Python ints
+    in object arrays.  DomainError for a non-finite value.
     """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"{values[np.argmin(finite)]} is not a finite number")
     mantissa, exponent = np.frexp(values)
-    exponent = exponent.astype(np.int64)
-    held = np.isfinite(values) & (exponent <= 62)
-    top = np.ldexp(np.where(held, mantissa, 0.0), 53).astype(np.int64)
+    word = exponent <= DYADIC_BITS  # |value| < 2^62
+    top = np.ldexp(np.where(word, mantissa, 0.0), 53).astype(np.int64)
     # the trailing zero bits of top, from its lowest set bit (-1 at top = 0)
     zeros = np.frexp(top & -top)[1].astype(np.int64) - 1
-    shift = 53 - exponent
+    shift = 53 - exponent.astype(np.int64)
     e = np.where(top == 0, 0, np.maximum(shift - zeros, 0))
     num = np.where(e >= shift, top << np.maximum(e - shift, 0), top >> np.maximum(shift - e, 0))
-    return np.where(held, num, 0), np.where(held, e, -1)
+    word &= e <= DYADIC_BITS
+    fast = np.flatnonzero(word)
+    routes = [(fast, num[fast], np.left_shift(1, e[fast]))]
+    if fast.size < values.size:
+        slow = np.flatnonzero(~word)
+        ratios = [value.as_integer_ratio() for value in values[slow].tolist()]
+        routes.append((slow, *(np.array(part, dtype=object) for part in zip(*ratios))))
+    return routes
 
 
 def integer_kth_root(n: int, k: int) -> int:

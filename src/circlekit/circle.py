@@ -13,17 +13,17 @@ num/2^e, so convergents and the arc and contract tests run on integers
 by cross-multiplication.  Floats only appear in returned remainders and
 envelope ratios.
 
-The arc probes work on arrays of samples.  One Euclid scan steps every
-num/2^e in lockstep, dropping a sample once its remainder is 0 or its
-denominator passes tau, and gives both the arc verdict (the first
-convergent with q <= Q within 1/(q tau)) and the Dirichlet
-approximation (the last convergent with q <= tau).  It runs on int64
-while 2^e <= 2^62 and |num| < 2^62, where no convergent's p or q can
-wrap, and on Python ints in object arrays for any other sample.  The
-arc test compares Euclid's remainder |num q - p 2^e| with
-floor(2^e/tau), read exactly from a table over e; the contract
-check forms |num q - a 2^e| anew.  classify_arc, dirichlet_approx and
-dirichlet_contract_holds are one-sample calls of the batches.
+The arc probes work on arrays of samples, on the routes that
+arith.dyadic splits them into: int64 arrays while 2^e <= 2^62 and
+|num| < 2^62, object arrays of Python ints for the rest.  One Euclid
+scan steps every num/2^e of a route in lockstep, dropping a sample once
+its remainder is 0 or its denominator passes tau, and gives both the
+arc verdict (the first convergent with q <= Q within 1/(q tau)) and the
+Dirichlet approximation (the last convergent with q <= tau).  The arc
+test compares Euclid's remainder |num q - p 2^e| with floor(2^e/tau),
+read exactly from a table over e; the contract check forms
+|num q - a 2^e| anew.  classify_arc and dirichlet_approx are
+one-sample calls of the batches.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import INT64_MAX, check_k, divisor_sieve, dyadic, integer_kth_root
+from .arith import DYADIC_BITS, INT64_MAX, check_k, divisor_sieve, dyadic, integer_kth_root
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_batch
@@ -92,31 +92,13 @@ def _euclid_steps(bound: float) -> int:
     return 2 * int(bound).bit_length() + 3
 
 
-def _routes(alphas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(index, num, den) groups with alpha = num/den for every sample.
-
-    int64 where den = 2^e <= 2^62 and |num| < 2^62: every convergent
-    denominator is at most den and every |p| at most |num| + 1, so no
-    product in Euclid wraps.  The rest are Python ints in object arrays.
-    """
-    num, e = dyadic(alphas)
-    wide = (e < 0) | (e > 62)
-    fast = np.flatnonzero(~wide)
-    routes = [(fast, num[fast], np.left_shift(1, e[fast]))]
-    if wide.any():
-        slow = np.flatnonzero(wide)
-        ratios = [alpha.as_integer_ratio() for alpha in alphas[slow].tolist()]
-        routes.append((slow, *(np.array(part, dtype=object) for part in zip(*ratios))))
-    return routes
-
-
 def _floor_scaled(den: np.ndarray, numer: int, denom: int) -> np.ndarray:
-    """floor(den * numer / denom) for every den = 2^e, exactly: read from a
-    table over e <= 62 computed in Python ints, or on the Python-int route
-    computed per sample."""
+    """floor(den * numer / denom) for every den = 2^e, exactly: on the int64
+    route read from a table over e computed in Python ints, on the
+    Python-int route computed per sample."""
     if den.dtype == object:
         return den * numer // denom
-    table = np.array([(1 << e) * numer // denom for e in range(63)])
+    table = np.array([(1 << e) * numer // denom for e in range(DYADIC_BITS + 1)])
     return table[np.frexp(den)[1] - 1]
 
 
@@ -184,7 +166,7 @@ def _arc_scan(alphas: np.ndarray, tau: float, q_cap: int) -> list[np.ndarray]:
     A scan with q_cap = 0 passes no arc test."""
     tn, td = tau.as_integer_ratio()
     parts = []
-    for index, num, den in _routes(alphas):
+    for index, num, den in dyadic(alphas):
         # rest tn <= den td, with tn > 0, is rest <= floor(den td / tn)
         a, q, r, arc_a, arc_q = _convergent_scan(
             num, den, math.floor(tau), q_cap, _floor_scaled(den, td, tn)
@@ -224,7 +206,8 @@ def _close(num, den, a, q, within) -> np.ndarray:
 
 
 def contract_batch(alphas: np.ndarray, a: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
-    """dirichlet_contract_holds at every (alpha, a, q), from those values alone.
+    """q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1 at every
+    (alpha, a, q) with q >= 1, exactly, from those values alone.
 
     |alpha - a/q| q tau <= 1 is |num q - a den| <= floor(den/tau).  It is
     formed in int64 on the int64 route where neither product passes
@@ -236,7 +219,7 @@ def contract_batch(alphas: np.ndarray, a: np.ndarray, q: np.ndarray, tau: float)
     tn, td = float(tau).as_integer_ratio()
     holds = (q <= math.floor(tau)) & (np.gcd(a, q) == 1)
     close = np.empty(alphas.size, dtype=bool)
-    for index, num, den in _routes(alphas):
+    for index, num, den in dyadic(alphas):
         a_i, q_i = a[index], q[index]
         within = _floor_scaled(den, td, tn)
         safe = np.zeros(index.size, dtype=bool)
@@ -254,17 +237,11 @@ def contract_batch(alphas: np.ndarray, a: np.ndarray, q: np.ndarray, tau: float)
     return holds & close
 
 
-def dirichlet_contract_holds(alpha: float, approx: RationalApproximation, tau: float) -> bool:
-    """q <= tau, |alpha - a/q| q tau <= 1 and gcd(a, q) = 1, in exact integers (q >= 1)."""
-    a, q = (np.array([value], dtype=object) for value in (approx.a, approx.q))
-    return bool(contract_batch(np.array([float(alpha)]), a, q, tau)[0])
-
-
 def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[dict], int]:
     """dirichlet_approx's contract checked exactly at seeded uniform alpha in [0, 1).
 
     Rows hold alpha, a, q, lambda, observed = |lambda|, bound = 1/(q tau)
-    and ratio = 1 if dirichlet_contract_holds, else 0; returned with the
+    and ratio = 1 if the contract holds, else 0; returned with the
     failure count.  One rng.random(samples) draw gives the doubles of
     samples scalar draws; the approximations come from one dirichlet_batch
     and the contract from one contract_batch.
@@ -331,7 +308,7 @@ class ArcVerdict:
 def _arc_window(alphas: np.ndarray, tau: float) -> None:
     """DomainError unless 1/tau <= alpha <= 1 + 1/tau for every alpha, exactly (tau > 1)."""
     tn, td = tau.as_integer_ratio()
-    for index, num, den in _routes(alphas):
+    for index, num, den in dyadic(alphas):
         # den td <= num tn <= den (tn + td), with tn > 0, against floor and ceiling
         outside = (num < -_floor_scaled(den, -td, tn)) | (num > _floor_scaled(den, tn + td, tn))
         if outside.any():

@@ -7,11 +7,11 @@ beyond it; complete_power_sum reads one a from it.  weyl_batch
 evaluates sum_{n <= x^(1/l)} e(alpha n^l) at many alpha with the phase
 alpha*n^l reduced mod 1 in exact integer arithmetic (a float's value is
 a dyadic rational num/2^e), keeping per-term phase error at the ulp
-level regardless of how large n^l gets.  The sums are the rows of a
-samples x terms phase table, formed in chunks of at most _WEYL_TABLE =
-2^16 entries (one row when a row's block is longer).  For e <= 64,
-which every |alpha| >= 2^-12 satisfies, a row's reduction runs in
-wrapping uint64 arithmetic under the mask 2^e - 1; a row with e > 64
+level regardless of how large n^l gets.  arith.dyadic gives each alpha
+its route.  On the int64 route (2^e <= 2^62) the sums are the rows of a
+samples x terms phase table in wrapping uint64 arithmetic under the
+mask 2^e - 1, formed in chunks of at most _WEYL_TABLE = 2^16 entries
+(one row when a row's block is longer); a row on the Python-int route
 forms its phases on Python integers.  weyl_sum is weyl_batch at one
 alpha, with the same bits.
 divisor_exp_sum evaluates sum_{n <= 4x} d(n) e(n (a/q + beta)) with n a
@@ -26,8 +26,6 @@ import numpy as np
 
 from .arith import check_k, dyadic, integer_kth_root, require_table
 from .errors import DomainError
-
-_WORD = 2**64
 
 # Terms per block of the divisor exponential sum.
 _TERMS = 1 << 16
@@ -96,24 +94,21 @@ def weyl_sum(alpha: float, x: int, ell: int) -> complex:
 def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
     """weyl_sum at every alpha, as a row of a samples x terms phase table.
 
-    alpha = num/2^e exactly.  The phase (num n^ell mod 2^e)/2^e is the
-    same float from uint64 arithmetic (e <= 64, the row masked by 2^e - 1)
-    as from Python integers, which rows with e > 64 take.  The terms come
-    in blocks of _WEYL_TERMS and the rows in chunks of at most
-    _WEYL_TABLE entries, or one row where a block is longer; each row's
-    block is one pairwise numpy sum, and the blocks add in order.
+    alpha = num/den exactly, on its dyadic route.  The phase
+    (num n^ell mod den)/den is the same float from uint64 arithmetic
+    (the row masked by den - 1) as from the Python integers of the other
+    route.  The terms come in blocks of _WEYL_TERMS and the int64 route's
+    rows in chunks of at most _WEYL_TABLE entries, or one row where a
+    block is longer; each row's block is one pairwise numpy sum, and the
+    blocks add in order.
     """
     check_k(ell)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     m = integer_kth_root(x, ell)
     alphas = np.asarray(alphas, dtype=np.float64)
-    num, e = dyadic(alphas)
-    words = (e >= 0) & (e <= 64)
-    nums = num.astype(np.uint64)
-    bits = np.where(words, e, 0)
-    masks = np.uint64(_WORD - 1) >> (64 - bits).astype(np.uint64)
-    dens = np.ldexp(1.0, bits)
+    (fast, num, den), *wide = dyadic(alphas)
+    nums, masks, dens = num.astype(np.uint64), (den - 1).astype(np.uint64), den.astype(np.float64)
     total = None
     for lo in range(1, m + 1, _WEYL_TERMS):
         hi = min(lo + _WEYL_TERMS, m + 1)
@@ -123,21 +118,17 @@ def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
         powers = np.arange(lo, hi, dtype=np.uint64) ** np.uint64(ell)
         step = max(1, _WEYL_TABLE // (hi - lo))
         sums = np.empty(alphas.size, dtype=complex)
-        for start in range(0, alphas.size, step):
+        for start in range(0, fast.size, step):
             rows = slice(start, start + step)
             residues = powers * nums[rows, None] & masks[rows, None]
             phases = residues.astype(np.float64) / dens[rows, None]
-            for row in np.flatnonzero(~words[rows]):
-                phases[row] = _exact_phases(float(alphas[start + row]), ell, lo, hi)
-            sums[rows] = np.exp(2j * np.pi * phases).sum(axis=1)
+            sums[fast[rows]] = np.exp(2j * np.pi * phases).sum(axis=1)
+        for index, wide_num, wide_den in wide:
+            for row, a, d in zip(index.tolist(), wide_num.tolist(), wide_den.tolist()):
+                phases = np.array([(a * pow(n, ell, d) % d) / d for n in range(lo, hi)])
+                sums[row] = np.exp(2j * np.pi * phases).sum()
         total = sums if total is None else total + sums
     return total
-
-
-def _exact_phases(alpha: float, ell: int, lo: int, hi: int) -> list[float]:
-    """(num n^ell mod den)/den for n in [lo, hi), on Python integers."""
-    num, den = alpha.as_integer_ratio()
-    return [((num * pow(n, ell, den)) % den) / den for n in range(lo, hi)]
 
 
 def divisor_exp_sum(a: int, q: int, beta: float, x: int, table: np.ndarray) -> complex:

@@ -1,8 +1,8 @@
 """The arc batches against the per-sample reference loops, bit for bit.
 
-Floats compare by float.hex, ints by ==.  The alphas reach both
-fallbacks: Euclid leaves int64 for a denominator past 2^62, and the
-Weyl phase table leaves uint64 for one past 2^64.
+Floats compare by float.hex, ints by ==.  The alphas reach both of
+arith.dyadic's routes: a denominator past 2^62 or a magnitude of 2^62
+or more leaves int64 for Python ints, in Euclid and in the Weyl sums.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from circlekit.circle import (
     contract_batch,
     dirichlet_approx,
     dirichlet_batch,
-    dirichlet_contract_holds,
     dirichlet_contract_scan,
     minor_arc_bound_profile,
 )
@@ -107,8 +106,32 @@ def route_alphas(rng) -> np.ndarray:
 
 
 def test_route_alphas_reach_every_route():
-    _, e = dyadic(route_alphas(np.random.default_rng(0)))
-    assert {61, 62, 63, 64, 65, 70, 1074} <= set(e.tolist()) and -1 in e
+    alphas = route_alphas(np.random.default_rng(0))
+    (fast, _, fast_den), (wide, _, wide_den) = dyadic(alphas)
+    assert fast_den.dtype == np.int64 and wide_den.dtype == object
+    assert sorted(fast.tolist() + wide.tolist()) == list(range(alphas.size))
+    assert {2**61, 2**62} <= set(fast_den.tolist())
+    assert {2**63, 2**64, 2**65, 2**70, 2**1074} <= set(wide_den.tolist())
+    assert set(np.flatnonzero(np.abs(alphas) >= 2.0**62).tolist()) <= set(wide.tolist())
+    assert np.abs(alphas[fast]).max() < 2.0**62
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_every_arc_and_weyl_form_refuses_a_non_finite_alpha(value):
+    params = ArcParameters.default(10**4, 3)
+    alphas = np.array([0.5, value])
+    calls = [
+        lambda: dirichlet_batch(alphas, 100.0),
+        lambda: classify_batch(alphas, params),
+        lambda: contract_batch(alphas, np.array([1, 1]), np.array([2, 2]), 100.0),
+        lambda: weyl_batch(alphas, 1000, 3),
+        lambda: dirichlet_approx(value, 100.0),
+        lambda: classify_arc(value, params),
+        lambda: weyl_sum(value, 1000, 3),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="not a finite number"):
+            call()
 
 
 @pytest.mark.parametrize("tau", [1.0, 100.0, 1000.0, 1e4, 3984.06374501992, 2.0**53, 3e17, 1e20])
@@ -208,16 +231,15 @@ def test_contract_batch_equals_the_reference():
 ])
 def test_contract_equality_examples_hold_on_both_routes(alpha, tau, a, q):
     approx = RationalApproximation(a, q, 0.0)
+    past = np.nextafter(alpha, 4.0)
     assert ref.dirichlet_contract_holds(alpha, approx, tau)
-    assert dirichlet_contract_holds(alpha, approx, tau)
-    # int64 arrays take the int64 products; object arrays the Python ints
-    for dtype in (np.int64, object):
-        assert contract_batch(np.array([alpha]), np.array([a], dtype=dtype),
-                              np.array([q], dtype=dtype), tau).tolist() == [True]
+    assert not ref.dirichlet_contract_holds(past, approx, tau)
+    # int64 arrays take the int64 products; object arrays the Python ints;
     # one step past the boundary fails on both
-    past = RationalApproximation(a, q, 0.0)
-    assert not dirichlet_contract_holds(np.nextafter(alpha, 4.0), past, tau)
-    assert not ref.dirichlet_contract_holds(np.nextafter(alpha, 4.0), past, tau)
+    for dtype in (np.int64, object):
+        a_, q_ = np.array([a], dtype=dtype), np.array([q], dtype=dtype)
+        assert contract_batch(np.array([alpha]), a_, q_, tau).tolist() == [True]
+        assert contract_batch(np.array([past]), a_, q_, tau).tolist() == [False]
 
 
 @pytest.mark.parametrize("x, ell", [(10**6, 3), (10**6, 5), (10**6, 8), (10**4, 2)])

@@ -15,8 +15,8 @@ from circlekit.circle import (
     RationalApproximation,
     classify_arc,
     classify_batch,
+    contract_batch,
     dirichlet_approx,
-    dirichlet_contract_holds,
     dirichlet_contract_scan,
     expansion_envelope_scan,
     hua_count,
@@ -246,7 +246,9 @@ def test_contract_matches_fraction_reference(alpha, tau, a, q, own):
     # own: check alpha's own approximation, which always passes
     approx = dirichlet_approx(alpha, tau) if own else RationalApproximation(a, q, 0.0)
     want = fraction_contract(alpha, approx.a, approx.q, tau)
-    assert dirichlet_contract_holds(alpha, approx, tau) == want
+    for dtype in (np.int64, object):
+        a_, q_ = np.array([approx.a], dtype=dtype), np.array([approx.q], dtype=dtype)
+        assert contract_batch(np.array([alpha]), a_, q_, tau).tolist() == [want]
     if own:
         assert want
 

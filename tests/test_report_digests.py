@@ -85,8 +85,7 @@ def test_commands_reach_no_scalar_evaluator(monkeypatch, command):
     # benchmark's tracer names; every binding of them in the library raises here
     scalars = [integrals.unit_power_phase_integral, integrals.log_weighted_integral,
                expsums.complete_power_sum, series.local_density, integrals.j_value,
-               circle.classify_arc, circle.dirichlet_approx, circle.dirichlet_contract_holds,
-               expsums.weyl_sum]
+               circle.classify_arc, circle.dirichlet_approx, expsums.weyl_sum]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a command reached a scalar evaluator")

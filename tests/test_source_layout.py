@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = sorted((Path(__file__).parent.parent / "src" / "circlekit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = sorted((ROOT / "src" / "circlekit").glob("*.py"))
 
 # numpy is the one runtime dependency in pyproject.toml; the test extras
 # (mpmath, scipy, hypothesis, jsonschema) are oracles, not library code
@@ -72,3 +73,50 @@ def test_blas_rule_sees_products():
     tree = ast.parse("c = a @ b\nc @= b\nd = np.einsum('i,i', a, b)\ne = inner(a, b)\n"
                      "f = np.dot(a, b)\ng = a * b\n")
     assert _blas_products(tree) == [1, 2, 3, 4]
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The public top-level functions and classes of a module."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name for node in tree.body
+        if isinstance(node, kinds) and not node.name.startswith("_")
+    }
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """The names, attributes and imports each top-level statement of a module
+    reads, less the name the statement itself defines."""
+    names = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+        names |= found - {getattr(statement, "name", None)}
+    return names
+
+
+def test_every_public_definition_is_used_or_traced():
+    # the benchmark's tracer wraps spans.LAYERS, which no module need call
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import spans
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCE}
+    referenced = set().union(*map(_referenced, trees.values()))
+    unused = [
+        f"{module}.{name}" for module, tree in trees.items()
+        for name in sorted(_defined(tree) - referenced)
+        if (module, name) not in spans.LAYERS
+    ]
+    assert unused == []
+
+
+def test_reference_rule_sees_unused_definitions():
+    tree = ast.parse("def used(): pass\ndef alone(n): return alone(n - 1)\nclass Kept: pass\n"
+                     "def _private(): pass\nx = used()\ny: Kept\n")
+    assert _defined(tree) - _referenced(tree) == {"alone"}
