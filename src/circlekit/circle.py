@@ -4,9 +4,9 @@ Rational approximation by continued-fraction convergents, the
 major/minor arc split it induces, residuals of the two major-arc
 approximations (the power-sum factor against its Gamma-type model, the
 divisor generating function against its main-term expansion), and the
-exact moment counts behind the even-moment bounds.  A residual scan
-returns its parameters and one row per sample (observed, bound, ratio);
-its fitted constant is the largest row ratio.
+exact moment counts behind the even-moment bounds.  Each scan returns its
+parameters and one table, each CSV column an array over the samples;
+a residual scan's fitted constant is its largest ratio.
 
 Every rational comparison is exact: a float is the dyadic rational
 num/2^e, so convergents and the arc and contract tests run on integers
@@ -237,14 +237,14 @@ def contract_batch(alphas: np.ndarray, a: np.ndarray, q: np.ndarray, tau: float)
     return holds & close
 
 
-def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[dict], int]:
+def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> DiagnosticBound:
     """dirichlet_approx's contract checked exactly at seeded uniform alpha in [0, 1).
 
-    Rows hold alpha, a, q, lambda, observed = |lambda|, bound = 1/(q tau)
-    and ratio = 1 if the contract holds, else 0; returned with the
-    failure count.  One rng.random(samples) draw gives the doubles of
-    samples scalar draws; the approximations come from one dirichlet_batch
-    and the contract from one contract_batch.
+    The columns are alpha, a, q, lambda, observed = |lambda|,
+    bound = 1/(q tau) and ratio = 1 if the contract holds, else 0; the
+    params count the failures.  One rng.random(samples) draw gives the
+    doubles of samples scalar draws; the approximations come from one
+    dirichlet_batch and the contract from one contract_batch.
     """
     _check_draws(samples, seed)
     _check_tau(tau)
@@ -253,14 +253,15 @@ def dirichlet_contract_scan(samples: int, tau: float, seed: int) -> tuple[list[d
     alphas = np.random.default_rng(seed).random(samples)
     a, q, lam = dirichlet_batch(alphas, tau)
     holds = contract_batch(alphas, a, q, tau)
-    rows = [
-        {"alpha": alpha, "a": a_, "q": q_, "lambda": lam_, "observed": abs(lam_),
-         "bound": 1.0 / (q_ * tau), "ratio": int(ok)}
-        for alpha, a_, q_, lam_, ok in zip(
-            alphas.tolist(), a.tolist(), q.tolist(), lam.tolist(), holds.tolist()
-        )
-    ]
-    return rows, samples - int(np.count_nonzero(holds))
+    # q tau past the largest float is inf, and its bound 0.0, as in Python floats
+    with np.errstate(over="ignore"):
+        bound = 1.0 / (q * tau)
+    return DiagnosticBound(
+        params={"samples": samples, "tau": tau,
+                "failures": samples - int(np.count_nonzero(holds))},
+        columns={"alpha": alphas, "a": a, "q": q, "lambda": lam, "observed": np.abs(lam),
+                 "bound": bound, "ratio": holds.astype(int)},
+    )
 
 
 @dataclass(frozen=True)
@@ -342,15 +343,25 @@ def classify_arc(alpha: float, params: ArcParameters) -> ArcVerdict:
 
 @dataclass(frozen=True)
 class DiagnosticBound:
-    """The per-sample rows behind a fitted envelope constant."""
+    """A probe's parameters and its table: columns maps each CSV column
+    name, in CSV order, to one array of per-sample values."""
 
     params: dict
-    rows: list
+    columns: dict
 
     @property
     def constant(self) -> float:
-        """The largest row ratio, or 0.0 without rows."""
-        return max((row["ratio"] for row in self.rows), default=0.0)
+        """The largest ratio, or 0.0 without samples."""
+        ratio = self.columns["ratio"]
+        return float(ratio.max()) if ratio.size else 0.0
+
+
+def _residual_table(params: dict, columns: dict) -> DiagnosticBound:
+    """The columns as arrays, with ratio = observed / bound appended: a real
+    quotient, whose bits numpy and Python share."""
+    table = {name: np.asarray(values) for name, values in columns.items()}
+    table["ratio"] = table["observed"] / table["bound"]
+    return DiagnosticBound(params=params, columns=table)
 
 
 def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
@@ -358,7 +369,7 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
 
     Scans every reduced a/q with q <= q_max at the offsets beta = 0, w/2,
     w and -w, w = x^(1/k-1)/(2kq), the edge of the window where the
-    sharper remainder form applies.  A row's residual is
+    sharper remainder form applies.  A sample's residual is
     |f_k(a/q + beta) - V_k| for the model
     V_k = x^(1/k) S_k(q, a)/q int_0^1 e(x beta u^k) du.  Each q takes
     its phases from one unit_phase_batch at x * (0, w/2, w), the one at
@@ -375,26 +386,25 @@ def vk_envelope_scan(x: int, k: int, q_max: int) -> DiagnosticBound:
     check_budget(2 * q_max * (q_max + 1) * (m + q_max) + 3 * q_max * UNIT_RULE_NODES, "vk scan")
     x_float = _float_x(x)
     scale = x_float ** (1.0 / k)
-    rows = []
+    columns = {"a": [], "q": [], "beta": [], "observed": [], "bound": []}
     for q in range(1, q_max + 1):
         width = x_float ** (1.0 / k - 1.0) / (2.0 * k * q)
         betas = (0.0, 0.5 * width, width, -width)
         zero, half, full = unit_phase_batch(x_float * np.array(betas[:3]), k).tolist()
         phases = (zero, half, full, full.conjugate())
+        envelopes = [q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5 for beta in betas]
         spectrum = power_sum_spectrum(q, k).tolist()
         reduced = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         sums = iter(weyl_batch(np.array([a / q + beta for a in reduced for beta in betas]), x, k)
                     .tolist())
         for a in reduced:
             weight = scale * spectrum[a % q] / q
-            for beta, phase in zip(betas, phases):
+            for beta, phase, envelope in zip(betas, phases, envelopes):
+                # a complex product and abs in Python scalars: numpy's can differ in the last bit
                 residual = abs(next(sums) - weight * phase)
-                envelope = q ** (0.5 + _SLACK) * (1.0 + x * abs(beta)) ** 0.5
-                rows.append(
-                    {"a": a, "q": q, "beta": beta, "observed": residual,
-                     "bound": envelope, "ratio": residual / envelope}
-                )
-    return DiagnosticBound(params={"x": x, "k": k, "q_max": q_max, "slack": _SLACK}, rows=rows)
+                for column, value in zip(columns.values(), (a, q, beta, residual, envelope)):
+                    column.append(value)
+    return _residual_table({"x": x, "k": k, "q_max": q_max, "slack": _SLACK}, columns)
 
 
 def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
@@ -404,19 +414,19 @@ def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
     The model is (x log x / q) L(x beta) + (x/q) L_log(x beta)
     + ((-2 log q + 2 gamma)/q) x L(x beta), with L and L_log the linear
     and log-weighted phase integrals taken over the scaled range [0, 4]
-    actually spanned by the 4x summation limit of f.  A row's bound is
+    actually spanned by the 4x summation limit of f.  A sample's bound is
     x^_SLACK (q^(1/2) x/tau + q^(2/3) x^(1/3)).  Each q takes its three
     linear and its three log phases from one batch call each.
 
     ArcParameters.default gives Q tau = x (to rounding) and tau >= x^(3/5), so every
-    row meets the expansion's hypotheses.  Each row sums 4x divisor
+    sample meets the expansion's hypotheses.  Each sample sums 4x divisor
     terms, charged before the scan sieves its divisor table to 4x.
     """
     params = ArcParameters.default(x, k)
     qs = sorted({q for q in _EXPANSION_QS if q <= params.Q} | {params.Q})
     check_budget(3 * len(qs) * 4 * x, "expansion scan")
     table = divisor_sieve(4 * x)
-    rows = []
+    columns = {"a": [], "q": [], "beta": [], "observed": [], "bound": []}
     for q in qs:
         bound = x**_SLACK * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
         betas = (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))
@@ -428,11 +438,10 @@ def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
             observed = divisor_exp_sum(1, q, beta, x, table).conjugate()
             model = (x * math.log(x) / q) * lin + (x / q) * lg + (log_weight(q) / q) * x * lin
             residual = abs(observed - model)
-            rows.append({"a": 1, "q": q, "beta": beta, "observed": residual, "bound": bound,
-                         "ratio": residual / bound})
-    return DiagnosticBound(
-        params={"x": x, "k": k, "slack": _SLACK, "Q": params.Q, "tau": params.tau},
-        rows=rows,
+            for column, value in zip(columns.values(), (1, q, beta, residual, bound)):
+                column.append(value)
+    return _residual_table(
+        {"x": x, "k": k, "slack": _SLACK, "Q": params.Q, "tau": params.tau}, columns
     )
 
 
@@ -539,24 +548,18 @@ def minor_arc_bound_profile(
     alphas, a, q, lam = (
         [np.concatenate(parts) for parts in zip(*kept)] if kept else [np.empty(0)] * 4
     )
-    sums = weyl_batch(alphas, x, k)
-    rows = []
-    for alpha, a_, q_, lam_, total in zip(
-        alphas.tolist(), a.tolist(), q.tolist(), lam.tolist(), sums.tolist()
-    ):
-        observed = abs(total)
-        if k <= 7:
-            base = 1.0 / q_ + 1.0 / m + q_ / m**k
-            bound = m * base ** (1.0 / 2 ** (k - 1))
-        else:
-            base = 1.0 / q_ + x ** (-1.0 / k) + q_ / x
-            bound = x ** (1.0 / k) * base ** (1.0 / (2 * k * (k - 1)))
-        rows.append(
-            {"alpha": alpha, "a": a_, "q": q_, "lambda": lam_,
-             "observed": observed, "bound": bound, "ratio": observed / bound}
-        )
-    return DiagnosticBound(
-        params={"x": x, "k": k, "Q": params.Q, "tau": params.tau,
-                "samples": len(rows), "seed": seed},
-        rows=rows,
+    # bound = scale (1/q + fixed + q/top)^power; abs, ** and the int quotient
+    # q/top run on Python scalars, since numpy's can differ in the last bit
+    if k <= 7:
+        scale, fixed, top, power = m, 1.0 / m, m**k, 1.0 / 2 ** (k - 1)
+    else:
+        scale, fixed, top, power = x ** (1.0 / k), x ** (-1.0 / k), x, 1.0 / (2 * k * (k - 1))
+    columns = {
+        "alpha": alphas, "a": a, "q": q, "lambda": lam,
+        "observed": [abs(total) for total in weyl_batch(alphas, x, k).tolist()],
+        "bound": [scale * (1.0 / q_ + fixed + q_ / top) ** power for q_ in q.tolist()],
+    }
+    return _residual_table(
+        {"x": x, "k": k, "Q": params.Q, "tau": params.tau, "samples": len(alphas), "seed": seed},
+        columns,
     )

@@ -217,8 +217,8 @@ def _check_out(path: str) -> None:
 def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None):
     """Write the report as JSON, or as CSV when requested and tabular.
 
-    csv_rows may be a generator: JSON output never iterates it, so rows
-    are built only for CSV.
+    csv_rows may be a generator: JSON output never iterates it, so a JSON
+    run builds no rows.
     """
     fmt = getattr(args, "format", "json") or "json"
     out_path = getattr(args, "out", None)
@@ -409,25 +409,14 @@ def cmd_integral(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# CSV columns of each diagnostics probe, named by the keys of its rows
-_PROBE_COLUMNS = {
-    "hua": ("Y", "k", "j", "count"),
-    "vk": ("a", "q", "beta", "observed", "bound", "ratio"),
-    "expansion": ("a", "q", "beta", "observed", "bound", "ratio"),
-    "minor": ("alpha", "a", "q", "lambda", "observed", "bound", "ratio"),
-    "dirichlet": ("alpha", "a", "q", "lambda", "observed", "bound", "ratio"),
-}
-
-
 def cmd_diagnostics(args: argparse.Namespace) -> int:
     k = _single_k(args)
     if args.probe == "hua":
-        rows = [{"Y": args.y, "k": k, "j": args.j, "count": hua_count(args.y, k, args.j)}]
-        block = {"probe": "hua", **rows[0]}
+        row = {"Y": args.y, "k": k, "j": args.j, "count": hua_count(args.y, k, args.j)}
+        block, columns = {"probe": "hua", **row}, {name: [value] for name, value in row.items()}
     elif args.probe == "dirichlet":
-        rows, failures = dirichlet_contract_scan(args.samples, args.tau, args.seed)
-        block = {"probe": "dirichlet", "samples": args.samples, "tau": args.tau,
-                 "failures": failures}
+        scan = dirichlet_contract_scan(args.samples, args.tau, args.seed)
+        block, columns = {"probe": "dirichlet", **scan.params}, scan.columns
     else:
         if args.probe == "vk":
             scan = vk_envelope_scan(args.x, k, args.q_max)
@@ -435,15 +424,14 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
             scan = expansion_envelope_scan(args.x, k)
         else:
             scan = minor_arc_bound_profile(args.x, k, samples=args.samples, seed=args.seed)
-        rows = scan.rows
         block = {"probe": args.probe, "params": scan.params,
                  "constant": _sig12(scan.constant)}
-    columns = _PROBE_COLUMNS[args.probe]
+        columns = scan.columns
     report = {"meta": _meta("diagnostics", args), "diagnostics": block}
     _emit(
         report, args,
-        csv_rows=([_cell(row[column]) for column in columns] for row in rows),
-        csv_header=columns,
+        csv_rows=(map(_cell, row) for row in zip(*columns.values())),
+        csv_header=list(columns),
     )
     return EXIT_OK
 

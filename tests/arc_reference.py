@@ -3,9 +3,10 @@
 These are the per-sample loops the library's batches replaced: Euclid
 as a generator of convergents, the arc and contract tests by
 cross-multiplication, each Weyl sum as its own 1-D numpy sum, and the
-minor-arc profile and Dirichlet scan drawing one alpha per call.  Tests
-require circle's and expsums' batches to give every row field the same
-bits.
+minor-arc profile and Dirichlet scan drawing one alpha per call, each
+building one dict row per sample.  Tests require circle's and expsums'
+batches to give every row field the same bits; table_rows reads a
+library probe's column table as such rows.
 """
 
 import math
@@ -17,11 +18,17 @@ from circlekit.circle import (
     _DRAWS_PER_SAMPLE,
     ArcParameters,
     ArcVerdict,
-    DiagnosticBound,
     RationalApproximation,
 )
 
 _WORD = 2**64
+
+
+def table_rows(scan) -> list[dict]:
+    """A library probe's columns as one dict row per sample, in Python scalars."""
+    names = list(scan.columns)
+    return [dict(zip(names, values))
+            for values in zip(*(column.tolist() for column in scan.columns.values()))]
 
 
 def convergents(value):
@@ -126,7 +133,7 @@ def weyl_sum(alpha: float, x: int, ell: int, terms: int = 1 << 20) -> complex:
     return sum(sums[1:], sums[0])
 
 
-def minor_arc_bound_profile(x: int, k: int, samples: int, seed: int) -> DiagnosticBound:
+def minor_arc_bound_profile(x: int, k: int, samples: int, seed: int) -> tuple[dict, list[dict]]:
     params = ArcParameters.default(x, k)
     rng = np.random.default_rng(seed)
     m = integer_kth_root(x, k)
@@ -150,8 +157,5 @@ def minor_arc_bound_profile(x: int, k: int, samples: int, seed: int) -> Diagnost
             {"alpha": alpha, "a": approx.a, "q": approx.q, "lambda": approx.lam,
              "observed": observed, "bound": bound, "ratio": observed / bound}
         )
-    return DiagnosticBound(
-        params={"x": x, "k": k, "Q": params.Q, "tau": params.tau,
-                "samples": len(rows), "seed": seed},
-        rows=rows,
-    )
+    return {"x": x, "k": k, "Q": params.Q, "tau": params.tau,
+            "samples": len(rows), "seed": seed}, rows

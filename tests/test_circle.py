@@ -27,7 +27,7 @@ from circlekit.errors import BudgetError, DomainError, SizeError
 from circlekit.expsums import power_sum_spectrum, weyl_sum
 from circlekit.integrals import linear_phase_batch, unit_phase_batch
 from circlekit.series import log_weight
-from arc_reference import convergents
+from arc_reference import convergents, table_rows
 from density_reference import whole_array_log_phase, whole_array_unit_phase
 
 
@@ -59,11 +59,11 @@ def test_dirichlet_rejects_non_finite_tau(tau):
 
 @pytest.mark.parametrize("tau", [37.5, 1000.0])
 def test_dirichlet_contract_scan(tau):
-    rows, failures = dirichlet_contract_scan(300, tau, seed=5)
-    assert failures == 0
+    scan = dirichlet_contract_scan(300, tau, seed=5)
+    assert scan.params["failures"] == 0
     alphas = np.random.default_rng(5).random(300)
-    assert [row["alpha"] for row in rows] == alphas.tolist()
-    for row in rows:
+    assert scan.columns["alpha"].tolist() == alphas.tolist()
+    for row in table_rows(scan):
         approx = dirichlet_approx(row["alpha"], tau)
         assert (row["a"], row["q"], row["lambda"]) == (approx.a, approx.q, approx.lam)
         assert row["observed"] == abs(approx.lam)
@@ -281,7 +281,7 @@ def test_major_arc_measure():
 def test_vk_at_beta_zero_q_one():
     # at a/q = 1/1, beta = 0 the model is x^(1/k) and the sum is floor(x^(1/k))
     for k, floor in ((3, 21), (5, 6)):
-        row = vk_envelope_scan(10**4, k, q_max=1).rows[0]
+        row = table_rows(vk_envelope_scan(10**4, k, q_max=1))[0]
         assert (row["a"], row["q"], row["beta"]) == (1, 1, 0.0)
         assert row["observed"] == pytest.approx((10**4) ** (1.0 / k) - floor, abs=1e-9)
 
@@ -292,11 +292,11 @@ def test_vk_rows_rebuild_the_model():
     # batch at x (0, w/2, w), conjugated at -w, and S_k(q, a) from the
     # spectrum of q
     x, k = 10**4, 3
-    scan = vk_envelope_scan(x, k, q_max=6)
+    table = table_rows(vk_envelope_scan(x, k, q_max=6))
     pairs = [(a, q) for q in range(1, 7) for a in range(1, q + 1) if math.gcd(a, q) == 1]
-    assert [(row["a"], row["q"]) for row in scan.rows[::4]] == pairs
-    for first in range(0, len(scan.rows), 4):
-        rows = scan.rows[first : first + 4]
+    assert [(row["a"], row["q"]) for row in table[::4]] == pairs
+    for first in range(0, len(table), 4):
+        rows = table[first : first + 4]
         a, q = rows[0]["a"], rows[0]["q"]
         betas = [row["beta"] for row in rows]
         width = betas[2]
@@ -321,9 +321,9 @@ def test_vk_phases_match_the_reference_quadrature(monkeypatch, x):
         return values
 
     monkeypatch.setattr("circlekit.circle.unit_phase_batch", recording)
-    rows = vk_envelope_scan(x, 3, q_max=1).rows
+    scan = vk_envelope_scan(x, 3, q_max=1)
     [(betas, values)] = calls
-    width = rows[2]["beta"]
+    width = scan.columns["beta"].tolist()[2]
     assert betas.tolist() == [0.0, float(x) * 0.5 * width, float(x) * width]
     for beta, value in zip(betas, values):
         assert abs(value - whole_array_unit_phase(beta, 3)) < 1e-9, beta
@@ -335,12 +335,12 @@ def test_vk_residual_envelope_small_scan():
     scan = vk_envelope_scan(10**4, 3, q_max=25)
     assert isinstance(scan, DiagnosticBound)
     assert scan.constant <= 10.0
-    assert len(scan.rows) > 0
+    assert len(scan.columns["ratio"]) > 0
 
 
 def test_expansion_residual_q1():
     scan = expansion_envelope_scan(10**3, 3)
-    q1 = [row for row in scan.rows if row["q"] == 1]
+    q1 = [row for row in table_rows(scan) if row["q"] == 1]
     assert len(q1) == 3
     assert all(row["ratio"] <= 10.0 for row in q1)
 
@@ -350,11 +350,11 @@ def test_expansion_residual_is_the_scan_row():
     # beta = 0, 1/(2 q tau), 1/(q tau), with the documented bound
     x = 10**3
     params = ArcParameters.default(x, 3)
-    scan = expansion_envelope_scan(x, 3)
+    rows = table_rows(expansion_envelope_scan(x, 3))
     grid = [(1, q, beta) for q in (1, 2, 3, 5, 7, 11, params.Q)
             for beta in (0.0, 0.5 / (q * params.tau), 1.0 / (q * params.tau))]
-    assert [(row["a"], row["q"], row["beta"]) for row in scan.rows] == grid
-    for row in scan.rows:
+    assert [(row["a"], row["q"], row["beta"]) for row in rows] == grid
+    for row in rows:
         q = row["q"]
         bound = x**0.05 * (math.sqrt(q) * x / params.tau + q ** (2.0 / 3.0) * x ** (1.0 / 3.0))
         assert row["bound"] == bound
@@ -367,7 +367,7 @@ def test_expansion_residual_models_f_at_minus_alpha():
     # the log phase's large-beta form
     x, k = 10**3, 3
     table = divisor_sieve(4 * x)
-    for row in expansion_envelope_scan(x, k).rows:
+    for row in table_rows(expansion_envelope_scan(x, k)):
         a, q, beta = row["a"], row["q"], row["beta"]
         alpha = -Fraction(a, q) - Fraction(beta)
         phases = np.array([float(n * alpha % 1) for n in range(1, 4 * x + 1)])
@@ -389,8 +389,9 @@ def test_expansion_residual_models_f_at_minus_alpha():
 )
 def test_constant_is_the_largest_row_ratio(scan):
     bound = scan()
-    assert bound.rows
-    assert bound.constant == max(row["ratio"] for row in bound.rows)
+    rows = table_rows(bound)
+    assert rows
+    assert bound.constant == max(row["ratio"] for row in rows)
 
 
 def test_constant_without_rows_is_zero():
@@ -603,20 +604,21 @@ def test_sample_counts_must_not_be_negative():
         minor_arc_bound_profile(10**4, 3, samples=-1)
     with pytest.raises(DomainError):
         dirichlet_contract_scan(-1, 100.0, 0)
-    assert minor_arc_bound_profile(10**4, 3, samples=0).rows == []
-    assert dirichlet_contract_scan(0, 100.0, 0) == ([], 0)
+    assert table_rows(minor_arc_bound_profile(10**4, 3, samples=0)) == []
+    empty = dirichlet_contract_scan(0, 100.0, 0)
+    assert table_rows(empty) == [] and empty.params["failures"] == 0
 
 
 def test_minor_profile_k3():
     profile = minor_arc_bound_profile(10**4, 3, samples=1000, seed=0)
-    assert len(profile.rows) == 1000
+    assert len(table_rows(profile)) == 1000
     assert np.isfinite(profile.constant)
     params = ArcParameters.default(10**4, 3)
     # minor samples must have convergent denominators beyond Q
-    assert all(row["q"] > params.Q for row in profile.rows)
+    assert all(row["q"] > params.Q for row in table_rows(profile))
 
 
 def test_minor_profile_k8_smooth_branch():
     profile = minor_arc_bound_profile(10**4, 8, samples=40, seed=1)
-    assert len(profile.rows) == 40
+    assert len(table_rows(profile)) == 40
     assert np.isfinite(profile.constant) and profile.constant > 0

@@ -331,6 +331,48 @@ def test_diagnostics_minor_csv_columns(capsys):
     assert len(rows) == 20
 
 
+# each probe's flags, and the library call that computes its table at them
+PROBE_TABLES = {
+    "vk": (["--k", "4", "--x", "10000", "--q-max", "6"],
+           lambda: circlekit.circle.vk_envelope_scan(10000, 4, 6)),
+    "expansion": (["--k", "3", "--x", "1000"],
+                  lambda: circlekit.circle.expansion_envelope_scan(1000, 3)),
+    "minor": (["--k", "3", "--x", "10000", "--samples", "30", "--seed", "2"],
+              lambda: circlekit.circle.minor_arc_bound_profile(10000, 3, 30, 2)),
+    "dirichlet": (["--samples", "40", "--tau", "37.5", "--seed", "1"],
+                  lambda: circlekit.circle.dirichlet_contract_scan(40, 37.5, 1)),
+    "hua": (["--k", "3", "--y", "30", "--j", "2"], None),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBE_TABLES))
+def test_probe_table_is_its_csv_and_its_json_summary(capsys, probe):
+    # the library's column table alone decides the CSV: its names are the
+    # header, and it has one row per sample; JSON reports its largest
+    # ratio, or for dirichlet the count of zero ratios.  hua's table is
+    # its JSON block, one row.
+    flags, compute = PROBE_TABLES[probe]
+    code, out, _ = run(capsys, "diagnostics", probe, *flags)
+    assert code == EXIT_OK
+    block = json.loads(out)["diagnostics"]
+    code, out, _ = run(capsys, "diagnostics", probe, *flags, "--format", "csv")
+    assert code == EXIT_OK
+    header, *rows = csv.reader(out.splitlines())
+    if compute is None:
+        [row] = rows
+        assert {"probe": "hua", **dict(zip(header, map(int, row)))} == block
+        return
+    columns = {name: column.tolist() for name, column in compute().columns.items()}
+    assert header == list(columns)
+    assert len(rows) > 0
+    assert all(len(column) == len(rows) for column in columns.values())
+    ratios = columns["ratio"]
+    if probe == "dirichlet":
+        assert block["failures"] == ratios.count(0)
+    else:
+        assert block["constant"] == float(f"{max(ratios):.12g}")
+
+
 # the rounding helper each CSV cell passes through, the rows and the
 # columns rounded by it
 @pytest.mark.parametrize("argv, helper, rows, rounded", [
@@ -507,6 +549,8 @@ EDGE_CASES = [
     (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "2"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "dirichlet", "--tau", "inf", "--samples", "2"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "dirichlet", "--tau", "nan", "--samples", "0"], EXIT_USAGE, "usage error:"),
+    # q tau passes the largest float: each bound is 0.0, as in Python floats, with no warning
+    (["diagnostics", "dirichlet", "--tau", "1e300", "--samples", "10"], EXIT_OK, ""),
     (["diagnostics", "vk", "--k", "3", "--x", "0"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "vk", "--k", "0", "--x", "100"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "minor", "--k", "3", "--x", "0"], EXIT_USAGE, "usage error:"),
@@ -608,6 +652,8 @@ EDGE_CASES = [
 ]
 
 
+# numpy warns of an overflow or an invalid value, where Python floats raise or stay silent
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, code, prefix", EDGE_CASES, ids=[" ".join(case[0]) for case in EDGE_CASES]
 )

@@ -37,6 +37,12 @@ def test_imports_only_stdlib_and_numpy(path):
     assert foreign == set(), f"{path.name} imports {sorted(foreign)}"
 
 
+def test_cli_imports_no_numpy():
+    # the CLI formats what the library computes; array code stays in the library
+    cli = ROOT / "src" / "circlekit" / "cli.py"
+    assert "numpy" not in _imported(ast.parse(cli.read_text()))
+
+
 def test_import_rule_sees_foreign_modules():
     tree = ast.parse("import os, scipy.special\nfrom mpmath import mp\nfrom . import arith\n")
     assert _imported(tree) - sys.stdlib_module_names - RUNTIME == {"scipy", "mpmath"}
