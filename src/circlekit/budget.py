@@ -15,7 +15,9 @@ from .errors import BudgetError, DomainError
 
 DEFAULT_BUDGET = 2_000_000_000
 
-# Largest array of 8-byte values any routine sorts in memory.
+# Most pair sums hua_count's j = 2 count visits, whatever the work budget.
+# It sorts them a value bucket at a time, so this caps its run time (about
+# 20 times Y = 5000's), not the size of an array.
 MAX_SORT = 250_000_000
 
 

@@ -39,6 +39,7 @@ from .errors import DomainError, SizeError
 from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_batch
 from .integrals import UNIT_RULE_NODES, linear_phase_batch, log_phase_batch, unit_phase_batch
 from .series import log_weight
+from .threads import ordered_map
 
 # The generating function over divisors runs to 4x, so the expansion
 # residual weights integrate the scaled variable over [0, 4].
@@ -52,6 +53,13 @@ _SLACK = 0.05
 
 # The minor-arc profile gives up after this many draws per sample.
 _DRAWS_PER_SAMPLE = 50
+
+# Pair sums per value bucket of hua_count at j = 2: 4 MiB of int64.
+_BUCKET = 1 << 19
+
+# Powers a side of the strided grid whose pair sums, about 10^5 of them,
+# place hua_count's bucket edges.
+_EDGE_GRID = 300
 
 
 @dataclass(frozen=True)
@@ -445,18 +453,39 @@ def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
     )
 
 
+def _bucket_edges(powers: np.ndarray, pairs: int, top: int) -> np.ndarray:
+    """Increasing edges from 0 to top that split the pairs' sums into value
+    buckets of about _BUCKET sums, at the quantiles of a sorted sample: the
+    sums of a strided grid of about _EDGE_GRID powers a side.  They only
+    balance the work; any increasing edges from 0 to top give one count."""
+    n = -(-pairs // _BUCKET)
+    if n <= 1:
+        return np.array([0, top], dtype=np.int64)
+    grid = powers[:: -(-powers.size // _EDGE_GRID)]
+    sample = np.sort((grid[:, None] + grid).ravel())
+    cuts = sample[np.arange(1, n) * sample.size // n]
+    return np.unique(np.concatenate(([0], cuts, [top])))
+
+
 def hua_count(Y: int, k: int, j: int) -> int:
     """Exact count of m_1^k+...+m_t^k = n_1^k+...+n_t^k, t = 2^(j-1), all in [1, Y].
 
     By orthogonality this equals the 2^j-th moment of the power
-    generating sum.  j=1 counts the diagonal.  j=2 sorts the Y(Y-1)/2
+    generating sum.  j=1 counts the diagonal.  j=2 counts the Y(Y-1)/2
     pair sums m^k + n^k with m < n: if r_s such pairs sum to s and d_s = 1
     when s = 2m^k, the ordered count is c_s = 2 r_s + d_s, so
-    sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.  Higher j convolves the
-    int64-indexed power histogram t - 1 times in Python ints, charged one
-    unit per coefficient product.  Every j >= 2 refuses 2*Y^k beyond int64,
-    and j >= 3 a t >= 2^1024, whose units pass any budget a float can set;
-    both before Y^k or t is formed.
+    sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.  The sums are counted in
+    value buckets [lo, hi) of about _BUCKET sums, handed out through
+    threads.ordered_map: each bucket gathers its slice of every row
+    m, sorts it, and returns its sum of r_s^2 and its hits on 2m^k.
+    Equal sums share a bucket, so the edges only balance the work.  About
+    WORKERS x (_BUCKET + the longest run of one value, at most Y/2) sums
+    and as many indices are held at once, besides one shared ramp of
+    2 _BUCKET indices, not one array of all Y(Y-1)/2 sums.  Higher j
+    convolves the int64-indexed power histogram t - 1 times in Python
+    ints, charged one unit per coefficient product.  Every j >= 2 refuses
+    2*Y^k beyond int64, and j >= 3 a t >= 2^1024, whose units pass any
+    budget a float can set; both before Y^k or t is formed.
     """
     if Y < 1 or k < 1:
         raise DomainError(f"need Y >= 1 and k >= 1, got Y={Y}, k={k}")
@@ -475,26 +504,43 @@ def hua_count(Y: int, k: int, j: int) -> int:
         if pairs > MAX_SORT:
             raise SizeError(f"pair-sum sort needs {pairs} entries, cap is {MAX_SORT}")
         powers = np.arange(1, Y + 1, dtype=np.int64) ** k
-        sums = np.empty(pairs, dtype=np.int64)
-        start = 0
-        for m in range(Y - 1):
-            stop = start + Y - 1 - m
-            np.add(powers[m + 1 :], powers[m], out=sums[start:stop])
-            start = stop
-        sums.sort()
-        # A run of r equal sums gives r - 1 consecutive hits and adds
-        # r^2 - r to sum r_s^2.  sum r_s^2 <= (sum r_s)^2 = pairs^2 <=
-        # MAX_SORT^2 < 2^63, so no int64 total below wraps.
-        hits = np.flatnonzero(sums[1:] == sums[:-1])
-        squares = pairs
-        if hits.size:
-            edges = np.flatnonzero(np.diff(hits) != 1) + 1
-            streaks = np.diff(np.concatenate(([0], edges, [hits.size])))
-            squares += int((streaks * (streaks + 1)).sum())
+        # row m holds powers[n] + powers[m] for n from m + 1 up, increasing
+        head, after = powers[:-1], np.arange(1, Y, dtype=np.int64)
         doubles = 2 * powers
-        on_diagonal = int(
-            (np.searchsorted(sums, doubles, "right") - np.searchsorted(sums, doubles)).sum()
-        )
+        # 2 Y^k <= INT64_MAX, which is odd, so the top edge fits int64
+        edges = _bucket_edges(powers, pairs, 2 * Y**k + 1)
+        # one shared 0, 1, 2, ...: a fresh arange per bucket took about ten
+        # times the page faults of the whole count
+        ramp = np.arange(min(pairs, 2 * _BUCKET))
+
+        def bucket(b: int) -> tuple[int, int]:
+            lo, hi = edges[b], edges[b + 1]
+            # row m's sums in [lo, hi) are powers[first:first + count] + powers[m]
+            first = np.maximum(np.searchsorted(powers, lo - head), after)
+            counts = np.maximum(np.searchsorted(powers, hi - head), after) - first
+            index = np.repeat(first - (np.cumsum(counts) - counts), counts)
+            index += ramp[: index.size] if index.size <= ramp.size else np.arange(index.size)
+            sums = powers.take(index)
+            del index
+            sums += np.repeat(head, counts)
+            sums.sort()
+            # A run of r equal sums gives a streak of s = r - 1 consecutive
+            # hits, and r^2 = r + s(s + 1).  A bucket holds at most pairs <=
+            # MAX_SORT sums, so its sum of r^2 is below MAX_SORT^2 < 2^63: no
+            # int64 total wraps.
+            hits = np.flatnonzero(sums[1:] == sums[:-1])
+            squares = sums.size
+            if hits.size:
+                ends = np.flatnonzero(np.diff(hits) != 1) + 1
+                streaks = np.diff(np.concatenate(([0], ends, [hits.size])))
+                squares += int((streaks * (streaks + 1)).sum())
+            ours = doubles[np.searchsorted(doubles, lo) : np.searchsorted(doubles, hi)]
+            on_diagonal = np.searchsorted(sums, ours, "right") - np.searchsorted(sums, ours)
+            return squares, int(on_diagonal.sum())
+
+        counted = ordered_map(bucket, range(edges.size - 1))
+        squares = sum(s for s, _ in counted)
+        on_diagonal = sum(d for _, d in counted)
         return 4 * squares + 4 * on_diagonal + Y
     if j > 1024:
         raise SizeError(f"j = {j} takes 2^{j - 1} powers a side, past any work budget")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlekit import circle, threads
 from circlekit.arith import divisor_sieve, integer_kth_root
 from circlekit.budget import DEFAULT_BUDGET
 from circlekit.circle import (
@@ -450,6 +452,45 @@ def full_sort_hua(Y, k):
 def test_hua_matches_full_sort(Y, k):
     # k = 1 and k = 2 have many off-diagonal pairs summing to 2m^k
     assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
+
+
+def _rank_split_runs(Y, k, size):
+    """The runs of equal pair sums m^k + n^k, m < n, that cuts after every
+    `size` sorted sums would split, and those of them equal to some 2m^k."""
+    powers = np.arange(1, Y + 1, dtype=np.int64) ** k
+    m, n = np.triu_indices(Y, 1)
+    sums = np.sort(powers[m] + powers[n])
+    cuts = np.arange(size, sums.size, size)
+    split = sums[cuts][sums[cuts - 1] == sums[cuts]]
+    return split, np.intersect1d(split, 2 * powers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("size, Y", [(64, 235), (1000, 501)])
+def test_hua_buckets_match_full_sort(monkeypatch, size, Y, k, workers):
+    # hundreds of small buckets, each edge a pair sum; at k = 1 and 2 a split
+    # by rank would cut runs of equal sums, some of them off-diagonal sums
+    # equal to 2m^k, which a value bucket must keep whole
+    monkeypatch.setattr(circle, "_BUCKET", size)
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    if k <= 2:
+        split, doubles = _rank_split_runs(Y, k, size)
+        assert split.size and doubles.size
+    assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
+
+
+def test_hua_memory_stays_in_buckets(monkeypatch):
+    # one sorted array of all 12.5M pair sums peaked at 107 MiB; two
+    # workers hold two buckets of sums and indices and the shared ramp
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    tracemalloc.start()
+    try:
+        hua_count(5000, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_hua_fourth_moment_log_growth():

@@ -1,6 +1,7 @@
 """Layout rules for the library source."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -126,3 +127,43 @@ def test_reference_rule_sees_unused_definitions():
     tree = ast.parse("def used(): pass\ndef alone(n): return alone(n - 1)\nclass Kept: pass\n"
                      "def _private(): pass\nx = used()\ny: Kept\n")
     assert _defined(tree) - _referenced(tree) == {"alone"}
+
+
+def _mapping_functions(tree: ast.Module) -> set[str]:
+    """The top-level functions of a module that call ordered_map, in their
+    own body or in a function nested in it."""
+    def calls_map(node: ast.AST) -> bool:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ordered_map":
+                    return True
+        return False
+
+    return {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and calls_map(node)
+    }
+
+
+def test_every_ordered_map_user_is_listed_in_threads():
+    # threads' "Users:" paragraph is the audit list for the rule that
+    # mapped work calls no function the benchmark's tracer wraps
+    threads = ROOT / "src" / "circlekit" / "threads.py"
+    doc = ast.get_docstring(ast.parse(threads.read_text()))
+    users = next(part for part in doc.split("\n\n") if part.startswith("Users:"))
+    listed = set(re.findall(r"\w+\.\w+", users))
+    unlisted = [
+        f"{path.stem}.{name}" for path in SOURCE if path != threads
+        for name in sorted(_mapping_functions(ast.parse(path.read_text())))
+        if f"{path.stem}.{name}" not in listed
+    ]
+    assert unlisted == []
+
+
+def test_map_rule_sees_users():
+    tree = ast.parse("def a(): return threads.ordered_map(f, x)\n"
+                     "def b():\n    def inner(y): return ordered_map(f, y)\n    return inner(1)\n"
+                     "def c(): return map(f, x)\n")
+    assert _mapping_functions(tree) == {"a", "b"}

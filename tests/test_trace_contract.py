@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import math  # noqa: E402
+import threading  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -83,6 +84,35 @@ def test_threaded_exact_routes_record_only_their_own_spans(monkeypatch):
         ("arith.exact_S_convolution.ntt", -1),
         ("arith.build_histograms", 0),
     ]
+
+
+def test_threaded_hua_records_only_its_own_span(monkeypatch):
+    # small buckets on two workers; the calling thread holds its first
+    # bucket until a helper has claimed one, so buckets run on a helper
+    # while the tracer is installed
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(circlekit.circle, "_BUCKET", 64)
+    caller, helped = threading.get_ident(), threading.Event()
+
+    def spied_map(fn, items):
+        def claim(item):
+            if threading.get_ident() == caller:
+                helped.wait(timeout=10)
+            else:
+                helped.set()
+            return fn(item)
+
+        return threads.ordered_map(claim, items)
+
+    monkeypatch.setattr(circlekit.circle, "ordered_map", spied_map)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        circlekit.circle.hua_count(200, 3, 2)
+    finally:
+        tracer.uninstall()
+    assert helped.is_set()
+    assert [(span.name, span.parent) for span in tracer.spans] == [("circle.hua_count", -1)]
 
 
 # x = 500, k = 3: r = 22 squares, P = 7 powers, values up to 3 * 22^2 + 7^3
