@@ -6,17 +6,20 @@ r = sqrt(x) and n4 up to P = x^(1/k):
 
     S = sum d(n1^2 + n2^2 + n3^2 + n4^k)
 
-The divisor table is the sieve's int32 array d, d[n] = d(n), sieved by the
-command that reads it; every reader checks its coverage by require_table.
+The divisor table is the sieve's int32 array d, d[n] = d(n), sieved in
+value windows by the command that reads it; every reader checks its
+coverage by require_table.
 
 One evaluator enumerates the tuples (each unordered square triple once,
 weighted by its orderings).  The other cubes the square indicator into
-the k-independent three-square counts r3, by a guarded float FFT at the
-least 2^a * 3^b * 5^c covering its 3r^2 + 1 coefficients or exactly by
-about 3r^3 shifted integer adds, and pairs r3 with the divisor table
-shifted by each n4^k.  The two must agree to the last digit.  The direct
-rows and the window segments run on every CPU through
-threads.ordered_map.
+the k-independent three-square counts r3 and pairs r3 with the divisor
+table shifted by each n4^k.  The cube runs by guarded float FFTs split
+by the parity of the three roots, one piece per class of r3's index
+mod 4, each at the least 2^a * 3^b * 5^c covering its 3r^2/4 + 1
+coefficients, or exactly by about 3r^3 shifted integer adds.  The two
+evaluators must agree to the last digit.  The sieve windows, the parity
+pieces, the direct rows and the window segments run on every CPU
+through threads.ordered_map.
 
 dyadic is the one place that splits floats into exact num/2^e for the
 arc probes and Weyl batches: int64 while 2^e <= 2^62 and |num| < 2^62,
@@ -39,6 +42,9 @@ MAX_SIEVE = 200_000_000
 
 # Entries of r3 per window segment: its int32 window is 256 KiB.
 _SEGMENT = 1 << 16
+
+# Entries of the divisor table per sieve window: 8 MiB of int32.
+_SIEVE_WINDOW = 1 << 21
 
 # The largest int64, and so the largest k: numpy takes every k-th power's
 # exponent as an int64.
@@ -106,11 +112,14 @@ def divisor_sieve(limit: int) -> np.ndarray:
     entry 0 is unused and holds 0, by a sqrt(N) pair sieve.
 
     d(n) counts the ordered pairs (i, j) with i*j = n.  Each pair has a
-    smaller factor i <= floor(sqrt(N)), so for each such i the square
-    i*i gets 1 and every larger multiple i*j (j > i) gets 2, one strided
-    numpy add per i.  That is floor(sqrt(N)) Python iterations and
-    sum_{i<=sqrt N} (N/i - i + 1) ~ N(ln(N)/2 + gamma - 1/2) strided
-    int32 increments.
+    smaller factor i <= floor(sqrt(n)), so the square i*i gets 1 and
+    every larger multiple i*j (j > i) gets 2.  So d(n) <= 2 sqrt(n), and
+    every entry is below 2 sqrt(MAX_SIEVE) < 2^15.  The table is filled
+    in place, in windows of _SIEVE_WINDOW entries handed out through
+    threads.ordered_map; the window [lo, hi) makes one strided numpy add
+    per i <= sqrt(hi - 1).  That is about sqrt(N) Python iterations per
+    window and sum_{i<=sqrt N} (N/i - i + 1) ~ N(ln(N)/2 + gamma - 1/2)
+    strided int32 increments in all.
     """
     if limit < 1:
         raise SizeError(f"sieve limit must be >= 1, got {limit}")
@@ -118,10 +127,21 @@ def divisor_sieve(limit: int) -> np.ndarray:
         raise SizeError(f"sieve limit {limit} exceeds memory cap {MAX_SIEVE}")
     check_budget(limit, "divisor_sieve")
     d = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(1, math.isqrt(limit) + 1):
-        d[i * i] += 1
-        d[i * (i + 1) :: i] += 2
+    starts = range(0, limit + 1, _SIEVE_WINDOW)
+    threads.ordered_map(lambda lo: _sieve_window(d[lo : lo + _SIEVE_WINDOW], lo), starts)
     return d
+
+
+def _sieve_window(window: np.ndarray, lo: int) -> None:
+    """Add to window, the table's entries lo, lo + 1, ..., the pair
+    sieve's increments that fall on them."""
+    i = np.arange(1, math.isqrt(lo + len(window) - 1) + 1)
+    squares = i * i
+    window[squares[squares >= lo] - lo] += 1
+    # each i's first multiple i*j >= lo with j > i
+    first = np.maximum(squares + i, -(-lo // i) * i) - lo
+    for step, start in zip(i.tolist(), first.tolist()):
+        window[start::step] += 2
 
 
 def require_table(need: int, table: np.ndarray) -> np.ndarray:
@@ -243,14 +263,25 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
+    """Write the integers nearest to coeffs into out, or raise
+    PrecisionError when one is at distance >= 0.25; callers then fall
+    back to the exact cube.  The distances overwrite coeffs, so no
+    float temporary is made."""
+    np.rint(coeffs, out=out, casting="unsafe")
+    coeffs -= out
+    dist = float(np.abs(coeffs, out=coeffs).max())
+    if dist >= 0.25:
+        raise PrecisionError(f"float transform rounding distance {dist:.3f} >= 0.25")
+
+
 def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
-    """Float a*a*a with a rounding-margin guard, at the 5-smooth length
+    """Float a*a*a, rounded by _rounded's guard, at the 5-smooth length
     _fft_length covering the 3 len(a) - 2 coefficients.
 
-    Any coefficient at distance >= 0.25 from the nearest integer raises
-    PrecisionError; callers then fall back to the exact cube.
-    The spectrum is cubed through one temporary and the distances
-    overwrite the float output, so the peak is about 2 n doubles.
+    The spectrum is cubed through one temporary and freed before the
+    coefficients are rounded into the output, so the peak is about
+    2 n doubles.
     """
     out_len = 3 * len(a) - 2
     n = _fft_length(out_len)
@@ -258,13 +289,47 @@ def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
     spectrum *= spectrum * spectrum
     coeffs = np.fft.irfft(spectrum, n)[:out_len]
     del spectrum
-    rounded = np.rint(coeffs)
-    coeffs -= rounded
-    dist = float(np.abs(coeffs, out=coeffs).max())
-    del coeffs
-    if dist >= 0.25:
-        raise PrecisionError(f"float transform rounding distance {dist:.3f} >= 0.25")
-    return rounded.astype(np.int64)
+    out = np.empty(out_len, dtype=np.int64)
+    _rounded(coeffs, out)
+    return out
+
+
+def _parity_cube(indicator: np.ndarray) -> np.ndarray:
+    """The exact cube of the square indicator, split by the parity of
+    the three roots, or _exact_cube(indicator) when a piece's guard
+    trips.
+
+    An even root 2j gives 4 j^2 and an odd root 2j + 1 gives
+    4 j(j + 1) + 1, so e = indicator[0::4] marks the j^2 and
+    o = indicator[1::4] the j(j + 1).  A triple with c odd roots sums to
+    c mod 4, so r3[c::4] is in turn e^3, 3 e^2 o, 3 e o^2 and o^3: two
+    forward transforms and four inverses at the 5-smooth length covering
+    3 len(e) - 2, about 3/4 of the unsplit cube's transform work.  Both
+    are mapped through threads.ordered_map, and each inverse is rounded
+    by _rounded straight into the strided view r3[c::4].
+    """
+    parts = indicator[0::4], indicator[1::4]
+    n = _fft_length(3 * len(parts[0]) - 2)
+    spectra = threads.ordered_map(lambda part: np.fft.rfft(part.astype(np.float64), n), parts)
+    r3 = np.empty(3 * len(indicator) - 2, dtype=np.int64)
+
+    def piece(c: int) -> None:
+        # the orderings of 3 - c even roots and c odd ones: 1, 3, 3, 1
+        first, second, third = [spectra[0]] * (3 - c) + [spectra[1]] * c
+        spectrum = first * second
+        spectrum *= third
+        if 0 < c < 3:
+            spectrum *= 3
+        view = r3[c::4]
+        coeffs = np.fft.irfft(spectrum, n)[: len(view)]
+        del spectrum
+        _rounded(coeffs, view)
+
+    try:
+        threads.ordered_map(piece, range(4))
+    except PrecisionError:
+        return _exact_cube(indicator)
+    return r3
 
 
 def _exact_cube(a: np.ndarray) -> np.ndarray:
@@ -311,16 +376,18 @@ def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
 def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str = "auto") -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
     d(m + n4^k), where r3 = cube(square indicator) counts the ordered
-    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  W and the dot are built in
+    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  "auto" cubes by
+    _parity_cube, "ntt" exactly by cube.  W and the dot are built in
     segments of _SEGMENT entries through threads.ordered_map: each sums
-    one table slice per n4 into a cache-resident int32 buffer, below
-    P * max d < 2^20 wherever the sieve cap admits the table, and returns
-    its int64 dot as a Python int, exact in any order.  The last slice
-    ends at most at max_value.
+    one table slice per n4 into a cache-resident int32 buffer and returns
+    its int64 dot as a Python int, exact in any order.  The buffer holds
+    at most P * 2 sqrt(MAX_SIEVE) < 2^24 wherever the sieve cap admits
+    the table, since d(n) <= 2 sqrt(n) and P <= 368 there.  The last
+    slice ends at most at max_value.
     """
     d = require_table(inst.max_value, table)
     indicator, powers = build_histograms(inst)
-    r3 = cube(indicator, transform)
+    r3 = _parity_cube(indicator) if transform == "auto" else cube(indicator, transform)
     shifts = powers.tolist()
 
     def segment(lo: int) -> int:

@@ -1,23 +1,26 @@
 """An order-preserving map over worker threads.
 
-The main-term constants, both exact routes and the pair-sum count are
-loops of independent numpy blocks that release the interpreter lock, so
-they run on every CPU this process may use.  The calling thread and w - 1
-helper threads each claim the next unclaimed item from one shared
-counter until none is left, so a slow item holds up only the thread
-running it: a caller that works rather than waits leaves one thread
-fewer, and with it one allocator arena fewer holding freed block
-temporaries.  Every helper is joined before ordered_map returns or
+The main-term constants, the divisor sieve, both exact routes and the
+pair-sum count are loops of independent numpy blocks that release the
+interpreter lock, so they run on every CPU this process may use.  The
+calling thread and w - 1 helper threads each claim the next unclaimed
+item from one shared counter until none is left, so a slow item holds up
+only the thread running it: a caller that works rather than waits leaves
+one thread fewer, and with it one allocator arena fewer holding freed
+block temporaries.  Every helper is joined before ordered_map returns or
 raises.
 
 Users: the singular-integral sweep's blocks (integrals._sweep, which
 integrals.j_values runs for `integral`), the prime-power local densities
-(series.sigma_truncated), the direct rows (arith.exact_S_direct), the
-window segments (arith.exact_S_convolution) and the pair-sum value
-buckets (circle.hua_count).  `verify` takes its singular integrals from
-integrals.j_volume instead, which maps nothing and runs on the calling
-thread.  What the users map calls no function that perfbench's tracer
-wraps, because the tracer keeps one span stack for all threads.
+(series.sigma_truncated), the divisor table's value windows
+(arith.divisor_sieve), the direct rows (arith.exact_S_direct), the float
+cube's two forward transforms and four parity pieces
+(arith._parity_cube), the window segments (arith.exact_S_convolution)
+and the pair-sum value buckets (circle.hua_count).  `verify` takes its
+singular integrals from integrals.j_volume instead, which maps nothing
+and runs on the calling thread.  What the users map calls no function
+that perfbench's tracer wraps, because the tracer keeps one span stack
+for all threads.
 """
 
 import os

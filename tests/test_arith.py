@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -12,6 +13,8 @@ from circlekit.arith import (
     _exact_cube,
     _fft_cube_checked,
     _fft_length,
+    _parity_cube,
+    _rounded,
     build_histograms,
     cube,
     divisor_sieve,
@@ -111,6 +114,49 @@ def test_sieve_matches_harmonic_marking():
         values = divisor_sieve(n)
         assert values.dtype == np.int32
         assert np.array_equal(values, reference[: n + 1]), n
+
+
+def one_pass_sieve(limit):
+    # the pair sieve over the whole table in one pass: d[i*i] += 1 and
+    # d[i*j] += 2 for j > i, for every i <= sqrt(limit)
+    d = np.zeros(limit + 1, dtype=np.int32)
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i] += 1
+        d[i * (i + 1) :: i] += 2
+    return d
+
+
+# limits W - 1, W, W + 1, 2W and 2W + 1: the table's limit + 1 entries
+# fill whole windows, or leave one or two entries for a last window
+@pytest.mark.parametrize("window", [7, 64])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sieve_windows_equal_one_pass(monkeypatch, window, workers):
+    monkeypatch.setattr(arith, "_SIEVE_WINDOW", window)
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    edges = [window - 1, window, window + 1, 2 * window, 2 * window + 1]
+    for limit in edges + [window**2 - 1, window**2, 4099]:
+        assert np.array_equal(divisor_sieve(limit), one_pass_sieve(limit)), limit
+
+
+def test_sieve_entries_bounded_by_pair_count(table_1e6):
+    # d(n) <= 2 sqrt(n): one factor of each pair i*j = n is at most sqrt(n)
+    n = np.arange(len(table_1e6), dtype=np.int64)
+    assert np.all(table_1e6.astype(np.int64) ** 2 <= 4 * n)
+
+
+def test_sieve_memory_is_the_table_and_one_window_per_worker(monkeypatch):
+    # N = 4 * 10^6 is two windows of 2^21 entries, one per worker: each
+    # window's temporaries are its sqrt(N) starts, not a copy of the table
+    n = 4 * 10**6
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    tracemalloc.start()
+    try:
+        table = divisor_sieve(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(range(0, n + 1, arith._SIEVE_WINDOW)) == 2
+    assert peak < table.nbytes + 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [10**6, 4 * 10**6])
@@ -479,7 +525,8 @@ def test_ntt_cube_equals_integer_convolution(a):
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
-    def refuse(a):
+    # every parity piece's guard trips; auto then runs the exact cube once
+    def refuse(coeffs, out):
         raise PrecisionError("forced")
 
     calls = []
@@ -488,7 +535,7 @@ def test_auto_falls_back_to_ntt(monkeypatch):
         calls.append(3 * len(a) - 2)
         return _exact_cube(a)
 
-    monkeypatch.setattr(arith, "_fft_cube_checked", refuse)
+    monkeypatch.setattr(arith, "_rounded", refuse)
     monkeypatch.setattr(arith, "_exact_cube", counted)
     for x, k in ((1, 3), (3000, 3), (5000, 8)):
         inst = ProblemInstance(x=x, k=k)
@@ -499,18 +546,44 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
 
 def test_float_transform_guard(monkeypatch):
-    # distances within margin pass, anything >= 0.25 must trip the guard
+    # distances within margin pass, anything >= 0.25 must trip the guard,
+    # in the shared rounding helper and in the unsplit cube that calls it
     a = np.array([1, 2, 3], dtype=np.int64)
     expected = np.convolve(np.convolve(a, a), a)
     assert np.array_equal(_fft_cube_checked(a), expected)
     irfft = np.fft.irfft
     for shift, trips in ((0.1, False), (-0.24, False), (0.3, True), (-0.75, True)):
+        out = np.zeros(len(expected), dtype=np.int64)
+        if trips:
+            with pytest.raises(PrecisionError):
+                _rounded(expected + shift, out)
+        else:
+            _rounded(expected + shift, out)
+            assert np.array_equal(out, expected)
         monkeypatch.setattr(np.fft, "irfft", lambda s, n, shift=shift: irfft(s, n) + shift)
         if trips:
             with pytest.raises(PrecisionError):
                 _fft_cube_checked(a)
         else:
             assert np.array_equal(_fft_cube_checked(a), expected)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+
+
+@functools.cache
+def exact_square_cube(r):
+    indicator, _ = build_histograms(ProblemInstance(x=r * r, k=3))
+    return indicator, _exact_cube(indicator)
+
+
+# r = 999 and 1000 hold the odd and even top root of verify's x = 10^6
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_parity_cube_equals_exact_cube(monkeypatch, workers):
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    for r in list(range(1, 81)) + [316, 999, 1000]:
+        indicator, expected = exact_square_cube(r)
+        r3 = _parity_cube(indicator)
+        assert r3.dtype == np.int64 and np.array_equal(r3, expected), r
+    assert r3.sum() == 1000**3
 
 
 def test_float_transform_memory():
@@ -526,6 +599,48 @@ def test_float_transform_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * n * 8
+
+
+def test_convolution_memory_at_one_million(monkeypatch):
+    # x = 10^6: r3 holds 3,000,001 int64 and the indicator 1,000,001; the
+    # parity route adds its two forward spectra and, per worker, one
+    # piece's spectrum and float coefficients at 759,375 points
+    inst = ProblemInstance(x=10**6, k=3)
+    table = divisor_sieve(inst.max_value)
+    n = _fft_length(3 * (inst.square_limit**2 // 4 + 1) - 2)
+    assert n == 759_375
+    fixed = 8 * (3 * 10**6 + 1) + 8 * (10**6 + 1)
+    for workers in (1, 2):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            exact_S_convolution(inst, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fixed + (2 + 2 * workers) * 8 * n + 2**20, workers
+
+
+def largest_admitted_x(k):
+    # the largest x whose values max_value = 3 r^2 + P^k the sieve cap admits
+    lo, hi = 1, arith.MAX_SIEVE
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ProblemInstance(mid, k).max_value <= arith.MAX_SIEVE else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_int32_window_bound_under_the_sieve_cap(k):
+    # d(n) <= 2 sqrt(n) <= 2 sqrt(MAX_SIEVE) for every sieved entry, so
+    # each int32 window entry, a sum of P divisor counts, is below 2^24
+    x = largest_admitted_x(k)
+    inst = ProblemInstance(x, k)
+    assert inst.max_value <= arith.MAX_SIEVE < ProblemInstance(x + 1, k).max_value
+    max_d = 2 * math.isqrt(arith.MAX_SIEVE)
+    assert max_d < 2**15
+    assert inst.power_limit <= 368
+    assert inst.power_limit * max_d < 2**24 < 2**31
 
 
 def test_budget_refusal(monkeypatch):

@@ -1,7 +1,8 @@
 """The threaded constants and exact sums: the same bits on any worker count.
 
-j_values, sigma_truncated and the direct route's rows spread
-independent work over threads.ordered_map.  Their results must not
+j_values, sigma_truncated, the direct route's rows, the divisor sieve's
+windows and the parity pieces of the cube spread independent work over
+threads.ordered_map.  Their results must not
 depend on how many workers run them, nor on how many threads numpy's
 BLAS runs; a failure in a helper's share must surface as the same exit
 code, and no helper may outlive the call.  j_volume, verify's source of
@@ -261,6 +262,33 @@ def test_memory_error_in_a_direct_row_maps_to_budget_exit(monkeypatch, capsys):
     monkeypatch.setattr(arith, "_gathered_sum", failing)
     baseline = threading.active_count()
     assert main(["verify", "--k", "3", "--x", "2000", "--method", "direct"]) == EXIT_BUDGET
+    assert failed_on
+    assert threading.active_count() == baseline
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and err.count("\n") == 1
+
+
+def test_memory_error_in_a_sieve_window_maps_to_budget_exit(monkeypatch, capsys):
+    # verify's table of 7,537 entries in 64-entry windows; the first window
+    # a helper claims fails, and the caller holds its own until then
+    sieve_window = arith._sieve_window
+    failed_on = []
+    helper_failed = threading.Event()
+
+    def failing(window, lo):
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(timeout=10)
+        elif not failed_on:
+            failed_on.append(lo)
+            helper_failed.set()
+            raise MemoryError("forced in a helper's window")
+        return sieve_window(window, lo)
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(arith, "_SIEVE_WINDOW", 64)
+    monkeypatch.setattr(arith, "_sieve_window", failing)
+    baseline = threading.active_count()
+    assert main(["verify", "--k", "3", "--x", "2000", "--method", "conv"]) == EXIT_BUDGET
     assert failed_on
     assert threading.active_count() == baseline
     err = capsys.readouterr().err

@@ -62,57 +62,81 @@ def test_tracer_uninstall_restores_every_binding():
         assert changed == [], name
 
 
+def helper_claimed_map(monkeypatch, module):
+    """Patch module.ordered_map so that, in a map of two or more items, the
+    calling thread holds its first item until a helper has claimed one, so
+    that items run on a helper while the tracer is installed; returns the
+    event a helper's claim sets."""
+    mapped, caller, helped = threads.ordered_map, threading.get_ident(), threading.Event()
+
+    def spied_map(fn, items):
+        items = list(items)
+
+        def claim(item):
+            if threading.get_ident() != caller:
+                helped.set()
+            elif len(items) > 1:
+                helped.wait(timeout=10)
+            return fn(item)
+
+        return mapped(claim, items)
+
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    monkeypatch.setattr(module, "ordered_map", spied_map)
+    return helped
+
+
+def traced_spans(call) -> list:
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return [(span.name, span.parent) for span in tracer.spans]
+
+
 def test_threaded_exact_routes_record_only_their_own_spans(monkeypatch):
     # helper threads call no wrapped layer, so the single span stack holds:
     # each route's one span, and the convolution's histogram child opened
-    # on the calling thread
-    monkeypatch.setattr(threads, "WORKERS", 2)
+    # on the calling thread.  The direct rows and the auto route's
+    # transforms and parity pieces run on a helper too; at r = 70, r3 is
+    # one window segment, so the exact route maps nothing to a helper
     inst = ProblemInstance(x=5000, k=3)
     table = divisor_sieve(inst.max_value)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        circlekit.arith.exact_S_direct(inst, table)
-        direct = list(tracer.spans)
-        tracer.spans.clear()
-        circlekit.arith.exact_S_convolution(inst, table, "ntt")
-        convolution = list(tracer.spans)
-    finally:
-        tracer.uninstall()
-    assert [(span.name, span.parent) for span in direct] == [("arith.exact_S_direct", -1)]
-    assert [(span.name, span.parent) for span in convolution] == [
-        ("arith.exact_S_convolution.ntt", -1),
-        ("arith.build_histograms", 0),
+    helped = helper_claimed_map(monkeypatch, threads)
+    assert traced_spans(lambda: circlekit.arith.exact_S_direct(inst, table)) == [
+        ("arith.exact_S_direct", -1)
     ]
+    assert helped.is_set()
+    for transform in ("ntt", "auto"):
+        helped.clear()
+        convolution = traced_spans(
+            lambda: circlekit.arith.exact_S_convolution(inst, table, transform))
+        assert helped.is_set() == (transform == "auto")
+        assert convolution == [
+            (f"arith.exact_S_convolution.{transform}", -1),
+            ("arith.build_histograms", 0),
+        ]
+
+
+def test_threaded_sieve_windows_record_only_the_sieve_span(monkeypatch):
+    monkeypatch.setattr(circlekit.arith, "_SIEVE_WINDOW", 64)
+    helped = helper_claimed_map(monkeypatch, threads)
+    assert traced_spans(lambda: circlekit.arith.divisor_sieve(1000)) == [
+        ("arith.divisor_sieve", -1)
+    ]
+    assert helped.is_set()
 
 
 def test_threaded_hua_records_only_its_own_span(monkeypatch):
-    # small buckets on two workers; the calling thread holds its first
-    # bucket until a helper has claimed one, so buckets run on a helper
-    # while the tracer is installed
-    monkeypatch.setattr(threads, "WORKERS", 2)
+    # small buckets, each run on a helper while the tracer is installed
     monkeypatch.setattr(circlekit.circle, "_BUCKET", 64)
-    caller, helped = threading.get_ident(), threading.Event()
-
-    def spied_map(fn, items):
-        def claim(item):
-            if threading.get_ident() == caller:
-                helped.wait(timeout=10)
-            else:
-                helped.set()
-            return fn(item)
-
-        return threads.ordered_map(claim, items)
-
-    monkeypatch.setattr(circlekit.circle, "ordered_map", spied_map)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        circlekit.circle.hua_count(200, 3, 2)
-    finally:
-        tracer.uninstall()
+    helped = helper_claimed_map(monkeypatch, circlekit.circle)
+    assert traced_spans(lambda: circlekit.circle.hua_count(200, 3, 2)) == [
+        ("circle.hua_count", -1)
+    ]
     assert helped.is_set()
-    assert [(span.name, span.parent) for span in tracer.spans] == [("circle.hua_count", -1)]
 
 
 # x = 500, k = 3: r = 22 squares, P = 7 powers, values up to 3 * 22^2 + 7^3
