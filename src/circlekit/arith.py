@@ -16,10 +16,11 @@ the k-independent three-square counts r3 and pairs r3 with the divisor
 table shifted by each n4^k.  The cube runs by guarded float FFTs split
 by the parity of the three roots, one piece per class of r3's index
 mod 4, each at the least 2^a * 3^b * 5^c covering its 3r^2/4 + 1
-coefficients, or exactly by about 3r^3 shifted integer adds.  The two
-evaluators must agree to the last digit.  The sieve windows, the parity
-pieces, the direct rows and the window segments run on every CPU
-through threads.ordered_map.
+coefficients.  When a piece's guard trips it falls back to cube, the
+exact cube of a 0/1 indicator by about 3r^3 shifted integer adds,
+which transform="ntt" always runs.  The two evaluators must agree to
+the last digit.  The sieve windows, the parity pieces, the direct rows
+and the window segments run on every CPU through threads.ordered_map.
 
 dyadic is the one place that splits floats into exact num/2^e for the
 arc probes and Weyl batches: int64 while 2^e <= 2^62 and |num| < 2^62,
@@ -265,9 +266,9 @@ def _fft_length(n: int) -> int:
 
 def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
     """Write the integers nearest to coeffs into out, or raise
-    PrecisionError when one is at distance >= 0.25; callers then fall
-    back to the exact cube.  The distances overwrite coeffs, so no
-    float temporary is made."""
+    PrecisionError when one is at distance >= 0.25; _parity_cube then
+    falls back to cube.  The distances overwrite coeffs, so no float
+    temporary is made."""
     np.rint(coeffs, out=out, casting="unsafe")
     coeffs -= out
     dist = float(np.abs(coeffs, out=coeffs).max())
@@ -275,38 +276,18 @@ def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
         raise PrecisionError(f"float transform rounding distance {dist:.3f} >= 0.25")
 
 
-def _fft_cube_checked(a: np.ndarray) -> np.ndarray:
-    """Float a*a*a, rounded by _rounded's guard, at the 5-smooth length
-    _fft_length covering the 3 len(a) - 2 coefficients.
-
-    The spectrum is cubed through one temporary and freed before the
-    coefficients are rounded into the output, so the peak is about
-    2 n doubles.
-    """
-    out_len = 3 * len(a) - 2
-    n = _fft_length(out_len)
-    spectrum = np.fft.rfft(a.astype(np.float64), n)
-    spectrum *= spectrum * spectrum
-    coeffs = np.fft.irfft(spectrum, n)[:out_len]
-    del spectrum
-    out = np.empty(out_len, dtype=np.int64)
-    _rounded(coeffs, out)
-    return out
-
-
 def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     """The exact cube of the square indicator, split by the parity of
-    the three roots, or _exact_cube(indicator) when a piece's guard
-    trips.
+    the three roots, or cube(indicator) when a piece's guard trips.
 
     An even root 2j gives 4 j^2 and an odd root 2j + 1 gives
     4 j(j + 1) + 1, so e = indicator[0::4] marks the j^2 and
     o = indicator[1::4] the j(j + 1).  A triple with c odd roots sums to
     c mod 4, so r3[c::4] is in turn e^3, 3 e^2 o, 3 e o^2 and o^3: two
     forward transforms and four inverses at the 5-smooth length covering
-    3 len(e) - 2, about 3/4 of the unsplit cube's transform work.  Both
-    are mapped through threads.ordered_map, and each inverse is rounded
-    by _rounded straight into the strided view r3[c::4].
+    3 len(e) - 2, about 3/4 of one unsplit float cube's transform work.
+    Both are mapped through threads.ordered_map, and each inverse is
+    rounded by _rounded straight into the strided view r3[c::4].
     """
     parts = indicator[0::4], indicator[1::4]
     n = _fft_length(3 * len(parts[0]) - 2)
@@ -328,66 +309,47 @@ def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     try:
         threads.ordered_map(piece, range(4))
     except PrecisionError:
-        return _exact_cube(indicator)
+        return cube(indicator)
     return r3
 
 
-def _exact_cube(a: np.ndarray) -> np.ndarray:
-    """Exact a*a*a for a >= 0 in int64: a*a, then (a*a)*a, each the sum of
-    one shifted copy per nonzero entry of a.
+def cube(indicator: np.ndarray) -> np.ndarray:
+    """The exact cube of a 0/1 indicator in int64: the square, then the
+    cube, each the sum of one shifted copy per entry 1.
 
-    Every coefficient, partial sum and scaled copy is at most
-    max(a) * sum(a)^2, so the adds run in int32 below 2^31 and in int64
-    below 2^63; a larger bound raises SizeError before any allocation.
+    Each coefficient counts ordered triples of the n ones, so it is at
+    most n^2, and the adds run in int32 while n^2 < 2^31.
     """
-    top = int(a.max())
-    # top^3 <= bound; below 2^21 the int64 sum of an array in memory cannot wrap
-    bound = top**3 if top >= 2**21 else top * int(a.sum()) ** 2
-    if bound >= 2**63:
-        raise SizeError(f"cube coefficients may reach {bound}, beyond int64")
-    dtype = np.int32 if bound < 2**31 else np.int64
-    support = np.flatnonzero(a)
-    terms = list(zip(support.tolist(), a[support].tolist()))
+    ones = np.flatnonzero(indicator).tolist()
+    dtype = np.int32 if len(ones) ** 2 < 2**31 else np.int64
 
-    def times_a(b: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(b) + len(a) - 1, dtype=dtype)
-        for i, v in terms:
-            out[i : i + len(b)] += b if v == 1 else v * b
+    def times_indicator(b: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(b) + len(indicator) - 1, dtype=dtype)
+        for i in ones:
+            out[i : i + len(b)] += b
         return out
 
-    return times_a(times_a(a.astype(dtype))).astype(np.int64)
-
-
-def cube(a: np.ndarray, transform: str = "auto") -> np.ndarray:
-    """The exact a*a*a of a >= 0 in int64: "auto" tries the checked float
-    FFT and falls back to _exact_cube, which "ntt" forces.  "ntt" names
-    the exact route for the callers and benchmark metrics that pass it;
-    no number-theoretic transform is left."""
-    if transform == "auto":
-        try:
-            return _fft_cube_checked(a)
-        except PrecisionError:
-            pass
-    elif transform != "ntt":
-        raise DomainError(f"unknown transform {transform!r}")
-    return _exact_cube(a)
+    return times_indicator(times_indicator(indicator.astype(dtype))).astype(np.int64)
 
 
 def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str = "auto") -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
     d(m + n4^k), where r3 = cube(square indicator) counts the ordered
     (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  "auto" cubes by
-    _parity_cube, "ntt" exactly by cube.  W and the dot are built in
-    segments of _SEGMENT entries through threads.ordered_map: each sums
-    one table slice per n4 into a cache-resident int32 buffer and returns
-    its int64 dot as a Python int, exact in any order.  The buffer holds
-    at most P * 2 sqrt(MAX_SIEVE) < 2^24 wherever the sieve cap admits
-    the table, since d(n) <= 2 sqrt(n) and P <= 368 there.  The last
-    slice ends at most at max_value.
+    _parity_cube, "ntt" exactly by cube; any other transform is a
+    DomainError.  W and the dot are built in segments of _SEGMENT
+    entries through threads.ordered_map: each sums one table slice per
+    n4 into a cache-resident int32 buffer and returns its int64 dot as
+    a Python int, exact in any order.  The buffer holds at most
+    P * 2 sqrt(MAX_SIEVE) < 2^24 wherever the sieve cap admits the
+    table, since d(n) <= 2 sqrt(n) and P <= 368 there.  The last slice
+    ends at most at max_value.
     """
+    if transform not in ("auto", "ntt"):
+        raise DomainError(f"unknown transform {transform!r}")
     d = require_table(inst.max_value, table)
     indicator, powers = build_histograms(inst)
-    r3 = _parity_cube(indicator) if transform == "auto" else cube(indicator, transform)
+    r3 = _parity_cube(indicator) if transform == "auto" else cube(indicator)
     shifts = powers.tolist()
 
     def segment(lo: int) -> int:

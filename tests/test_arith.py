@@ -7,14 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlekit import arith, threads
+from circlekit import arith, integrals, threads
 from circlekit.arith import (
     ProblemInstance,
-    _exact_cube,
-    _fft_cube_checked,
     _fft_length,
     _parity_cube,
-    _rounded,
     build_histograms,
     cube,
     divisor_sieve,
@@ -23,8 +20,10 @@ from circlekit.arith import (
     integer_kth_root,
     sum_d_squared,
 )
+from circlekit.budget import DEFAULT_BUDGET
 from circlekit.errors import BudgetError, DomainError, PrecisionError, SizeError
 from circlekit.expsums import divisor_exp_sum
+from circlekit.integrals import check_oracle_grid, j_volume_oracle
 
 PRIMES_UNDER_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -251,9 +250,9 @@ def test_direct_equals_every_transform(x, k):
     direct = exact_S_direct(inst, table)
     for transform in ("auto", "ntt"):
         assert exact_S_convolution(inst, table, transform=transform) == direct
-    # the float cube paired with one table slice per n4, in int64
+    # the parity cube paired with one table slice per n4, in int64
     indicator, powers = build_histograms(inst)
-    r3 = _fft_cube_checked(indicator)
+    r3 = _parity_cube(indicator)
     d = table.astype(np.int64)
     assert sum(int(np.dot(d[p : p + len(r3)], r3)) for p in powers) == direct
 
@@ -375,7 +374,7 @@ def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
     indicator, _ = build_histograms(inst)
-    assert np.array_equal(_fft_cube_checked(indicator), _exact_cube(indicator))
+    assert np.array_equal(_parity_cube(indicator), cube(indicator))
     ntt_val = exact_S_convolution(inst, table, transform="ntt")
     assert exact_S_convolution(inst, table, transform="auto") == ntt_val
     for transform in ("fft", "bogus"):
@@ -423,22 +422,14 @@ def test_monotone_in_x():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_ntt_matches_reference_convolution():
-    # transform="ntt" runs the exact cube
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.integers(0, 10, size=int(rng.integers(2, 80)))
-        assert np.array_equal(cube(a, "ntt"), np.convolve(np.convolve(a, a), a))
-
-
 def test_ntt_matches_fft_at_length_2_20():
     # x = 2e5: 599,428 coefficients of r3, which the power of two 2^20
-    # covers; the float cube runs at 600,000 points
+    # covers; the parity pieces run at 150,000 points
     indicator, _ = build_histograms(ProblemInstance(x=2 * 10**5, k=3))
     out_len = 3 * len(indicator) - 2
     assert 1 << (out_len - 1).bit_length() == 1 << 20
-    assert _fft_length(out_len) == 600_000
-    assert np.array_equal(_exact_cube(indicator), _fft_cube_checked(indicator))
+    assert _fft_length(3 * len(indicator[0::4]) - 2) == 150_000
+    assert np.array_equal(cube(indicator), _parity_cube(indicator))
 
 
 def least_smooth_at_least(n):
@@ -463,65 +454,23 @@ def test_fft_length_matches_brute_force():
     assert _fft_length(8_999_473) == 9_000_000
 
 
-@settings(max_examples=150, deadline=None)
-@given(a=st.lists(st.integers(0, 20), min_size=1, max_size=400))
-# 3 len(a) - 2 = 4, 16, 100 and 1000 are 5-smooth: the cube fills the
-# transform with no padding left, so any shorter length aliases
-@example(a=[1, 1])
-@example(a=[3] * 6)
-@example(a=[1] * 34)
-@example(a=[7] * 334)
-def test_cube_equals_integer_convolution_at_every_length(a):
-    arr = np.array(a, dtype=np.int64)
-    obj = np.array(a, dtype=object)
-    expected = np.convolve(np.convolve(obj, obj), obj).tolist()
-    assert cube(arr, "auto").tolist() == expected
-    assert cube(arr, "ntt").tolist() == expected
+# 0/1 indicators of length 1 to 2000, eight entries to a drawn byte
+INDICATORS = st.tuples(st.binary(min_size=1, max_size=250), st.integers(0, 7)).map(
+    lambda drawn: np.unpackbits(np.frombuffer(drawn[0], np.uint8))[: 8 * len(drawn[0]) - drawn[1]]
+)
 
 
-def test_ntt_capacity_guard():
-    with pytest.raises(SizeError):
-        cube(np.array([10**9] * 4), "ntt")
-
-
-# a zero-copy input whose cube bound 2^21 * 2^82 is far past int64; its
-# cube would need 3 * 2^20 coefficients
-HUGE = np.broadcast_to(np.int64(2**21), (2**20,))
-
-
-def test_exact_cube_refuses_before_allocating(no_array_allocation):
-    with pytest.raises(SizeError, match="beyond int64"):
-        _exact_cube(HUGE)
-
-
-def scaled_values():
-    # magnitudes from 1 to 10^9, so the coefficient bound falls on both
-    # sides of 2^31 and of 2^63
-    return st.integers(0, 9).flatmap(
-        lambda e: st.lists(st.integers(0, 10**e), min_size=1, max_size=64)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=scaled_values())
-# max * sum^2 = 1290^3 < 2^31 < 1291^3, where the adds switch from int32
-# to int64, and 2097151^3 < 2^63 = 2097152^3, where the cube is refused
-@example(a=[1290])
-@example(a=[1291])
-@example(a=[2097151])
-@example(a=[2097152])
-@example(a=[10**9] * 64)
-# an int64 sum of 2^64 would wrap to 0
-@example(a=[2**62] * 4)
-def test_ntt_cube_equals_integer_convolution(a):
-    bound = max(a) * sum(a) ** 2
-    arr = np.array(a, dtype=np.int64)
-    if bound >= 2**63:
-        with pytest.raises(SizeError):
-            _exact_cube(arr)
-        return
-    obj = np.array(a, dtype=object)
-    assert _exact_cube(arr).tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
+@settings(max_examples=60, deadline=None)
+@given(indicator=INDICATORS)
+@example(indicator=[1])  # a single 1
+@example(indicator=[0, 0, 0, 1])
+@example(indicator=[1] * 2000)  # all ones: the largest coefficient, 2000^2 * 3/4
+@example(indicator=[0, 1])  # the square indicator at r = 1
+def test_cube_equals_integer_convolution_at_every_length(indicator):
+    obj = np.array(indicator, dtype=object)
+    r3 = cube(np.array(indicator, dtype=np.int64))
+    assert r3.dtype == np.int64
+    assert r3.tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
@@ -533,10 +482,10 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
     def counted(a):
         calls.append(3 * len(a) - 2)
-        return _exact_cube(a)
+        return cube(a)
 
     monkeypatch.setattr(arith, "_rounded", refuse)
-    monkeypatch.setattr(arith, "_exact_cube", counted)
+    monkeypatch.setattr(arith, "cube", counted)
     for x, k in ((1, 3), (3000, 3), (5000, 8)):
         inst = ProblemInstance(x=x, k=k)
         table = divisor_sieve(inst.max_value)
@@ -546,33 +495,32 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
 
 def test_float_transform_guard(monkeypatch):
-    # distances within margin pass, anything >= 0.25 must trip the guard,
-    # in the shared rounding helper and in the unsplit cube that calls it
-    a = np.array([1, 2, 3], dtype=np.int64)
-    expected = np.convolve(np.convolve(a, a), a)
-    assert np.array_equal(_fft_cube_checked(a), expected)
+    # the parity pieces' rounding distances: below 0.25 they pass and
+    # cube is never called; at 0.25 or more a piece's guard trips and
+    # _parity_cube returns cube(indicator) after exactly one call
+    indicator, _ = build_histograms(ProblemInstance(x=100, k=3))
+    expected = cube(indicator)
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return cube(a)
+
+    monkeypatch.setattr(arith, "cube", counted)
     irfft = np.fft.irfft
     for shift, trips in ((0.1, False), (-0.24, False), (0.3, True), (-0.75, True)):
-        out = np.zeros(len(expected), dtype=np.int64)
-        if trips:
-            with pytest.raises(PrecisionError):
-                _rounded(expected + shift, out)
-        else:
-            _rounded(expected + shift, out)
-            assert np.array_equal(out, expected)
+        calls.clear()
         monkeypatch.setattr(np.fft, "irfft", lambda s, n, shift=shift: irfft(s, n) + shift)
-        if trips:
-            with pytest.raises(PrecisionError):
-                _fft_cube_checked(a)
-        else:
-            assert np.array_equal(_fft_cube_checked(a), expected)
+        r3 = _parity_cube(indicator)
         monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert r3.dtype == np.int64 and np.array_equal(r3, expected), shift
+        assert calls == ([len(indicator)] if trips else []), shift
 
 
 @functools.cache
 def exact_square_cube(r):
     indicator, _ = build_histograms(ProblemInstance(x=r * r, k=3))
-    return indicator, _exact_cube(indicator)
+    return indicator, cube(indicator)
 
 
 # r = 999 and 1000 hold the odd and even top root of verify's x = 10^6
@@ -584,21 +532,6 @@ def test_parity_cube_equals_exact_cube(monkeypatch, workers):
         r3 = _parity_cube(indicator)
         assert r3.dtype == np.int64 and np.array_equal(r3, expected), r
     assert r3.sum() == 1000**3
-
-
-def test_float_transform_memory():
-    # x = 2.5e5: 759,375 = 3^5 5^5 points for 750,001 coefficients; the
-    # in-place guard keeps the peak near 2 n doubles
-    indicator, _ = build_histograms(ProblemInstance(x=250_000, k=3))
-    n = _fft_length(3 * len(indicator) - 2)
-    assert n == 759_375
-    tracemalloc.start()
-    try:
-        _fft_cube_checked(indicator)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.25 * n * 8
 
 
 def test_convolution_memory_at_one_million(monkeypatch):
@@ -641,6 +574,35 @@ def test_int32_window_bound_under_the_sieve_cap(k):
     assert max_d < 2**15
     assert inst.power_limit <= 368
     assert inst.power_limit * max_d < 2**24 < 2**31
+    # the square indicator has r ones and 3 r^2 <= max_value, so cube's
+    # coefficients, at most r^2, fit its int32 adds
+    assert inst.square_limit**2 <= arith.MAX_SIEVE // 3 < 2**31
+
+
+def test_int32_cube_bound_under_the_default_budget(monkeypatch):
+    # the oracle cubes the indicator of the triangular t = i(i + 1)/2,
+    # i < 2g, which has 2g ones; the default budget admits 2g <= 1258
+    class Reached(Exception):
+        pass
+
+    monkeypatch.delenv("CIRCLEKIT_BUDGET", raising=False)
+    grid = integer_kth_root(DEFAULT_BUDGET, 3) // 2
+    assert grid == 629
+    check_oracle_grid(grid)
+    with pytest.raises(BudgetError):
+        check_oracle_grid(grid + 1)
+    reached = []
+
+    def spy(indicator):
+        reached.append(indicator)
+        raise Reached
+
+    monkeypatch.setattr(integrals, "cube", spy)
+    with pytest.raises(Reached):
+        j_volume_oracle(3, 1, grid)
+    ones = np.flatnonzero(reached[0])
+    assert reached[0].max() == 1 and len(ones) == 2 * grid
+    assert len(ones) ** 2 < 2**31
 
 
 def test_budget_refusal(monkeypatch):
