@@ -8,20 +8,28 @@ real by conjugate pairing, multiplicative in q, and bounded by
 q^(-3/2-1/k) up to a constant.  The two truncated sums kept here are
 sigma1 = sum A_k(q) and sigma2 = sum (-2 log q + 2 gamma) A_k(q).
 
-A_k comes from the residue spectrum, which the truncated sums evaluate
-at prime powers only and extend multiplicatively; the direct sum over
-residues it is tested against lives with the tests.  The spectrum path
-takes S_2 and S_k from expsums.power_sum_spectrum, whose residue powers
-are whole-array int64 arithmetic (so it refuses q > 2^31), and keeps
-the a coprime to q with expsums.coprime_mask.  With the singular
-integrals J1, J2 they assemble the main term (MainTerm).
+At an odd prime p, A_k(p) has a closed form for every k >= 1.  For
+p not dividing a, S_2(p, a) = (a/p) G with the Legendre symbol (a/p)
+and the Gauss sum G, G^2 = (-1/p) p; and sum_{a=1..p-1} (a/p) e(am/p)
+= (m/p) G.  So
 
-sigma_truncated evaluates the spectrum at every prime power q <= Q
-through threads.ordered_map, on every CPU, since each is independent
-numpy work; the multiplicative fill then runs in ascending q as a
-serial loop would.  The workers call the private _spectrum_density,
-not local_density: the benchmark's tracer wraps local_density and
-keeps one span stack for all threads.
+    sum_a S_2^3 S_k = G^3 sum_r sum_a (a/p) e(a r^k / p)
+                    = G^4 sum_{r=1..p-1} (r/p)^k = p^2 sum_r (r/p)^k,
+
+which is 0 for odd k and p^2 (p - 1) for even k: A_k(p) = 0 for odd k
+and (p - 1) / p^3 for even k, whether or not p divides k.  Python's
+(p - 1) / p**3 is that rational correctly rounded.
+
+Every other prime power, 2^e and p^e with e >= 2, takes A_k from the
+residue spectrum: S_2 and S_k from expsums.power_sum_spectrum, whose
+residue powers are whole-array int64 arithmetic (so it refuses
+q > 2^31), on the a coprime to q from expsums.coprime_mask.  The tests
+hold the closed form to exact solution counts mod p and the spectrum to
+the direct sum over residues.  sigma_truncated takes the prime-power
+terms this way, on the calling thread, and extends them
+multiplicatively; local_density returns the same bits at every prime
+power.  With the singular integrals J1, J2 they assemble the main term
+(MainTerm).
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import numpy as np
 from .budget import check_budget
 from .errors import DomainError, NumericalIntegrityError
 from .expsums import coprime_mask, power_sum_spectrum
-from .threads import ordered_map
 
 IMAG_TOL = 1e-9
 
@@ -50,11 +57,19 @@ def _real_part(value: complex, q: int) -> float:
 
 
 def local_density(q: int, k: int) -> float:
-    """A_k(q) via the vectorized residue spectrum.  No command calls it:
-    it stays only because perfbench/spans.py names it."""
+    """A_k(q): the closed form at an odd prime, else the residue spectrum,
+    with the bits of the series term at a prime power.  No command calls
+    it: it stays only because perfbench/spans.py names it."""
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
+    # trial division stays within the spectrum's q <= 2^31, which refuses the rest
+    if 2 < q <= 2**31 and all(q % f for f in range(2, math.isqrt(q) + 1)):
+        return _odd_prime_density(q, k)
     return _spectrum_density(q, k)
+
+
+def _odd_prime_density(p: int, k: int) -> float:
+    return (p - 1) / p**3 if k % 2 == 0 else 0.0
 
 
 def _spectrum_density(q: int, k: int) -> float:
@@ -97,35 +112,36 @@ def check_series(Q: int, k: int) -> None:
         raise DomainError(f"Q must be >= 1, got {Q}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    # at most the residues of every modulus q <= Q are visited
+    # charged as if the spectra visited the residues of every modulus
+    # q <= Q; they visit only those of 2^e and p^e with e >= 2
     check_budget(Q * (Q + 1) // 2, "singular series")
 
 
 def sigma_truncated(Q: int, k: int) -> SingularSeriesPartial:
     """Partial sums of the singular series over q <= Q.
 
-    A_k comes from the residue spectrum at prime powers, all of them
-    first and in parallel; any other q is A(q / p^e) A(p^e) with p^e
-    the part of q's largest prime, so the prime-power factors multiply
-    in ascending prime order.
+    A_k comes at prime powers from the closed form or the spectrum; any
+    other q is A(q / p^e) A(p^e) with p^e the part of q's largest prime,
+    so the prime-power factors multiply in ascending prime order.  The
+    + 0.0 turns a negative factor times an exact zero into 0.0, not
+    -0.0, and keeps every other bit.
     """
     check_series(Q, k)
     # part[q] = p^e dividing q exactly, p its largest prime: p is still 0
     # when reached, and each power's multiples are overwritten in turn
     part = np.zeros(Q + 1, dtype=np.int64)
+    local = {}
     for p in range(2, Q + 1):
         if part[p]:
             continue
         pe = p
         while pe <= Q:
             part[pe::pe] = pe
+            local[pe] = _odd_prime_density(p, k) if pe == p > 2 else _spectrum_density(pe, k)
             pe *= p
-    parts = part.tolist()
-    powers = [q for q in range(2, Q + 1) if parts[q] == q]
-    local = dict(zip(powers, ordered_map(lambda q: _spectrum_density(q, k), powers)))
     density = [0.0, 1.0]
-    for q, pe in enumerate(parts[2:], 2):
-        density.append(local[q] if pe == q else density[q // pe] * density[pe])
+    for q, pe in enumerate(part.tolist()[2:], 2):
+        density.append(local[q] if pe == q else density[q // pe] * density[pe] + 0.0)
     values = density[1:]
     terms = list(zip(range(1, Q + 1), values))
     return SingularSeriesPartial(

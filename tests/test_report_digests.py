@@ -28,9 +28,9 @@ DIGESTS = {
     "verify --k 5 --method conv --x 99999,100000":
         "ae479bb4c1403c818ef77aab986f39eb43bf1258922e7a1886b4e67a058b67d0",
     "series --k 3 --q-max 500":
-        "543d3a7b13436c9f0b89ac2ffceb4fdf1e6c9be4850596ff81f0cda9a26fb096",
+        "fbd557acbd4d6c61ba952bf5b2869d36fc5b72216dda09c7fb1c98b039c59d34",
     "series --k 6 --q-max 5000":
-        "392a8d203fc00f22b1bfae53585174142cc105d2fb600496b7d5bc3094523d22",
+        "773b7e9068091d65931ebcd8387c02c03b951b9535a7e908a9b12dc49d3188c3",
     "integral --k 3 --B 400 --grid 64":
         "1e0333999bab6165b5d68171b73477ff8d3eed3b7ea1c9ab65788e1b19f6297a",
     "integral --k 8 --B 400 --grid 64":

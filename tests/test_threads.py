@@ -1,12 +1,13 @@
 """The threaded constants and exact sums: the same bits on any worker count.
 
-j_values, sigma_truncated, the direct route's rows, the divisor sieve's
-windows and the parity pieces of the cube spread independent work over
+j_values, the direct route's rows, the divisor sieve's windows and the
+parity pieces of the cube spread independent work over
 threads.ordered_map.  Their results must not
 depend on how many workers run them, nor on how many threads numpy's
 BLAS runs; a failure in a helper's share must surface as the same exit
 code, and no helper may outlive the call.  j_volume, verify's source of
-J1 and J2, runs on the calling thread and must keep its bits likewise.
+J1 and J2, and sigma_truncated run on the calling thread and must keep
+their bits likewise.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from circlekit import arith, integrals, series, threads
+from circlekit import arith, integrals, threads
 from circlekit.cli import EXIT_BUDGET, EXIT_NUMERICAL, EXIT_OK, main
 from circlekit.errors import NumericalIntegrityError
 from circlekit.integrals import decay_envelope, j_density_batch, j_values, j_volume
@@ -214,6 +215,11 @@ def test_j_volume_bitwise_equal_on_any_worker_count(monkeypatch, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_sigma_terms_equal_on_any_worker_count(monkeypatch, k):
+    # sigma_truncated starts no worker thread: it runs on the calling thread alone
+    def no_thread(*args):
+        raise AssertionError("sigma_truncated started a worker thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(threads, "WORKERS", workers)
@@ -223,29 +229,30 @@ def test_sigma_terms_equal_on_any_worker_count(monkeypatch, k):
 
 
 def test_helper_failure_maps_to_numerical_exit(monkeypatch, capsys):
-    # the first prime power a helper claims fails; the caller holds its
-    # own first item until then, so the helper is sure to claim one
-    spectrum = series._spectrum_density
+    # B = 50 in 1024-node blocks is 24 sweep blocks; the first block a
+    # helper claims fails, and the caller holds its own first block until then
+    block_densities = integrals._block_densities
     failed_on = []
     helper_failed = threading.Event()
 
-    def failing(q, k):
+    def failing(betas, k, whiches):
         if threading.current_thread() is threading.main_thread():
             helper_failed.wait(timeout=10)
         elif not failed_on:
-            failed_on.append(q)
+            failed_on.append(float(betas[0]))
             helper_failed.set()
-            raise NumericalIntegrityError(f"forced at q={q}")
-        return spectrum(q, k)
+            raise NumericalIntegrityError(f"forced at beta={failed_on[0]!r}")
+        return block_densities(betas, k, whiches)
 
     monkeypatch.setattr(threads, "WORKERS", 2)
-    monkeypatch.setattr(series, "_spectrum_density", failing)
+    monkeypatch.setattr(integrals, "_BLOCK", 1024)
+    monkeypatch.setattr(integrals, "_block_densities", failing)
     baseline = threading.active_count()
-    assert main(["series", "--k", "3", "--q-max", "50"]) == EXIT_NUMERICAL
+    assert main(["integral", "--k", "3", "--which", "1", "--B", "50"]) == EXIT_NUMERICAL
     assert failed_on
     assert threading.active_count() == baseline
     err = capsys.readouterr().err
-    assert err.startswith("numerical integrity error:") and f"q={failed_on[0]}\n" in err
+    assert err.startswith("numerical integrity error:") and f"beta={failed_on[0]!r}\n" in err
 
 
 def test_memory_error_in_a_direct_row_maps_to_budget_exit(monkeypatch, capsys):
