@@ -16,11 +16,12 @@ the k-independent three-square counts r3 and pairs r3 with the divisor
 table shifted by each n4^k.  The cube runs by guarded float FFTs split
 by the parity of the three roots, one piece per class of r3's index
 mod 4, each at the least 2^a * 3^b * 5^c covering its 3r^2/4 + 1
-coefficients.  When a piece's guard trips it falls back to cube, the
-exact cube of a 0/1 indicator by about 3r^3 shifted integer adds,
-which transform="ntt" always runs.  The two evaluators must agree to
-the last digit.  The sieve windows, the parity pieces, the direct rows
-and the window segments run on every CPU through threads.ordered_map.
+coefficients.  When a piece's guard trips it falls back to the exact
+cube transform="ntt" always runs, indicator_power(indicator, 3): about
+3r^3 shifted integer adds, by the one exact convolution, which also
+serves the oracle and Hua's moments.  The evaluators must agree to the
+last digit.  The sieve windows, the parity pieces, the direct rows and
+the window segments run on every CPU through threads.ordered_map.
 
 dyadic is the one place that splits floats into exact num/2^e for the
 arc probes and Weyl batches: int64 while 2^e <= 2^62 and |num| < 2^62,
@@ -267,8 +268,8 @@ def _fft_length(n: int) -> int:
 def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
     """Write the integers nearest to coeffs into out, or raise
     PrecisionError when one is at distance >= 0.25; _parity_cube then
-    falls back to cube.  The distances overwrite coeffs, so no float
-    temporary is made."""
+    falls back to indicator_power.  The distances overwrite coeffs, so
+    no float temporary is made."""
     np.rint(coeffs, out=out, casting="unsafe")
     coeffs -= out
     dist = float(np.abs(coeffs, out=coeffs).max())
@@ -278,7 +279,7 @@ def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
 
 def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     """The exact cube of the square indicator, split by the parity of
-    the three roots, or cube(indicator) when a piece's guard trips.
+    the three roots, or indicator_power(indicator, 3) when a guard trips.
 
     An even root 2j gives 4 j^2 and an odd root 2j + 1 gives
     4 j(j + 1) + 1, so e = indicator[0::4] marks the j^2 and
@@ -309,35 +310,37 @@ def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     try:
         threads.ordered_map(piece, range(4))
     except PrecisionError:
-        return cube(indicator)
+        return indicator_power(indicator, 3)
     return r3
 
 
-def cube(indicator: np.ndarray) -> np.ndarray:
-    """The exact cube of a 0/1 indicator in int64: the square, then the
-    cube, each the sum of one shifted copy per entry 1.
+def indicator_power(indicator: np.ndarray, t: int) -> np.ndarray:
+    """The exact t-th power of a 0/1 indicator: t - 1 rounds, each the sum
+    of one shifted copy of the running power per entry 1.
 
-    Each coefficient counts ordered triples of the n ones, so it is at
-    most n^2, and the adds run in int32 while n^2 < 2^31.
+    Each coefficient counts ordered t-tuples of the n ones, so it is at
+    most n^(t-1): the adds run in int32 below 2^31 and int64 below 2^63,
+    both returned as int64, and in Python ints (an object array) beyond.
     """
     ones = np.flatnonzero(indicator).tolist()
-    dtype = np.int32 if len(ones) ** 2 < 2**31 else np.int64
-
-    def times_indicator(b: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(b) + len(indicator) - 1, dtype=dtype)
+    # n^(t-1) >= 2^((t-1)(bits-1)): a large t passes int64 before n^(t-1) is formed
+    bound = 2**63 if (t - 1) * (len(ones).bit_length() - 1) >= 63 else len(ones) ** (t - 1)
+    dtype = np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else object
+    power = indicator.astype(dtype)
+    for _ in range(t - 1):
+        out = np.zeros(len(power) + len(indicator) - 1, dtype=dtype)
         for i in ones:
-            out[i : i + len(b)] += b
-        return out
-
-    return times_indicator(times_indicator(indicator.astype(dtype))).astype(np.int64)
+            out[i : i + len(power)] += power
+        power = out
+    return power if dtype is object else power.astype(np.int64)
 
 
 def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str = "auto") -> int:
     """Exact quadruple-sum value: S = <r3, W> with W[m] = sum over n4 of
-    d(m + n4^k), where r3 = cube(square indicator) counts the ordered
-    (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  "auto" cubes by
-    _parity_cube, "ntt" exactly by cube; any other transform is a
-    DomainError.  W and the dot are built in segments of _SEGMENT
+    d(m + n4^k), where r3, the cube of the square indicator, counts the
+    ordered (n1, n2, n3) with n1^2 + n2^2 + n3^2 = m.  "auto" cubes by
+    _parity_cube, "ntt" exactly by indicator_power; any other transform
+    is a DomainError.  W and the dot are built in segments of _SEGMENT
     entries through threads.ordered_map: each sums one table slice per
     n4 into a cache-resident int32 buffer and returns its int64 dot as
     a Python int, exact in any order.  The buffer holds at most
@@ -349,7 +352,7 @@ def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str
         raise DomainError(f"unknown transform {transform!r}")
     d = require_table(inst.max_value, table)
     indicator, powers = build_histograms(inst)
-    r3 = _parity_cube(indicator) if transform == "auto" else cube(indicator)
+    r3 = _parity_cube(indicator) if transform == "auto" else indicator_power(indicator, 3)
     shifts = powers.tolist()
 
     def segment(lo: int) -> int:

@@ -29,11 +29,14 @@ one-sample calls of the batches.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DYADIC_BITS, INT64_MAX, check_k, divisor_sieve, dyadic, integer_kth_root
+from .arith import (
+    DYADIC_BITS, INT64_MAX, check_k, divisor_sieve, dyadic, indicator_power, integer_kth_root,
+)
 from .budget import MAX_SORT, check_budget
 from .errors import DomainError, SizeError
 from .expsums import divisor_exp_sum, power_sum_spectrum, weyl_batch
@@ -482,10 +485,11 @@ def hua_count(Y: int, k: int, j: int) -> int:
     WORKERS x (_BUCKET + the longest run of one value, at most Y/2) sums
     and as many indices are held at once, besides one shared ramp of
     2 _BUCKET indices, not one array of all Y(Y-1)/2 sums.  Higher j
-    convolves the int64-indexed power histogram t - 1 times in Python
-    ints, charged one unit per coefficient product.  Every j >= 2 refuses
-    2*Y^k beyond int64, and j >= 3 a t >= 2^1024, whose units pass any
-    budget a float can set; both before Y^k or t is formed.
+    sums r^2 over r = arith.indicator_power(power histogram, t), charged
+    one unit per element add, in int64 while its bound Y^(2t-1) < 2^62.
+    Every j >= 2 refuses 2*Y^k beyond int64, and j >= 3 a t >= 2^1024,
+    whose units pass any budget a float can set, both before Y^k or t is
+    formed, then a count whose bound passes Python's int-to-str limit.
     """
     if Y < 1 or k < 1:
         raise DomainError(f"need Y >= 1 and k >= 1, got Y={Y}, k={k}")
@@ -545,13 +549,16 @@ def hua_count(Y: int, k: int, j: int) -> int:
     if j > 1024:
         raise SizeError(f"j = {j} takes 2^{j - 1} powers a side, past any work budget")
     t = 2 ** (j - 1)
-    # step i = 1..t-1 convolves i*Y^k + 1 coefficients with Y^k + 1 of them
-    check_budget((Y**k + 1) * (Y**k * t * (t - 1) // 2 + t - 1), "hua_count")
-    counts = np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k, minlength=Y**k + 1)
-    acc = counts.astype(object)
-    for _ in range(t - 1):
-        acc = np.convolve(acc, counts.astype(object))
-    return int((acc**2).sum())
+    # round i = 1..t-1 adds i*Y^k + 1 coefficients once per power
+    check_budget(Y * (Y**k * t * (t - 1) // 2 + t - 1), "hua_count")
+    # the count is at most Y^(2t-1); a limit of 0, or a Python without one, admits any
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and (2 * t - 1) * math.log10(Y) >= limit:
+        raise SizeError(f"the count may pass {limit} digits, Python's int-to-str limit")
+    r = indicator_power(np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k), t)
+    if (2 * t - 1) * math.log2(Y) >= 62:
+        return sum(v * v for v in r.tolist())
+    return int(np.dot(r, r))
 
 
 def minor_arc_bound_profile(

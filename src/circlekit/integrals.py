@@ -68,7 +68,7 @@ from math import gamma as gamma_fn
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .arith import check_k, cube
+from .arith import check_k, indicator_power
 from .budget import check_budget
 from .errors import DomainError
 from .threads import ordered_map
@@ -526,7 +526,7 @@ def _square_sum_histogram(grid: int) -> tuple[np.ndarray, np.ndarray]:
     counts are the cube of the indicator of the t = ((2i+1)^2 - 1)/8.
     """
     t = (2 * np.arange(grid, dtype=np.int64) + 1) ** 2 // 8
-    triples = cube(np.bincount(t))
+    triples = indicator_power(np.bincount(t), 3)
     sums = np.flatnonzero(triples)
     return 8 * sums + 3, triples[sums]
 

@@ -112,9 +112,9 @@ def check_series(Q: int, k: int) -> None:
         raise DomainError(f"Q must be >= 1, got {Q}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    # charged as if the spectra visited the residues of every modulus
-    # q <= Q; they visit only those of 2^e and p^e with e >= 2
-    check_budget(Q * (Q + 1) // 2, "singular series")
+    # the spectra visit under 2Q residues at the 2^e and at most 1.5Q at the
+    # p^e (e >= 2) of each of the sqrt(Q)/2 odd p <= sqrt(Q); Q more for the terms
+    check_budget(Q * (math.isqrt(Q) + 3), "singular series")
 
 
 def sigma_truncated(Q: int, k: int) -> SingularSeriesPartial:

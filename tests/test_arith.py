@@ -13,10 +13,10 @@ from circlekit.arith import (
     _fft_length,
     _parity_cube,
     build_histograms,
-    cube,
     divisor_sieve,
     exact_S_convolution,
     exact_S_direct,
+    indicator_power,
     integer_kth_root,
     sum_d_squared,
 )
@@ -221,7 +221,7 @@ def test_histograms_x4():
     indicator, powers = build_histograms(ProblemInstance(x=4, k=3))
     assert indicator.tolist() == [0, 1, 0, 0, 1]  # 1^2 and 2^2
     assert powers.tolist() == [1]  # floor(4^(1/3)) = 1
-    r3 = cube(indicator)
+    r3 = indicator_power(indicator, 3)
     assert r3[3] == 1 and r3[6] == 3 and r3[9] == 3 and r3[12] == 1
     assert r3.sum() == 8  # floor(sqrt 4)^3 ordered triples
 
@@ -323,7 +323,7 @@ def whole_window_sum(inst, table):
     # the unsegmented window: one int32 sum of a table slice per n4 over
     # all of r3, then one int64 dot
     indicator, powers = build_histograms(inst)
-    r3 = cube(indicator)
+    r3 = indicator_power(indicator, 3)
     window = np.zeros(len(r3), dtype=np.int32)
     for s in powers:
         window += table[s : s + len(r3)]
@@ -374,7 +374,7 @@ def test_convolution_transforms_agree():
     table = divisor_sieve(4 * 500)
     inst = ProblemInstance(x=500, k=4)
     indicator, _ = build_histograms(inst)
-    assert np.array_equal(_parity_cube(indicator), cube(indicator))
+    assert np.array_equal(_parity_cube(indicator), indicator_power(indicator, 3))
     ntt_val = exact_S_convolution(inst, table, transform="ntt")
     assert exact_S_convolution(inst, table, transform="auto") == ntt_val
     for transform in ("fft", "bogus"):
@@ -429,7 +429,7 @@ def test_ntt_matches_fft_at_length_2_20():
     out_len = 3 * len(indicator) - 2
     assert 1 << (out_len - 1).bit_length() == 1 << 20
     assert _fft_length(3 * len(indicator[0::4]) - 2) == 150_000
-    assert np.array_equal(cube(indicator), _parity_cube(indicator))
+    assert np.array_equal(indicator_power(indicator, 3), _parity_cube(indicator))
 
 
 def least_smooth_at_least(n):
@@ -460,17 +460,49 @@ INDICATORS = st.tuples(st.binary(min_size=1, max_size=250), st.integers(0, 7)).m
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(indicator=INDICATORS)
-@example(indicator=[1])  # a single 1
-@example(indicator=[0, 0, 0, 1])
-@example(indicator=[1] * 2000)  # all ones: the largest coefficient, 2000^2 * 3/4
-@example(indicator=[0, 1])  # the square indicator at r = 1
-def test_cube_equals_integer_convolution_at_every_length(indicator):
+@settings(max_examples=120, deadline=None)
+@given(indicator=INDICATORS, t=st.integers(2, 5))
+@example(indicator=[1], t=5)  # a single 1
+@example(indicator=[0, 0, 0, 1], t=3)
+# all ones: the largest coefficients, about 2000^(t-1) times 1, 3/4, 2/3
+# and 0.6; t = 4 and 5 pass 2^31 and so add in int64
+@example(indicator=[1] * 2000, t=2)
+@example(indicator=[1] * 2000, t=3)
+@example(indicator=[1] * 2000, t=4)
+@example(indicator=[1] * 2000, t=5)
+@example(indicator=[0, 1], t=3)  # the square indicator at r = 1
+def test_cube_equals_integer_convolution_at_every_length(indicator, t):
+    # the t-th power, t = 3 the cube, against t - 1 object-array convolutions
     obj = np.array(indicator, dtype=object)
-    r3 = cube(np.array(indicator, dtype=np.int64))
-    assert r3.dtype == np.int64
-    assert r3.tolist() == np.convolve(np.convolve(obj, obj), obj).tolist()
+    expected = obj
+    for _ in range(t - 1):
+        expected = np.convolve(expected, obj)
+    power = indicator_power(np.array(indicator, dtype=np.int64), t)
+    assert power.dtype == np.int64
+    assert power.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "n, t, tier",
+    [(1290, 4, np.int32), (1291, 4, np.int64), (2, 31, np.int32), (2, 32, np.int64),
+     (2, 63, np.int64), (2, 64, object), (1, 3, np.int32)],
+)
+def test_indicator_power_adds_in_the_least_tier(monkeypatch, n, t, tier):
+    # n ones give coefficients of at most n^(t-1): int32 below 2^31, int64
+    # below 2^63, Python ints beyond, and int64 out of both integer tiers
+    zeros = np.zeros
+    tiers = set()
+
+    def spy(shape, dtype):
+        tiers.add(dtype)
+        return zeros(shape, dtype)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    power = indicator_power(np.ones(n, dtype=np.int64), t)
+    monkeypatch.setattr(np, "zeros", zeros)
+    assert tiers == {tier}
+    assert power.dtype == (object if tier is object else np.int64)
+    assert sum(power.tolist()) == n**t
 
 
 def test_auto_falls_back_to_ntt(monkeypatch):
@@ -480,12 +512,12 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
     calls = []
 
-    def counted(a):
-        calls.append(3 * len(a) - 2)
-        return cube(a)
+    def counted(a, t):
+        calls.append(t * (len(a) - 1) + 1)
+        return indicator_power(a, t)
 
     monkeypatch.setattr(arith, "_rounded", refuse)
-    monkeypatch.setattr(arith, "cube", counted)
+    monkeypatch.setattr(arith, "indicator_power", counted)
     for x, k in ((1, 3), (3000, 3), (5000, 8)):
         inst = ProblemInstance(x=x, k=k)
         table = divisor_sieve(inst.max_value)
@@ -496,17 +528,17 @@ def test_auto_falls_back_to_ntt(monkeypatch):
 
 def test_float_transform_guard(monkeypatch):
     # the parity pieces' rounding distances: below 0.25 they pass and
-    # cube is never called; at 0.25 or more a piece's guard trips and
-    # _parity_cube returns cube(indicator) after exactly one call
+    # indicator_power is never called; at 0.25 or more a piece's guard trips and
+    # _parity_cube returns indicator_power(indicator, 3) after exactly one call
     indicator, _ = build_histograms(ProblemInstance(x=100, k=3))
-    expected = cube(indicator)
+    expected = indicator_power(indicator, 3)
     calls = []
 
-    def counted(a):
-        calls.append(len(a))
-        return cube(a)
+    def counted(a, t):
+        calls.append((len(a), t))
+        return indicator_power(a, t)
 
-    monkeypatch.setattr(arith, "cube", counted)
+    monkeypatch.setattr(arith, "indicator_power", counted)
     irfft = np.fft.irfft
     for shift, trips in ((0.1, False), (-0.24, False), (0.3, True), (-0.75, True)):
         calls.clear()
@@ -514,13 +546,13 @@ def test_float_transform_guard(monkeypatch):
         r3 = _parity_cube(indicator)
         monkeypatch.setattr(np.fft, "irfft", irfft)
         assert r3.dtype == np.int64 and np.array_equal(r3, expected), shift
-        assert calls == ([len(indicator)] if trips else []), shift
+        assert calls == ([(len(indicator), 3)] if trips else []), shift
 
 
 @functools.cache
 def exact_square_cube(r):
     indicator, _ = build_histograms(ProblemInstance(x=r * r, k=3))
-    return indicator, cube(indicator)
+    return indicator, indicator_power(indicator, 3)
 
 
 # r = 999 and 1000 hold the odd and even top root of verify's x = 10^6
@@ -574,7 +606,7 @@ def test_int32_window_bound_under_the_sieve_cap(k):
     assert max_d < 2**15
     assert inst.power_limit <= 368
     assert inst.power_limit * max_d < 2**24 < 2**31
-    # the square indicator has r ones and 3 r^2 <= max_value, so cube's
+    # the square indicator has r ones and 3 r^2 <= max_value, so the cube's
     # coefficients, at most r^2, fit its int32 adds
     assert inst.square_limit**2 <= arith.MAX_SIEVE // 3 < 2**31
 
@@ -593,11 +625,11 @@ def test_int32_cube_bound_under_the_default_budget(monkeypatch):
         check_oracle_grid(grid + 1)
     reached = []
 
-    def spy(indicator):
+    def spy(indicator, t):
         reached.append(indicator)
         raise Reached
 
-    monkeypatch.setattr(integrals, "cube", spy)
+    monkeypatch.setattr(integrals, "indicator_power", spy)
     with pytest.raises(Reached):
         j_volume_oracle(3, 1, grid)
     ones = np.flatnonzero(reached[0])

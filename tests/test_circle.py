@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -446,6 +447,56 @@ def full_sort_hua(Y, k):
     return int((runs**2).sum())
 
 
+def object_convolution_hua(Y, k, j):
+    # the power histogram convolved t - 1 times as an object array of
+    # Python ints, then its squares summed
+    counts = np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k).astype(object)
+    acc = counts
+    for _ in range(2 ** (j - 1) - 1):
+        acc = np.convolve(acc, counts)
+    return int((acc**2).sum())
+
+
+@pytest.mark.parametrize(
+    "Y, k, j",
+    [
+        # Y^(t-1) = 1290^3 < 2^31 <= 1291^3: the adds pass from int32 to int64
+        (1290, 1, 3), (1291, 1, 3),
+        # t = 8: 500^7 < 2^63 <= 600^7, int64 and then Python-int adds
+        (500, 1, 4), (600, 1, 4),
+        # 2^1023 >= 2^63: Python-int adds
+        (2, 1, 11),
+        # int64 counts whose sum of squares, about 8.2e21, passes 2^63
+        (1500, 1, 3),
+        (20, 3, 3), (8, 4, 3),
+    ],
+)
+def test_hua_higher_moments_match_object_convolution(Y, k, j):
+    assert hua_count(Y, k, j) == object_convolution_hua(Y, k, j)
+
+
+def test_hua_refuses_a_count_past_the_digit_limit(monkeypatch):
+    # k = 1, Y = 2: the counts are binomials, so the moment is C(2t, t);
+    # j = 13 has 2,464 digits, and j = 14 may have 4,932, past Python's
+    # default 4,300, and is refused before any add
+    assert hua_count(2, 1, 13) == math.comb(2**13, 2**12)
+
+    class Reached(Exception):
+        pass
+
+    def spy(indicator, t):
+        raise Reached
+
+    monkeypatch.setattr(circle, "indicator_power", spy)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    with pytest.raises(SizeError, match="4300 digits"):
+        hua_count(2, 1, 14)
+    # a limit of 0 sets none
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    with pytest.raises(Reached):
+        hua_count(2, 1, 14)
+
+
 @pytest.mark.parametrize(
     "Y, k", [(300, 3), (2000, 4), (1000, 1), (500, 2), (1290, 6), (5000, 3)]
 )
@@ -536,13 +587,14 @@ def test_hua_keeps_the_exact_int64_edge():
 
 
 def test_hua_budget_counts_convolution_products(monkeypatch):
-    # Y = 3, k = 3, j = 3: sum over i = 1..3 of (27 i + 1) * 28 = 4620
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "4620")
+    # Y = 3, k = 3, j = 3: round i = 1..3 adds 27 i + 1 coefficients once
+    # per power, 3 (27 * 6 + 3) = 495 element adds
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "495")
     assert hua_count(3, 3, 3) == brute_hua(3, 3, 3)
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "4619")
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "494")
     with pytest.raises(BudgetError) as info:
         hua_count(3, 3, 3)
-    assert info.value.required == 4620
+    assert info.value.required == 495
 
 
 @pytest.mark.parametrize(

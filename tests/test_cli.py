@@ -214,7 +214,7 @@ def test_integral_refuses_the_sweep_before_the_oracle(capsys, monkeypatch):
 
 
 def test_series_budget_refused_up_front(capsys, monkeypatch):
-    # Q = 10^6 would visit about 5e11 residues; refused before any local density
+    # Q = 10^6 is charged 10^6 (1000 + 3) units; refused before any local density
     def no_density(q, k):
         raise AssertionError("local density computed before the budget check")
 
@@ -568,8 +568,11 @@ EDGE_CASES = [
     (["integral", "--k", "3", "--B", "400", "--scan", "10000000"], EXIT_BUDGET, "budget error:"),
     # B*B overflows a float
     (["integral", "--k", "3", "--B", "1e300"], EXIT_BUDGET, "budget error:"),
-    # about 6e12 coefficient products in the j = 3 convolutions
-    (["diagnostics", "hua", "--k", "3", "--j", "3", "--y", "100"], EXIT_BUDGET, "budget error:"),
+    # 300 (27e6 * 6 + 3), about 4.9e10 element adds in the j = 3 power
+    (["diagnostics", "hua", "--k", "3", "--j", "3", "--y", "300"], EXIT_BUDGET, "budget error:"),
+    # within budget, but the count may pass Python's 4,300-digit int-to-str
+    # limit: refused before any add
+    (["diagnostics", "hua", "--k", "1", "--j", "14", "--y", "2"], EXIT_USAGE, "usage error:"),
     (["verify", "--k", "3", "--x", "100", "--method", "direct",
       "--out", "/nonexistent/dir/f.json"], EXIT_USAGE, "usage error:"),
     (["diagnostics", "minor", "--samples", "-4"], EXIT_USAGE, "usage error:"),
@@ -752,8 +755,9 @@ def test_verify_refuses_sizes_before_the_constants(capsys, monkeypatch, xs):
     assert err.startswith("usage error:")
 
 
+# the series is charged Q (isqrt(Q) + 3) units: 2.8e9 at Q = 2 * 10^6
 @pytest.mark.parametrize("q_max, code, prefix", [("0", EXIT_USAGE, "usage error:"),
-                                                  ("200000", EXIT_BUDGET, "budget error:")])
+                                                  ("2000000", EXIT_BUDGET, "budget error:")])
 def test_verify_refuses_q_max_before_the_exact_sums(capsys, monkeypatch, q_max, code, prefix):
     def no_exact_sum(*args, **kwargs):
         raise AssertionError("exact sums computed before --q-max was checked")

@@ -45,6 +45,9 @@ DIGESTS = {
         "731ea13338151fca98dd20512dced71f801f047176c1fe0aff1c298b601914c8",
     "diagnostics hua --k 3 --j 2 --y 2000":
         "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
+    # count 142,064,824, as a brute-force count over pairs of pair sums gives
+    "diagnostics hua --k 3 --j 3 --y 40":
+        "19fe5e2c80a48c74c21119368aee984b30c54da7e4b179256b3acd3c0a9f7da4",
     "diagnostics vk --k 4 --x 10000":
         "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
     "diagnostics vk --k 4 --x 10000 --format csv":

@@ -297,9 +297,32 @@ def test_tail_check_bounded_constants():
 
 
 def test_sigma_truncated_budget_is_q_triangle(monkeypatch):
-    # Q (Q + 1) / 2 units: Q = 4 needs exactly 10, Q = 5 needs 15
-    monkeypatch.setenv("CIRCLEKIT_BUDGET", "10")
+    # Q (isqrt(Q) + 3) units: Q = 4 needs exactly 20, Q = 5 needs 25
+    monkeypatch.setenv("CIRCLEKIT_BUDGET", "20")
     assert sigma_truncated(4, 3).Q == 4
     with pytest.raises(BudgetError) as info:
         sigma_truncated(5, 3)
-    assert info.value.required == 15
+    assert info.value.required == 25
+
+
+def test_sigma_truncated_visits_no_more_than_its_charge(monkeypatch):
+    # the spectra visit one residue per residue of each 2^e and p^e
+    # (e >= 2) they are taken at, the term loop one per q: at every
+    # Q <= 2000 that stays within the charge.  A series at Q takes the
+    # spectra of the series at 2000 up to Q, in the same order.
+    visited = []
+    spectrum_density = series._spectrum_density
+
+    def spy(q, k):
+        visited.append(q)
+        return spectrum_density(q, k)
+
+    monkeypatch.setattr(series, "_spectrum_density", spy)
+    sigma_truncated(2000, 4)
+    at_2000 = list(visited)
+    for Q in (1, 8, 9, 49, 50, 1024, 1999):
+        visited.clear()
+        sigma_truncated(Q, 4)
+        assert visited == [q for q in at_2000 if q <= Q], Q
+    for Q in range(1, 2001):
+        assert sum(q for q in at_2000 if q <= Q) + Q <= Q * (math.isqrt(Q) + 3), Q

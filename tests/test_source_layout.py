@@ -54,18 +54,25 @@ def test_import_rule_sees_foreign_modules():
 BLAS_PRODUCTS = {"matmul", "vdot", "inner", "tensordot", "einsum"}
 
 
-def _blas_products(tree: ast.AST) -> list[int]:
-    """Lines of the @ products and the BLAS_PRODUCTS calls in tree."""
+def _calls(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines of the calls in tree to a function or attribute named in names."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in BLAS_PRODUCTS:
+            if name in names:
                 lines.append(node.lineno)
     return sorted(lines)
+
+
+def _blas_products(tree: ast.AST) -> list[int]:
+    """Lines of the @ products and the BLAS_PRODUCTS calls in tree."""
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    return sorted(lines + _calls(tree, BLAS_PRODUCTS))
 
 
 @pytest.mark.parametrize("path", SOURCE, ids=[p.name for p in SOURCE])
@@ -80,6 +87,20 @@ def test_blas_rule_sees_products():
     tree = ast.parse("c = a @ b\nc @= b\nd = np.einsum('i,i', a, b)\ne = inner(a, b)\n"
                      "f = np.dot(a, b)\ng = a * b\n")
     assert _blas_products(tree) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", SOURCE, ids=[p.name for p in SOURCE])
+def test_no_convolve(path):
+    # arith.indicator_power is the one exact convolution; a second would
+    # duplicate it
+    lines = _calls(ast.parse(path.read_text()), {"convolve"})
+    assert lines == [], f"{path.name}: convolve calls on lines {lines}"
+
+
+def test_convolve_rule_sees_calls():
+    tree = ast.parse("a = np.convolve(b, c)\nd = numpy.convolve(b, c)\nfrom numpy import convolve\n"
+                     "e = convolve(b, c)\nf = _ntt_convolve(b, c)\ng = indicator_power(b, 3)\n")
+    assert _calls(tree, {"convolve"}) == [1, 2, 4]
 
 
 def _defined(tree: ast.Module) -> set[str]:
