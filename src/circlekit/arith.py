@@ -10,18 +10,19 @@ The divisor table is the sieve's int32 array d, d[n] = d(n), sieved in
 value windows by the command that reads it; every reader checks its
 coverage by require_table.
 
-One evaluator enumerates the tuples (each unordered square triple once,
-weighted by its orderings).  The other cubes the square indicator into
-the k-independent three-square counts r3 and pairs r3 with the divisor
-table shifted by each n4^k.  The cube runs by guarded float FFTs split
-by the parity of the three roots, one piece per class of r3's index
-mod 4, each at the least 2^a * 3^b * 5^c covering its 3r^2/4 + 1
-coefficients.  When a piece's guard trips it falls back to the exact
-cube transform="ntt" always runs, indicator_power(indicator, 3): about
-3r^3 shifted integer adds, by the one exact convolution, which also
-serves the oracle and Hua's moments.  The evaluators must agree to the
-last digit.  The sieve windows, the parity pieces, the direct rows and
-the window segments run on every CPU through threads.ordered_map.
+One evaluator sums over n4 first, then enumerates each unordered square
+triple once, weighted by its orderings.  The other cubes the square
+indicator into the k-independent three-square counts r3 and pairs r3
+with the divisor table shifted by each n4^k.  The cube runs by guarded
+float FFTs split by the parity of the three roots, one piece per class
+of r3's index mod 4, each at the least 2^a * 3^b * 5^c covering its
+3r^2/4 + 1 coefficients.  When a piece's guard trips it falls back to
+the exact cube transform="ntt" always runs,
+indicator_power(indicator, 3): about 3r^3 shifted integer adds, by the
+one exact convolution, which also serves the oracle and Hua's moments.
+The evaluators must agree to the last digit.  The sieve windows, the
+parity pieces, the direct rows and the window segments run on every CPU
+through threads.ordered_map.
 
 dyadic is the one place that splits floats into exact num/2^e for the
 arc probes and Weyl batches: int64 while 2^e <= 2^62 and |num| < 2^62,
@@ -199,47 +200,50 @@ class ProblemInstance:
         return self.square_limit**3 * self.power_limit
 
 
-def _gathered_sum(d: np.ndarray, values: np.ndarray, shifts: np.ndarray, step: int) -> int:
-    """sum of d[v + s] over v in values and s in shifts, `step` values at a time."""
+def _gathered_sum(d: np.ndarray, values: np.ndarray, shift: int) -> int:
+    """sum of d[v + shift] over v in values, 2^18 values at a time."""
     total = 0
-    for lo in range(0, len(values), step):
-        total += int(d.take(values[None, lo : lo + step] + shifts).sum(dtype=np.int64))
+    for lo in range(0, len(values), 2**18):
+        total += int(d.take(values[lo : lo + 2**18] + shift).sum(dtype=np.int64))
     return total
 
 
 def exact_S_direct(inst: ProblemInstance, table: np.ndarray) -> int:
-    """Exact quadruple-sum value by enumerating square triples and every n4.
+    """Exact quadruple-sum value by enumerating square triples after the n4 sum.
 
-    The summand is symmetric in (n1, n2, n3), so only n1 <= n2 <= n3 is
-    visited, each triple weighted by its number of orderings: 1 for
-    n1 = n2 = n3 and, for n1 = a, 3 for n2 = a < n3, 6 for a < n2 < n3 and
-    3 for a < n2 = n3.  The pairs n2 < n3 come from one upper triangle
-    ordered by n2, so those with n2 >= a are a suffix.  Each piece is
-    gathered from the divisor table for all n4 at once, about 2^18 entries
-    per gather, and summed in int64 into a Python int, exact in any order,
-    so the rows n1 = a, whose cost falls with a, run through
-    threads.ordered_map, each taken by the next free thread.  No
-    histogram or transform is used, so the route stays independent of
-    exact_S_convolution; the budget still counts every ordered tuple.
+    w[m] = sum over n4 of d(m + n4^k), 0 <= m <= 3r^2, takes one int32 add
+    of a table slice per n4; its entries are below P * 2 sqrt(MAX_SIEVE)
+    < 2^24 wherever the sieve cap admits the table (d(n) <= 2 sqrt(n) and
+    P <= 368 there).  The summand is symmetric in (n1, n2, n3), so only
+    n1 <= n2 <= n3 is visited, each weighted by its number of orderings:
+    1 for n1 = n2 = n3 and, for n1 = a, 3 for n2 = a < n3, 6 for
+    a < n2 < n3 and 3 for a < n2 = n3.  The pairs n2 < n3 come from one
+    upper triangle ordered by n2, so those with n2 >= a are a suffix.
+    Each piece is gathered from w, one read per triple, and summed in
+    int64 into a Python int, exact in any order, so the rows n1 = a, whose
+    cost falls with a, run through threads.ordered_map.  The triples are
+    enumerated, not counted by a histogram or transform, so the route
+    stays independent of exact_S_convolution; the budget still counts
+    every ordered tuple, r^3 P.
     """
     check_budget(inst.tuple_count, "exact_S_direct")
     d = require_table(inst.max_value, table)
     r, p_lim = inst.square_limit, inst.power_limit
     sq = np.arange(1, r + 1, dtype=np.int64) ** 2
-    powers = np.arange(1, p_lim + 1, dtype=np.int64)[:, None] ** inst.k
+    w = np.zeros(3 * r * r + 1, dtype=np.int32)
+    for n4 in range(1, p_lim + 1):
+        w += d[n4**inst.k :][: len(w)]
     n2, n3 = np.triu_indices(r, 1)
     pairs = sq[n2] + sq[n3]
     # pairs[start[a]:] are the pairs whose smaller index is >= a
     start = np.searchsorted(n2, np.arange(r + 1))
-    step = max(1, 2**18 // p_lim)
 
     def row(a: int) -> int:
-        shifts = powers + sq[a]
-        ties = _gathered_sum(d, pairs[start[a] : start[a + 1]], shifts, step)
-        ties += _gathered_sum(d, 2 * sq[a + 1 :], shifts, step)
-        return 3 * ties + 6 * _gathered_sum(d, pairs[start[a + 1] :], shifts, step)
+        ties = _gathered_sum(w, pairs[start[a] : start[a + 1]], sq[a])
+        ties += _gathered_sum(w, 2 * sq[a + 1 :], sq[a])
+        return 3 * ties + 6 * _gathered_sum(w, pairs[start[a + 1] :], sq[a])
 
-    return _gathered_sum(d, 3 * sq, powers, step) + sum(threads.ordered_map(row, range(r)))
+    return _gathered_sum(w, 3 * sq, 0) + sum(threads.ordered_map(row, range(r)))
 
 
 def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:

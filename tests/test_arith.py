@@ -319,6 +319,24 @@ def test_direct_equal_on_any_worker_count(x, k):
     assert values == [values[0]] * 4
 
 
+# C(r + 2, 3) unordered square triples: r = 1, 2, 240, 170 and 148
+@pytest.mark.parametrize("x, k, triples", [(1, 3, 1), (4, 3, 4), (58000, 3, 2_332_880),
+                                           (29000, 8, 833_340), (148**2, 5, 551_300)])
+def test_direct_gathers_each_unordered_triple_once(monkeypatch, x, k, triples):
+    inst = ProblemInstance(x=x, k=k)
+    gathered_sum = arith._gathered_sum
+    entries = []
+
+    def spy(d, values, shift):
+        # the entries one call reads: every value at every shift it is given
+        entries.append(np.broadcast(values, shift).size)
+        return gathered_sum(d, values, shift)
+
+    monkeypatch.setattr(arith, "_gathered_sum", spy)
+    exact_S_direct(inst, divisor_sieve(inst.max_value))
+    assert sum(entries) == math.comb(inst.square_limit + 2, 3) == triples
+
+
 def whole_window_sum(inst, table):
     # the unsegmented window: one int32 sum of a table slice per n4 over
     # all of r3, then one int64 dot
@@ -635,6 +653,17 @@ def test_int32_cube_bound_under_the_default_budget(monkeypatch):
     ones = np.flatnonzero(reached[0])
     assert reached[0].max() == 1 and len(ones) == 2 * grid
     assert len(ones) ** 2 < 2**31
+
+
+# the largest P whose table fits MAX_SIEVE (its least x is P^k), for k = 3 ... 8
+@pytest.mark.parametrize("k, p", [(3, 368), (4, 84), (5, 34), (6, 19), (7, 12), (8, 9)])
+def test_n4_sums_fit_int32_at_the_sieve_cap(k, p):
+    # exact_S_direct's w and exact_S_convolution's window each add P table
+    # entries in int32, and every entry is d(n) <= 2 floor(sqrt(n))
+    assert ProblemInstance(x=p**k, k=k).max_value <= arith.MAX_SIEVE
+    assert ProblemInstance(x=(p + 1) ** k, k=k).max_value > arith.MAX_SIEVE
+    # the docstrings' bound, well inside int32
+    assert p * 2 * math.isqrt(arith.MAX_SIEVE) < 2**24
 
 
 def test_budget_refusal(monkeypatch):

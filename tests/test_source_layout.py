@@ -150,6 +150,26 @@ def test_reference_rule_sees_unused_definitions():
     assert _defined(tree) - _referenced(tree) == {"alone"}
 
 
+# what the convolution route is built from: the direct route names none of
+# it, so the paper's two exact routes stay independent
+CONVOLUTION_ROUTE = {"indicator_power", "_parity_cube", "build_histograms",
+                     "exact_S_convolution", "bincount", "fft"}
+
+
+def test_direct_route_names_no_convolution_code():
+    tree = ast.parse((ROOT / "src" / "circlekit" / "arith.py").read_text())
+    direct = next(node for node in tree.body if getattr(node, "name", None) == "exact_S_direct")
+    assert _referenced(ast.Module([direct], [])) & CONVOLUTION_ROUTE == set()
+
+
+def test_direct_route_rule_sees_names():
+    tree = ast.parse("def f(a):\n    h = np.bincount(a)\n    s = np.fft.rfft(_parity_cube(h))\n"
+                     "    g = arith.exact_S_convolution\n    return indicator_power(h, 3) + a.take(s)\n")
+    assert _referenced(tree) & CONVOLUTION_ROUTE == {
+        "bincount", "fft", "_parity_cube", "exact_S_convolution", "indicator_power"
+    }
+
+
 def _mapping_functions(tree: ast.Module) -> set[str]:
     """The top-level functions of a module that call ordered_map, in their
     own body or in a function nested in it."""
