@@ -12,15 +12,17 @@ coverage by require_table.
 
 One evaluator sums over n4 first, then enumerates each unordered square
 triple once, weighted by its orderings.  The other cubes the square
-indicator into the k-independent three-square counts r3 and pairs r3
-with the divisor table shifted by each n4^k.  The cube runs by guarded
-float FFTs split by the parity of the three roots, one piece per class
-of r3's index mod 4, each at the least 2^a * 3^b * 5^c covering its
-3r^2/4 + 1 coefficients.  When a piece's guard trips it falls back to
-the exact cube transform="ntt" always runs,
-indicator_power(indicator, 3): about 3r^3 shifted integer adds, by the
-one exact convolution, which also serves the oracle and Hua's moments.
-The evaluators must agree to the last digit.  The sieve windows, the
+indicator, an int8 array, into the k-independent three-square counts r3
+and pairs r3 with the divisor table shifted by each n4^k.  The cube runs
+by guarded float FFTs split by the parity of the three roots, one piece
+per class of r3's index mod 4, each at the least 2^a * 3^b * 5^c
+covering its 3r^2/4 + 1 coefficients.  When a piece's guard trips, the
+cube falls back to indicator_power(indicator, 3), about 3r^3 shifted
+integer adds: the one exact convolution, which transform="ntt" always
+runs and which also serves the oracle and Hua's moments.  Both cube
+paths hold r3 in int32: two roots fix the third, so an entry is at
+most r^2 < 2^31 wherever the sieve cap admits the table.  The
+evaluators must agree to the last digit.  The sieve windows, the
 parity pieces, the direct rows and the window segments run on every CPU
 through threads.ordered_map.
 
@@ -247,11 +249,12 @@ def exact_S_direct(inst: ProblemInstance, table: np.ndarray) -> int:
 
 
 def build_histograms(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The square indicator, of length r^2 + 1 (entry s is 1 when s = n^2
+    """The square indicator, int8 of length r^2 + 1 (entry s is 1 when s = n^2
     with 1 <= n <= r), and the powers n4^k for 1 <= n4 <= P."""
     r, p_lim = inst.square_limit, inst.power_limit
     check_budget(r * r + 1 + p_lim, "build_histograms")
-    indicator = np.bincount(np.arange(1, r + 1, dtype=np.int64) ** 2)
+    indicator = np.zeros(r * r + 1, dtype=np.int8)
+    indicator[np.arange(1, r + 1, dtype=np.int64) ** 2] = 1
     return indicator, np.arange(1, p_lim + 1, dtype=np.int64) ** inst.k
 
 
@@ -282,7 +285,7 @@ def _rounded(coeffs: np.ndarray, out: np.ndarray) -> None:
 
 
 def _parity_cube(indicator: np.ndarray) -> np.ndarray:
-    """The exact cube of the square indicator, split by the parity of
+    """The exact int32 cube of the square indicator, split by the parity of
     the three roots, or indicator_power(indicator, 3) when a guard trips.
 
     An even root 2j gives 4 j^2 and an odd root 2j + 1 gives
@@ -297,7 +300,7 @@ def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     parts = indicator[0::4], indicator[1::4]
     n = _fft_length(3 * len(parts[0]) - 2)
     spectra = threads.ordered_map(lambda part: np.fft.rfft(part.astype(np.float64), n), parts)
-    r3 = np.empty(3 * len(indicator) - 2, dtype=np.int64)
+    r3 = np.empty(3 * len(indicator) - 2, dtype=np.int32)
 
     def piece(c: int) -> None:
         # the orderings of 3 - c even roots and c odd ones: 1, 3, 3, 1
@@ -314,7 +317,7 @@ def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     try:
         threads.ordered_map(piece, range(4))
     except PrecisionError:
-        return indicator_power(indicator, 3)
+        return indicator_power(indicator, 3).astype(np.int32)
     return r3
 
 

@@ -57,8 +57,10 @@ _SLACK = 0.05
 # The minor-arc profile gives up after this many draws per sample.
 _DRAWS_PER_SAMPLE = 50
 
-# Pair sums per value bucket of hua_count at j = 2: 4 MiB of int64.
-_BUCKET = 1 << 19
+# hua_count's j = 2 value buckets hold _BUCKET pair sums, 1 MiB of int64, per
+# _BUCKET_ROWS rows or part of them: a bucket searches each row it reaches.
+_BUCKET = 1 << 17
+_BUCKET_ROWS = 1 << 13
 
 # Powers a side of the strided grid whose pair sums, about 10^5 of them,
 # place hua_count's bucket edges.
@@ -456,12 +458,12 @@ def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
     )
 
 
-def _bucket_edges(powers: np.ndarray, pairs: int, top: int) -> np.ndarray:
+def _bucket_edges(powers: np.ndarray, pairs: int, size: int, top: int) -> np.ndarray:
     """Increasing edges from 0 to top that split the pairs' sums into value
-    buckets of about _BUCKET sums, at the quantiles of a sorted sample: the
+    buckets of about size sums, at the quantiles of a sorted sample: the
     sums of a strided grid of about _EDGE_GRID powers a side.  They only
     balance the work; any increasing edges from 0 to top give one count."""
-    n = -(-pairs // _BUCKET)
+    n = -(-pairs // size)
     if n <= 1:
         return np.array([0, top], dtype=np.int64)
     grid = powers[:: -(-powers.size // _EDGE_GRID)]
@@ -478,13 +480,15 @@ def hua_count(Y: int, k: int, j: int) -> int:
     pair sums m^k + n^k with m < n: if r_s such pairs sum to s and d_s = 1
     when s = 2m^k, the ordered count is c_s = 2 r_s + d_s, so
     sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.  The sums are counted in
-    value buckets [lo, hi) of about _BUCKET sums, handed out through
-    threads.ordered_map: each bucket gathers its slice of every row
-    m, sorts it, and returns its sum of r_s^2 and its hits on 2m^k.
+    value buckets [lo, hi) of about size = _BUCKET ceil(Y / _BUCKET_ROWS)
+    sums, handed out through threads.ordered_map: each bucket gathers its
+    slice of each row m whose sums, least[m] to most[m], can reach it,
+    sorts them, and returns its sum of r_s^2 and its hits on 2m^k.
     Equal sums share a bucket, so the edges only balance the work.  About
-    WORKERS x (_BUCKET + the longest run of one value, at most Y/2) sums
+    WORKERS x (size + the longest run of one value, at most Y/2) sums
     and as many indices are held at once, besides one shared ramp of
-    2 _BUCKET indices, not one array of all Y(Y-1)/2 sums.  Higher j
+    2 size indices, not one array of all Y(Y-1)/2 sums: Y = 5000, k = 3
+    peaks at about 7.5 MiB of numpy memory on two workers.  Higher j
     sums r^2 over r = arith.indicator_power(power histogram, t), charged
     one unit per element add, in int64 while its bound Y^(2t-1) < 2^62.
     Every j >= 2 refuses 2*Y^k beyond int64, and j >= 3 a t >= 2^1024,
@@ -508,25 +512,30 @@ def hua_count(Y: int, k: int, j: int) -> int:
         if pairs > MAX_SORT:
             raise SizeError(f"pair-sum sort needs {pairs} entries, cap is {MAX_SORT}")
         powers = np.arange(1, Y + 1, dtype=np.int64) ** k
-        # row m holds powers[n] + powers[m] for n from m + 1 up, increasing
+        # row m holds powers[n] + powers[m] for n from m + 1 up, increasing,
+        # from least[m] to most[m]; both bounds increase with m
         head, after = powers[:-1], np.arange(1, Y, dtype=np.int64)
+        least, most = head + powers[1:], head + powers[-1]
         doubles = 2 * powers
         # 2 Y^k <= INT64_MAX, which is odd, so the top edge fits int64
-        edges = _bucket_edges(powers, pairs, 2 * Y**k + 1)
+        size = _BUCKET * -(-Y // _BUCKET_ROWS)
+        edges = _bucket_edges(powers, pairs, size, 2 * Y**k + 1)
         # one shared 0, 1, 2, ...: a fresh arange per bucket took about ten
         # times the page faults of the whole count
-        ramp = np.arange(min(pairs, 2 * _BUCKET))
+        ramp = np.arange(min(pairs, 2 * size))
 
         def bucket(b: int) -> tuple[int, int]:
             lo, hi = edges[b], edges[b + 1]
-            # row m's sums in [lo, hi) are powers[first:first + count] + powers[m]
-            first = np.maximum(np.searchsorted(powers, lo - head), after)
-            counts = np.maximum(np.searchsorted(powers, hi - head), after) - first
+            # rows m with most[m] >= lo and least[m] < hi reach [lo, hi) at
+            # powers[first:end] + powers[m], where least[m] < hi puts end past m
+            rows = slice(np.searchsorted(most, lo), np.searchsorted(least, hi))
+            first = np.maximum(np.searchsorted(powers, lo - head[rows]), after[rows])
+            counts = np.searchsorted(powers, hi - head[rows]) - first
             index = np.repeat(first - (np.cumsum(counts) - counts), counts)
             index += ramp[: index.size] if index.size <= ramp.size else np.arange(index.size)
             sums = powers.take(index)
             del index
-            sums += np.repeat(head, counts)
+            sums += np.repeat(head[rows], counts)
             sums.sort()
             # A run of r equal sums gives a streak of s = r - 1 consecutive
             # hits, and r^2 = r + s(s + 1).  A bucket holds at most pairs <=

@@ -563,7 +563,7 @@ def test_float_transform_guard(monkeypatch):
         monkeypatch.setattr(np.fft, "irfft", lambda s, n, shift=shift: irfft(s, n) + shift)
         r3 = _parity_cube(indicator)
         monkeypatch.setattr(np.fft, "irfft", irfft)
-        assert r3.dtype == np.int64 and np.array_equal(r3, expected), shift
+        assert r3.dtype == np.int32 and np.array_equal(r3, expected), shift
         assert calls == ([(len(indicator), 3)] if trips else []), shift
 
 
@@ -580,19 +580,30 @@ def test_parity_cube_equals_exact_cube(monkeypatch, workers):
     for r in list(range(1, 81)) + [316, 999, 1000]:
         indicator, expected = exact_square_cube(r)
         r3 = _parity_cube(indicator)
-        assert r3.dtype == np.int64 and np.array_equal(r3, expected), r
+        assert r3.dtype == np.int32 and np.array_equal(r3, expected), r
     assert r3.sum() == 1000**3
 
 
+def test_r3_fits_int32_under_the_sieve_cap():
+    # r3's top index is 3r^2, so the sieve cap admits r up to
+    # isqrt(MAX_SIEVE / 3); two roots fix the third, so an entry of r3 is
+    # at most r^2, below 2^31 for every such r
+    r = math.isqrt(arith.MAX_SIEVE // 3)
+    assert 3 * r * r <= arith.MAX_SIEVE < 3 * (r + 1) ** 2
+    assert r * r < 2**31
+    for r in (1, 2, 80, 316):
+        assert exact_square_cube(r)[1].max() <= r * r
+
+
 def test_convolution_memory_at_one_million(monkeypatch):
-    # x = 10^6: r3 holds 3,000,001 int64 and the indicator 1,000,001; the
+    # x = 10^6: r3 holds 3,000,001 int32 and the indicator 1,000,001 int8; the
     # parity route adds its two forward spectra and, per worker, one
     # piece's spectrum and float coefficients at 759,375 points
     inst = ProblemInstance(x=10**6, k=3)
     table = divisor_sieve(inst.max_value)
     n = _fft_length(3 * (inst.square_limit**2 // 4 + 1) - 2)
     assert n == 759_375
-    fixed = 8 * (3 * 10**6 + 1) + 8 * (10**6 + 1)
+    fixed = 4 * (3 * 10**6 + 1) + (10**6 + 1)
     for workers in (1, 2):
         monkeypatch.setattr(threads, "WORKERS", workers)
         tracemalloc.start()

@@ -531,6 +531,29 @@ def test_hua_buckets_match_full_sort(monkeypatch, size, Y, k, workers):
     assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("Y, k", [(40, 3), (60, 1)])
+def test_hua_row_windows_match_full_sort(monkeypatch, Y, k, workers):
+    # an edge at every pair sum and one past it gives one-value buckets;
+    # row m's sums run from least[m] to most[m], so the rows that reach a
+    # bucket start mid-table, some bucket starts at a row's most sum, no
+    # row reaches the first and last buckets, and at k = 3 none reaches
+    # those in the gaps between the last rows' sums either
+    powers = np.arange(1, Y + 1, dtype=np.int64) ** k
+    m, n = np.triu_indices(Y, 1)
+    sums = np.unique(powers[m] + powers[n])
+    edges = np.unique(np.concatenate(([0], sums, sums + 1, [2 * powers[-1] + 1])))
+    least, most = powers[:-1] + powers[1:], powers[:-1] + powers[-1]
+    first = np.searchsorted(most, edges[:-1])
+    end = np.searchsorted(least, edges[1:])
+    assert ((first > 0) & (first < end)).any() and np.isin(most, edges).any()
+    empty = first >= end
+    assert empty[0] and empty[-1] and empty[1:-1].any() == (k == 3)
+    monkeypatch.setattr(circle, "_bucket_edges", lambda *args: edges)
+    monkeypatch.setattr(threads, "WORKERS", workers)
+    assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
+
+
 def test_hua_memory_stays_in_buckets(monkeypatch):
     # one sorted array of all 12.5M pair sums peaked at 107 MiB; two
     # workers hold two buckets of sums and indices and the shared ramp
@@ -541,7 +564,7 @@ def test_hua_memory_stays_in_buckets(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 10 * 2**20
 
 
 def test_hua_fourth_moment_log_growth():
