@@ -19,8 +19,8 @@ per class of r3's index mod 4, each at the least 2^a * 3^b * 5^c
 covering its 3r^2/4 + 1 coefficients.  When a piece's guard trips, the
 cube falls back to indicator_power(indicator, 3), about 3r^3 shifted
 integer adds: the one exact convolution, which transform="ntt" always
-runs and which also serves the oracle and Hua's moments.  Both cube
-paths hold r3 in int32: two roots fix the third, so an entry is at
+runs and which also serves the oracle and Hua's moments.  Every
+route holds r3 in int32: two roots fix the third, so an entry is at
 most r^2 < 2^31 wherever the sieve cap admits the table.  The
 evaluators must agree to the last digit.  The sieve windows, the
 parity pieces, the direct rows and the window segments run on every CPU
@@ -317,7 +317,7 @@ def _parity_cube(indicator: np.ndarray) -> np.ndarray:
     try:
         threads.ordered_map(piece, range(4))
     except PrecisionError:
-        return indicator_power(indicator, 3).astype(np.int32)
+        return indicator_power(indicator, 3)
     return r3
 
 
@@ -326,8 +326,8 @@ def indicator_power(indicator: np.ndarray, t: int) -> np.ndarray:
     of one shifted copy of the running power per entry 1.
 
     Each coefficient counts ordered t-tuples of the n ones, so it is at
-    most n^(t-1): the adds run in int32 below 2^31 and int64 below 2^63,
-    both returned as int64, and in Python ints (an object array) beyond.
+    most n^(t-1): the power is int32 below 2^31, int64 below 2^63 and
+    Python ints (an object array) beyond, the width its adds ran in.
     """
     ones = np.flatnonzero(indicator).tolist()
     # n^(t-1) >= 2^((t-1)(bits-1)): a large t passes int64 before n^(t-1) is formed
@@ -339,7 +339,7 @@ def indicator_power(indicator: np.ndarray, t: int) -> np.ndarray:
         for i in ones:
             out[i : i + len(power)] += power
         power = out
-    return power if dtype is object else power.astype(np.int64)
+    return power
 
 
 def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str = "auto") -> int:
@@ -352,8 +352,9 @@ def exact_S_convolution(inst: ProblemInstance, table: np.ndarray, transform: str
     n4 into a cache-resident int32 buffer and returns its int64 dot as
     a Python int, exact in any order.  The buffer holds at most
     P * 2 sqrt(MAX_SIEVE) < 2^24 wherever the sieve cap admits the
-    table, since d(n) <= 2 sqrt(n) and P <= 368 there.  The last slice
-    ends at most at max_value.
+    table, since d(n) <= 2 sqrt(n) and P <= 368 there, so a dot, at most
+    that times the r^3 < 2^39 triples r3 sums to (3 r^2 <= MAX_SIEVE),
+    stays in int64.  The last slice ends at most at max_value.
     """
     if transform not in ("auto", "ntt"):
         raise DomainError(f"unknown transform {transform!r}")

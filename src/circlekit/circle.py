@@ -62,10 +62,6 @@ _DRAWS_PER_SAMPLE = 50
 _BUCKET = 1 << 17
 _BUCKET_ROWS = 1 << 13
 
-# Powers a side of the strided grid whose pair sums, about 10^5 of them,
-# place hua_count's bucket edges.
-_EDGE_GRID = 300
-
 
 @dataclass(frozen=True)
 class RationalApproximation:
@@ -458,18 +454,16 @@ def expansion_envelope_scan(x: int, k: int) -> DiagnosticBound:
     )
 
 
-def _bucket_edges(powers: np.ndarray, pairs: int, size: int, top: int) -> np.ndarray:
-    """Increasing edges from 0 to top that split the pairs' sums into value
-    buckets of about size sums, at the quantiles of a sorted sample: the
-    sums of a strided grid of about _EDGE_GRID powers a side.  They only
-    balance the work; any increasing edges from 0 to top give one count."""
-    n = -(-pairs // size)
-    if n <= 1:
-        return np.array([0, top], dtype=np.int64)
-    grid = powers[:: -(-powers.size // _EDGE_GRID)]
-    sample = np.sort((grid[:, None] + grid).ravel())
-    cuts = sample[np.arange(1, n) * sample.size // n]
-    return np.unique(np.concatenate(([0], cuts, [top])))
+def _bucket_edges(k: int, pairs: int, size: int, top: int) -> np.ndarray:
+    """Increasing edges from 0 to top = 2Y^k + 1 at the pair-sum law's cuts
+    floor((top - 1) (b/n)^(k/2)), 0 < b < n = ceil(2 pairs / size).  Below
+    Y^k about c_k (Y^2/2) (v/2Y^k)^(2/k) sums are at most v, where
+    c_k = Gamma(1 + 1/k)^2 2^(2/k) / Gamma(1 + 2/k) falls from 2 at k = 1
+    towards 1, so a bucket there holds about c_k size / 2 sums and one
+    past Y^k fewer.  Any increasing edges from 0 to top give one count."""
+    n = -(-2 * pairs // size)
+    cuts = (top - 1) * (np.arange(1, n) / n) ** (k / 2)
+    return np.unique(np.concatenate(([0], cuts.astype(np.int64), [top])))
 
 
 def hua_count(Y: int, k: int, j: int) -> int:
@@ -480,17 +474,17 @@ def hua_count(Y: int, k: int, j: int) -> int:
     pair sums m^k + n^k with m < n: if r_s such pairs sum to s and d_s = 1
     when s = 2m^k, the ordered count is c_s = 2 r_s + d_s, so
     sum c_s^2 = 4 sum r_s^2 + 4 sum_m r(2m^k) + Y.  The sums are counted in
-    value buckets [lo, hi) of about size = _BUCKET ceil(Y / _BUCKET_ROWS)
-    sums, handed out through threads.ordered_map: each bucket gathers its
-    slice of each row m whose sums, least[m] to most[m], can reach it,
-    sorts them, and returns its sum of r_s^2 and its hits on 2m^k.
-    Equal sums share a bucket, so the edges only balance the work.  About
+    value buckets [lo, hi), cut by _bucket_edges, of at most about size =
+    _BUCKET ceil(Y / _BUCKET_ROWS) sums, handed out through ordered_map:
+    each bucket gathers its slice of each row m whose sums, least[m] to
+    most[m], can reach it, sorts them, and returns its sum of r_s^2 and
+    its hits on 2m^k.  Equal sums share a bucket.  About
     WORKERS x (size + the longest run of one value, at most Y/2) sums
     and as many indices are held at once, besides one shared ramp of
     2 size indices, not one array of all Y(Y-1)/2 sums: Y = 5000, k = 3
-    peaks at about 7.5 MiB of numpy memory on two workers.  Higher j
-    sums r^2 over r = arith.indicator_power(power histogram, t), charged
-    one unit per element add, in int64 while its bound Y^(2t-1) < 2^62.
+    peaks at about 5.1 MiB of numpy memory on two workers.  Higher j
+    sums r^2 over r = arith.indicator_power(power histogram, t), one unit
+    per element add; r is int32 while Y^(2t-1) < 2^62, widened by slices.
     Every j >= 2 refuses 2*Y^k beyond int64, and j >= 3 a t >= 2^1024,
     whose units pass any budget a float can set, both before Y^k or t is
     formed, then a count whose bound passes Python's int-to-str limit.
@@ -519,7 +513,7 @@ def hua_count(Y: int, k: int, j: int) -> int:
         doubles = 2 * powers
         # 2 Y^k <= INT64_MAX, which is odd, so the top edge fits int64
         size = _BUCKET * -(-Y // _BUCKET_ROWS)
-        edges = _bucket_edges(powers, pairs, size, 2 * Y**k + 1)
+        edges = _bucket_edges(k, pairs, size, 2 * Y**k + 1)
         # one shared 0, 1, 2, ...: a fresh arange per bucket took about ten
         # times the page faults of the whole count
         ramp = np.arange(min(pairs, 2 * size))
@@ -567,7 +561,10 @@ def hua_count(Y: int, k: int, j: int) -> int:
     r = indicator_power(np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k), t)
     if (2 * t - 1) * math.log2(Y) >= 62:
         return sum(v * v for v in r.tolist())
-    return int(np.dot(r, r))
+    # Y^(2t-1) < 2^62 puts r's bound Y^(t-1) below 2^31, so r is int32; a
+    # slice's int64 dot is at most the whole sum, below 2^62, and never wraps
+    wide = (r[i : i + (1 << 20)].astype(np.int64) for i in range(0, r.size, 1 << 20))
+    return sum(int(np.dot(part, part)) for part in wide)
 
 
 def minor_arc_bound_profile(

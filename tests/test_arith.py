@@ -47,6 +47,13 @@ def test_integer_kth_root_exact_at_powers():
         assert r**k <= n < (r + 1) ** k
 
 
+def test_integer_kth_root_refuses_k_below_1_and_negative_n():
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        integer_kth_root(8, 0)
+    with pytest.raises(DomainError, match="n must be >= 0"):
+        integer_kth_root(-8, 3)
+
+
 def test_integer_kth_root_at_zero_and_exponents_1_and_2():
     # the bisection alone, with no shortcut, at n = 0 and k = 1, 2 up to 10^400
     assert [integer_kth_root(0, k) for k in range(1, 9)] == [0] * 8
@@ -496,7 +503,9 @@ def test_cube_equals_integer_convolution_at_every_length(indicator, t):
     for _ in range(t - 1):
         expected = np.convolve(expected, obj)
     power = indicator_power(np.array(indicator, dtype=np.int64), t)
-    assert power.dtype == np.int64
+    # at most 2000 ones, so n^(t-1) <= 2000^4 < 2^63: the int32 or int64 tier
+    bound = int(np.count_nonzero(indicator)) ** (t - 1)
+    assert power.dtype == (np.int32 if bound < 2**31 else np.int64)
     assert power.tolist() == expected.tolist()
 
 
@@ -507,7 +516,7 @@ def test_cube_equals_integer_convolution_at_every_length(indicator, t):
 )
 def test_indicator_power_adds_in_the_least_tier(monkeypatch, n, t, tier):
     # n ones give coefficients of at most n^(t-1): int32 below 2^31, int64
-    # below 2^63, Python ints beyond, and int64 out of both integer tiers
+    # below 2^63, Python ints beyond, each returned in the tier it added in
     zeros = np.zeros
     tiers = set()
 
@@ -519,7 +528,7 @@ def test_indicator_power_adds_in_the_least_tier(monkeypatch, n, t, tier):
     power = indicator_power(np.ones(n, dtype=np.int64), t)
     monkeypatch.setattr(np, "zeros", zeros)
     assert tiers == {tier}
-    assert power.dtype == (object if tier is object else np.int64)
+    assert power.dtype == tier
     assert sum(power.tolist()) == n**t
 
 
@@ -615,6 +624,24 @@ def test_convolution_memory_at_one_million(monkeypatch):
         assert peak < fixed + (2 + 2 * workers) * 8 * n + 2**20, workers
 
 
+def test_ntt_memory_at_one_million(monkeypatch):
+    # x = 10^6: the exact cube's last round adds r3's 3,000,001 int32 from
+    # the square's 2,000,001 int32, beside the 1,000,001-entry int8
+    # indicator; int64 adds, or an int64 copy of r3, take 12 MB more
+    inst = ProblemInstance(x=10**6, k=3)
+    table = divisor_sieve(inst.max_value)
+    fixed = 4 * (3 * 10**6 + 1) + 4 * (2 * 10**6 + 1) + (10**6 + 1)
+    for workers in (1, 2):
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            exact_S_convolution(inst, table, transform="ntt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fixed + 2**20, workers
+
+
 def largest_admitted_x(k):
     # the largest x whose values max_value = 3 r^2 + P^k the sieve cap admits
     lo, hi = 1, arith.MAX_SIEVE
@@ -638,6 +665,17 @@ def test_int32_window_bound_under_the_sieve_cap(k):
     # the square indicator has r ones and 3 r^2 <= max_value, so the cube's
     # coefficients, at most r^2, fit its int32 adds
     assert inst.square_limit**2 <= arith.MAX_SIEVE // 3 < 2**31
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_int64_segment_dot_bound_under_the_sieve_cap(k):
+    # a segment's dot sums window * r3 over a slice of r3, whose entries
+    # sum to the r^3 ordered triples, so it is at most 2^24 r^3; any r the
+    # sieve cap admits has 3 r^2 <= MAX_SIEVE, so r^3 < 2^39
+    r = ProblemInstance(largest_admitted_x(k), k).square_limit
+    top = math.isqrt(arith.MAX_SIEVE // 3)
+    assert 3 * r * r <= arith.MAX_SIEVE and r <= top and top**3 < 2**39
+    assert 2**24 * r**3 < 2**24 * 2**39 == 2**63
 
 
 def test_int32_cube_bound_under_the_default_budget(monkeypatch):

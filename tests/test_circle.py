@@ -98,6 +98,10 @@ def test_arc_parameters_default_and_validation():
         ArcParameters(x=10**4, k=3, Q=2, tau=5000.0)  # log x >= 2Q
     with pytest.raises(DomainError):
         ArcParameters(x=10**4, k=3, Q=60, tau=160.0)  # Q > x^(2/(k+2))
+    with pytest.raises(DomainError, match="Q\\*tau"):
+        ArcParameters(x=10**4, k=3, Q=10, tau=50.0)  # Q tau = 500 < x/4
+    with pytest.raises(DomainError, match="Q\\*tau"):
+        ArcParameters(x=10**4, k=3, Q=39, tau=9000.0)  # Q tau = 351000 > 4x
 
 
 def test_classify_arc_exact_rationals():
@@ -520,15 +524,32 @@ def _rank_split_runs(Y, k, size):
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 @pytest.mark.parametrize("size, Y", [(64, 235), (1000, 501)])
 def test_hua_buckets_match_full_sort(monkeypatch, size, Y, k, workers):
-    # hundreds of small buckets, each edge a pair sum; at k = 1 and 2 a split
-    # by rank would cut runs of equal sums, some of them off-diagonal sums
-    # equal to 2m^k, which a value bucket must keep whole
+    # hundreds of small buckets, their edges set by the pair-sum law; at
+    # k = 1 and 2 a split by rank would cut runs of equal sums, some of them
+    # off-diagonal sums equal to 2m^k, which a value bucket must keep whole
     monkeypatch.setattr(circle, "_BUCKET", size)
     monkeypatch.setattr(threads, "WORKERS", workers)
     if k <= 2:
         split, doubles = _rank_split_runs(Y, k, size)
         assert split.size and doubles.size
     assert hua_count(Y, k, 2) == full_sort_hua(Y, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("Y", [235, 501])
+def test_bucket_edges_balance_the_pair_sums(Y, k):
+    # below Y^k about c_k (Y^2/2) (v / 2Y^k)^(2/k) pair sums are at most v,
+    # 1 <= c_k <= 2, so each bucket there holds about c_k size / 2 sums and
+    # each past Y^k fewer; the small sums' lattice effects cost some of it
+    size = 1000
+    powers = np.arange(1, Y + 1, dtype=np.int64) ** k
+    m, n = np.triu_indices(Y, 1)
+    sums = np.sort(powers[m] + powers[n])
+    edges = circle._bucket_edges(k, sums.size, size, 2 * Y**k + 1)
+    assert edges[0] == 0 and edges[-1] == 2 * Y**k + 1 and (np.diff(edges) > 0).all()
+    counts = np.diff(np.searchsorted(sums, edges))
+    assert counts.max() <= 1.25 * size
+    assert counts[edges[1:] <= Y**k].min() >= size / 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -556,7 +577,8 @@ def test_hua_row_windows_match_full_sort(monkeypatch, Y, k, workers):
 
 def test_hua_memory_stays_in_buckets(monkeypatch):
     # one sorted array of all 12.5M pair sums peaked at 107 MiB; two
-    # workers hold two buckets of sums and indices and the shared ramp
+    # workers hold two buckets of sums and indices and the shared ramp,
+    # about 5.1 MiB
     monkeypatch.setattr(threads, "WORKERS", 2)
     tracemalloc.start()
     try:
@@ -564,7 +586,21 @@ def test_hua_memory_stays_in_buckets(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 7 * 2**20
+
+
+def test_hua_higher_moment_memory_is_the_int32_counts():
+    # Y = 40, k = 4, j = 3: Y^3 < 2^31, so the last round adds the counts r,
+    # 4 Y^4 + 1 int32, from the previous round's 3 Y^4 + 1, beside the
+    # int64 power histogram; r is widened one 2^20-entry slice at a time
+    # after that round, never whole, and an int64 r would take 39 MiB more
+    tracemalloc.start()
+    try:
+        hua_count(40, 4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (4 * 40**4 + 1) + 4 * (3 * 40**4 + 1) + 8 * (40**4 + 1) + 2**20
 
 
 def test_hua_fourth_moment_log_growth():

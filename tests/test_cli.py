@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -32,6 +34,7 @@ from circlekit.errors import (
     SizeError,
     VerificationMismatch,
 )
+from circlekit.exponents import derive_delta
 
 
 def run(capsys, *argv):
@@ -53,6 +56,36 @@ def test_delta_k20_formula_row(capsys):
     code, out, _ = run(capsys, "delta", "--k", "20")
     assert code == EXIT_OK
     assert "7611/167200" in out  # 1/22 + 1/15200
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_delta_writes_its_table_to_out(capsys, tmp_path, fmt):
+    target = tmp_path / f"delta.{fmt}"
+    code, out, err = run(capsys, "delta", "--k", "3", "--format", fmt, "--out", str(target))
+    assert (code, err) == (EXIT_OK, "")
+    assert "MATCH" in out
+    binding = ";".join(derive_delta(3).binding_terms)
+    if fmt == "json":
+        (row,) = json.loads(target.read_text())["delta_table"]
+        assert row["k"] == 3 and row["match"] and ";".join(row["binding"]) == binding
+    else:
+        header, row = csv.reader(io.StringIO(target.read_text()))
+        assert header[-1] == "binding" and row[0] == "3"
+        assert row[-2:] == ["MATCH", binding]
+
+
+def test_delta_mismatch_prints_the_binding_terms(capsys, monkeypatch):
+    monkeypatch.setattr(circlekit.cli, "reference_delta", lambda k: Fraction(0))
+    code, out, err = run(capsys, "delta", "--k", "3")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert "MISMATCH" in out
+    assert f"    binding terms: {', '.join(derive_delta(3).binding_terms)}" in out
+
+
+def test_reversed_k_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "delta", "--k", "5..3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "empty k range '5..3'" in err
 
 
 def test_delta_rejects_small_k(capsys):
@@ -778,6 +811,19 @@ def test_delta_out_to_directory_is_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("usage error:")
     assert str(tmp_path) in err
+
+
+def test_out_that_fails_to_open_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the path passes _check_out, then opening it fails
+    def refuse(path, mode):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(circlekit.cli, "open", refuse, raising=False)
+    target = tmp_path / "f.json"
+    code, out, err = run(capsys, "sieve", "--n", "10", "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: cannot write --out {target}: Permission denied\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])

@@ -53,6 +53,12 @@ def test_minor_terms_by_case():
         minor_arc_terms(2)
 
 
+@pytest.mark.parametrize("derive", [derive_delta, reference_delta])
+def test_delta_refuses_k_below_3(derive):
+    with pytest.raises(DomainError, match="k must be >= 3"):
+        derive(2)
+
+
 def test_balance_single_decreasing_term():
     theta, worst, binding = balance([ExponentTerm(F(1), F(-1), "t")], F(1, 3))
     assert theta == F(1, 3) and worst == F(2, 3) and binding == ("t",)

@@ -145,6 +145,8 @@ def test_triviality_bound():
 def test_weyl_at_zero_counts_terms():
     assert weyl_sum(0.0, 10**6, 2) == pytest.approx(1000.0)
     assert weyl_sum(0.0, 17, 3) == pytest.approx(2.0)
+    with pytest.raises(DomainError, match="x must be >= 1"):
+        weyl_batch(np.zeros(1), 0, 3)
 
 
 def test_weyl_parity_cancellation():
