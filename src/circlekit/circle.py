@@ -299,6 +299,7 @@ class ArcParameters:
     @classmethod
     def default(cls, x: int, k: int) -> "ArcParameters":
         """Q = floor(x^(2/(k+2))), tau = x/Q."""
+        check_k(k, 3)
         if x < 1:
             raise DomainError(f"x must be >= 1, got {x}")
         _float_x(x)
@@ -483,16 +484,15 @@ def hua_count(Y: int, k: int, j: int) -> int:
     and as many indices are held at once, besides one shared ramp of
     2 size indices, not one array of all Y(Y-1)/2 sums: Y = 5000, k = 3
     peaks at about 5.1 MiB of numpy memory on two workers.  Higher j
-    sums r^2 over r = arith.indicator_power(power histogram, t), one unit
-    per element add; r is int32 while Y^(2t-1) < 2^62, widened by slices.
+    sums r^2 over r = arith.indicator_power(int8 power indicator, t), one
+    unit per element add; r is int32 while Y^(2t-1) < 2^62, widened by slices.
     Every j >= 2 refuses 2*Y^k beyond int64, and j >= 3 a t >= 2^1024,
     whose units pass any budget a float can set, both before Y^k or t is
     formed, then a count whose bound passes Python's int-to-str limit.
     """
-    if Y < 1 or k < 1:
-        raise DomainError(f"need Y >= 1 and k >= 1, got Y={Y}, k={k}")
-    if j < 1:
-        raise DomainError(f"j must be >= 1, got {j}")
+    check_k(k)
+    if Y < 1 or j < 1:
+        raise DomainError(f"need Y >= 1 and j >= 1, got Y={Y}, j={j}")
     if j == 1:
         check_budget(Y, "hua_count")
         return Y
@@ -558,7 +558,7 @@ def hua_count(Y: int, k: int, j: int) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and (2 * t - 1) * math.log10(Y) >= limit:
         raise SizeError(f"the count may pass {limit} digits, Python's int-to-str limit")
-    r = indicator_power(np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k), t)
+    r = indicator_power(np.bincount(np.arange(1, Y + 1, dtype=np.int64) ** k).astype(np.int8), t)
     if (2 * t - 1) * math.log2(Y) >= 62:
         return sum(v * v for v in r.tolist())
     # Y^(2t-1) < 2^62 puts r's bound Y^(t-1) below 2^31, so r is int32; a

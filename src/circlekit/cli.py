@@ -30,6 +30,7 @@ from pathlib import Path
 from . import __version__
 from .arith import (
     ProblemInstance,
+    check_k,
     divisor_sieve,
     exact_S_convolution,
     exact_S_direct,
@@ -262,8 +263,7 @@ def _delta_rows(ks: range | list[int]) -> list[dict]:
 
 def cmd_delta(args: argparse.Namespace) -> int:
     ks = args.k or range(3, 13)
-    if ks[0] < 3:
-        raise DomainError(f"k must be >= 3, got {ks[0]}")
+    check_k(ks[0], 3)
     # balance evaluates the 8 error terms at up to 29 candidate cutoffs per k
     check_budget((ks[-1] - ks[0] + 1) * 8 * 29, "delta table")
     rows = _delta_rows(ks)

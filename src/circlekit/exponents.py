@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import check_k
 from .errors import DomainError
 
 
@@ -39,8 +40,7 @@ def major_arc_terms(k: int) -> list[ExponentTerm]:
     The series-tail term appears twice before deduplication (once from
     the truncation, once from the arc-spacing term Q tau^(3/2+1/k)).
     """
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    check_k(k, 3)
     half = Fraction(1, 2)
     inv_k = Fraction(1, k)
     return [
@@ -55,8 +55,7 @@ def major_arc_terms(k: int) -> list[ExponentTerm]:
 
 def minor_arc_terms(k: int) -> list[ExponentTerm]:
     """Minor-arc exponents: one Weyl term for 3<=k<=5, two-term bounds above."""
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    check_k(k, 3)
     if k <= 5:
         return [
             ExponentTerm(Fraction(7, 4) + Fraction(1, 2 * k), Fraction(-1), "minor:weyl")
@@ -126,8 +125,6 @@ def balance(
 
 def derive_delta(k: int) -> DeltaResult:
     """Balance all error terms at the admissible cutoff and read off delta."""
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
     terms = major_arc_terms(k) + minor_arc_terms(k)
     theta_star, worst, binding = balance(terms, Fraction(2, k + 2))
     main_exp = Fraction(3, 2) + Fraction(1, k)
@@ -143,8 +140,7 @@ def derive_delta(k: int) -> DeltaResult:
 def reference_delta(k: int) -> Fraction:
     """The published error-saving exponents (hand table for k <= 7,
     closed form 1/(k+2) + 1/(2k^2(k-1)) beyond)."""
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    check_k(k, 3)
     table = {
         3: Fraction(19, 60),
         4: Fraction(5, 24),

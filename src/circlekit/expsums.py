@@ -37,8 +37,9 @@ _WEYL_TABLE = 1 << 16
 
 
 def _check_modulus(q: int, k: int) -> None:
-    if q < 1 or k < 1 or q > 2**31:
-        raise DomainError(f"need 1 <= q <= 2^31 and k >= 1, got q={q}, k={k}")
+    check_k(k)
+    if not 1 <= q <= 2**31:
+        raise DomainError(f"need 1 <= q <= 2^31, got q={q}")
 
 
 def _power_residues(q: int, k: int) -> np.ndarray:

@@ -329,6 +329,11 @@ def decay_envelope(density, betas, k: int, which: int):
     return ratio
 
 
+def _check_which(which: int) -> None:
+    if which not in (1, 2):
+        raise DomainError(f"which must be 1 or 2, got {which}")
+
+
 def _check_B(B: float) -> None:
     if not math.isfinite(B) or B < 1.0:
         raise DomainError(f"B must be a finite number >= 1, got {B}")
@@ -361,8 +366,7 @@ def _block_densities(
 def j_density_batch(betas: np.ndarray, k: int, which: int) -> np.ndarray:
     """Density values on a 1-d beta >= 0 grid via the vectorized evaluators."""
     check_k(k)
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    _check_which(which)
     betas = np.asarray(betas, dtype=float)
     out = np.empty(betas.shape, dtype=complex)
     # blocks of _BLOCK nodes keep the temporaries small and in cache
@@ -461,8 +465,7 @@ def check_sweep(k: int, B: float, whiches: tuple[int, ...]) -> None:
     the first past _ASYM_BETA, which every B >= 2 _ASYM_BETA shares, so they
     are counted on the edges of min(B, 2 _ASYM_BETA), not the sweep's."""
     for which in whiches:
-        if which not in (1, 2):
-            raise DomainError(f"which must be 1 or 2, got {which}")
+        _check_which(which)
     _check_B(B)
     check_k(k)
     fine_panels = _fine_panels(float(B))
@@ -526,7 +529,7 @@ def _square_sum_histogram(grid: int) -> tuple[np.ndarray, np.ndarray]:
     counts are the cube of the indicator of the t = ((2i+1)^2 - 1)/8.
     """
     t = (2 * np.arange(grid, dtype=np.int64) + 1) ** 2 // 8
-    triples = indicator_power(np.bincount(t), 3)
+    triples = indicator_power(np.bincount(t).astype(np.int8), 3)
     sums = np.flatnonzero(triples)
     return 8 * sums + 3, triples[sums]
 
@@ -542,8 +545,8 @@ def volume_midpoint(k: int, which: int, grid: int) -> float:
     """
     if grid < 64:
         raise DomainError(f"grid must be >= 64 per axis, got {grid}")
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    check_k(k)
+    _check_which(which)
     check_budget(grid**3, "volume oracle")
     N, counts = _square_sum_histogram(grid)
     s3 = N / (4.0 * grid * grid)
@@ -677,8 +680,7 @@ def j_volume(k: int, which: int) -> VolumeIntegralValue:
     sums by numpy's pairwise rule, so its bits follow no thread count.
     """
     check_k(k)
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+    _check_which(which)
     n = _VOLUME_ORDER
     # integrand nodes on both orders m: 2m t by m z (J1), by 2m z and m s (J2)
     units = sum(2 * m * m * (1 if which == 1 else 2 * m) for m in (n, 2 * n))

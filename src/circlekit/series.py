@@ -40,6 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .arith import check_k
 from .budget import check_budget
 from .errors import DomainError, NumericalIntegrityError
 from .expsums import coprime_mask, power_sum_spectrum
@@ -106,12 +107,11 @@ class SingularSeriesPartial:
 
 
 def check_series(Q: int, k: int) -> None:
-    """Refuse a truncated series before any work: Q or k below 1, or Q
-    past the budget."""
+    """Refuse a truncated series before any work: Q below 1, a k that
+    arith.check_k refuses, or Q past the budget."""
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_k(k)
     # the spectra visit under 2Q residues at the 2^e and at most 1.5Q at the
     # p^e (e >= 2) of each of the sqrt(Q)/2 odd p <= sqrt(Q); Q more for the terms
     check_budget(Q * (math.isqrt(Q) + 3), "singular series")

@@ -1,17 +1,23 @@
+import argparse
+import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import circlekit.circle
 import circlekit.cli
@@ -685,6 +691,17 @@ EDGE_CASES = [
      EXIT_USAGE, "usage error:"),
     # t = 2^19999 powers a side, refused before t is formed
     (["diagnostics", "hua", "--k", "3", "--y", "2", "--j", "20000"], EXIT_USAGE, "usage error:"),
+    # at Y = 1 the bit-length guard reads (1 - 1) k = 0, so k from 2^63 on
+    # must be refused by arith.check_k before any power is formed
+    (["diagnostics", "hua", "--k", PAST_K, "--y", "1", "--j", "2"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", PAST_K, "--y", "1", "--j", "3"], EXIT_USAGE, "usage error:"),
+    (["diagnostics", "hua", "--k", BIG_K, "--y", "1"], EXIT_USAGE, "usage error:"),
+    # series and delta take the same k bound as every other command
+    (["series", "--k", PAST_K, "--q-max", "10"], EXIT_USAGE, "usage error:"),
+    (["delta", "--k", PAST_K], EXIT_USAGE, "usage error:"),
+    # k is refused as given, not as the k + 2 that Q = x^(2/(k+2)) takes
+    (["diagnostics", "minor", "--k", "-5", "--x", "1000"], EXIT_USAGE,
+     "usage error: k must be >= 3 and below 2^63, got -5\n"),
 ]
 
 
@@ -713,6 +730,133 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
         assert out == ""
         assert err.startswith(prefix)
     assert peak < 16 * 2**20
+
+
+# The hostile values each option type draws from: integers at the edge of
+# each width, floats past every finite range, k ranges reversed, huge and
+# malformed, and malformed lists.  OUT_DIR stands for a temporary directory;
+# an option with choices draws them and one more.
+HOSTILE = {
+    int: ["0", "1", "-1", "2", "3", "5", "14", "63", "64", "100", "1000", str(2**31),
+          str(2**53 + 1), str(2**62), LAST_K, PAST_K, str(2**63 + 1), str(2**64), BIG_K],
+    float: ["nan", "inf", "-inf", "5e-324", "-1e-300", "1e300", "-1", "0", "1", "2", "20", "400"],
+    circlekit.cli._parse_k_range: ["5..3", "3..5", "3..12", "3..100000000", "3.." + PAST_K,
+                                   HUGE_RANGE, "3..", "..", "3..5..7", "k"],
+    circlekit.cli._parse_int_list: [",,", "", "100", "100,1000", "0,100", "-1", "1,x",
+                                    "100," + PAST_K],
+    str: ["OUT_DIR/report", "OUT_DIR", "OUT_DIR/missing/report"],
+    None: [],
+}
+
+
+def _grammar() -> dict:
+    """{command: (its positional's choices or None, [(flag, values), ...])},
+    read from the parser, so that a new option is drawn without a new row."""
+    commands = next(
+        action.choices for action in circlekit.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    grammar = {}
+    for command, parser in commands.items():
+        positional, options = None, []
+        for action in parser._actions:
+            choices = [str(choice) for choice in action.choices or ()]
+            values = tuple((choices + ["bogus"] if choices else []) + HOSTILE[action.type])
+            if not action.option_strings:
+                positional = values
+            elif action.nargs != 0:  # --help takes no value
+                options.append((action.option_strings[0], values))
+        grammar[command] = (positional, options)
+    return grammar
+
+
+GRAMMAR = _grammar()
+
+
+@st.composite
+def hostile_argv(draw, commands=tuple(GRAMMAR), positional=None):
+    command = draw(st.sampled_from(commands))
+    choices, options = GRAMMAR[command]
+    argv = [command]
+    if choices:
+        argv.append(positional or draw(st.sampled_from(choices)))
+    for flag, values in draw(st.lists(st.sampled_from(options), max_size=4, unique=True)):
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+class Overran(BaseException):
+    """Raised by the alarm: no handler in the library can catch it."""
+
+
+def _run_hostile(argv: list[str], out_dir: Path, budget: str, alarm: float):
+    """cli.main on argv at the budget, under a tracemalloc peak and a time
+    alarm: (exit code, stdout, stderr, seconds, peak bytes)."""
+    argv = [arg.replace("OUT_DIR", str(out_dir)) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+
+    def overran(signum, frame):
+        raise Overran(f"{argv} ran past {alarm} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    tracemalloc.start()
+    try:
+        with mock.patch.dict(os.environ, {"CIRCLEKIT_BUDGET": budget}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            signal.setitimer(signal.ITIMER_REAL, alarm)
+            start = time.perf_counter()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+            seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        tracemalloc.stop()
+    return code, stdout.getvalue(), stderr.getvalue(), seconds, peak
+
+
+def _assert_clean_exit(code: int, out: str, err: str) -> None:
+    prefixes = {EXIT_USAGE: ("usage: ",)}  # argparse's own refusals
+    for failure_code, prefix in circlekit.cli.FAILURES.values():
+        prefixes[failure_code] = prefixes.get(failure_code, ()) + (prefix,)
+    assert code in {EXIT_OK, *prefixes}
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert out == "" and err.startswith(prefixes[code])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=hostile_argv())
+# the named regressions the random search seldom draws: a past-int64 k at
+# Y = 1, where Y^k's bit-length guard reads 0, and an infinite tau
+@example(argv=["diagnostics", "hua", "--k", PAST_K, "--y", "1"])
+@example(argv=["diagnostics", "dirichlet", "--tau", "inf"])
+def test_hostile_arguments_exit_cleanly(tmp_path_factory, argv):
+    # a small budget keeps every case to a refusal or a short run, bounded
+    # as EDGE_CASES are
+    code, out, err, seconds, peak = _run_hostile(
+        argv, tmp_path_factory.getbasetemp(), "2000000", 5.0
+    )
+    _assert_clean_exit(code, out, err)
+    assert code != EXIT_OK or seconds < 1.0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=hostile_argv(("diagnostics",), "hua"))
+@example(argv=["diagnostics", "hua", "--k", "1", "--j", "14", "--y", "2"])
+def test_hostile_hua_arguments_exit_cleanly_at_the_default_budget(tmp_path_factory, argv):
+    # hua's digit refusal comes after its charge, which a small budget
+    # trips first: at the default budget a count past Python's int-to-str
+    # limit must still be refused, not run into the alarm
+    code, out, err, _, _ = _run_hostile(argv, tmp_path_factory.getbasetemp(), "", 5.0)
+    _assert_clean_exit(code, out, err)
 
 
 def test_budget_error_prints_a_huge_charge_by_its_bit_length(capsys):

@@ -45,9 +45,9 @@ def test_complete_sum_domain():
     with pytest.raises(DomainError):
         complete_power_sum(0, 1, 3)
     for k in (0, -1):
-        with pytest.raises(DomainError, match="k >= 1"):
+        with pytest.raises(DomainError, match="k must be >= 1"):
             complete_power_sum(5, 1, k)
-        with pytest.raises(DomainError, match="k >= 1"):
+        with pytest.raises(DomainError, match="k must be >= 1"):
             power_sum_spectrum(5, k)
 
 

@@ -608,6 +608,15 @@ def test_oracle_and_profile_reject_small_sizes(monkeypatch):
             density_profile(3, 1, 5.0, points)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2**63])
+def test_volume_oracle_refuses_a_k_outside_check_k(k):
+    # refused, not evaluated: at k = -1 the midpoint rule returns a finite 0.792
+    with pytest.raises(DomainError, match="k must be >= 1 and below 2"):
+        volume_midpoint(k, 1, 64)
+    with pytest.raises(DomainError, match="k must be >= 1 and below 2"):
+        j_volume_oracle(k, 1, 64)
+
+
 # ---------------------------------------------------------------------------
 # the singular integrals as reduced volumes
 # ---------------------------------------------------------------------------

@@ -208,3 +208,61 @@ def test_map_rule_sees_users():
                      "def b():\n    def inner(y): return ordered_map(f, y)\n    return inner(1)\n"
                      "def c(): return map(f, x)\n")
     assert _mapping_functions(tree) == {"a", "b"}
+
+
+# arith.check_k owns the k rule, least <= k < 2^63; integer_kth_root keeps
+# its own k >= 1, since it runs on Python ints at any k, k + 2 included
+K_RULE_OWNERS = frozenset({"check_k", "integer_kth_root"})
+
+
+def _is_k(node: ast.AST) -> bool:
+    """Whether node is k, ell, some .k or a ks[...]."""
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "id", None) == "ks"
+    return getattr(node, "id", None) in ("k", "ell") or getattr(node, "attr", None) == "k"
+
+
+def _compares_k(test: ast.AST) -> bool:
+    """Whether test compares a k with an int constant."""
+    sides = [test.left, *test.comparators] if isinstance(test, ast.Compare) else []
+    return any(map(_is_k, sides)) and any(
+        isinstance(side, ast.Constant) and type(side.value) is int for side in sides
+    )
+
+
+def _k_rule_copies(tree: ast.AST, owners: frozenset[str] = frozenset()) -> list[int]:
+    """Lines of the ifs in tree, outside the functions named in owners, that
+    compare a k with an int constant and raise."""
+    owned = {
+        id(node) for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in owners for node in ast.walk(func)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.If) and id(node) not in owned
+        and any(map(_compares_k, ast.walk(node.test)))
+        and any(isinstance(inner, ast.Raise) for part in node.body for inner in ast.walk(part))
+    )
+
+
+@pytest.mark.parametrize("path", SOURCE, ids=[p.name for p in SOURCE])
+def test_k_rule_has_one_owner(path):
+    owners = K_RULE_OWNERS if path.stem == "arith" else frozenset()
+    lines = _k_rule_copies(ast.parse(path.read_text()), owners)
+    assert lines == [], f"{path.name}: k tests on lines {lines}; call arith.check_k"
+
+
+def test_k_rule_sees_copies():
+    tree = ast.parse(
+        "def f(k, ks, p, ell):\n"
+        "    if k < 3:\n        raise DomainError(k)\n"
+        "    if Y < 1 or p.k < 1:\n        raise DomainError(Y)\n"
+        "    if ks[0] <= 2:\n        raise DomainError(ks)\n"
+        "    if 1 > ell:\n        raise ValueError(ell)\n"
+        "    if k <= 5:\n        return 1\n"
+        "    if (Y.bit_length() - 1) * k >= 63:\n        raise SizeError(k)\n"
+        "    if q < 1:\n        raise DomainError(q)\n"
+        "def check_k(k):\n    if k < 1:\n        raise DomainError(k)\n"
+    )
+    assert _k_rule_copies(tree, {"check_k"}) == [2, 4, 6, 8]
+    assert _k_rule_copies(tree) == [2, 4, 6, 8, 17]
