@@ -11,9 +11,9 @@ level regardless of how large n^l gets.  arith.dyadic gives each alpha
 its route.  On the int64 route (2^e <= 2^62) the sums are the rows of a
 samples x terms phase table in wrapping uint64 arithmetic under the
 mask 2^e - 1, formed in chunks of at most _WEYL_TABLE = 2^16 entries
-(one row when a row's block is longer); a row on the Python-int route
-forms its phases on Python integers.  weyl_sum is weyl_batch at one
-alpha, with the same bits.
+(a longer row is cut where numpy's pairwise sum cuts it); a row on
+the Python-int route forms its phases on Python integers.  weyl_sum is
+weyl_batch at one alpha, with the same bits.
 divisor_exp_sum evaluates sum_{n <= 4x} d(n) e(n (a/q + beta)) with n a
 reduced mod q in integers, in blocks of a bounded number of terms.
 """
@@ -29,7 +29,7 @@ from .errors import DomainError
 
 # Terms per block of the divisor exponential sum.
 _TERMS = 1 << 16
-# Terms per block of a Weyl sum; any m up to it sums as one numpy array.
+# Terms per block of a Weyl sum; any m up to it has the bits of one numpy sum.
 _WEYL_TERMS = 1 << 20
 # Entries per chunk of a Weyl batch's phase table, about 48 bytes each while
 # the chunk is live.
@@ -98,10 +98,10 @@ def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
     alpha = num/den exactly, on its dyadic route.  The phase
     (num n^ell mod den)/den is the same float from uint64 arithmetic
     (the row masked by den - 1) as from the Python integers of the other
-    route.  The terms come in blocks of _WEYL_TERMS and the int64 route's
-    rows in chunks of at most _WEYL_TABLE entries, or one row where a
-    block is longer; each row's block is one pairwise numpy sum, and the
-    blocks add in order.
+    route.  The terms come in blocks of _WEYL_TERMS, each row's block with
+    the bits of one pairwise numpy sum, and the blocks add in order.  A
+    block is summed in parts of at most _WEYL_TABLE terms, and the int64
+    route's rows in chunks of at most _WEYL_TABLE entries.
     """
     check_k(ell)
     if x < 1:
@@ -110,14 +110,17 @@ def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.float64)
     (fast, num, den), *wide = dyadic(alphas)
     nums, masks, dens = num.astype(np.uint64), (den - 1).astype(np.uint64), den.astype(np.float64)
-    total = None
-    for lo in range(1, m + 1, _WEYL_TERMS):
-        hi = min(lo + _WEYL_TERMS, m + 1)
+    def block(lo: int, hi: int) -> np.ndarray:
+        # numpy's pairwise sum of a row adds the sums of two parts cut at a
+        # multiple of 4 terms; cut there, a part keeps to one table chunk
+        if hi - lo > _WEYL_TABLE:
+            mid = lo + (hi - lo) // 8 * 4
+            return block(lo, mid) + block(mid, hi)
         # numpy's integer power squares and multiplies, wrapping mod 2^64
         # like the products; den = 2^e divides 2^64, so every residue mod
         # den survives, and dividing by a power of two is exact
         powers = np.arange(lo, hi, dtype=np.uint64) ** np.uint64(ell)
-        step = max(1, _WEYL_TABLE // (hi - lo))
+        step = _WEYL_TABLE // (hi - lo)
         sums = np.empty(alphas.size, dtype=complex)
         for start in range(0, fast.size, step):
             rows = slice(start, start + step)
@@ -128,6 +131,11 @@ def weyl_batch(alphas: np.ndarray, x: int, ell: int) -> np.ndarray:
             for row, a, d in zip(index.tolist(), wide_num.tolist(), wide_den.tolist()):
                 phases = np.array([(a * pow(n, ell, d) % d) / d for n in range(lo, hi)])
                 sums[row] = np.exp(2j * np.pi * phases).sum()
+        return sums
+
+    total = None
+    for lo in range(1, m + 1, _WEYL_TERMS):
+        sums = block(lo, min(lo + _WEYL_TERMS, m + 1))
         total = sums if total is None else total + sums
     return total
 

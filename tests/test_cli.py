@@ -646,8 +646,11 @@ EDGE_CASES = [
     # about 1500 small-beta nodes, each on the one small-beta table that
     # serves every k
     (["integral", "--k", "20000", "--B", "20"], EXIT_OK, ""),
-    # 8 error terms at 29 candidate cutoffs for each of 10^8 k, before any row
+    # each row is charged 50,000 units, about the divisor sieve's in the
+    # time a row takes: refused before any row, or run within a second
     (["delta", "--k", "3..100000000"], EXIT_BUDGET, "budget error:"),
+    (["delta", "--k", "3..1000000"], EXIT_BUDGET, "budget error:"),
+    (["delta", "--k", "3..200"], EXIT_OK, ""),
     # a range past sys.maxsize entries, which len() cannot count: delta is
     # refused by its charge, every single-k command by its k
     (["delta", "--k", HUGE_RANGE], EXIT_BUDGET, "budget error:"),
@@ -723,8 +726,12 @@ def test_edge_inputs_exit_cleanly(capsys, argv, code, prefix):
         tracemalloc.stop()
     assert got == code
     if code == EXIT_OK:
-        # a case that runs writes its report, silently, within a second
-        assert json.loads(out)["meta"]["command"] == argv[0]
+        # a case that runs writes its report (delta its table), silently,
+        # within a second
+        if argv[0] == "delta":
+            assert out.startswith("k ") and "MISMATCH" not in out
+        else:
+            assert json.loads(out)["meta"]["command"] == argv[0]
         assert err == "" and seconds < 1.0
     else:
         assert out == ""
@@ -749,38 +756,50 @@ HOSTILE = {
 }
 
 
-def _grammar() -> dict:
-    """{command: (its positional's choices or None, [(flag, values), ...])},
-    read from the parser, so that a new option is drawn without a new row."""
-    commands = next(
-        action.choices for action in circlekit.cli.build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    grammar = {}
-    for command, parser in commands.items():
-        positional, options = None, []
-        for action in parser._actions:
+def _grammar(parser=None, words=()) -> dict:
+    """{command words: [(flag, values), ...]}, read from the parser and its
+    nested subcommands (`diagnostics hua`), so that a new option or
+    subcommand is drawn without a new row.  Past the subcommands, every
+    argument is an option."""
+    grammar, options = {}, []
+    for action in (parser or circlekit.cli.build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                grammar.update(_grammar(child, (*words, name)))
+        elif action.nargs != 0:  # --help takes no value
             choices = [str(choice) for choice in action.choices or ()]
             values = tuple((choices + ["bogus"] if choices else []) + HOSTILE[action.type])
-            if not action.option_strings:
-                positional = values
-            elif action.nargs != 0:  # --help takes no value
-                options.append((action.option_strings[0], values))
-        grammar[command] = (positional, options)
+            options.append((action.option_strings[0], values))
+    if not grammar and words:  # a command that takes no subcommand
+        grammar[" ".join(words)] = options
     return grammar
 
 
 GRAMMAR = _grammar()
 
+# the flags each diagnostics probe reads, besides --out and --format
+PROBE_FLAGS = {
+    "hua": ["--k", "--y", "--j"],
+    "vk": ["--k", "--x", "--q-max"],
+    "expansion": ["--k", "--x"],
+    "minor": ["--k", "--x", "--samples", "--seed"],
+    "dirichlet": ["--samples", "--tau", "--seed"],
+}
+
+
+def test_grammar_draws_each_probe_with_its_own_flags():
+    probes = {command.split()[1]: sorted(flag for flag, _ in options)
+              for command, options in GRAMMAR.items() if command.startswith("diagnostics")}
+    assert probes == {probe: sorted([*flags, "--out", "--format"])
+                      for probe, flags in PROBE_FLAGS.items()}
+
 
 @st.composite
-def hostile_argv(draw, commands=tuple(GRAMMAR), positional=None):
+def hostile_argv(draw, commands=tuple(GRAMMAR)):
     command = draw(st.sampled_from(commands))
-    choices, options = GRAMMAR[command]
-    argv = [command]
-    if choices:
-        argv.append(positional or draw(st.sampled_from(choices)))
-    for flag, values in draw(st.lists(st.sampled_from(options), max_size=4, unique=True)):
+    argv = command.split()
+    options = st.lists(st.sampled_from(GRAMMAR[command]), max_size=4, unique=True)
+    for flag, values in draw(options):
         argv += [flag, draw(st.sampled_from(values))]
     return argv
 
@@ -849,7 +868,7 @@ def test_hostile_arguments_exit_cleanly(tmp_path_factory, argv):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(argv=hostile_argv(("diagnostics",), "hua"))
+@given(argv=hostile_argv(("diagnostics hua",)))
 @example(argv=["diagnostics", "hua", "--k", "1", "--j", "14", "--y", "2"])
 def test_hostile_hua_arguments_exit_cleanly_at_the_default_budget(tmp_path_factory, argv):
     # hua's digit refusal comes after its charge, which a small budget
@@ -902,13 +921,59 @@ def test_small_beta_rules_are_charged_before_they_are_built(capsys, monkeypatch,
     assert err.startswith("budget error:")
 
 
-@pytest.mark.parametrize("command", ["delta", "verify", "series", "integral"])
-def test_seed_is_not_a_flag_outside_diagnostics(capsys, command):
-    # none of these commands draws a random number
+# each probe's small run, and a value other than the run's and the default
+# for every flag a probe reads
+PROBE_RUNS = {
+    "hua": ["--k", "3", "--y", "20"],
+    "vk": ["--k", "3", "--x", "1000", "--q-max", "3"],
+    "expansion": ["--k", "3", "--x", "1000"],
+    "minor": ["--k", "3", "--x", "10000", "--samples", "20"],
+    "dirichlet": ["--samples", "20"],
+}
+OTHER_VALUE = {"--k": "4", "--x": "2000", "--y": "21", "--j": "3", "--q-max": "4",
+               "--samples": "21", "--seed": "1", "--tau": "100"}
+
+
+def _without_meta(capsys, argv):
+    """The JSON report but for its meta block, and the CSV rows: dirichlet's
+    JSON gives no sample, so only its rows show another --seed."""
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, rows, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    return {key: value for key, value in json.loads(out).items() if key != "meta"}, rows
+
+
+@pytest.mark.parametrize("probe", sorted(PROBE_RUNS))
+def test_every_flag_a_probe_accepts_changes_its_report(capsys, probe):
+    base = ["diagnostics", probe, *PROBE_RUNS[probe]]
+    report = _without_meta(capsys, base)
+    # the flags as the parser gives them, so an unread new flag fails here
+    options = GRAMMAR[f"diagnostics {probe}"]
+    for flag in [flag for flag, _ in options if flag not in ("--out", "--format")]:
+        argv = base.copy()
+        if flag in argv:
+            argv[argv.index(flag) + 1] = OTHER_VALUE[flag]
+        else:
+            argv += [flag, OTHER_VALUE[flag]]
+        assert _without_meta(capsys, argv) != report, f"{probe} does not read {flag}"
+
+
+# every flag a probe does not read, and --seed on the commands that draw
+# no random number
+UNREAD_FLAGS = [(f"diagnostics {probe}", flag)
+                for probe, flags in PROBE_FLAGS.items()
+                for flag in OTHER_VALUE if flag not in flags]
+UNREAD_FLAGS += [(command, "--seed") for command in ("delta", "verify", "series", "integral")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag in UNREAD_FLAGS])
+def test_each_command_refuses_a_flag_it_does_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as info:
-        main([command, "--k", "3", "--seed", "1"])
+        main([*command.split(), flag, OTHER_VALUE[flag]])
     assert info.value.code == EXIT_USAGE
-    assert "--seed" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_diagnostics_takes_a_seed(capsys):

@@ -245,6 +245,22 @@ def test_weyl_sum_memory_is_one_block(monkeypatch):
     assert peak < 80 * (1 << 12)
 
 
+@pytest.mark.parametrize("m", [3 * 2**16 + 5, 2**20])
+def test_weyl_sum_keeps_a_long_block_to_table_chunks(m):
+    # one block summed in parts of at most 2^16 terms, cut where numpy's
+    # pairwise sum of the whole row cuts it (at a multiple of 4 terms, not
+    # at the middle of an odd count): the whole row's bits, where the
+    # whole row's table peaked at about 57 MiB at m = 2^20
+    tracemalloc.start()
+    try:
+        got = weyl_sum(math.pi - 3, m**3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert got == whole_array_weyl(math.pi - 3, m**3, 3)
+
+
 def test_weyl_batch_memory_is_one_chunk():
     # 4000 rows of m = 100 terms: chunked, about 48 bytes a table entry
     # while a chunk of 2^16 entries is live, 3.3 MiB in all; one unchunked

@@ -44,22 +44,22 @@ DIGESTS = {
     "integral --k 5 --which 1 --B 12 --scan 1000 --format csv":
         "731ea13338151fca98dd20512dced71f801f047176c1fe0aff1c298b601914c8",
     "diagnostics hua --k 3 --j 2 --y 2000":
-        "6d14ceca1fb81b953fddbcc266445c7ac7a7aa8e22c9defd3aac69cdaa590498",
+        "bd4e0b3a8ad704f5e77da051df1b3d29595d2997bd326366a53aa9681fb6689b",
     # count 142,064,824, as a brute-force count over pairs of pair sums gives
     "diagnostics hua --k 3 --j 3 --y 40":
-        "19fe5e2c80a48c74c21119368aee984b30c54da7e4b179256b3acd3c0a9f7da4",
+        "1f43f0b086551d83c2789e61c8ea86e0f1c2eef4311c63d216e8be5ae84c624d",
     "diagnostics vk --k 4 --x 10000":
-        "e5a4c42e5c59ab392c6b9aae3a10bf8e0761f4e1083cd669d91760d6bcb19651",
+        "9cda2faeeefeb933936d79492d230d42526149cd36044150928b9755d688c6bf",
     "diagnostics vk --k 4 --x 10000 --format csv":
         "544cc7cd8011b9a0574d33f5f6fac74d2ff262e2a7df949a307a31fb7f0b2579",
     "diagnostics expansion --k 3 --x 10000":
-        "893417bec681d15653745c7bbc158b997e329dec31f5a66d6ac080aa9eecfbf7",
+        "d09151a2bd16baa3c4710d50be0adac229cc18fa67720d8b48c56963d898391e",
     "diagnostics expansion --k 3 --x 10000 --format csv":
         "3b6a97cd302b38ebcbf2d82dd93dafd4c206a666789a1a69bc4e79e17ac331fa",
     "diagnostics expansion --k 5 --x 100000 --format csv":
         "f2bb18cef57401045d8257a27902fe28a625e5f38b1d8bca2810de163eaee780",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5":
-        "5f1de1908b3552f27cfbe42439b0d43e71134194eb3d729384267a57982417aa",
+        "d09c3cd06a764e49747af40a1e16091ede184033f7a0d6da9a5909093a4c930f",
     "diagnostics minor --k 3 --x 1000000 --samples 2000 --seed 5 --format csv":
         "146b994cf74d6144df0703a1a2c978dabcd2c8e192e37f5b8ee89cac9418535c",
     "diagnostics minor --k 8 --x 1000000 --samples 300 --seed 1 --format csv":
